@@ -43,14 +43,6 @@ class EvictionCause(enum.IntEnum):
     EVICTED_BY_EXPIRATION = 3
 
 
-# ledger state -> class of the miss a subsequent reference takes
-_MISS_CLASS_FOR_CAUSE = {
-    EvictionCause.NEVER_RESIDENT: MissClass.COMPULSORY,
-    EvictionCause.EVICTED_BY_REPLACEMENT: MissClass.REPLACEMENT,
-    EvictionCause.EVICTED_BY_EXPIRATION: MissClass.EXPIRATION,
-}
-
-
 class AccessOutcome(NamedTuple):
     hit: bool
     miss_class: MissClass | None
@@ -182,6 +174,8 @@ class CacheUnit:
         n = self.num_sets * self.assoc
         # parallel per-way arrays; tag None marks an invalid way
         self._tags: list[int | None] = [None] * n
+        # resident address -> way, kept in step with _tags; hits look up here
+        self._where: dict[int, int] = {}
         self._dirty = [False] * n
         self._lru = [0] * n
         self._reset_time = [0.0] * n
@@ -236,6 +230,7 @@ class CacheUnit:
     def _drain_expired(self, now: float) -> None:
         heap = self._heap
         tags = self._tags
+        where = self._where
         gen = self._gen
         ledger = self._ledger_map
         dirty = self._dirty
@@ -247,6 +242,7 @@ class CacheUnit:
             addr = tags[way]
             was_dirty = dirty[way]
             tags[way] = None
+            del where[addr]
             gen[way] = g + 1
             ledger[addr] = 3
             self.evictions_expiration += 1
@@ -289,23 +285,21 @@ class CacheUnit:
             # expired blocks stay queued for the next tick_expirations() call
             self._drain_expired(now)
 
-        sidx = (addr >> self._shift) & self._set_mask
-        base = sidx * self.assoc
-        tags = self._tags
-        for way in range(base, base + self.assoc):
-            if tags[way] == addr:
-                self._seq += 1
-                self._lru[way] = self._seq
-                if is_write:
-                    self.write_hits += 1
-                    self._dirty[way] = True
-                    if self.has_expiry:
-                        self._arm(way, now)
-                else:
-                    self.read_hits += 1
-                    if self._refresh_on_read and self.has_expiry:
-                        self._arm(way, now)
-                return _HIT
+        where = self._where
+        way = where.get(addr)
+        if way is not None:
+            self._seq += 1
+            self._lru[way] = self._seq
+            if is_write:
+                self.write_hits += 1
+                self._dirty[way] = True
+                if self.has_expiry:
+                    self._arm(way, now)
+            else:
+                self.read_hits += 1
+                if self._refresh_on_read and self.has_expiry:
+                    self._arm(way, now)
+            return _HIT
 
         # miss: classify from the ledger, pick a victim, allocate
         cause = self._ledger_map.get(addr, 0)
@@ -319,6 +313,8 @@ class CacheUnit:
             miss_class = MissClass.EXPIRATION
             self.miss_expiration += 1
 
+        base = ((addr >> self._shift) & self._set_mask) * self.assoc
+        tags = self._tags
         victim_way = -1
         lru = self._lru
         best = None
@@ -333,6 +329,7 @@ class CacheUnit:
         victim_addr = tags[victim_way]
         writeback = False
         if victim_addr is not None:
+            del where[victim_addr]
             self._ledger_map[victim_addr] = 2
             self.evictions_replacement += 1
             if self._dirty[victim_way]:
@@ -340,6 +337,7 @@ class CacheUnit:
                 self.writebacks += 1
 
         tags[victim_way] = addr
+        where[addr] = victim_way
         self._dirty[victim_way] = is_write
         self._seq += 1
         lru[victim_way] = self._seq

@@ -1,9 +1,12 @@
 """Workload characterization over traces and single-unit simulations.
 
 Covers read-write activity, cache block lifetimes, block persistence, and
-expiration-miss curves across retention times.  Lifetime and persistence
-analyses replay the trace through one unit in unbounded-retention (SRAM)
-mode; the expiration curve runs one full unit simulation per retention.
+expiration-miss curves across retention times.  Every analysis replays the
+selected stream through one unit with a single loop (`_replay`), all cores
+feeding that unit in (timestamp, core_id) order; a stream already in that
+order is not re-sorted.  Lifetime and persistence analyses replay in
+unbounded-retention (SRAM) mode; the expiration curve replays once for its
+unbounded baseline and once per retention.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import numpy as np
 
 from .cache import CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
-from .trace import AccessKind
+from .trace import AccessKind, time_ordered
 
 DEFAULT_CLOCK_HZ = 1.9e9
 
@@ -59,14 +62,16 @@ def read_write_ratio(trace) -> RwRatioReport:
     return RwRatioReport(per_core=per_core, loads=loads, stores=stores)
 
 
-def _stream(trace, stream: str):
+def _stream(trace, stream: str) -> list:
     if stream == "data":
-        return [r for r in trace if r[2]]
-    if stream == "instr":
-        return [r for r in trace if not r[2]]
-    if stream == "all":
-        return list(trace)
-    raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
+        records = [r for r in trace if r[2]]
+    elif stream == "instr":
+        records = [r for r in trace if not r[2]]
+    elif stream == "all":
+        records = trace
+    else:
+        raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
+    return time_ordered(records)
 
 
 def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
@@ -75,20 +80,23 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
     return replace(cfg, technology=Technology.SRAM, retention_time=None)
 
 
-def _replay_unbounded(records, cfg: CacheUnitConfig, clock_hz: float):
-    """Replay records through one SRAM-mode unit, yielding per-access info.
+def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
+    """Replay ordered records (see _stream) through one fresh unit and return it.
 
-    Yields (record, aligned_addr, outcome, now_seconds) tuples in
-    (timestamp, core_id) order; all cores feed the single unit.
+    All cores feed the single unit.  When given, observe(aligned_addr,
+    outcome, now_seconds) is called after every access.
     """
-    unit = CacheUnit(_unbounded(cfg), "probe")
+    unit = CacheUnit(cfg, "probe")
+    access = unit.access
     mask = ~(cfg.line_size_bytes - 1)
-    ordered = sorted(records, key=lambda r: (r[1], r[0]))
-    for rec in ordered:
+    store = AccessKind.STORE
+    for rec in records:
         now = rec[1] / clock_hz
         aligned = rec[3] & mask
-        out = unit.access(aligned, rec[2] == AccessKind.STORE, now)
-        yield rec, aligned, out, now
+        out = access(aligned, rec[2] == store, now)
+        if observe is not None:
+            observe(aligned, out, now)
+    return unit
 
 
 @dataclass
@@ -117,10 +125,8 @@ class LifetimeHistogram:
 
 
 def _bucketize(values: list[float], edges: tuple[float, ...]) -> list[int]:
-    counts = [0] * (len(edges) + 1)
-    for v in values:
-        counts[int(np.searchsorted(edges, v, side="right"))] += 1
-    return counts
+    idx = np.searchsorted(np.asarray(edges, dtype=float), np.asarray(values, dtype=float), side="right")
+    return np.bincount(idx, minlength=len(edges) + 1).tolist()
 
 
 def _quantiles(values: list[float]) -> dict[str, float]:
@@ -143,16 +149,18 @@ def block_lifetimes(
     last_hit: dict[int, float] = {}
     by_last_hit: list[float] = []
     by_eviction: list[float] = []
-    for _, aligned, out, now in _replay_unbounded(_stream(trace, stream), cfg, clock_hz):
-        if out.hit:
-            last_hit[aligned] = now
-        else:
+
+    def observe(aligned, out, now):
+        if not out.hit:
             victim = out.victim_address
             if victim is not None:
-                by_last_hit.append(last_hit[victim] - fill_time[victim])
-                by_eviction.append(now - fill_time[victim])
+                filled = fill_time[victim]
+                by_last_hit.append(last_hit[victim] - filled)
+                by_eviction.append(now - filled)
             fill_time[aligned] = now
-            last_hit[aligned] = now
+        last_hit[aligned] = now
+
+    _replay(_stream(trace, stream), _unbounded(cfg), clock_hz, observe)
     return LifetimeHistogram(
         bucket_edges=bucket_edges,
         counts_last_hit=_bucketize(by_last_hit, bucket_edges),
@@ -188,16 +196,17 @@ def persistence(
     reloads: dict[int, int] = {}
     evicted_once: set[int] = set()
     seen: set[int] = set()
-    total_fills = 0
-    for _, aligned, out, _ in _replay_unbounded(_stream(trace, stream), cfg, clock_hz):
+
+    def observe(aligned, out, now):
         if out.hit:
-            continue
-        total_fills += 1
+            return
         seen.add(aligned)
         if aligned in evicted_once:
             reloads[aligned] = reloads.get(aligned, 0) + 1
         if out.victim_address is not None:
             evicted_once.add(out.victim_address)
+
+    total_fills = _replay(_stream(trace, stream), _unbounded(cfg), clock_hz, observe).fills
     unique = len(seen)
     fractions = {}
     counts = {}
@@ -240,22 +249,13 @@ def expiration_curve(
 
     records = _stream(trace, stream)
     n_states = counter_states if counter_states is not None else cfg.counter_states
-    mask = ~(cfg.line_size_bytes - 1)
-    ordered = sorted(records, key=lambda r: (r[1], r[0]))
-
-    def run(unit_cfg: CacheUnitConfig) -> CacheUnit:
-        unit = CacheUnit(unit_cfg, "probe")
-        access = unit.access
-        for rec in ordered:
-            access(rec[3] & mask, rec[2] == 2, rec[1] / clock_hz)
-        return unit
-
-    baseline = run(_unbounded(cfg))
-    baseline_misses = baseline.misses
+    baseline_misses = _replay(records, _unbounded(cfg), clock_hz).misses
     points = []
     for r in retentions:
-        unit = run(
-            replace(cfg, technology=Technology.STTRAM, retention_time=r, counter_states=n_states)
+        unit = _replay(
+            records,
+            replace(cfg, technology=Technology.STTRAM, retention_time=r, counter_states=n_states),
+            clock_hz,
         )
         points.append(
             ExpirationCurvePoint(

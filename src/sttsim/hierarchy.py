@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from .cache import CacheUnit, CacheUnitConfig, Technology
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError
-from .trace import AccessRecord
+from .trace import time_ordered
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
@@ -138,20 +138,6 @@ class SimReport:
         return sum(u.miss_expiration for u in self.units.values())
 
 
-def _ordered(trace) -> list[AccessRecord]:
-    records = trace if isinstance(trace, list) else list(trace)
-    prev_ts = -1
-    prev_core = -1
-    for rec in records:
-        ts = rec[1]
-        core = rec[0]
-        if ts < prev_ts or (ts == prev_ts and core < prev_core):
-            return sorted(records, key=lambda r: (r[1], r[0]))
-        prev_ts = ts
-        prev_core = core
-    return records
-
-
 def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     """Run the trace through the hierarchy and aggregate counters and energy.
 
@@ -161,7 +147,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     """
     ncores = cfg.num_cores
     clock = cfg.clock_hz
-    records = _ordered(trace)
+    records = time_ordered(trace)
 
     l1i_units = [CacheUnit(c, f"core{i}.l1i") for i, c in enumerate(cfg.l1i)]
     l1d_units = [CacheUnit(c, f"core{i}.l1d") for i, c in enumerate(cfg.l1d)]

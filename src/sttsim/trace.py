@@ -96,6 +96,25 @@ def write_trace(records: Sequence[AccessRecord], path: str) -> None:
             fh.write(f"{core_id} {timestamp} {_KIND_TO_TOKEN[AccessKind(kind)]} 0x{address:x}\n")
 
 
+def time_ordered(records) -> list[AccessRecord]:
+    """Return records in (timestamp, core_id) order, the order every replay uses.
+
+    A list already in that order is returned as is, without a copy or a
+    sort; otherwise a stably sorted copy is returned.
+    """
+    records = records if isinstance(records, list) else list(records)
+    prev_ts = -1
+    prev_core = -1
+    for rec in records:
+        ts = rec[1]
+        core = rec[0]
+        if ts < prev_ts or (ts == prev_ts and core < prev_core):
+            return sorted(records, key=lambda r: (r[1], r[0]))
+        prev_ts = ts
+        prev_core = core
+    return records
+
+
 @dataclass(frozen=True)
 class ConstantGap:
     cycles: int

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_access_stream
 from oracle import OracleCache
@@ -286,6 +288,46 @@ class TestOracleEquivalence:
         assert unit.writebacks == ref.writebacks
         assert unit.evictions_expiration == ref.evictions_expiration
         assert unit.miss_expiration == ref.miss_expiration
+
+
+_MISS_NAME = {None: None, MissClass.COMPULSORY: "compulsory", MissClass.REPLACEMENT: "replacement",
+              MissClass.EXPIRATION: "expiration"}
+
+
+class TestOraclePropertyEquivalence:
+    """Per-access agreement with the eager oracle over random geometries and policies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        sets=st.sampled_from([1, 2, 4, 8]),
+        assoc=st.integers(1, 16),
+        retention=st.sampled_from([None, 1e-6, 1e-5, 1e-4, 1e-3]),
+        n=st.integers(2, 8),
+        refresh_on_read=st.booleans(),
+        write_fraction=st.floats(0.0, 1.0),
+        blocks_per_way=st.floats(0.25, 3.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_oracle(self, sets, assoc, retention, n, refresh_on_read, write_fraction,
+                            blocks_per_way, seed):
+        tech = Technology.SRAM if retention is None else Technology.STTRAM
+        cfg = CacheUnitConfig(sets * assoc * 64, assoc, 64, tech, retention_time=retention,
+                              counter_states=n, refresh_on_read=refresh_on_read)
+        unit = CacheUnit(cfg)
+        ref = OracleCache(sets, assoc, 64, retention=retention, counter_states=n,
+                          refresh_on_read=refresh_on_read)
+        num_blocks = max(1, round(blocks_per_way * sets * assoc))
+        stream = random_access_stream(seed, 300, num_blocks=num_blocks, write_fraction=write_fraction,
+                                      gap_lo=20, gap_hi=1000)
+        for addr, w, now in stream:
+            out = unit.access(addr, w, now)
+            got = (out.hit, _MISS_NAME[out.miss_class], out.writeback_issued, out.victim_address)
+            assert got == ref.access(addr, w, now)
+        assert unit.resident_addresses() == {a for s in ref.sets for a in s}
+        assert unit._where == {t: way for way, t in enumerate(unit._tags) if t is not None}
+        assert unit.writebacks == ref.writebacks
+        assert unit.evictions_expiration == ref.evictions_expiration
+        assert unit.evictions_replacement == ref.evictions_replacement
 
 
 def test_tick_index_robustness():

@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -19,6 +20,7 @@ from sttsim import (
     persistence,
     read_write_ratio,
 )
+from sttsim.characterize import LIFETIME_BUCKET_EDGES, _bucketize
 
 CLOCK = 1.9e9
 MS = 1e-3
@@ -248,3 +250,59 @@ class TestExpirationCurve:
         a = expiration_curve(trace, cfg, [1e-5, 1e-4, 1e-3], clock_hz=CLOCK)
         b = expiration_curve(trace, cfg, [1e-5, 1e-4, 1e-3], clock_hz=CLOCK)
         assert a == b
+
+
+class TestRecordOrder:
+    """Reports do not depend on the order records arrive in."""
+
+    def _traces(self):
+        # core-major concatenation, as read from per-core files, and its sorted copy
+        merged = random_trace(41, 6000, num_cores=3, num_blocks=96, write_fraction=0.4, instr_fraction=0.2)
+        core_major = sorted(merged, key=lambda r: r.core_id)
+        assert core_major != merged
+        return core_major, merged
+
+    @pytest.mark.parametrize("stream", ["data", "instr", "all"])
+    def test_lifetimes_and_persistence(self, stream):
+        shuffled, ordered = self._traces()
+        cfg = unit_cfg(sets=8, assoc=2)
+        assert block_lifetimes(shuffled, cfg, CLOCK, stream) == block_lifetimes(ordered, cfg, CLOCK, stream)
+        assert persistence(shuffled, cfg, clock_hz=CLOCK, stream=stream) == \
+            persistence(ordered, cfg, clock_hz=CLOCK, stream=stream)
+
+    def test_expiration_curve(self):
+        shuffled, ordered = self._traces()
+        cfg = CacheUnitConfig(8 * 2 * 64, 2, 64, Technology.STTRAM, 1e-5)
+        retentions = [1e-7, 1e-6, 1e-5]
+        a = expiration_curve(shuffled, cfg, retentions, clock_hz=CLOCK)
+        b = expiration_curve(ordered, cfg, retentions, clock_hz=CLOCK)
+        assert a == b
+        assert a[0].expiration_misses > 0
+
+
+class TestBucketize:
+    EDGES = LIFETIME_BUCKET_EDGES
+
+    def test_value_on_edge_goes_to_upper_bucket(self):
+        for i, edge in enumerate(self.EDGES):
+            counts = _bucketize([edge], self.EDGES)
+            assert counts[i + 1] == 1 and sum(counts) == 1
+
+    def test_underflow_and_overflow(self):
+        counts = _bucketize([0.0, 1e-9, 5.0, 1e3], self.EDGES)
+        assert counts[0] == 2
+        assert counts[-1] == 2
+        assert len(counts) == len(self.EDGES) + 1
+
+    def test_empty(self):
+        assert _bucketize([], self.EDGES) == [0] * (len(self.EDGES) + 1)
+
+    def test_matches_loop_reference(self):
+        rng = random.Random(3)
+        values = [10 ** rng.uniform(-8, 1) for _ in range(2000)] + list(self.EDGES) + [0.0]
+        expected = [0] * (len(self.EDGES) + 1)
+        for v in values:
+            expected[bisect.bisect_right(self.EDGES, v)] += 1
+        got = _bucketize(values, self.EDGES)
+        assert got == expected
+        assert all(type(c) is int for c in got)

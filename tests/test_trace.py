@@ -18,7 +18,7 @@ from sttsim import (
     read_trace,
     write_trace,
 )
-from sttsim.trace import parse_gap_spec, parse_pattern_spec
+from sttsim.trace import parse_gap_spec, parse_pattern_spec, time_ordered
 
 
 def test_read_basic_line(tmp_path):
@@ -207,3 +207,13 @@ def test_spec_string_parsers():
     for bad in ("constant", "loguniform:5", "zipf", "gauss:1", "constant:x"):
         with pytest.raises(ConfigError):
             parse_gap_spec(bad) if bad.startswith(("constant", "loguniform")) else parse_pattern_spec(bad)
+
+
+def test_time_ordered():
+    ordered = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40),
+               AccessRecord(1, 5, AccessKind.LOAD, 0x80)]
+    assert time_ordered(ordered) is ordered  # already ordered: no copy, no sort
+    shuffled = [ordered[2], ordered[0], ordered[1]]
+    assert time_ordered(shuffled) == ordered
+    assert shuffled[0] is ordered[2]  # the input is left as it was
+    assert time_ordered(iter(shuffled)) == ordered
