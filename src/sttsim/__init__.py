@@ -15,11 +15,9 @@ from .cache import (
     CacheUnit,
     CacheUnitConfig,
     EvictionCause,
-    EvictionLedger,
     ExpiredBlock,
     MissClass,
     Technology,
-    reset_counter_on_refresh,
     tick_index,
 )
 from .characterize import (
@@ -78,7 +76,6 @@ __all__ = [
     "ConstantGap",
     "EnergyBreakdown",
     "EvictionCause",
-    "EvictionLedger",
     "ExperimentConfig",
     "ExpirationCurvePoint",
     "ExpiredBlock",
@@ -112,7 +109,6 @@ __all__ = [
     "persistence",
     "read_trace",
     "read_write_ratio",
-    "reset_counter_on_refresh",
     "sample_tech_table",
     "simulate",
     "specialize",

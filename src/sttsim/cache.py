@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -35,7 +35,7 @@ class MissClass(enum.IntEnum):
 
 
 class EvictionCause(enum.IntEnum):
-    """Last known state of a block address in a unit's eviction ledger."""
+    """Last known state of a block address in one unit; see CacheUnit.eviction_cause."""
 
     NEVER_RESIDENT = 0
     RESIDENT = 1
@@ -57,6 +57,11 @@ class ExpiredBlock(NamedTuple):
 
 
 _HIT = AccessOutcome(True, None, False, None)
+
+_NEVER_RESIDENT = EvictionCause.NEVER_RESIDENT
+_RESIDENT = EvictionCause.RESIDENT
+_BY_REPLACEMENT = EvictionCause.EVICTED_BY_REPLACEMENT
+_BY_EXPIRATION = EvictionCause.EVICTED_BY_EXPIRATION
 
 
 @dataclass(frozen=True)
@@ -128,13 +133,6 @@ class BlockState:
     lru_rank: int
 
 
-def reset_counter_on_refresh(block: BlockState) -> BlockState:
-    """Return the block with its retention counter back in the initial state."""
-    if not block.valid:
-        raise ValueError("cannot refresh an invalid block")
-    return replace(block, counter=0)
-
-
 def tick_index(t: float, period: float) -> int:
     """Largest k >= 0 with k * period <= t, robust to float division rounding."""
     k = int(t / period)
@@ -143,21 +141,6 @@ def tick_index(t: float, period: float) -> int:
     while k > 0 and k * period > t:
         k -= 1
     return k
-
-
-class EvictionLedger:
-    """Tracks the last eviction cause per block-aligned address."""
-
-    __slots__ = ("_states",)
-
-    def __init__(self) -> None:
-        self._states: dict[int, int] = {}
-
-    def cause(self, address: int) -> EvictionCause:
-        return EvictionCause(self._states.get(address, 0))
-
-    def addresses(self) -> list[int]:
-        return list(self._states)
 
 
 class CacheUnit:
@@ -181,8 +164,8 @@ class CacheUnit:
         self._reset_time = [0.0] * n
         self._gen = [0] * n
         self._seq = 0
-        self.ledger = EvictionLedger()
-        self._ledger_map = self.ledger._states
+        # address -> last EvictionCause; absent means never resident
+        self._cause: dict[int, EvictionCause] = {}
 
         self.has_expiry = config.technology is Technology.STTRAM
         if self.has_expiry:
@@ -190,7 +173,6 @@ class CacheUnit:
         else:
             self.tick_period = math.inf
         self._heap: list[tuple[float, int, int]] = []
-        self._backlog: list[ExpiredBlock] = []
         self.last_access_time = -math.inf
         self._refresh_on_read = config.refresh_on_read
         self._n_states = config.counter_states
@@ -227,14 +209,19 @@ class CacheUnit:
 
     # -- expiration --------------------------------------------------------
 
-    def _drain_expired(self, now: float) -> None:
+    def tick_expirations(self, now: float) -> list[ExpiredBlock]:
+        """Apply all expirations due at or before `now`; return the blocks this call expired.
+
+        access() applies due expirations too but does not return them, so
+        call this before access() to see every expired block.  [] for SRAM.
+        """
         heap = self._heap
         tags = self._tags
         where = self._where
         gen = self._gen
-        ledger = self._ledger_map
+        cause = self._cause
         dirty = self._dirty
-        backlog = self._backlog
+        expired = []
         while heap and heap[0][0] <= now:
             deadline, g, way = heapq.heappop(heap)
             if gen[way] != g:
@@ -244,25 +231,12 @@ class CacheUnit:
             tags[way] = None
             del where[addr]
             gen[way] = g + 1
-            ledger[addr] = 3
+            cause[addr] = _BY_EXPIRATION
             self.evictions_expiration += 1
             if was_dirty:
                 self.writebacks += 1
-            backlog.append(ExpiredBlock(addr, was_dirty, deadline))
-
-    def tick_expirations(self, now: float) -> list[ExpiredBlock]:
-        """Apply all expirations due at or before `now`.
-
-        Returns every block expired since the previous call, including any
-        applied internally by access().  No-op for SRAM.
-        """
-        if self._heap and self._heap[0][0] <= now:
-            self._drain_expired(now)
-        out = self._backlog
-        if out:
-            self._backlog = []
-            return out
-        return []
+            expired.append(ExpiredBlock(addr, was_dirty, deadline))
+        return expired
 
     # -- access ------------------------------------------------------------
 
@@ -282,8 +256,7 @@ class CacheUnit:
 
         heap = self._heap
         if heap and heap[0][0] <= now:
-            # expired blocks stay queued for the next tick_expirations() call
-            self._drain_expired(now)
+            self.tick_expirations(now)
 
         where = self._where
         way = where.get(addr)
@@ -301,12 +274,12 @@ class CacheUnit:
                     self._arm(way, now)
             return _HIT
 
-        # miss: classify from the ledger, pick a victim, allocate
-        cause = self._ledger_map.get(addr, 0)
-        if cause == 0:
+        # miss: classify from the last eviction cause, pick a victim, allocate
+        cause = self._cause.get(addr, _NEVER_RESIDENT)
+        if cause is _NEVER_RESIDENT:
             miss_class = MissClass.COMPULSORY
             self.miss_compulsory += 1
-        elif cause == 2:
+        elif cause is _BY_REPLACEMENT:
             miss_class = MissClass.REPLACEMENT
             self.miss_replacement += 1
         else:
@@ -330,7 +303,7 @@ class CacheUnit:
         writeback = False
         if victim_addr is not None:
             del where[victim_addr]
-            self._ledger_map[victim_addr] = 2
+            self._cause[victim_addr] = _BY_REPLACEMENT
             self.evictions_replacement += 1
             if self._dirty[victim_way]:
                 writeback = True
@@ -342,7 +315,7 @@ class CacheUnit:
         self._seq += 1
         lru[victim_way] = self._seq
         self.fills += 1
-        self._ledger_map[addr] = 1
+        self._cause[addr] = _RESIDENT
         if self.has_expiry:
             self._arm(victim_way, now)
         return AccessOutcome(False, miss_class, writeback, victim_addr)
@@ -368,6 +341,10 @@ class CacheUnit:
             counter=self.counter_value(w, when) if tag is not None else 0,
             lru_rank=self._lru[w],
         )
+
+    def eviction_cause(self, address: int) -> EvictionCause:
+        """Last known state of a block-aligned address in this unit."""
+        return self._cause.get(address, _NEVER_RESIDENT)
 
     def resident_addresses(self) -> set[int]:
         return {t for t in self._tags if t is not None}

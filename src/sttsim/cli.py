@@ -12,6 +12,7 @@ import argparse
 import os
 import sys
 import tempfile
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import characterize as chz
@@ -41,20 +42,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+@contextmanager
+def _atomic_path(path: str):
+    """Yield a temp path beside `path`, creating the directory; rename it to `path` on success."""
     out_dir = os.path.dirname(path) or "."
     os.makedirs(out_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+    with _atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
     print(f"wrote {path}")
 
 
@@ -98,18 +106,8 @@ def _cmd_gen_trace(args) -> int:
         pattern=parse_pattern_spec(args.pattern),
     )
     records = generate_trace(spec)
-    out_dir = os.path.dirname(args.out)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir or ".", suffix=".tmp")
-    os.close(fd)
-    try:
+    with _atomic_path(args.out) as tmp:
         write_trace(records, tmp)
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
     print(f"wrote {args.out} ({len(records)} records)")
     return 0
 
@@ -384,10 +382,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SttsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SttsimError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

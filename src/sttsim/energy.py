@@ -114,34 +114,33 @@ def _parse_row(fields: list[str], where: str) -> TechParams:
     )
 
 
+def _table_from_lines(lines, where: str) -> TechTable:
+    """Parse table rows, skipping blanks and # comments; errors name where:lineno."""
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if len(fields) != 7:
+            raise ConfigError(f"{where}:{lineno}: expected 7 fields, got {len(fields)}")
+        try:
+            entries.append(_parse_row(fields, f"{where}:{lineno}"))
+        except ValueError:
+            raise ConfigError(f"{where}:{lineno}: malformed numeric field") from None
+    return TechTable(entries)
+
+
 def load_tech_table(path: str) -> TechTable:
     """Parse a tech table file; duplicate keys and negative values are errors."""
-    entries = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 7:
-                raise ConfigError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-            try:
-                entries.append(_parse_row(fields, f"{path}:{lineno}"))
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: malformed numeric field") from None
-    return TechTable(entries)
+        return _table_from_lines(fh, path)
 
 
 def sample_tech_table() -> TechTable:
     """Load the bundled illustrative table (not measured device data)."""
     text = resources.files("sttsim.data").joinpath(SAMPLE_TABLE_RESOURCE).read_text()
-    entries = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        entries.append(_parse_row(stripped.split(), f"<sample>:{lineno}"))
-    return TechTable(entries)
+    return _table_from_lines(text.splitlines(), "<sample>")
 
 
 def unit_energy(params: TechParams, counters, wall_time: float) -> EnergyBreakdown:

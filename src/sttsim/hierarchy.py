@@ -99,7 +99,6 @@ class UnitStats:
     writebacks: int
     evictions_replacement: int
     evictions_expiration: int
-    busy_cycles: int
     energy: EnergyBreakdown
 
     @property
@@ -162,15 +161,12 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     d_tr = [p.t_read for p in l1d_params]
     d_tw = [p.t_write for p in l1d_params]
     l2_tr = l2_params.t_read if l2_params else 0
-    l2_tw = l2_params.t_write if l2_params else 0
     mem_lat = cfg.mem_latency_cycles
 
     avail = [0] * ncores
-    i_busy = [0] * ncores
-    d_busy = [0] * ncores
-    state = {"l2_last": 0.0, "l2_busy": 0, "mem_reads": 0, "mem_writes": 0}
+    state = {"l2_last": 0.0, "mem_reads": 0, "mem_writes": 0}
 
-    def l2_service(addr: int, is_write: bool, t: float, busy_cycles: int) -> bool:
+    def l2_service(addr: int, is_write: bool, t: float) -> bool:
         """Access the shared L2 at a monotone serialized time; True on hit."""
         t2 = t if t > state["l2_last"] else state["l2_last"]
         state["l2_last"] = t2
@@ -180,7 +176,6 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
                 if ev.dirty:
                     state["mem_writes"] += 1
         out = l2.access(addr, is_write, t2)
-        state["l2_busy"] += busy_cycles
         if not out.hit and out.writeback_issued:
             state["mem_writes"] += 1
         return out.hit
@@ -190,7 +185,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
         if l2 is None:
             state["mem_writes"] += 1
         else:
-            l2_service(addr, True, t, l2_tw)
+            l2_service(addr, True, t)
 
     for rec in records:
         core = rec[0]
@@ -206,13 +201,11 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
             is_write = kind == 2
             aligned = rec[3] & d_mask
             cyc = d_tw[core] if is_write else d_tr[core]
-            d_busy[core] += cyc
         else:
             unit = l1i_units[core]
             is_write = False
             aligned = rec[3] & i_mask
             cyc = i_tr[core]
-            i_busy[core] += cyc
 
         h = unit._heap
         if h and h[0][0] <= now:
@@ -224,7 +217,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
         if not out.hit:
             if l2 is not None:
                 cyc += l2_tr
-                if not l2_service(aligned, False, now, l2_tr):
+                if not l2_service(aligned, False, now):
                     cyc += mem_lat
                     state["mem_reads"] += 1
             else:
@@ -239,15 +232,15 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
 
     units: dict[str, UnitStats] = {}
     overhead = 0.0
-    for unit_list, params_list, busy in (
-        (l1i_units, l1i_params, i_busy),
-        (l1d_units, l1d_params, d_busy),
+    for unit_list, params_list in (
+        (l1i_units, l1i_params),
+        (l1d_units, l1d_params),
     ):
-        for core, (u, p) in enumerate(zip(unit_list, params_list)):
-            units[u.name] = _unit_stats(u, p, wall, busy[core])
+        for u, p in zip(unit_list, params_list):
+            units[u.name] = _unit_stats(u, p, wall)
             overhead += u.config.counter_overhead_bytes
     if l2 is not None:
-        units[l2.name] = _unit_stats(l2, l2_params, wall, state["l2_busy"])
+        units[l2.name] = _unit_stats(l2, l2_params, wall)
         overhead += l2.config.counter_overhead_bytes
 
     mem_energy = (state["mem_reads"] + state["mem_writes"]) * cfg.mem_energy_per_access
@@ -267,7 +260,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     )
 
 
-def _unit_stats(unit: CacheUnit, params: TechParams, wall: float, busy_cycles: int) -> UnitStats:
+def _unit_stats(unit: CacheUnit, params: TechParams, wall: float) -> UnitStats:
     cfg = unit.config
     return UnitStats(
         name=unit.name,
@@ -283,6 +276,5 @@ def _unit_stats(unit: CacheUnit, params: TechParams, wall: float, busy_cycles: i
         writebacks=unit.writebacks,
         evictions_replacement=unit.evictions_replacement,
         evictions_expiration=unit.evictions_expiration,
-        busy_cycles=busy_cycles,
         energy=unit_energy(params, unit, wall),
     )

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from conftest import random_access_stream
 from oracle import OracleCache
 from sttsim import (
-    BlockState,
     CacheUnit,
     CacheUnitConfig,
     ConfigError,
     EvictionCause,
     MissClass,
     Technology,
-    reset_counter_on_refresh,
     tick_index,
 )
 
@@ -159,12 +157,6 @@ class TestCounterPolicy:
         assert u.miss_expiration == 0
         assert u.evictions_expiration == 0
 
-    def test_reset_counter_on_refresh_helper(self):
-        b = BlockState(tag=0x40, valid=True, dirty=True, counter=3, lru_rank=7)
-        assert reset_counter_on_refresh(b).counter == 0
-        with pytest.raises(ValueError):
-            reset_counter_on_refresh(BlockState(None, False, False, 0, 0))
-
 
 class TestTickSchedule:
     def test_aligned_reset_expires_at_exact_retention(self):
@@ -189,6 +181,13 @@ class TestTickSchedule:
         u = sram_unit()
         u.access(0x0, True, 0.0)
         assert u.tick_expirations(100.0) == []
+
+    def test_access_does_not_keep_expired_blocks(self):
+        u = stt_unit(sets=2, assoc=2, retention=1e-5)
+        for addr, w, t in random_access_stream(5, 500, num_blocks=8, write_fraction=0.4, gap_hi=40_000):
+            u.access(addr, w, t)
+        assert u.evictions_expiration > 0
+        assert u.tick_expirations(u.last_access_time) == []
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_residency_bound_random_phases(self, n):
@@ -223,22 +222,24 @@ class TestTickSchedule:
 class TestLedger:
     def test_cause_transitions(self):
         u = stt_unit(sets=1, assoc=1, retention=1 * MS)
-        assert u.ledger.cause(0x0) == EvictionCause.NEVER_RESIDENT
+        assert u.eviction_cause(0x0) == EvictionCause.NEVER_RESIDENT
         u.access(0x0, False, 0.0)
-        assert u.ledger.cause(0x0) == EvictionCause.RESIDENT
+        assert u.eviction_cause(0x0) == EvictionCause.RESIDENT
         u.access(0x40, False, 0.1 * MS)  # replaces 0x0
-        assert u.ledger.cause(0x0) == EvictionCause.EVICTED_BY_REPLACEMENT
+        assert u.eviction_cause(0x0) == EvictionCause.EVICTED_BY_REPLACEMENT
         u.tick_expirations(5 * MS)
-        assert u.ledger.cause(0x40) == EvictionCause.EVICTED_BY_EXPIRATION
+        assert u.eviction_cause(0x40) == EvictionCause.EVICTED_BY_EXPIRATION
 
     def test_resident_iff_hit(self):
         u = stt_unit(sets=2, assoc=2, retention=1 * MS)
-        for addr, w, t in random_access_stream(11, 300, num_blocks=8, gap_hi=40_000):
+        stream = random_access_stream(11, 300, num_blocks=8, gap_hi=40_000)
+        for addr, w, t in stream:
             u.access(addr, w, t)
-        now = u.last_access_time
         resident = u.resident_addresses()
-        for addr in u.ledger.addresses():
-            assert (u.ledger.cause(addr) == EvictionCause.RESIDENT) == (addr in resident)
+        untouched = max(addr for addr, _, _ in stream) + 64
+        for addr in {addr for addr, _, _ in stream} | {untouched}:
+            assert (u.eviction_cause(addr) == EvictionCause.RESIDENT) == (addr in resident)
+        assert u.eviction_cause(untouched) == EvictionCause.NEVER_RESIDENT
 
 
 class TestInvariants:
@@ -249,7 +250,6 @@ class TestInvariants:
         stream = random_access_stream(seed, 2000, num_blocks=24, write_fraction=0.4)
         for addr, w, now in stream:
             u.access(addr, w, now)
-        u.tick_expirations(u.last_access_time)  # consume the backlog only
         assert u.hits + u.misses == u.accesses == len(stream)
         assert u.misses == u.miss_compulsory + u.miss_replacement + u.miss_expiration
         assert u.fills == u.misses  # allocate-on-miss, write-allocate

@@ -89,6 +89,12 @@ class TestGenTrace:
         run(["gen-trace", "--seed", 2, "--out", b])
         assert a.read_bytes() != b.read_bytes()
 
+    def test_out_into_new_directory(self, tmp_path):
+        out_dir = tmp_path / "new" / "traces"
+        assert run(["gen-trace", "--accesses-per-core", 100, "--out", out_dir / "t.trace"]) == 0
+        assert os.listdir(out_dir) == ["t.trace"]
+        assert len((out_dir / "t.trace").read_text().splitlines()) == 100
+
 
 class TestSimulate:
     def test_schema_and_mem_row(self, tmp_path):
