@@ -7,15 +7,16 @@ dirty blocks emit a writeback first.  The counter resets on fills and
 write hits (writes re-magnetize the cells); read hits leave it running
 unless refresh_on_read is enabled.
 
-Ticks are applied lazily through per-block expiry deadlines kept in a
-heap; observable outcomes are identical to firing every tick eagerly,
-which the test suite checks against an independent eager simulator.
+Ticks are applied lazily on a timing wheel of N slots (Varghese & Lauck,
+SOSP 1987); a refresh only records the way's reset tick, and a way found
+refreshed when its slot comes due is re-filed.  Observable outcomes are
+identical to firing every tick eagerly, which the test suite checks
+against an independent eager simulator.
 """
 
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -161,7 +162,8 @@ class CacheUnit:
         self._where: dict[int, int] = {}
         self._dirty = [False] * n
         self._lru = [0] * n
-        self._reset_time = [0.0] * n
+        # tick of each way's last counter reset; _gen counts its resets and expiries
+        self._reset_tick = [0] * n
         self._gen = [0] * n
         self._seq = 0
         # address -> last EvictionCause; absent means never resident
@@ -172,10 +174,14 @@ class CacheUnit:
             self.tick_period = config.retention_time / config.counter_states
         else:
             self.tick_period = math.inf
-        self._heap: list[tuple[float, int, int]] = []
-        self.last_access_time = -math.inf
-        self._refresh_on_read = config.refresh_on_read
         self._n_states = config.counter_states
+        # slot t % N: (gen, way) filed to come due at tick t, one entry per valid way
+        self._wheel: list[list[tuple[int, int]]] = [[] for _ in range(self._n_states)]
+        # latest time seen by access() or tick_expirations(), and its tick
+        self.time = -math.inf
+        self._tick = 0
+        self.next_tick_time = self.tick_period
+        self._refresh_on_read = config.refresh_on_read
 
         self.accesses = 0
         self.read_hits = 0
@@ -188,23 +194,11 @@ class CacheUnit:
         self.evictions_replacement = 0
         self.evictions_expiration = 0
 
-    # -- counter / deadline arithmetic ------------------------------------
-
-    def _deadline(self, reset_time: float) -> float:
-        # the block expires at the Nth tick strictly after its reset
-        return (tick_index(reset_time, self.tick_period) + self._n_states) * self.tick_period
-
-    def _arm(self, way: int, now: float) -> None:
-        self._reset_time[way] = now
-        gen = self._gen[way] + 1
-        self._gen[way] = gen
-        heapq.heappush(self._heap, (self._deadline(now), gen, way))
-
     def counter_value(self, way: int, at: float) -> int:
         """Counter state of a valid way at time `at` (ticks since reset, capped)."""
         if not self.has_expiry:
             return 0
-        ticks = tick_index(at, self.tick_period) - tick_index(self._reset_time[way], self.tick_period)
+        ticks = tick_index(at, self.tick_period) - self._reset_tick[way]
         return min(self._n_states - 1, max(0, ticks))
 
     # -- expiration --------------------------------------------------------
@@ -212,30 +206,53 @@ class CacheUnit:
     def tick_expirations(self, now: float) -> list[ExpiredBlock]:
         """Apply all expirations due at or before `now`; return the blocks this call expired.
 
-        access() applies due expirations too but does not return them, so
-        call this before access() to see every expired block.  [] for SRAM.
+        Advances the unit's clock to `now` if later.  access() applies due
+        expirations too but does not return them, so call this before
+        access() to see every expired block.  Blocks due at one tick come
+        in (generation, way) order.  Nothing is due before next_tick_time.
         """
-        heap = self._heap
+        if now > self.time:
+            self.time = now
+        if now < self.next_tick_time:
+            return []
+        period = self.tick_period
+        k = tick_index(now, period)
+        n = self._n_states
+        wheel = self._wheel
         tags = self._tags
         where = self._where
         gen = self._gen
         cause = self._cause
         dirty = self._dirty
         expired = []
-        while heap and heap[0][0] <= now:
-            deadline, g, way = heapq.heappop(heap)
-            if gen[way] != g:
-                continue  # stale entry: the block was reset or replaced
-            addr = tags[way]
-            was_dirty = dirty[way]
-            tags[way] = None
-            del where[addr]
-            gen[way] = g + 1
-            cause[addr] = _BY_EXPIRATION
-            self.evictions_expiration += 1
-            if was_dirty:
-                self.writebacks += 1
-            expired.append(ExpiredBlock(addr, was_dirty, deadline))
+        # every filed deadline lies in (_tick, _tick + N], re-filed ones too
+        for t in range(self._tick + 1, min(k, self._tick + n) + 1):
+            slot = wheel[t % n]
+            wheel[t % n] = []
+            due = []
+            for g, way in slot:
+                cur = gen[way]
+                if cur != g:
+                    deadline = self._reset_tick[way] + n
+                    if deadline != t:
+                        wheel[deadline % n].append((cur, way))  # reset since filed
+                        continue
+                due.append((cur, way))
+            due.sort()
+            expire_time = t * period
+            for g, way in due:
+                addr = tags[way]
+                was_dirty = dirty[way]
+                tags[way] = None
+                del where[addr]
+                gen[way] = g + 1
+                cause[addr] = _BY_EXPIRATION
+                self.evictions_expiration += 1
+                if was_dirty:
+                    self.writebacks += 1
+                expired.append(ExpiredBlock(addr, was_dirty, expire_time))
+        self._tick = k
+        self.next_tick_time = (k + 1) * period
         return expired
 
     # -- access ------------------------------------------------------------
@@ -243,19 +260,20 @@ class CacheUnit:
     def access(self, addr: int, is_write: bool, now: float) -> AccessOutcome:
         """One read or write of a block-aligned address at simulated time `now`.
 
+        `now` must not precede the unit's clock, the latest time seen by
+        access() or tick_expirations(); the call advances the clock to it.
         Expirations due at or before `now` are applied before the lookup,
         so a reference arriving after a block's deadline observes the
         expiration miss.
         """
         if addr & self._line_mask:
             raise ValueError(f"{self.name}: address {addr:#x} not aligned to {self._line_mask + 1}-byte line")
-        if now < self.last_access_time:
-            raise ValueError(f"{self.name}: time regression ({now} < {self.last_access_time})")
-        self.last_access_time = now
+        if now < self.time:
+            raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
+        self.time = now
         self.accesses += 1
 
-        heap = self._heap
-        if heap and heap[0][0] <= now:
+        if now >= self.next_tick_time:
             self.tick_expirations(now)
 
         where = self._where
@@ -266,12 +284,12 @@ class CacheUnit:
             if is_write:
                 self.write_hits += 1
                 self._dirty[way] = True
-                if self.has_expiry:
-                    self._arm(way, now)
             else:
                 self.read_hits += 1
-                if self._refresh_on_read and self.has_expiry:
-                    self._arm(way, now)
+            if (is_write or self._refresh_on_read) and self.has_expiry:
+                # the counter restarts; the wheel entry is re-filed when it comes due
+                self._reset_tick[way] = self._tick
+                self._gen[way] += 1
             return _HIT
 
         # miss: classify from the last eviction cause, pick a victim, allocate
@@ -317,7 +335,10 @@ class CacheUnit:
         self.fills += 1
         self._cause[addr] = _RESIDENT
         if self.has_expiry:
-            self._arm(victim_way, now)
+            self._reset_tick[victim_way] = self._tick
+            self._gen[victim_way] += 1
+            if victim_addr is None:  # a replaced block's wheel entry serves its successor
+                self._wheel[self._tick % self._n_states].append((self._gen[victim_way], victim_way))
         return AccessOutcome(False, miss_class, writeback, victim_addr)
 
     # -- inspection ----------------------------------------------------------
@@ -333,7 +354,7 @@ class CacheUnit:
     def block_state(self, set_index: int, way: int, at: float | None = None) -> BlockState:
         w = set_index * self.assoc + way
         tag = self._tags[w]
-        when = self.last_access_time if at is None else at
+        when = self.time if at is None else at
         return BlockState(
             tag=tag,
             valid=tag is not None,

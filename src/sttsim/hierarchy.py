@@ -170,8 +170,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
         """Access the shared L2 at a monotone serialized time; True on hit."""
         t2 = t if t > state["l2_last"] else state["l2_last"]
         state["l2_last"] = t2
-        h = l2._heap
-        if h and h[0][0] <= t2:
+        if t2 >= l2.next_tick_time:
             for ev in l2.tick_expirations(t2):
                 if ev.dirty:
                     state["mem_writes"] += 1
@@ -207,8 +206,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
             aligned = rec[3] & i_mask
             cyc = i_tr[core]
 
-        h = unit._heap
-        if h and h[0][0] <= now:
+        if now >= unit.next_tick_time:
             for ev in unit.tick_expirations(now):
                 if ev.dirty:
                     wb_downstream(ev.address, ev.expire_time)

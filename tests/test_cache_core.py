@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -106,6 +107,19 @@ class TestAccessBasics:
             u.access(0x40, False, 0.5)
         u.access(0x40, False, 1.0)  # equal time is allowed
 
+    def test_tick_expirations_advances_clock(self):
+        u = stt_unit()
+        u.access(0x0, True, 0.0)
+        assert len(u.tick_expirations(2 * MS)) == 1
+        assert u.time == 2 * MS
+        with pytest.raises(ValueError, match="time regression"):
+            u.access(0x0, False, 1.5 * MS)
+        assert u.tick_expirations(1.5 * MS) == []  # an earlier tick is a no-op
+        assert u.time == 2 * MS
+        out = u.access(0x0, False, 2 * MS)
+        assert out.miss_class == MissClass.EXPIRATION
+        assert u.block_state(0, 0).counter == 0  # refilled at the clock's tick
+
     def test_lru_victim_selection(self):
         u = sram_unit(sets=1, assoc=2)
         u.access(0x0, False, 0.0)
@@ -187,7 +201,24 @@ class TestTickSchedule:
         for addr, w, t in random_access_stream(5, 500, num_blocks=8, write_fraction=0.4, gap_hi=40_000):
             u.access(addr, w, t)
         assert u.evictions_expiration > 0
-        assert u.tick_expirations(u.last_access_time) == []
+        assert u.tick_expirations(u.time) == []
+
+    def test_idle_gap_drains_in_bounded_steps(self):
+        # 4e10 ticks pass; only the N slots after the last access can hold a deadline
+        u = stt_unit(retention=1e-9)
+        u.access(0x0, True, 0.0)
+        events = u.tick_expirations(10.0)
+        assert [(e.address, e.dirty) for e in events] == [(0x0, True)]
+        assert events[0].expire_time == 4 * u.tick_period
+        assert u.next_tick_time > 10.0
+        assert u.tick_expirations(10.0) == []
+
+    def test_next_tick_time(self):
+        u = stt_unit(retention=1 * MS, n=4)
+        assert u.next_tick_time == 0.25 * MS
+        u.access(0x0, False, 0.6 * MS)
+        assert u.next_tick_time == 0.75 * MS
+        assert sram_unit().next_tick_time == float("inf")
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_residency_bound_random_phases(self, n):
@@ -307,9 +338,10 @@ class TestOraclePropertyEquivalence:
         write_fraction=st.floats(0.0, 1.0),
         blocks_per_way=st.floats(0.25, 3.0),
         seed=st.integers(0, 2**16),
+        tick_first=st.booleans(),
     )
     def test_matches_oracle(self, sets, assoc, retention, n, refresh_on_read, write_fraction,
-                            blocks_per_way, seed):
+                            blocks_per_way, seed, tick_first):
         tech = Technology.SRAM if retention is None else Technology.STTRAM
         cfg = CacheUnitConfig(sets * assoc * 64, assoc, 64, tech, retention_time=retention,
                               counter_states=n, refresh_on_read=refresh_on_read)
@@ -320,9 +352,18 @@ class TestOraclePropertyEquivalence:
         stream = random_access_stream(seed, 300, num_blocks=num_blocks, write_fraction=write_fraction,
                                       gap_lo=20, gap_hi=1000)
         for addr, w, now in stream:
+            # with tick_first, every expiry is seen through tick_expirations; else access() applies it
+            expired = unit.tick_expirations(now) if tick_first else []
             out = unit.access(addr, w, now)
             got = (out.hit, _MISS_NAME[out.miss_class], out.writeback_issued, out.victim_address)
+            seen = len(ref.expired_events)
             assert got == ref.access(addr, w, now)
+            if tick_first:
+                # same blocks per tick; the order within a tick is the unit's own
+                assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(
+                    ref.expired_events[seen:])
+                times = [e.expire_time for e in expired]
+                assert times == sorted(times)
         assert unit.resident_addresses() == {a for s in ref.sets for a in s}
         assert unit._where == {t: way for way, t in enumerate(unit._tags) if t is not None}
         assert unit.writebacks == ref.writebacks

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from conftest import random_trace
@@ -159,6 +161,38 @@ class TestSharedL2:
         assert a.cache_energy_j == b.cache_energy_j
         assert a.core_completion_cycles == b.core_completion_cycles
         assert [u.__dict__ for u in a.units.values()] == [u.__dict__ for u in b.units.values()]
+
+
+def _report_rows(rep):
+    rows = [[name, u.accesses, u.read_hits, u.write_hits, u.miss_compulsory, u.miss_replacement,
+             u.miss_expiration, u.fills, u.writebacks, u.evictions_replacement,
+             u.evictions_expiration, *u.energy] for name, u in rep.units.items()]
+    rows.append(["system", *rep.core_completion_cycles, rep.exec_time_s, rep.mem_reads,
+                 rep.mem_writes, rep.total_energy_j])
+    return "\n".join(",".join(repr(v) for v in row) for row in rows)
+
+
+class TestPinnedTwoLevelRun:
+    """A write-heavy quad-core run with expiries at every level, pinned by digest.
+
+    Same-tick dirty L1 expiries reach L2 in the unit's expiry order, which
+    decides L2's LRU order and so its later victims; this digest changes if
+    that order does.  Recorded before the deadline heap became a timing wheel.
+    """
+
+    DIGEST = "543eb10357ef4ccc38eeeb0e78305a2cc414d029ea43cfba9f9677b64a519fd0"
+
+    def test_report_digest(self):
+        def unit(sets, assoc):
+            return CacheUnitConfig(sets * assoc * 64, assoc, 64, Technology.STTRAM, 1e-6)
+
+        cfg = HierarchyConfig(num_cores=4, l1i=unit(4, 2), l1d=unit(4, 2), l2=unit(8, 4))
+        trace = random_trace(2024, 8000, num_cores=4, num_blocks=64, write_fraction=0.7,
+                             gap_lo=10, gap_hi=400, instr_fraction=0.1)
+        rep = simulate(cfg, trace, TABLE)
+        assert all(u.evictions_expiration > 0 for u in rep.units.values())
+        assert rep.units["l2"].miss_replacement > 0
+        assert hashlib.sha256(_report_rows(rep).encode()).hexdigest() == self.DIGEST
 
 
 class TestReport:
