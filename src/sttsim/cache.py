@@ -213,8 +213,13 @@ class CacheUnit:
         """
         if now > self.time:
             self.time = now
-        if now < self.next_tick_time:
-            return []
+        expired: list[ExpiredBlock] = []
+        if now >= self.next_tick_time:
+            self._expire_due(now, expired)
+        return expired
+
+    def _expire_due(self, now: float, expired: list[ExpiredBlock] | None) -> None:
+        """Expire every block due at or before `now`, appending each to `expired` unless None."""
         period = self.tick_period
         k = tick_index(now, period)
         n = self._n_states
@@ -224,7 +229,6 @@ class CacheUnit:
         gen = self._gen
         cause = self._cause
         dirty = self._dirty
-        expired = []
         # every filed deadline lies in (_tick, _tick + N], re-filed ones too
         for t in range(self._tick + 1, min(k, self._tick + n) + 1):
             slot = wheel[t % n]
@@ -250,10 +254,10 @@ class CacheUnit:
                 self.evictions_expiration += 1
                 if was_dirty:
                     self.writebacks += 1
-                expired.append(ExpiredBlock(addr, was_dirty, expire_time))
+                if expired is not None:
+                    expired.append(ExpiredBlock(addr, was_dirty, expire_time))
         self._tick = k
         self.next_tick_time = (k + 1) * period
-        return expired
 
     # -- access ------------------------------------------------------------
 
@@ -274,7 +278,7 @@ class CacheUnit:
         self.accesses += 1
 
         if now >= self.next_tick_time:
-            self.tick_expirations(now)
+            self._expire_due(now, None)
 
         where = self._where
         way = where.get(addr)

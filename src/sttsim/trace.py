@@ -8,17 +8,29 @@ Trace file grammar, one record per line::
 by one or more spaces.  Timestamps are core clock cycles since trace start
 and must be non-decreasing per core; conversion to seconds happens in the
 hierarchy layer using the configured clock frequency.
+
+Traces are built in bounded chunks rather than one record at a time.  The
+generator draws each core's uniforms from that core's own `random.Random`
+and does the per-record arithmetic with numpy; the reader splits a chunk of
+lines at once and checks it column by column, and re-reads a chunk that
+fails a check line by line, which names the offending line.  Both return a
+list of `AccessRecord`s with plain `int` fields, identical to building every
+record in Python.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import heapq
+import gc
 import math
 import random
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import itemgetter
+from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, TraceParseError, TraceValidationError
 
@@ -31,6 +43,17 @@ class AccessKind(enum.IntEnum):
 
 _KIND_TO_TOKEN = {AccessKind.INSTR_FETCH: "IF", AccessKind.LOAD: "LD", AccessKind.STORE: "ST"}
 _TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
+# every ASCII spelling of a kind token ("ld", "Ld", ...); others go through str.upper()
+_ANY_CASE_TO_KIND = {
+    a + b: kind for token, kind in _TOKEN_TO_KIND.items() for a in token[0] + token[0].lower()
+    for b in token[1] + token[1].lower()
+}
+
+# characters of whole lines read_trace parses at a time, and records per core
+# generate_trace draws (and write_trace formats) at a time; both bound the
+# scratch memory of one chunk
+_READ_CHUNK_CHARS = 1 << 14
+_CHUNK_RECORDS = 1 << 11
 
 
 class AccessRecord(NamedTuple):
@@ -42,6 +65,21 @@ class AccessRecord(NamedTuple):
     address: int
 
 
+def _collect(batches: Iterable[Iterable[AccessRecord]]) -> list[AccessRecord]:
+    """Concatenate batches of records into one list with the cyclic GC paused.
+
+    Records are acyclic tuples, so the pause frees nothing late; it only
+    skips the collections a burst of new tuples would otherwise trigger.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return list(chain.from_iterable(batches))
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def read_trace(path: str) -> list[AccessRecord]:
     """Parse a trace file, validating per-core timestamp monotonicity.
 
@@ -49,51 +87,122 @@ def read_trace(path: str) -> list[AccessRecord]:
     number on malformed input, TraceValidationError naming the core and
     line on a timestamp regression.
     """
-    records: list[AccessRecord] = []
     last_ts: dict[int, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            fields = stripped.split()
-            if len(fields) != 4:
-                raise TraceParseError(
-                    f"{path}:{lineno}: expected 4 fields "
-                    f"'<core> <timestamp> <IF|LD|ST> <0x-address>', got {len(fields)}"
-                )
-            try:
-                core_id = int(fields[0])
-                timestamp = int(fields[1])
-            except ValueError:
-                raise TraceParseError(f"{path}:{lineno}: non-integer core id or timestamp") from None
-            kind = _TOKEN_TO_KIND.get(fields[2].upper())
-            if kind is None:
-                raise TraceParseError(f"{path}:{lineno}: unknown access kind {fields[2]!r}")
-            addr_text = fields[3]
-            if not addr_text.lower().startswith("0x"):
-                raise TraceParseError(f"{path}:{lineno}: address must be 0x-prefixed hex, got {addr_text!r}")
-            try:
-                address = int(addr_text, 16)
-            except ValueError:
-                raise TraceParseError(f"{path}:{lineno}: bad hex address {addr_text!r}") from None
-            if core_id < 0 or timestamp < 0 or address < 0:
-                raise TraceParseError(f"{path}:{lineno}: negative field")
-            prev = last_ts.get(core_id)
-            if prev is not None and timestamp < prev:
-                raise TraceValidationError(
-                    f"{path}:{lineno}: timestamp regression on core {core_id} ({timestamp} < {prev})"
-                )
-            last_ts[core_id] = timestamp
-            records.append(AccessRecord(core_id, timestamp, kind, address))
+
+        def batches():
+            lineno = 1
+            while lines := fh.readlines(_READ_CHUNK_CHARS):
+                records = _parse_bulk(lines, last_ts)
+                yield records if records is not None else _parse_each(path, lines, lineno, last_ts)
+                lineno += len(lines)
+
+        return _collect(batches())
+
+
+def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord] | None:
+    """Records of consecutive trace lines, checked a column at a time.
+
+    Returns None, leaving last_ts (core -> latest timestamp) as it was, when
+    any line is not plainly valid.  Accepts only lines that the line-by-line
+    parser accepts with the same records, so None costs time, never a
+    different answer.
+    """
+    text = "".join(lines)
+    words = _split_fields(text)
+    if "#" in text or len(words) != 5 * len(lines):  # comment or blank lines: drop them
+        lines = [line for line in lines if (s := line.strip()) and s[0] != "#"]
+        if not lines:
+            return []
+        words = _split_fields("".join(lines))
+    # a sentinel ends every line and fails every field check below, so 5 words
+    # per line that pass them mean exactly 4 fields on every line
+    if len(words) != 5 * len(lines):
+        return None
+    addr_texts = words[3::5]
+    kinds = list(map(_ANY_CASE_TO_KIND.get, words[2::5]))
+    if None in kinds or not all(map(str.startswith, addr_texts, repeat(("0x", "0X")))):
+        return None
+    try:
+        cores = list(map(int, words[0::5]))
+        stamps = list(map(int, words[1::5]))
+        addresses = list(map(int, addr_texts, repeat(16)))
+    except ValueError:
+        return None
+    if min(cores) < 0 or min(stamps) < 0:  # no sign can follow an address's 0x
+        return None
+    # per-core monotonicity: a stable sort by core keeps each core's stamps in
+    # file order, led by the core's latest timestamp from earlier chunks
+    try:
+        core_col = np.array([*last_ts, *cores], dtype=np.int64)
+        stamp_col = np.array([*last_ts.values(), *stamps], dtype=np.int64)
+    except OverflowError:
+        return None
+    order = np.argsort(core_col, kind="stable")
+    core_col = core_col[order]
+    stamp_col = stamp_col[order]
+    same_core = core_col[1:] == core_col[:-1]
+    if (same_core & (stamp_col[1:] < stamp_col[:-1])).any():
+        return None
+    ends = np.flatnonzero(np.append(~same_core, True))
+    last_ts.update(zip(core_col[ends].tolist(), stamp_col[ends].tolist()))
+    return list(map(tuple.__new__, repeat(AccessRecord), zip(cores, stamps, kinds, addresses)))
+
+
+def _split_fields(text: str) -> list[str]:
+    """Whitespace-separated fields of text, with a sentinel word after every line."""
+    if not text.endswith("\n"):  # the last line of a file may lack its newline
+        text += "\n"
+    return text.replace("\n", " | ").split()
+
+
+def _parse_each(path: str, lines: list[str], first_lineno: int, last_ts: dict[int, int]) -> list[AccessRecord]:
+    """Parse lines one at a time, raising on the first bad one with its line number."""
+    records: list[AccessRecord] = []
+    for lineno, line in enumerate(lines, start=first_lineno):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        fields = stripped.split()
+        if len(fields) != 4:
+            raise TraceParseError(
+                f"{path}:{lineno}: expected 4 fields "
+                f"'<core> <timestamp> <IF|LD|ST> <0x-address>', got {len(fields)}"
+            )
+        try:
+            core_id = int(fields[0])
+            timestamp = int(fields[1])
+        except ValueError:
+            raise TraceParseError(f"{path}:{lineno}: non-integer core id or timestamp") from None
+        kind = _TOKEN_TO_KIND.get(fields[2].upper())
+        if kind is None:
+            raise TraceParseError(f"{path}:{lineno}: unknown access kind {fields[2]!r}")
+        addr_text = fields[3]
+        if not addr_text.lower().startswith("0x"):
+            raise TraceParseError(f"{path}:{lineno}: address must be 0x-prefixed hex, got {addr_text!r}")
+        try:
+            address = int(addr_text, 16)
+        except ValueError:
+            raise TraceParseError(f"{path}:{lineno}: bad hex address {addr_text!r}") from None
+        if core_id < 0 or timestamp < 0 or address < 0:
+            raise TraceParseError(f"{path}:{lineno}: negative field")
+        prev = last_ts.get(core_id)
+        if prev is not None and timestamp < prev:
+            raise TraceValidationError(
+                f"{path}:{lineno}: timestamp regression on core {core_id} ({timestamp} < {prev})"
+            )
+        last_ts[core_id] = timestamp
+        records.append(AccessRecord(core_id, timestamp, kind, address))
     return records
 
 
 def write_trace(records: Sequence[AccessRecord], path: str) -> None:
     """Write records in the canonical one-record-per-line text format."""
+    token = _KIND_TO_TOKEN
+    rest = iter(records)
     with open(path, "w", encoding="utf-8") as fh:
-        for core_id, timestamp, kind, address in records:
-            fh.write(f"{core_id} {timestamp} {_KIND_TO_TOKEN[AccessKind(kind)]} 0x{address:x}\n")
+        while lines := [f"{c} {t} {token[k]} 0x{a:x}\n" for c, t, k, a in islice(rest, _CHUNK_RECORDS)]:
+            fh.write("".join(lines))
 
 
 def time_ordered(records) -> list[AccessRecord]:
@@ -217,6 +326,8 @@ class SyntheticTraceSpec:
             raise ConfigError("working_set_blocks must be >= 1")
         if self.line_size_bytes < 1 or self.line_size_bytes & (self.line_size_bytes - 1):
             raise ConfigError("line_size_bytes must be a positive power of two")
+        if self.working_set_blocks * self.line_size_bytes > 2**62:
+            raise ConfigError("working set must span at most 2**62 bytes")
         self.gap.validate()
         self.pattern.validate()
 
@@ -241,47 +352,80 @@ def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
     starting at 0.
     """
     spec.validate()
-    line = spec.line_size_bytes
+    cdf = None
+    if isinstance(spec.pattern, Zipf):
+        cdf = np.array(_zipf_cdf(spec.working_set_blocks, spec.pattern.s))
+    return _collect(_merge_cores([_core_batches(spec, core, cdf) for core in range(spec.num_cores)]))
+
+
+def _merge_cores(cores: list[Iterator[list[AccessRecord]]]) -> Iterator[list[AccessRecord]]:
+    """Merge per-core chunks of time-ordered records into (timestamp, core_id) order.
+
+    Works a window at a time: a core's later records come strictly after its
+    pending ones, so every pending record no later than the earliest last
+    pending timestamp among cores still producing is final.  A stable sort of
+    the window, concatenated in core order, puts equal timestamps in core
+    order.  Sorting per window keeps the sort's key and merge buffers at the
+    size of a chunk instead of the whole trace.
+    """
+    pending: list[list[AccessRecord]] = [[] for _ in cores]
+    live = list(range(len(cores)))  # cores with records still to come
+    while live or any(pending):
+        for core in live:
+            if not pending[core]:
+                pending[core] = next(cores[core], [])  # chunks are never empty
+        live = [core for core in live if pending[core]]
+        cut = min((pending[core][-1][1] for core in live), default=math.inf)
+        window: list[AccessRecord] = []
+        for core, recs in enumerate(pending):
+            i = bisect.bisect_right(recs, cut, key=itemgetter(1))
+            window += recs[:i]
+            pending[core] = recs[i:]
+        window.sort(key=itemgetter(1))
+        yield window
+
+
+def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: np.ndarray | None):
+    """One core's records, a chunk at a time, in timestamp order.
+
+    Each record draws, in order, its block (random patterns), its kind and
+    its gap (log-uniform gaps) from the core's own generator; a chunk draws
+    all its uniforms in that order at once and maps them with numpy, except
+    for the gaps, which keep math.exp and round.
+    """
+    rand = random.Random(spec.seed * 1_000_003 + core).random
     nblocks = spec.working_set_blocks
-    zipf_cdf = _zipf_cdf(nblocks, spec.pattern.s) if isinstance(spec.pattern, Zipf) else None
-
-    per_core: list[list[AccessRecord]] = []
-    for core in range(spec.num_cores):
-        rng = random.Random(spec.seed * 1_000_003 + core)
-        rand = rng.random
-        records: list[AccessRecord] = []
-        append = records.append
-        t = 0
-        read_frac = spec.read_fraction
-        gap = spec.gap
+    gap = spec.gap
+    kind_col = 0 if isinstance(spec.pattern, SequentialLoop) else 1
+    draws = kind_col + 1 + isinstance(gap, LogUniformGap)
+    if isinstance(gap, LogUniformGap):
+        log_lo, log_hi = math.log(gap.lo), math.log(gap.hi)
+    kinds = (AccessKind.STORE, AccessKind.LOAD)  # indexed by "is a load"
+    t = 0
+    for start in range(0, spec.accesses_per_core, _CHUNK_RECORDS):
+        k = min(_CHUNK_RECORDS, spec.accesses_per_core - start)
+        u = np.fromiter(starmap(rand, repeat((), k * draws)), np.float64, k * draws).reshape(k, draws)
+        if kind_col == 0:
+            blocks = np.arange(start, start + k) % nblocks
+        elif cdf is not None:
+            blocks = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), nblocks - 1)
+        else:  # uniform; u * nblocks can round up to nblocks
+            blocks = np.minimum((u[:, 0] * nblocks).astype(np.int64), nblocks - 1)
         if isinstance(gap, ConstantGap):
-            const_gap = gap.cycles
-            log_lo = log_hi = 0.0
+            stamps = range(t, t + k * gap.cycles, gap.cycles)
+            t += k * gap.cycles
         else:
-            const_gap = 0
-            log_lo, log_hi = math.log(gap.lo), math.log(gap.hi)
-        sequential = isinstance(spec.pattern, SequentialLoop)
-        uniform = isinstance(spec.pattern, UniformRandom)
-        for i in range(spec.accesses_per_core):
-            if sequential:
-                block = i % nblocks
-            elif uniform:
-                block = int(rand() * nblocks)
-                if block == nblocks:  # rand() can return values arbitrarily close to 1
-                    block = nblocks - 1
-            else:
-                block = bisect.bisect_right(zipf_cdf, rand())
-                if block == nblocks:
-                    block = nblocks - 1
-            kind = AccessKind.LOAD if rand() < read_frac else AccessKind.STORE
-            append(AccessRecord(core, t, kind, block * line))
-            if const_gap:
-                t += const_gap
-            else:
-                t += max(1, round(math.exp(log_lo + rand() * (log_hi - log_lo))))
-        per_core.append(records)
-
-    if spec.num_cores == 1:
-        return per_core[0]
-    merged = list(heapq.merge(*per_core, key=lambda r: (r[1], r[0])))
-    return merged
+            exponents = (log_lo + u[:, kind_col + 1] * (log_hi - log_lo)).tolist()
+            gaps = map(max, repeat(1), map(round, map(math.exp, exponents)))
+            stamps = list(accumulate(gaps, initial=t))
+            t = stamps.pop()
+        yield list(map(
+            tuple.__new__,
+            repeat(AccessRecord),
+            zip(
+                repeat(core),
+                stamps,
+                map(kinds.__getitem__, (u[:, kind_col] < spec.read_fraction).tolist()),
+                (blocks * spec.line_size_bytes).tolist(),
+            ),
+        ))

@@ -5,7 +5,26 @@ per-set dicts keyed by address, exact reset timestamps are kept per
 block, and retention ticks are fired eagerly one at a time, incrementing
 every valid block's counter and evicting blocks whose counter reaches N.
 No expiry deadlines are precomputed anywhere.
+
+reference_generate_trace builds a synthetic trace one record at a time,
+the plain form of sttsim's generator; the bulk generator must reproduce
+its records exactly, element types included.
 """
+
+import bisect
+import heapq
+import math
+import random
+
+from sttsim.trace import (
+    AccessKind,
+    AccessRecord,
+    ConstantGap,
+    SequentialLoop,
+    SyntheticTraceSpec,
+    UniformRandom,
+    Zipf,
+)
 
 
 class OracleCache:
@@ -97,3 +116,69 @@ class OracleCache:
         self.ledger[addr] = "resident"
         self.fills += 1
         return (False, miss_class, writeback, victim)
+
+
+def _zipf_cdf(num_blocks: int, s: float) -> list[float]:
+    weights = [1.0 / (k + 1) ** s for k in range(num_blocks)]
+    total = math.fsum(weights)
+    cdf = []
+    acc = 0.0
+    for w in weights:
+        acc += w
+        cdf.append(acc / total)
+    cdf[-1] = 1.0
+    return cdf
+
+
+def reference_generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
+    """Generate a deterministic synthetic trace from a SyntheticTraceSpec.
+
+    Records are returned merged across cores in (timestamp, core_id)
+    order; per-core timestamps increase strictly by the sampled gaps,
+    starting at 0.
+    """
+    spec.validate()
+    line = spec.line_size_bytes
+    nblocks = spec.working_set_blocks
+    zipf_cdf = _zipf_cdf(nblocks, spec.pattern.s) if isinstance(spec.pattern, Zipf) else None
+
+    per_core: list[list[AccessRecord]] = []
+    for core in range(spec.num_cores):
+        rng = random.Random(spec.seed * 1_000_003 + core)
+        rand = rng.random
+        records: list[AccessRecord] = []
+        append = records.append
+        t = 0
+        read_frac = spec.read_fraction
+        gap = spec.gap
+        if isinstance(gap, ConstantGap):
+            const_gap = gap.cycles
+            log_lo = log_hi = 0.0
+        else:
+            const_gap = 0
+            log_lo, log_hi = math.log(gap.lo), math.log(gap.hi)
+        sequential = isinstance(spec.pattern, SequentialLoop)
+        uniform = isinstance(spec.pattern, UniformRandom)
+        for i in range(spec.accesses_per_core):
+            if sequential:
+                block = i % nblocks
+            elif uniform:
+                block = int(rand() * nblocks)
+                if block == nblocks:  # rand() can return values arbitrarily close to 1
+                    block = nblocks - 1
+            else:
+                block = bisect.bisect_right(zipf_cdf, rand())
+                if block == nblocks:
+                    block = nblocks - 1
+            kind = AccessKind.LOAD if rand() < read_frac else AccessKind.STORE
+            append(AccessRecord(core, t, kind, block * line))
+            if const_gap:
+                t += const_gap
+            else:
+                t += max(1, round(math.exp(log_lo + rand() * (log_hi - log_lo))))
+        per_core.append(records)
+
+    if spec.num_cores == 1:
+        return per_core[0]
+    merged = list(heapq.merge(*per_core, key=lambda r: (r[1], r[0])))
+    return merged

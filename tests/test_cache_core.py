@@ -16,6 +16,8 @@ from sttsim import (
     Technology,
     tick_index,
 )
+from sttsim import cache as cache_mod
+from sttsim.cache import ExpiredBlock
 
 MS = 1e-3
 
@@ -202,6 +204,27 @@ class TestTickSchedule:
             u.access(addr, w, t)
         assert u.evictions_expiration > 0
         assert u.tick_expirations(u.time) == []
+
+    def test_access_builds_no_expired_blocks(self, monkeypatch):
+        built = []
+
+        def counting(*fields):
+            built.append(fields)
+            return ExpiredBlock(*fields)
+
+        monkeypatch.setattr(cache_mod, "ExpiredBlock", counting)
+        u = stt_unit(sets=2, assoc=2, retention=1e-5)
+        stream = list(random_access_stream(5, 500, num_blocks=8, write_fraction=0.4, gap_hi=40_000))
+        for addr, w, t in stream[:250]:
+            u.access(addr, w, t)
+        before = u.evictions_expiration
+        assert before > 0 and built == []
+        returned = 0
+        for addr, w, t in stream[250:]:
+            returned += len(u.tick_expirations(t))
+            u.access(addr, w, t)
+        # only tick_expirations builds them, one per block it expires
+        assert len(built) == returned == u.evictions_expiration - before > 0
 
     def test_idle_gap_drains_in_bounded_steps(self):
         # 4e10 ticks pass; only the N slots after the last access can hold a deadline

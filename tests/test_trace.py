@@ -1,7 +1,12 @@
+import gc
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracle import reference_generate_trace
 from sttsim import (
     AccessKind,
     AccessRecord,
@@ -18,6 +23,7 @@ from sttsim import (
     read_trace,
     write_trace,
 )
+from sttsim import trace as trace_mod
 from sttsim.trace import parse_gap_spec, parse_pattern_spec, time_ordered
 
 
@@ -217,3 +223,206 @@ def test_time_ordered():
     assert time_ordered(shuffled) == ordered
     assert shuffled[0] is ordered[2]  # the input is left as it was
     assert time_ordered(iter(shuffled)) == ordered
+
+
+# -- bulk generation against the per-record reference --------------------------
+
+
+def _shape(records):
+    """Values plus element types, so an int that became a numpy scalar shows up."""
+    return [(type(r), tuple(type(f) for f in r), tuple(r)) for r in records]
+
+
+_PATTERNS = st.one_of(
+    st.just(SequentialLoop()),
+    st.just(UniformRandom()),
+    st.floats(0.1, 3.0).map(Zipf),
+)
+_GAPS = st.one_of(
+    st.integers(1, 50).map(ConstantGap),
+    st.tuples(st.integers(1, 200), st.integers(0, 5000)).map(lambda p: LogUniformGap(p[0], p[0] + p[1])),
+    st.integers(1, 200).map(lambda lo: LogUniformGap(lo, lo)),
+)
+
+
+@st.composite
+def _specs_and_chunk(draw):
+    # a small chunk exercises many chunk and merge-window boundaries cheaply
+    chunk = draw(st.one_of(st.integers(1, 9), st.just(trace_mod._CHUNK_RECORDS)))
+    spec = SyntheticTraceSpec(
+        seed=draw(st.integers(0, 2**31)),
+        num_cores=draw(st.integers(1, 6)),
+        accesses_per_core=draw(st.integers(1, 3 * chunk + 2)),
+        read_fraction=draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))),
+        working_set_blocks=draw(st.one_of(st.just(1), st.integers(1, 5000))),
+        line_size_bytes=draw(st.sampled_from([1, 64, 4096])),
+        gap=draw(_GAPS),
+        pattern=draw(_PATTERNS),
+    )
+    return spec, chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_chunk())
+def test_generate_matches_reference(spec_and_chunk):
+    spec, chunk = spec_and_chunk
+    with mock.patch.object(trace_mod, "_CHUNK_RECORDS", chunk):
+        got = generate_trace(spec)
+    assert _shape(got) == _shape(reference_generate_trace(spec))
+
+
+def test_generate_shared_timestamps_tie_by_core():
+    spec = SyntheticTraceSpec(
+        seed=4,
+        num_cores=5,
+        accesses_per_core=2 * trace_mod._CHUNK_RECORDS + 3,
+        read_fraction=0.5,
+        working_set_blocks=300,
+        gap=ConstantGap(7),
+        pattern=Zipf(1.1),
+    )
+    records = generate_trace(spec)
+    assert [(r.timestamp, r.core_id) for r in records[:10]] == [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
+                                                                (7, 0), (7, 1), (7, 2), (7, 3), (7, 4)]
+    assert _shape(records) == _shape(reference_generate_trace(spec))
+
+
+def test_working_set_must_fit_64_bit_arithmetic():
+    spec = SyntheticTraceSpec(seed=1, working_set_blocks=2**56, line_size_bytes=128, pattern=UniformRandom())
+    with pytest.raises(ConfigError):
+        generate_trace(spec)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collect_restores_gc_state(enabled):
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+
+        def batches():
+            assert not gc.isenabled()
+            yield [1, 2]
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            trace_mod._collect(batches())
+        assert gc.isenabled() is enabled
+        assert trace_mod._collect(iter([[1], [], [2, 3]])) == [1, 2, 3]
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+# -- bulk parsing: errors keep their exact message and line across chunks -------
+
+_FIELDS = "'<core> <timestamp> <IF|LD|ST> <0x-address>'"
+# bad line -> (error type, message after "<path>:<line>: "), recorded from the
+# line-by-line parser the bulk parser replaced
+_BAD_LINES = {
+    "0 100 LD": (TraceParseError, f"expected 4 fields {_FIELDS}, got 3"),
+    "0 100 LD 0x40 extra": (TraceParseError, f"expected 4 fields {_FIELDS}, got 5"),
+    "x 100 LD 0x0": (TraceParseError, "non-integer core id or timestamp"),
+    "0 1.5 LD 0x0": (TraceParseError, "non-integer core id or timestamp"),
+    "0 100 XX 0x0": (TraceParseError, "unknown access kind 'XX'"),
+    "0 100 LD 7f00": (TraceParseError, "address must be 0x-prefixed hex, got '7f00'"),
+    "0 100 LD 0xzz": (TraceParseError, "bad hex address '0xzz'"),
+    "0 100 LD 0x-40": (TraceParseError, "bad hex address '0x-40'"),
+    "-1 100 LD 0x0": (TraceParseError, "negative field"),
+    "9 -5 LD 0x0": (TraceParseError, "negative field"),
+    "1 5 LD 0x0": (TraceValidationError, "timestamp regression on core 1 (5 < 2999)"),
+}
+
+
+def _good_lines(start, stop):
+    return "".join(f"{i % 2} {i} {'LD' if i % 3 else 'ST'} 0x{i * 64:x}\n" for i in range(start, stop))
+
+
+@pytest.mark.parametrize("bad", list(_BAD_LINES))
+def test_read_error_after_full_chunk(tmp_path, bad):
+    good = _good_lines(0, 3000)
+    assert len(good) > 2 * trace_mod._READ_CHUNK_CHARS  # the bad line is past the first chunks
+    p = tmp_path / "t.trace"
+    p.write_text(good + bad + "\n" + _good_lines(3000, 3010))
+    error, message = _BAD_LINES[bad]
+    with pytest.raises(error) as exc:
+        read_trace(str(p))
+    assert str(exc.value) == f"{p}:3001: {message}"
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 30, 45, 1000])
+def test_read_regression_across_chunk_boundary(tmp_path, chunk_chars):
+    # core 0's latest timestamp comes from an earlier chunk than the regression
+    p = tmp_path / "t.trace"
+    p.write_text("0 50 LD 0x0\n1 10 LD 0x40\n1 20 ST 0x80\n1 30 ST 0x80\n0 40 LD 0x0\n")
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
+        with pytest.raises(TraceValidationError) as exc:
+            read_trace(str(p))
+    assert str(exc.value) == f"{p}:5: timestamp regression on core 0 (40 < 50)"
+
+
+def test_read_mixed_file_in_bulk(tmp_path):
+    p = tmp_path / "t.trace"
+    p.write_bytes(b"# header\r\n\r\n0\t5 ld 0x40\r\n  # indented comment\n1 7  St\t0X80\n\t \n"
+                  b"0 5 IF 0x0\r\n1 9 st 0xc0")
+    expected = [
+        AccessRecord(0, 5, AccessKind.LOAD, 0x40),
+        AccessRecord(1, 7, AccessKind.STORE, 0x80),
+        AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x0),
+        AccessRecord(1, 9, AccessKind.STORE, 0xC0),
+    ]
+    # a valid file never needs the line-by-line parser, whatever the chunking
+    for chunk_chars in (1, 20, 1 << 16):
+        with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(trace_mod, "_parse_each", side_effect=AssertionError("line by line")):
+            assert _shape(read_trace(str(p))) == _shape(expected)
+
+
+def test_read_field_counts_checked_per_line(tmp_path):
+    # five fields then three: as many words as two good lines, still an error on line 1
+    p = tmp_path / "t.trace"
+    p.write_text("0 1 LD 0x0 5\n7 LD 0x40\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(str(p))
+    assert str(exc.value) == f"{p}:1: expected 4 fields {_FIELDS}, got 5"
+
+
+def test_read_accepts_what_bulk_declines(tmp_path):
+    # str.upper() maps "\u017ft" to "ST", and a timestamp past int64 is still an int
+    p = tmp_path / "t.trace"
+    p.write_text("0 5 \u017ft 0x40\n0 36893488147419103232 LD 0x80\n")
+    assert _shape(read_trace(str(p))) == _shape([
+        AccessRecord(0, 5, AccessKind.STORE, 0x40),
+        AccessRecord(0, 2**65, AccessKind.LOAD, 0x80),
+    ])
+
+
+def test_read_only_comments(tmp_path):
+    p = tmp_path / "t.trace"
+    p.write_text("# nothing here\n\n   \n")
+    assert read_trace(str(p)) == []
+
+
+_RECORDS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.one_of(st.integers(0, 10**6), st.just(2**64)),  # past int64: the line-by-line path
+        st.sampled_from(list(AccessKind)),
+        st.integers(0, 2**80),
+    ),
+    max_size=300,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RECORDS, st.sampled_from([1, 64, 1 << 14]))
+def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
+    # per-core timestamps made non-decreasing by accumulating the drawn steps
+    clock = {}
+    records = []
+    for core, step, kind, address in rows:
+        clock[core] = clock.get(core, 0) + step
+        records.append(AccessRecord(core, clock[core], kind, address))
+    p = tmp_path_factory.mktemp("rt") / "t.trace"
+    write_trace(records, str(p))
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
+        assert _shape(read_trace(str(p))) == _shape(records)
