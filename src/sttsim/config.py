@@ -112,6 +112,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
+    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
+        raise ConfigError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))

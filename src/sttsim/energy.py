@@ -132,9 +132,17 @@ def _table_from_lines(lines, where: str) -> TechTable:
 
 
 def load_tech_table(path: str) -> TechTable:
-    """Parse a tech table file; duplicate keys and negative values are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return _table_from_lines(fh, path)
+    """Parse a tech table file; duplicate keys and negative values are errors.
+
+    A file that cannot be opened, read or decoded as UTF-8 raises ConfigError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return _table_from_lines(fh, path)
+    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
+        raise ConfigError(f"cannot read tech table {path}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read tech table {path}: {exc}") from None
 
 
 def sample_tech_table() -> TechTable:

@@ -1,10 +1,14 @@
 """Design-space studies: retention sweeps, specialization, asymmetric cores.
 
-All candidate simulations are independent; with jobs > 1 they run in a
-forked worker pool and results are reduced in a fixed key order, so
-reports are identical to a serial run.  Objective values are total cache
-energy (joules), execution time (seconds), or their product; memory
-energy is reported separately and excluded from objectives.
+Each study submits its simulations as (trace, config) tasks; a task that
+repeats an earlier one runs once.  With jobs > 1 the tasks run in a forked
+worker pool and results are reduced in a fixed key order, so reports are
+identical to a serial run.  A sweep simulates in full only the candidates
+that could expire a block before the run ends; it builds the report of every
+other candidate from its SRAM run (see hierarchy._derived_report).
+Objective values are total cache energy (joules), execution time (seconds),
+or their product; memory energy is reported separately and excluded from
+objectives.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass, replace
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError
-from .hierarchy import HierarchyConfig, SimReport, simulate
-from .trace import SyntheticTraceSpec, generate_trace
+from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate_and_derive, simulate
+from .trace import SyntheticTraceSpec, generate_trace, time_ordered
 
 
 class Objective(enum.Enum):
@@ -59,25 +63,41 @@ _SHARED: dict = {}
 
 
 def _run_task(task):
-    idx, cfg = task
-    return simulate(cfg, _SHARED["traces"][idx], _SHARED["table"])
+    idx, cfg, derive = task
+    trace = _SHARED["traces"][idx]
+    if derive:
+        return _simulate_and_derive(cfg, trace, _SHARED["table"], derive)
+    return simulate(cfg, trace, _SHARED["table"]), ()
 
 
 def _run_sims(
-    tasks: list[tuple[int, HierarchyConfig]], traces: list, table: TechTable | None, jobs: int
-) -> list[SimReport]:
+    tasks: list[tuple[int, HierarchyConfig]], traces: list, table: TechTable | None, jobs: int, derive=()
+) -> tuple[list[SimReport], tuple]:
+    """Simulate each distinct (trace index, config) task once.
+
+    Returns the report of every task, in task order, and one entry per
+    config in `derive`: its report built from the run of tasks[0], or None
+    where that is refused (see hierarchy._derived_report).  The derivation
+    runs in the process of that run, beside the other tasks.
+    """
     if table is None:
         table = sample_tech_table()
-    if jobs > 1 and len(tasks) > 1 and "fork" in multiprocessing.get_all_start_methods():
-        _SHARED["traces"] = traces
-        _SHARED["table"] = table
-        try:
+    unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
+    if derive:
+        unique[0] = (*unique[0][:2], tuple(derive))
+    _SHARED["traces"] = traces
+    _SHARED["table"] = table
+    try:
+        if jobs > 1 and len(unique) > 1 and "fork" in multiprocessing.get_all_start_methods():
             ctx = multiprocessing.get_context("fork")
-            with ctx.Pool(processes=min(jobs, len(tasks))) as pool:
-                return pool.map(_run_task, tasks)
-        finally:
-            _SHARED.clear()
-    return [simulate(cfg, traces[idx], table) for idx, cfg in tasks]
+            with ctx.Pool(processes=min(jobs, len(unique))) as pool:
+                results = pool.map(_run_task, unique)
+        else:
+            results = list(map(_run_task, unique))
+    finally:
+        _SHARED.clear()
+    done = {task[:2]: result[0] for task, result in zip(unique, results)}
+    return [done[t] for t in tasks], results[0][1] if results else ()
 
 
 def _materialize(trace) -> list:
@@ -142,10 +162,24 @@ def sweep(
     broken toward the longer retention.
     """
     rets = _check_retentions(retentions)
-    records = _materialize(trace)
-    configs = [with_technology(template, Technology.SRAM, None)]
-    configs += [with_technology(template, Technology.STTRAM, r) for r in rets]
-    reports = _run_sims([(0, c) for c in configs], [records], tech_table, jobs)
+    records = time_ordered(_materialize(trace))
+    table = tech_table if tech_table is not None else sample_tech_table()
+    sram_cfg = with_technology(template, Technology.SRAM, None)
+    configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
+    # a candidate that can expire a block by the last record's timestamp, a
+    # lower bound on its completion time, runs in full beside the SRAM
+    # baseline; the others are derived from the SRAM run where its check
+    # allows, and run in full after it where not
+    last_s = records[-1][1] / template.clock_hz if records else 0.0
+    undecided = [c for c in configs if _cannot_expire(c, last_s)]
+    first = [sram_cfg] + [c for c in configs if c not in undecided]
+    first_reports, derived = _run_sims([(0, c) for c in first], [records], table, jobs, derive=undecided)
+    done = dict(zip(first, first_reports))
+    done.update((c, rep) for c, rep in zip(undecided, derived) if rep is not None)
+    rest = [c for c in undecided if c not in done]
+    rest_reports, _ = _run_sims([(0, c) for c in rest], [records], table, jobs)
+    done.update(zip(rest, rest_reports))
+    reports = [done[c] for c in [sram_cfg, *configs]]
 
     sram_energy = reports[0].cache_energy_j
     sram_time = reports[0].exec_time_s
@@ -211,7 +245,7 @@ def specialize(
 
     prefix = records[:sample_len]
     tasks = [(0, with_technology(template, Technology.STTRAM, r)) for r in rets]
-    sample_reports = _run_sims(tasks, [prefix], tech_table, jobs)
+    sample_reports, _ = _run_sims(tasks, [prefix], tech_table, jobs)
     sample_values = {r: objective_value(rep, objective) for r, rep in zip(rets, sample_reports)}
 
     chosen = rets[0]
@@ -225,7 +259,7 @@ def specialize(
         (0, with_technology(template, Technology.STTRAM, chosen)),
         (0, with_technology(template, Technology.STTRAM, base_retention)),
     ]
-    full_chosen, full_base = _run_sims(full_tasks, [records], tech_table, jobs)
+    (full_chosen, full_base), _ = _run_sims(full_tasks, [records], tech_table, jobs)
     v_chosen = objective_value(full_chosen, objective)
     v_base = objective_value(full_base, objective)
     savings = (v_base - v_chosen) / v_base if v_base else 0.0
@@ -314,7 +348,7 @@ def assign_asymmetric(
     for t in range(nthreads):
         for c in range(ncores):
             pair_tasks.append((t, _single_core_config(template, core_rets[c])))
-    pair_reports = _run_sims(pair_tasks, prefixes, tech_table, jobs)
+    pair_reports, _ = _run_sims(pair_tasks, prefixes, tech_table, jobs)
     cost = [
         [objective_value(pair_reports[t * ncores + c], objective) for c in range(ncores)]
         for t in range(nthreads)
@@ -333,7 +367,7 @@ def assign_asymmetric(
     distinct_rets = sorted(set(core_rets))
     for r in distinct_rets:
         full_tasks += [(t, _single_core_config(template, r)) for t in range(nthreads)]
-    full_reports = _run_sims(full_tasks, traces, tech_table, jobs)
+    full_reports, _ = _run_sims(full_tasks, traces, tech_table, jobs)
 
     asym_total = sum(objective_value(rep, objective) for rep in full_reports[:nthreads])
     homogeneous = {}

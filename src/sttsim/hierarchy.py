@@ -18,8 +18,11 @@ order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .cache import CacheUnit, CacheUnitConfig, Technology
+import numpy as np
+
+from .cache import CacheUnit, CacheUnitConfig, Technology, tick_index
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError
 from .trace import time_ordered
@@ -144,23 +147,31 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     a core >= num_cores or a unit's (technology, retention) is missing
     from the table.
     """
+    return _simulate(cfg, trace, tech_table, None)
+
+
+def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytearray | None) -> SimReport:
+    """simulate(), also filling `levels`, unless None, with the level that served
+    each time-ordered record: 0 its L1, 1 the L2, 2 memory."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
     records = time_ordered(trace)
+    if levels is not None:
+        levels[:] = bytes(len(records))
 
     l1i_units = [CacheUnit(c, f"core{i}.l1i") for i, c in enumerate(cfg.l1i)]
     l1d_units = [CacheUnit(c, f"core{i}.l1d") for i, c in enumerate(cfg.l1d)]
-    l1i_params = [tech_table.lookup(c.technology, c.retention_time) for c in cfg.l1i]
-    l1d_params = [tech_table.lookup(c.technology, c.retention_time) for c in cfg.l1d]
     l2 = CacheUnit(cfg.l2, "l2") if cfg.l2 is not None else None
-    l2_params = tech_table.lookup(cfg.l2.technology, cfg.l2.retention_time) if cfg.l2 is not None else None
+    params = [tech_table.lookup(c.technology, c.retention_time) for c in _unit_configs(cfg)]
+    l1i_params = params[:ncores]
+    l1d_params = params[ncores : 2 * ncores]
 
     i_mask = ~(cfg.l1i[0].line_size_bytes - 1)
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
     i_tr = [p.t_read for p in l1i_params]
     d_tr = [p.t_read for p in l1d_params]
     d_tw = [p.t_write for p in l1d_params]
-    l2_tr = l2_params.t_read if l2_params else 0
+    l2_tr = params[-1].t_read if l2 is not None else 0
     mem_lat = cfg.mem_latency_cycles
 
     avail = [0] * ncores
@@ -186,6 +197,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
         else:
             l2_service(addr, True, t)
 
+    l1_units = l1i_units + l1d_units
     for rec in records:
         core = rec[0]
         if core >= ncores:
@@ -215,41 +227,68 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
         if not out.hit:
             if l2 is not None:
                 cyc += l2_tr
-                if not l2_service(aligned, False, now):
-                    cyc += mem_lat
-                    state["mem_reads"] += 1
+                l2_hit = l2_service(aligned, False, now)
             else:
+                l2_hit = False
+            if not l2_hit:
                 cyc += mem_lat
                 state["mem_reads"] += 1
+            if levels is not None:
+                # every record accesses one L1 once, so the L1 accesses so far count the records
+                levels[sum(u.accesses for u in l1_units) - 1] = 1 if l2_hit else 2
             if out.writeback_issued:
                 wb_downstream(out.victim_address, now)
         avail[core] = start + cyc
 
+    units = l1_units + ([l2] if l2 is not None else [])
+    return _report(cfg, units, params, avail, state["mem_reads"], state["mem_writes"])
+
+
+def _unit_configs(cfg: HierarchyConfig) -> list[CacheUnitConfig]:
+    """Every unit's config in report order: each core's L1I, each core's L1D, then the L2."""
+    return [*cfg.l1i, *cfg.l1d] + ([cfg.l2] if cfg.l2 is not None else [])
+
+
+def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avail: list[int],
+            mem_reads: int, mem_writes: int) -> SimReport:
+    """The report of a run of cfg that ended at cycles `avail`, one per core.
+
+    counters and params hold each unit's final counters (a CacheUnit or
+    UnitStats) and tech parameters, in _unit_configs order.
+    """
+    clock = cfg.clock_hz
     completions_s = [time_to_seconds(c, clock) for c in avail]
     wall = max(completions_s) if completions_s else 0.0
-
     units: dict[str, UnitStats] = {}
     overhead = 0.0
-    for unit_list, params_list in (
-        (l1i_units, l1i_params),
-        (l1d_units, l1d_params),
-    ):
-        for u, p in zip(unit_list, params_list):
-            units[u.name] = _unit_stats(u, p, wall)
-            overhead += u.config.counter_overhead_bytes
-    if l2 is not None:
-        units[l2.name] = _unit_stats(l2, l2_params, wall)
-        overhead += l2.config.counter_overhead_bytes
+    for unit_cfg, c, p in zip(_unit_configs(cfg), counters, params):
+        units[c.name] = UnitStats(
+            name=c.name,
+            technology=unit_cfg.technology.value,
+            retention_s=unit_cfg.retention_time if unit_cfg.technology is Technology.STTRAM else None,
+            accesses=c.accesses,
+            read_hits=c.read_hits,
+            write_hits=c.write_hits,
+            miss_compulsory=c.miss_compulsory,
+            miss_replacement=c.miss_replacement,
+            miss_expiration=c.miss_expiration,
+            fills=c.fills,
+            writebacks=c.writebacks,
+            evictions_replacement=c.evictions_replacement,
+            evictions_expiration=c.evictions_expiration,
+            energy=unit_energy(p, c, wall),
+        )
+        overhead += unit_cfg.counter_overhead_bytes
 
-    mem_energy = (state["mem_reads"] + state["mem_writes"]) * cfg.mem_energy_per_access
+    mem_energy = (mem_reads + mem_writes) * cfg.mem_energy_per_access
     cache_energy = sum(u.energy.total for u in units.values())
     return SimReport(
         units=units,
         core_completion_cycles=avail,
         core_completion_s=completions_s,
         exec_time_s=wall,
-        mem_reads=state["mem_reads"],
-        mem_writes=state["mem_writes"],
+        mem_reads=mem_reads,
+        mem_writes=mem_writes,
         mem_energy_j=mem_energy,
         cache_energy_j=cache_energy,
         total_energy_j=cache_energy + mem_energy,
@@ -258,21 +297,88 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     )
 
 
-def _unit_stats(unit: CacheUnit, params: TechParams, wall: float) -> UnitStats:
-    cfg = unit.config
-    return UnitStats(
-        name=unit.name,
-        technology=cfg.technology.value,
-        retention_s=cfg.retention_time if cfg.technology is Technology.STTRAM else None,
-        accesses=unit.accesses,
-        read_hits=unit.read_hits,
-        write_hits=unit.write_hits,
-        miss_compulsory=unit.miss_compulsory,
-        miss_replacement=unit.miss_replacement,
-        miss_expiration=unit.miss_expiration,
-        fills=unit.fills,
-        writebacks=unit.writebacks,
-        evictions_replacement=unit.evictions_replacement,
-        evictions_expiration=unit.evictions_expiration,
-        energy=unit_energy(params, unit, wall),
+# -- reports derived from an SRAM run ---------------------------------------------
+#
+# A run in which no unit expires a block has the hits, misses and traffic of
+# the SRAM run of the same trace: records are replayed in (timestamp, core_id)
+# order whatever the latencies, so only the timing and the energy differ.
+
+
+def _simulate_and_derive(
+    cfg: HierarchyConfig, trace, tech_table: TechTable, derive
+) -> tuple[SimReport, tuple[SimReport | None, ...]]:
+    """simulate(cfg), and the report of each config in `derive` built from
+    that run (see _derived_report), or None where that is refused."""
+    levels = bytearray()
+    report = _simulate(cfg, trace, tech_table, levels)
+    columns = _timing_columns(time_ordered(trace), levels, cfg.num_cores)
+    if columns is None:
+        return report, (None,) * len(derive)
+    return report, tuple(_derived_report(c, report, columns, tech_table) for c in derive)
+
+
+def _cannot_expire(cfg: HierarchyConfig, t: float) -> bool:
+    """True when no unit of cfg can expire a block at any time up to t.
+
+    The earliest deadline of a unit is its counter_states-th tick (a block
+    filled at tick 0); ticks are counted as CacheUnit counts them.
+    """
+    return all(
+        u.technology is not Technology.STTRAM
+        or tick_index(t, u.retention_time / u.counter_states) < u.counter_states
+        for u in _unit_configs(cfg)
     )
+
+
+def _timing_columns(records: list, levels: bytearray, ncores: int) -> list | None:
+    """Per core, the timestamps (int64) and kind * 3 + serving level (uint8) of
+    its time-ordered records, given the levels an SRAM run recorded for them.
+
+    None when a timestamp is not an int that int64 holds, or a core id or
+    kind is not an int in 0..255 (kinds in 0..2).
+    """
+    if not records:
+        return None
+    try:
+        cores = np.frombuffer(bytes(map(itemgetter(0), records)), np.uint8)
+        kinds = np.frombuffer(bytes(map(itemgetter(2), records)), np.uint8)
+    except (TypeError, ValueError):
+        return None
+    stamps = np.array(list(map(itemgetter(1), records)))
+    if stamps.dtype != np.int64 or kinds.max() > 2:
+        return None
+    keys = kinds * 3 + np.frombuffer(levels, np.uint8)
+    return [(stamps[m], keys[m]) for m in (cores == c for c in range(ncores))]
+
+
+def _derived_report(
+    cfg: HierarchyConfig, sram: SimReport, columns: list, tech_table: TechTable
+) -> SimReport | None:
+    """cfg's report from the SRAM run of the same trace and its timing columns.
+
+    None when a completion time reaches a unit's first deadline, since the
+    run might then expire a block, or when the cycle sums might not fit
+    int64; the caller then simulates cfg in full.
+    """
+    params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
+    n = cfg.num_cores
+    l2_tr = params[-1].t_read if cfg.l2 is not None else 0
+    extra = (0, l2_tr, l2_tr + cfg.mem_latency_cycles)
+    avail = []
+    for core, (stamps, keys) in enumerate(columns):
+        # cycles of each (kind, level), as the record loop of _simulate adds them
+        base = (params[core].t_read, params[n + core].t_read, params[n + core].t_write)
+        lut = [b + e for b in base for e in extra]
+        if not all(isinstance(v, int) for v in lut):
+            return None
+        if not len(stamps):
+            avail.append(0)
+            continue
+        if max(int(stamps.max()), -int(stamps.min())) + len(stamps) * max(lut) >= 2**63:
+            return None
+        # a_j = max(ts_j, a_(j-1)) + c_j from a_0 = 0 ends at C_n + max(0, max_j(ts_j - C_(j-1)))
+        cost = np.array(lut, np.int64)[keys]
+        total = np.cumsum(cost)
+        avail.append(int(total[-1]) + max(0, int((stamps - (total - cost)).max())))
+    report = _report(cfg, list(sram.units.values()), params, avail, sram.mem_reads, sram.mem_writes)
+    return report if _cannot_expire(cfg, report.exec_time_s) else None

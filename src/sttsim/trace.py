@@ -85,19 +85,25 @@ def read_trace(path: str) -> list[AccessRecord]:
 
     Returns records in file order.  Raises TraceParseError with the line
     number on malformed input, TraceValidationError naming the core and
-    line on a timestamp regression.
+    line on a timestamp regression, and TraceParseError naming the file
+    when it cannot be opened, read or decoded as UTF-8.
     """
     last_ts: dict[int, int] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
 
-        def batches():
-            lineno = 1
-            while lines := fh.readlines(_READ_CHUNK_CHARS):
-                records = _parse_bulk(lines, last_ts)
-                yield records if records is not None else _parse_each(path, lines, lineno, last_ts)
-                lineno += len(lines)
+            def batches():
+                lineno = 1
+                while lines := fh.readlines(_READ_CHUNK_CHARS):
+                    records = _parse_bulk(lines, last_ts)
+                    yield records if records is not None else _parse_each(path, lines, lineno, last_ts)
+                    lineno += len(lines)
 
-        return _collect(batches())
+            return _collect(batches())
+    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
+        raise TraceParseError(f"cannot read trace {path}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise TraceParseError(f"cannot read trace {path}: {exc}") from None
 
 
 def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord] | None:

@@ -1,5 +1,7 @@
 import os
 
+import pytest
+
 from sttsim.cli import main
 
 MS = 1e-3
@@ -199,10 +201,39 @@ class TestDeterminism:
 
 
 class TestGoldenSweep:
-    def test_bundled_fixture_matches_golden(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_bundled_fixture_matches_golden(self, tmp_path, jobs):
         here = os.path.dirname(__file__)
         cfg = os.path.join(here, "..", "sample_configs", "golden_sweep.cfg")
-        assert run(["sweep", "--config", cfg, "--out-dir", tmp_path]) == 0
+        assert run(["sweep", "--config", cfg, "--out-dir", tmp_path, "--jobs", jobs]) == 0
         produced = (tmp_path / "sweep.csv").read_text()
         golden = open(os.path.join(here, "golden", "sweep.csv")).read()
         assert produced == golden
+
+
+class TestUnreadableInputs:
+    """A file that cannot be read or decoded ends the run with one named error."""
+
+    @staticmethod
+    def bad_path(tmp_path, what):
+        if what == "directory":
+            p = tmp_path / "a_directory"
+            p.mkdir()
+        else:
+            p = tmp_path / "latin1.txt"
+            p.write_bytes("0 0 LD 0x0 # caf\xe9\n".encode("latin-1"))
+        return p
+
+    @pytest.mark.parametrize("what", ["directory", "not_utf8"])
+    @pytest.mark.parametrize("flag", ["--trace", "--tech-table", "--config"])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, flag, what):
+        bad = self.bad_path(tmp_path, what)
+        args = {"--config": make_config(tmp_path, SINGLE_CORE), flag: bad}
+        command = "simulate" if flag == "--tech-table" else "characterize"  # characterize reads no table
+        argv = [command] + [a for pair in args.items() for a in pair]
+        assert run(argv + ["--out-dir", tmp_path / "out"]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(bad) in lines[0]
+        assert "Traceback" not in captured.err

@@ -1,7 +1,10 @@
 import itertools
+import os
+from dataclasses import replace
 
 import pytest
 
+from conftest import random_trace
 from sttsim import (
     AccessKind,
     AccessRecord,
@@ -11,10 +14,18 @@ from sttsim import (
     Objective,
     Technology,
     assign_asymmetric,
+    generate_trace,
+    load_experiment_config,
+    read_trace,
     sample_tech_table,
+    simulate,
     specialize,
     sweep,
 )
+from sttsim import explore
+from sttsim.explore import objective_value, with_technology
+
+SAMPLE_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "sample_configs")
 
 TABLE = sample_tech_table()
 CLOCK = 1.9e9
@@ -234,3 +245,153 @@ class TestAssignAsymmetric:
                                    tech_table=TABLE)
         assert len(result.assignment) == 2
         assert len(set(result.assignment.values())) == 2
+
+
+@pytest.fixture
+def sim_calls(monkeypatch):
+    """(config, trace length) of every simulation the studies run in this process."""
+    calls = []
+    for name in ("simulate", "_simulate_and_derive"):
+        real = getattr(explore, name)
+
+        def counted(cfg, trace, *args, _real=real):
+            calls.append((cfg, len(trace)))
+            return _real(cfg, trace, *args)
+
+        monkeypatch.setattr(explore, name, counted)
+    return calls
+
+
+def two_level(num_cores):
+    l1 = CacheUnitConfig(32 * 1024, 4, 64, Technology.SRAM)
+    l2 = CacheUnitConfig(256 * 1024, 8, 64, Technology.SRAM)
+    return HierarchyConfig(num_cores=num_cores, l1i=l1, l1d=l1, l2=l2, clock_hz=CLOCK)
+
+
+def backlog_trace():
+    """Core 0 falls behind its timestamps; core 1 issues sparse accesses.
+
+    The last timestamp is 15,000 cycles, under the 19,000 cycles (1e-5 s)
+    of the first 1e-5 deadline but over that of 1e-6.  Core 0 issues 200
+    cold loads one cycle apart, each waiting on memory, so its last record,
+    a reload of its first block, starts after 20,000 cycles: at 1e-5 that
+    block has expired, which the SRAM run cannot show.
+    """
+    core0 = [AccessRecord(0, t, AccessKind.LOAD, t * 64) for t in range(200)]
+    core0.append(AccessRecord(0, 200, AccessKind.LOAD, 0))
+    core1 = [
+        AccessRecord(1, 0, AccessKind.INSTR_FETCH, 1 << 20),
+        AccessRecord(1, 5000, AccessKind.LOAD, 1 * 64),  # an L2 hit
+        AccessRecord(1, 10000, AccessKind.STORE, 2 * 64),
+        AccessRecord(1, 15000, AccessKind.INSTR_FETCH, 1 << 20),
+    ]
+    return sorted(core0 + core1, key=lambda r: (r.timestamp, r.core_id))
+
+
+def candidates(template_cfg, rets):
+    return [with_technology(template_cfg, Technology.SRAM, None)] + [
+        with_technology(template_cfg, Technology.STTRAM, r) for r in rets
+    ]
+
+
+def assert_sweep_matches_simulate(trace, template_cfg, rets, jobs):
+    result = sweep(trace, template_cfg, rets, tech_table=TABLE, jobs=jobs)
+    for cfg, entry in zip(candidates(template_cfg, rets), result.entries):
+        assert entry.report == simulate(cfg, trace, TABLE)
+
+
+class TestDerivedSweep:
+    """Candidates that cannot expire a block are built from the SRAM run."""
+
+    RETS = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_backlog_reports_equal_simulate(self, jobs):
+        assert_sweep_matches_simulate(backlog_trace(), two_level(2), self.RETS, jobs)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_random_multicore_reports_equal_simulate(self, jobs):
+        trace = random_trace(5, 4000, num_cores=4, num_blocks=4096, instr_fraction=0.2)
+        rets = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0]
+        assert_sweep_matches_simulate(trace, two_level(4), rets, jobs)
+
+    def test_backlog_expires_a_block_at_1e5(self):
+        trace = backlog_trace()
+        cfg = with_technology(two_level(2), Technology.STTRAM, 1e-5)
+        rep = simulate(cfg, trace, TABLE)
+        assert rep.total_expiration_misses() > 0  # so a derived report would be wrong
+
+    def test_only_candidates_that_can_expire_run_in_full(self, sim_calls, monkeypatch):
+        batches = []
+        real = explore._run_sims
+
+        def recorded(tasks, *args, **kwargs):
+            batches.append([cfg.l1d[0].retention_time for _, cfg in tasks])
+            return real(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "_run_sims", recorded)
+        sweep(backlog_trace(), two_level(2), self.RETS, tech_table=TABLE, jobs=1)
+        # 1e-6 is ruled out by the last timestamp and runs beside SRAM;
+        # 1e-5 is refused by the completion time and runs after it
+        assert [b for b in batches if b] == [[None, 1e-6], [1e-5]]
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e-6, 1e-5]
+
+    @pytest.mark.parametrize("base", [2**63 - 50, 2**64])
+    def test_timestamps_beyond_int64_simulate_in_full(self, base, sim_calls):
+        # at 1e20 Hz these timestamps are under 0.2 s, before the first 1e0 deadline
+        tmpl = replace(two_level(2), clock_hz=1e20)
+        trace = [AccessRecord(i % 2, base + i, AccessKind.LOAD, 64 * i) for i in range(10)]
+        assert_sweep_matches_simulate(trace, tmpl, [1e0], jobs=1)
+        # the SRAM run, then 1e0 in full although its timestamps rule nothing out
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e0]
+
+    def test_float_timestamps_simulate_in_full(self, sim_calls):
+        trace = [AccessRecord(i % 2, 100 * i + 0.5, AccessKind.LOAD, 64 * i) for i in range(10)]
+        assert_sweep_matches_simulate(trace, two_level(2), [1e0], jobs=1)
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e0]
+
+    def test_golden_sweep_derives_two_candidates(self, sim_calls):
+        cfg = load_experiment_config(os.path.join(SAMPLE_CONFIGS, "golden_sweep.cfg"))
+        records = generate_trace(cfg.synthetic)
+        result = sweep(records, cfg.hierarchy, cfg.retentions, cfg.objective, TABLE, jobs=1)
+        assert [c.l1d[0].retention_time for c, _ in sim_calls] == [None, 1e-5, 1e-4, 1e-3]
+        for c, entry in zip(candidates(cfg.hierarchy, cfg.retentions), result.entries):
+            assert entry.report == simulate(c, records, TABLE)
+
+
+class TestDistinctTasks:
+    """Each distinct (trace, config) simulation runs once per batch."""
+
+    def test_asym_study_runs_24_of_32(self, sim_calls):
+        cfg = load_experiment_config(os.path.join(SAMPLE_CONFIGS, "asym_quadcore.cfg"))
+        by_core = {}
+        for rec in read_trace(cfg.trace_path):
+            by_core.setdefault(rec.core_id, []).append(rec._replace(core_id=0))
+        threads = [by_core[c] for c in sorted(by_core)]
+        result = assign_asymmetric(threads, cfg.hierarchy, cfg.core_retentions, cfg.profile_len,
+                                   cfg.objective, TABLE, jobs=1)
+        assert len(threads) == 4 and len(sim_calls) == 24
+
+        def value(retention, trace):
+            single = explore._single_core_config(cfg.hierarchy, retention)
+            return objective_value(simulate(single, trace, TABLE), cfg.objective)
+
+        for t, thread in enumerate(threads):
+            prefix = thread[: cfg.profile_len]
+            assert result.cost_matrix[t] == [value(r, prefix) for r in cfg.core_retentions]
+        for r, total in result.homogeneous_totals.items():
+            assert total == sum(value(r, thread) for thread in threads)
+        assert result.full_asym_total == sum(
+            value(cfg.core_retentions[result.assignment[t]], thread) for t, thread in enumerate(threads)
+        )
+
+    def test_specialize_runs_full_trace_once_when_chosen_is_base(self, sim_calls):
+        trace = loop_thread(0, 8, 2 * MS, 100 * MS)
+        rets = [1e-4, 1e-3, 1e-2, 1e-1]
+        result = specialize(trace, template(), rets, base_retention=1e-1,
+                            sample_len=len(trace) // 4, tech_table=TABLE)
+        assert result.chosen_retention == 1e-1
+        assert [n for _, n in sim_calls].count(len(trace)) == 1
+        full = simulate(with_technology(template(), Technology.STTRAM, 1e-1), trace, TABLE)
+        assert result.full_value_chosen == result.full_value_base == objective_value(full, Objective.ENERGY)
+        assert result.savings_vs_base == 0.0
