@@ -72,7 +72,7 @@ class CacheUnitConfig:
     size_bytes must equal num_sets * associativity * line_size_bytes with
     num_sets a power of two.  retention_time (seconds) is required for
     STTRAM and ignored for SRAM.  counter_states is the number of FSM
-    states N of the per-block retention counter.
+    states N of the per-block retention counter.  Replacement is LRU.
     """
 
     size_bytes: int
@@ -81,7 +81,6 @@ class CacheUnitConfig:
     technology: Technology = Technology.SRAM
     retention_time: float | None = None
     counter_states: int = 4
-    replacement: str = "LRU"
     refresh_on_read: bool = False
 
     def __post_init__(self) -> None:
@@ -94,8 +93,6 @@ class CacheUnitConfig:
         sets = self.num_sets
         if sets < 1 or sets & (sets - 1):
             raise ConfigError(f"num_sets must be a power of two, got {sets}")
-        if self.replacement != "LRU":
-            raise ConfigError(f"unsupported replacement policy {self.replacement!r}")
         if self.counter_states < 2:
             raise ConfigError("counter_states must be >= 2")
         if self.technology is Technology.STTRAM:

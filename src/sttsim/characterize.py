@@ -236,7 +236,6 @@ def expiration_curve(
     retentions,
     clock_hz: float = DEFAULT_CLOCK_HZ,
     stream: str = "data",
-    counter_states: int | None = None,
 ) -> list[ExpirationCurvePoint]:
     """Expiration-miss counts of one unit across a sorted retention sweep."""
     retentions = list(retentions)
@@ -248,15 +247,10 @@ def expiration_curve(
         raise ConfigError("retentions must be sorted ascending")
 
     records = _stream(trace, stream)
-    n_states = counter_states if counter_states is not None else cfg.counter_states
     baseline_misses = _replay(records, _unbounded(cfg), clock_hz).misses
     points = []
     for r in retentions:
-        unit = _replay(
-            records,
-            replace(cfg, technology=Technology.STTRAM, retention_time=r, counter_states=n_states),
-            clock_hz,
-        )
+        unit = _replay(records, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)
         points.append(
             ExpirationCurvePoint(
                 retention_s=r,

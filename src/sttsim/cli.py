@@ -44,18 +44,24 @@ def _fmt(value) -> str:
 
 @contextmanager
 def _atomic_path(path: str):
-    """Yield a temp path beside `path`, creating the directory; rename it to `path` on success."""
-    out_dir = os.path.dirname(path) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
-    os.close(fd)
+    """Yield a temp path beside `path`, creating the directory; rename it to `path` on success.
+
+    An OSError on the way becomes a ConfigError naming `path`.
+    """
+    tmp = None
     try:
+        out_dir = os.path.dirname(path) or "."
+        os.makedirs(out_dir, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir, suffix=".tmp")
+        os.close(fd)
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        where = f" ({exc.filename})" if exc.filename not in (None, path, tmp) else ""
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}{where}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -382,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SttsimError, FileNotFoundError) as exc:
+    except SttsimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

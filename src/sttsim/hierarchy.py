@@ -13,6 +13,12 @@ when memory is reached).  Fills and writebacks are posted and do not
 stall the core.  Records are processed in (timestamp, core_id) order;
 shared-unit access times are serialized monotonically in that arbitration
 order.
+
+The units count; the record loop only routes.  Memory reads and writes are
+read from the unit counters when the report is built (see _report).  Only
+the L1s of a two-level run are polled for expirations, so that a dirty
+block expiring there is written to the L2 at its deadline; every other
+unit applies and counts its due expirations inside access().
 """
 
 from __future__ import annotations
@@ -175,32 +181,19 @@ def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytear
     mem_lat = cfg.mem_latency_cycles
 
     avail = [0] * ncores
-    state = {"l2_last": 0.0, "mem_reads": 0, "mem_writes": 0}
+    l2_last = 0.0
 
     def l2_service(addr: int, is_write: bool, t: float) -> bool:
         """Access the shared L2 at a monotone serialized time; True on hit."""
-        t2 = t if t > state["l2_last"] else state["l2_last"]
-        state["l2_last"] = t2
-        if t2 >= l2.next_tick_time:
-            for ev in l2.tick_expirations(t2):
-                if ev.dirty:
-                    state["mem_writes"] += 1
-        out = l2.access(addr, is_write, t2)
-        if not out.hit and out.writeback_issued:
-            state["mem_writes"] += 1
-        return out.hit
-
-    def wb_downstream(addr: int, t: float) -> None:
-        # dirty line leaving an L1: full-line write, no fetch on an L2 miss
-        if l2 is None:
-            state["mem_writes"] += 1
-        else:
-            l2_service(addr, True, t)
+        nonlocal l2_last
+        if t > l2_last:
+            l2_last = t
+        return l2.access(addr, is_write, l2_last).hit
 
     l1_units = l1i_units + l1d_units
-    for rec in records:
+    for pos, rec in enumerate(records):
         core = rec[0]
-        if core >= ncores:
+        if not 0 <= core < ncores:
             raise ConfigError(f"trace references core {core} but num_cores is {ncores}")
         ts = rec[1]
         kind = rec[2]
@@ -218,30 +211,31 @@ def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytear
             aligned = rec[3] & i_mask
             cyc = i_tr[core]
 
-        if now >= unit.next_tick_time:
+        # a dirty block expiring in an L1 is written to the L2 at its deadline;
+        # without an L2, access() applies and counts due expirations itself
+        if l2 is not None and now >= unit.next_tick_time:
             for ev in unit.tick_expirations(now):
                 if ev.dirty:
-                    wb_downstream(ev.address, ev.expire_time)
+                    l2_service(ev.address, True, ev.expire_time)
 
         out = unit.access(aligned, is_write, now)
         if not out.hit:
+            level = 2
             if l2 is not None:
                 cyc += l2_tr
-                l2_hit = l2_service(aligned, False, now)
-            else:
-                l2_hit = False
-            if not l2_hit:
+                if l2_service(aligned, False, now):
+                    level = 1
+                # dirty line leaving an L1: full-line write, no fetch on an L2 miss
+                if out.writeback_issued:
+                    l2_service(out.victim_address, True, now)
+            if level == 2:
                 cyc += mem_lat
-                state["mem_reads"] += 1
             if levels is not None:
-                # every record accesses one L1 once, so the L1 accesses so far count the records
-                levels[sum(u.accesses for u in l1_units) - 1] = 1 if l2_hit else 2
-            if out.writeback_issued:
-                wb_downstream(out.victim_address, now)
+                levels[pos] = level
         avail[core] = start + cyc
 
     units = l1_units + ([l2] if l2 is not None else [])
-    return _report(cfg, units, params, avail, state["mem_reads"], state["mem_writes"])
+    return _report(cfg, units, params, avail)
 
 
 def _unit_configs(cfg: HierarchyConfig) -> list[CacheUnitConfig]:
@@ -249,12 +243,16 @@ def _unit_configs(cfg: HierarchyConfig) -> list[CacheUnitConfig]:
     return [*cfg.l1i, *cfg.l1d] + ([cfg.l2] if cfg.l2 is not None else [])
 
 
-def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avail: list[int],
-            mem_reads: int, mem_writes: int) -> SimReport:
+def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avail: list[int]) -> SimReport:
     """The report of a run of cfg that ended at cycles `avail`, one per core.
 
     counters and params hold each unit's final counters (a CacheUnit or
-    UnitStats) and tech parameters, in _unit_configs order.
+    UnitStats) and tech parameters, in _unit_configs order.  This is the one
+    place memory traffic is defined: reads are the L1 misses less the L2's
+    read hits, writes the last level's writebacks.  That is exact because
+    every L2 read is an L1 demand miss and every L2 write an L1 writeback,
+    a writeback that misses the L2 fetches nothing, and `writebacks` counts
+    dirty expirations as well as dirty victims.
     """
     clock = cfg.clock_hz
     completions_s = [time_to_seconds(c, clock) for c in avail]
@@ -280,6 +278,9 @@ def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avai
         )
         overhead += unit_cfg.counter_overhead_bytes
 
+    l1s, l2s = counters[: 2 * cfg.num_cores], counters[2 * cfg.num_cores :]
+    mem_reads = sum(c.misses for c in l1s) - sum(c.read_hits for c in l2s)
+    mem_writes = sum(c.writebacks for c in l2s or l1s)
     mem_energy = (mem_reads + mem_writes) * cfg.mem_energy_per_access
     cache_energy = sum(u.energy.total for u in units.values())
     return SimReport(
@@ -380,5 +381,5 @@ def _derived_report(
         cost = np.array(lut, np.int64)[keys]
         total = np.cumsum(cost)
         avail.append(int(total[-1]) + max(0, int((stamps - (total - cost)).max())))
-    report = _report(cfg, list(sram.units.values()), params, avail, sram.mem_reads, sram.mem_writes)
+    report = _report(cfg, list(sram.units.values()), params, avail)
     return report if _cannot_expire(cfg, report.exec_time_s) else None

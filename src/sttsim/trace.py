@@ -137,21 +137,13 @@ def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord]
         return None
     if min(cores) < 0 or min(stamps) < 0:  # no sign can follow an address's 0x
         return None
-    # per-core monotonicity: a stable sort by core keeps each core's stamps in
-    # file order, led by the core's latest timestamp from earlier chunks
-    try:
-        core_col = np.array([*last_ts, *cores], dtype=np.int64)
-        stamp_col = np.array([*last_ts.values(), *stamps], dtype=np.int64)
-    except OverflowError:
-        return None
-    order = np.argsort(core_col, kind="stable")
-    core_col = core_col[order]
-    stamp_col = stamp_col[order]
-    same_core = core_col[1:] == core_col[:-1]
-    if (same_core & (stamp_col[1:] < stamp_col[:-1])).any():
-        return None
-    ends = np.flatnonzero(np.append(~same_core, True))
-    last_ts.update(zip(core_col[ends].tolist(), stamp_col[ends].tolist()))
+    # per-core monotonicity, committed to last_ts only if every record passes
+    latest = dict(last_ts)
+    for core, ts in zip(cores, stamps):
+        if ts < latest.get(core, 0):
+            return None
+        latest[core] = ts
+    last_ts.update(latest)
     return list(map(tuple.__new__, repeat(AccessRecord), zip(cores, stamps, kinds, addresses)))
 
 

@@ -237,3 +237,27 @@ class TestUnreadableInputs:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(bad) in lines[0]
         assert "Traceback" not in captured.err
+
+
+class TestUnwritableOutputs:
+    """An output path that cannot be written ends the run with one named error."""
+
+    @pytest.mark.parametrize("case", ["out_dir_is_file", "out_under_file", "out_is_directory"])
+    def test_exit_2_with_one_error_line(self, tmp_path, capsys, case):
+        blocker = tmp_path / "blocker"
+        if case == "out_is_directory":
+            blocker.mkdir()
+        else:
+            blocker.write_text("not a directory\n")
+        if case == "out_dir_is_file":
+            argv, target = ["simulate", "--config", make_config(tmp_path, SINGLE_CORE),
+                            "--out-dir", blocker], blocker / "simulate.csv"
+        else:
+            target = blocker if case == "out_is_directory" else blocker / "x.trace"
+            argv = ["gen-trace", "--accesses-per-core", 10, "--out", target]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
+        assert "Traceback" not in captured.err
+        assert not [n for _, _, names in os.walk(tmp_path) for n in names if n.endswith(".tmp")]

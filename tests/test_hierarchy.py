@@ -12,6 +12,7 @@ from sttsim import (
     Technology,
     sample_tech_table,
     simulate,
+    sweep,
     time_to_seconds,
 )
 
@@ -109,9 +110,14 @@ class TestSharedL2:
         assert l2.hits == 1
         assert rep.mem_reads == 1
 
-    def test_trace_core_out_of_range(self):
-        with pytest.raises(ConfigError):
-            simulate(small_hier(num_cores=1), [AccessRecord(1, 0, AccessKind.LOAD, 0x0)], TABLE)
+    @pytest.mark.parametrize("core", [1, -1])
+    def test_trace_core_out_of_range(self, core):
+        cfg = small_hier(num_cores=1, tech=Technology.SRAM)
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(core, 1, AccessKind.LOAD, 0x40)]
+        with pytest.raises(ConfigError, match=f"core {core} "):
+            simulate(cfg, trace, TABLE)
+        with pytest.raises(ConfigError, match=f"core {core} "):
+            sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_flow_conservation(self, seed):
@@ -193,6 +199,20 @@ class TestPinnedTwoLevelRun:
         assert all(u.evictions_expiration > 0 for u in rep.units.values())
         assert rep.units["l2"].miss_replacement > 0
         assert hashlib.sha256(_report_rows(rep).encode()).hexdigest() == self.DIGEST
+
+
+def test_pinned_single_level_memory_traffic():
+    """Memory reads and writes of a quad-core run with no L2, pinned.
+
+    Recorded while the record loop still counted memory traffic itself; the
+    writes then split into 1,042 dirty expirations and 1,422 dirty victims.
+    """
+    trace = random_trace(0, 8000, num_cores=4, num_blocks=64, write_fraction=0.4,
+                         gap_lo=100, gap_hi=30_000, instr_fraction=0.2)
+    rep = simulate(small_hier(num_cores=4, retention=1e-4), trace, TABLE)
+    assert sum(u.evictions_expiration for u in rep.units.values()) > 0
+    assert sum(u.evictions_replacement for u in rep.units.values()) > 0
+    assert (rep.mem_reads, rep.mem_writes) == (7334, 2464)
 
 
 class TestReport:

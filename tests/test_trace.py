@@ -377,6 +377,23 @@ def test_read_mixed_file_in_bulk(tmp_path):
             assert _shape(read_trace(str(p))) == _shape(expected)
 
 
+def test_read_timestamps_past_int64_in_bulk(tmp_path):
+    big = 2**64
+    records = [
+        AccessRecord(0, big, AccessKind.LOAD, 0x40),
+        AccessRecord(1, 3, AccessKind.STORE, 0x80),
+        AccessRecord(0, big, AccessKind.STORE, 0x40),
+        AccessRecord(1, big * big, AccessKind.INSTR_FETCH, 0x0),
+        AccessRecord(0, big + 1, AccessKind.LOAD, 0xC0),
+    ]
+    p = tmp_path / "t.trace"
+    write_trace(records, str(p))
+    for chunk_chars in (1, 30, 1 << 16):
+        with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(trace_mod, "_parse_each", side_effect=AssertionError("line by line")):
+            assert _shape(read_trace(str(p))) == _shape(records)
+
+
 def test_read_field_counts_checked_per_line(tmp_path):
     # five fields then three: as many words as two good lines, still an error on line 1
     p = tmp_path / "t.trace"
@@ -405,7 +422,7 @@ def test_read_only_comments(tmp_path):
 _RECORDS = st.lists(
     st.tuples(
         st.integers(0, 7),
-        st.one_of(st.integers(0, 10**6), st.just(2**64)),  # past int64: the line-by-line path
+        st.one_of(st.integers(0, 10**6), st.just(2**64)),  # past int64
         st.sampled_from(list(AccessKind)),
         st.integers(0, 2**80),
     ),
