@@ -4,13 +4,18 @@ Covers read-write activity, cache block lifetimes, block persistence, and
 expiration-miss curves across retention times.  Every analysis replays the
 selected stream through one unit with a single loop (`_replay`), all cores
 feeding that unit in (timestamp, core_id) order; a stream already in that
-order is not re-sorted.  Lifetime and persistence analyses replay in
-unbounded-retention (SRAM) mode; the expiration curve replays once for its
-unbounded baseline and once per retention.
+order is not re-sorted.  Lifetimes, persistence and the expiration curve's
+unbounded baseline all read one unbounded-retention (SRAM) replay of the
+stream (`_sram_profile`), which is kept for the last stream profiled, so the
+three analyses of one stream make one such replay between them; the curve
+then replays once per retention.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
+from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -99,6 +104,68 @@ def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> Cac
     return unit
 
 
+@dataclass(frozen=True)
+class _SramProfile:
+    """What lifetimes, persistence and the curve baseline read of one unbounded replay.
+
+    Lifetimes are in seconds, one per completed residency, in eviction
+    order.  fills_per_block has one count per block address ever filled;
+    under unbounded retention a block is refilled only after an eviction,
+    so its reloads are its fills - 1.
+    """
+
+    last_hit_lifetimes: array
+    eviction_lifetimes: array
+    fills_per_block: array
+    fills: int
+    misses: int
+
+
+# (unbounded cfg, clock_hz, copy of the ordered stream, profile) of the last stream profiled
+_memo: tuple | None = None
+
+
+def _sram_profile(records, cfg: CacheUnitConfig, clock_hz: float) -> _SramProfile:
+    """Profile ordered records (see _stream) on cfg's unbounded-retention unit.
+
+    The profile of the last stream is kept: a call with an equal unbounded
+    config, clock and stream (compared record by record against a copy, so a
+    list changed in place since is profiled anew) returns it without a replay.
+    """
+    global _memo
+    cfg = _unbounded(cfg)
+    memo = _memo  # read once: another thread may replace it
+    if memo is not None and memo[0] == cfg and memo[1] == clock_hz and memo[2] == records:
+        return memo[3]
+    fill_time: dict[int, float] = {}
+    last_hit: dict[int, float] = {}
+    fills: dict[int, int] = {}
+    by_last_hit = array("d")
+    by_eviction = array("d")
+
+    def observe(aligned, out, now):
+        if not out.hit:
+            victim = out.victim_address
+            if victim is not None:
+                filled = fill_time[victim]
+                by_last_hit.append(last_hit[victim] - filled)
+                by_eviction.append(now - filled)
+            fill_time[aligned] = now
+            fills[aligned] = fills.get(aligned, 0) + 1
+        last_hit[aligned] = now
+
+    unit = _replay(records, cfg, clock_hz, observe)
+    profile = _SramProfile(
+        last_hit_lifetimes=by_last_hit,
+        eviction_lifetimes=by_eviction,
+        fills_per_block=array("q", fills.values()),
+        fills=unit.fills,
+        misses=unit.misses,
+    )
+    _memo = (cfg, clock_hz, list(records), profile)
+    return profile
+
+
 @dataclass
 class LifetimeHistogram:
     """Distribution of completed block residency lifetimes.
@@ -124,13 +191,13 @@ class LifetimeHistogram:
         return labels
 
 
-def _bucketize(values: list[float], edges: tuple[float, ...]) -> list[int]:
+def _bucketize(values, edges: tuple[float, ...]) -> list[int]:
     idx = np.searchsorted(np.asarray(edges, dtype=float), np.asarray(values, dtype=float), side="right")
     return np.bincount(idx, minlength=len(edges) + 1).tolist()
 
 
-def _quantiles(values: list[float]) -> dict[str, float]:
-    if not values:
+def _quantiles(values) -> dict[str, float]:
+    if not len(values):
         return {"p50": 0.0, "p90": 0.0, "p99": 0.0}
     arr = np.asarray(values)
     p50, p90, p99 = np.quantile(arr, [0.50, 0.90, 0.99])
@@ -144,23 +211,20 @@ def block_lifetimes(
     stream: str = "data",
     bucket_edges: tuple[float, ...] = LIFETIME_BUCKET_EDGES,
 ) -> LifetimeHistogram:
-    """Histogram completed residency lifetimes on an unbounded-retention unit."""
-    fill_time: dict[int, float] = {}
-    last_hit: dict[int, float] = {}
-    by_last_hit: list[float] = []
-    by_eviction: list[float] = []
+    """Histogram completed residency lifetimes on an unbounded-retention unit.
 
-    def observe(aligned, out, now):
-        if not out.hit:
-            victim = out.victim_address
-            if victim is not None:
-                filled = fill_time[victim]
-                by_last_hit.append(last_hit[victim] - filled)
-                by_eviction.append(now - filled)
-            fill_time[aligned] = now
-        last_hit[aligned] = now
-
-    _replay(_stream(trace, stream), _unbounded(cfg), clock_hz, observe)
+    bucket_edges must be finite, positive and strictly ascending seconds.
+    """
+    edges = list(bucket_edges)
+    if not (
+        edges
+        and all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in edges)
+        and all(lo < hi for lo, hi in zip(edges, edges[1:]))
+    ):
+        raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {bucket_edges!r}")
+    profile = _sram_profile(_stream(trace, stream), cfg, clock_hz)
+    by_last_hit = profile.last_hit_lifetimes
+    by_eviction = profile.eviction_lifetimes
     return LifetimeHistogram(
         bucket_edges=bucket_edges,
         counts_last_hit=_bucketize(by_last_hit, bucket_edges),
@@ -192,33 +256,27 @@ def persistence(
     clock_hz: float = DEFAULT_CLOCK_HZ,
     stream: str = "data",
 ) -> PersistenceReport:
-    """Per-threshold persistent-block fractions on an unbounded-retention unit."""
-    reloads: dict[int, int] = {}
-    evicted_once: set[int] = set()
-    seen: set[int] = set()
+    """Per-threshold persistent-block fractions on an unbounded-retention unit.
 
-    def observe(aligned, out, now):
-        if out.hit:
-            return
-        seen.add(aligned)
-        if aligned in evicted_once:
-            reloads[aligned] = reloads.get(aligned, 0) + 1
-        if out.victim_address is not None:
-            evicted_once.add(out.victim_address)
-
-    total_fills = _replay(_stream(trace, stream), _unbounded(cfg), clock_hz, observe).fills
-    unique = len(seen)
+    Each threshold must be an int >= 1.
+    """
+    for thd in thresholds:
+        if not isinstance(thd, int) or isinstance(thd, bool) or thd < 1:
+            raise ConfigError(f"persistence thresholds must be ints >= 1, got {thd!r}")
+    profile = _sram_profile(_stream(trace, stream), cfg, clock_hz)
+    unique = len(profile.fills_per_block)
+    fills = np.asarray(profile.fills_per_block)
     fractions = {}
     counts = {}
     for thd in thresholds:
-        n = sum(1 for r in reloads.values() if r >= thd)
+        n = int(np.count_nonzero(fills > thd))  # reloads >= thd
         counts[thd] = n
         fractions[thd] = n / unique if unique else 0.0
     return PersistenceReport(
         fractions=fractions,
         reloaded_counts=counts,
         unique_blocks=unique,
-        total_fills=total_fills,
+        total_fills=profile.fills,
     )
 
 
@@ -247,7 +305,7 @@ def expiration_curve(
         raise ConfigError("retentions must be sorted ascending")
 
     records = _stream(trace, stream)
-    baseline_misses = _replay(records, _unbounded(cfg), clock_hz).misses
+    baseline_misses = _sram_profile(records, cfg, clock_hz).misses
     points = []
     for r in retentions:
         unit = _replay(records, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)

@@ -14,6 +14,7 @@ Table file format, one row per line::
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -37,10 +38,13 @@ class TechParams:
 
     def __post_init__(self) -> None:
         for field in ("e_read", "e_write", "p_leak", "t_read", "t_write"):
-            if getattr(self, field) < 0:
-                raise ConfigError(f"tech parameter {field} must be >= 0")
-        if self.technology is Technology.STTRAM and (self.retention_time is None or self.retention_time <= 0):
-            raise ConfigError("STTRAM tech params require retention_time > 0")
+            value = getattr(self, field)
+            if not 0 <= value < math.inf:  # NaN fails too
+                raise ConfigError(f"tech parameter {field} must be finite and >= 0, got {value!r}")
+        if self.technology is Technology.STTRAM and (
+            self.retention_time is None or not 0 < self.retention_time < math.inf
+        ):
+            raise ConfigError(f"STTRAM tech params require a finite retention_time > 0, got {self.retention_time!r}")
 
 
 class EnergyBreakdown(NamedTuple):
@@ -53,12 +57,14 @@ class EnergyBreakdown(NamedTuple):
 class TechTable:
     """Lookup of TechParams keyed by (technology, retention)."""
 
-    def __init__(self, entries: list[TechParams]) -> None:
+    def __init__(self, entries: list[TechParams], origins: list[str] | None = None) -> None:
+        """origins, when given, names each entry's source (file:line) in errors."""
         self._by_key: dict[tuple[Technology, float | None], TechParams] = {}
-        for p in entries:
+        for i, p in enumerate(entries):
             key = (p.technology, p.retention_time if p.technology is Technology.STTRAM else None)
             if key in self._by_key:
-                raise ConfigError(f"duplicate tech table entry for ({key[0].value}, {key[1]})")
+                at = f"{origins[i]}: " if origins else ""
+                raise ConfigError(f"{at}duplicate tech table entry for ({key[0].value}, {key[1]})")
             self._by_key[key] = p
         self._warn_nonmonotone()
 
@@ -103,36 +109,35 @@ def _parse_row(fields: list[str], where: str) -> TechParams:
             raise ConfigError(f"{where}: STTRAM row requires a retention time")
     else:
         retention = float(fields[1])
-    return TechParams(
-        technology=tech,
-        retention_time=retention,
-        e_read=float(fields[2]),
-        e_write=float(fields[3]),
-        p_leak=float(fields[4]),
-        t_read=int(fields[5]),
-        t_write=int(fields[6]),
-    )
+    values = [float(f) for f in fields[2:5]] + [int(f) for f in fields[5:]]
+    try:
+        return TechParams(tech, retention, *values)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def _table_from_lines(lines, where: str) -> TechTable:
     """Parse table rows, skipping blanks and # comments; errors name where:lineno."""
     entries = []
+    origins = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         fields = stripped.split()
+        origin = f"{where}:{lineno}"
         if len(fields) != 7:
-            raise ConfigError(f"{where}:{lineno}: expected 7 fields, got {len(fields)}")
+            raise ConfigError(f"{origin}: expected 7 fields, got {len(fields)}")
         try:
-            entries.append(_parse_row(fields, f"{where}:{lineno}"))
+            entries.append(_parse_row(fields, origin))
         except ValueError:
-            raise ConfigError(f"{where}:{lineno}: malformed numeric field") from None
-    return TechTable(entries)
+            raise ConfigError(f"{origin}: malformed numeric field") from None
+        origins.append(origin)
+    return TechTable(entries, origins)
 
 
 def load_tech_table(path: str) -> TechTable:
-    """Parse a tech table file; duplicate keys and negative values are errors.
+    """Parse a tech table file; duplicate keys and negative or non-finite values are errors.
 
     A file that cannot be opened, read or decoded as UTF-8 raises ConfigError.
     """

@@ -9,13 +9,24 @@ No expiry deadlines are precomputed anywhere.
 reference_generate_trace builds a synthetic trace one record at a time,
 the plain form of sttsim's generator; the bulk generator must reproduce
 its records exactly, element types included.
+
+reference_block_lifetimes, reference_persistence and
+reference_expiration_curve are the plain forms of the characterize
+analyses: each filters and orders its stream and replays a fresh
+CacheUnit on its own, with its own observer, sharing nothing between
+calls.
 """
 
 import bisect
 import heapq
 import math
 import random
+from dataclasses import replace
 
+import numpy as np
+
+from sttsim.cache import CacheUnit, Technology
+from sttsim.characterize import ExpirationCurvePoint, LifetimeHistogram, PersistenceReport
 from sttsim.trace import (
     AccessKind,
     AccessRecord,
@@ -182,3 +193,106 @@ def reference_generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
         return per_core[0]
     merged = list(heapq.merge(*per_core, key=lambda r: (r[1], r[0])))
     return merged
+
+
+def _reference_replay(trace, stream, cfg, clock_hz, observe=None):
+    """Replay one stream of trace in (timestamp, core_id) order through a fresh unit."""
+    keep = {
+        "data": lambda kind: kind != AccessKind.INSTR_FETCH,
+        "instr": lambda kind: kind == AccessKind.INSTR_FETCH,
+        "all": lambda kind: True,
+    }[stream]
+    records = sorted((r for r in trace if keep(r[2])), key=lambda r: (r[1], r[0]))
+    unit = CacheUnit(cfg)
+    mask = ~(cfg.line_size_bytes - 1)
+    for _core, ts, kind, addr in records:
+        now = ts / clock_hz
+        aligned = addr & mask
+        out = unit.access(aligned, kind == AccessKind.STORE, now)
+        if observe is not None:
+            observe(aligned, out, now)
+    return unit
+
+
+def _sram(cfg):
+    return replace(cfg, technology=Technology.SRAM, retention_time=None)
+
+
+def _reference_quantiles(values):
+    if not values:
+        return {"p50": 0.0, "p90": 0.0, "p99": 0.0}
+    p50, p90, p99 = np.quantile(np.asarray(values), [0.50, 0.90, 0.99])
+    return {"p50": float(p50), "p90": float(p90), "p99": float(p99)}
+
+
+def reference_block_lifetimes(trace, cfg, clock_hz, stream, bucket_edges):
+    fill_time = {}
+    last_hit = {}
+    by_last_hit = []
+    by_eviction = []
+
+    def observe(aligned, out, now):
+        if not out.hit:
+            victim = out.victim_address
+            if victim is not None:
+                filled = fill_time[victim]
+                by_last_hit.append(last_hit[victim] - filled)
+                by_eviction.append(now - filled)
+            fill_time[aligned] = now
+        last_hit[aligned] = now
+
+    _reference_replay(trace, stream, _sram(cfg), clock_hz, observe)
+
+    def counts(values):
+        out = [0] * (len(bucket_edges) + 1)
+        for v in values:
+            out[bisect.bisect_right(bucket_edges, v)] += 1
+        return out
+
+    return LifetimeHistogram(
+        bucket_edges=bucket_edges,
+        counts_last_hit=counts(by_last_hit),
+        counts_fill_to_eviction=counts(by_eviction),
+        quantiles_last_hit=_reference_quantiles(by_last_hit),
+        quantiles_fill_to_eviction=_reference_quantiles(by_eviction),
+        total_residencies=len(by_last_hit),
+    )
+
+
+def reference_persistence(trace, cfg, thresholds, clock_hz, stream):
+    reloads = {}
+    evicted_once = set()
+    seen = set()
+
+    def observe(aligned, out, now):
+        if out.hit:
+            return
+        seen.add(aligned)
+        if aligned in evicted_once:
+            reloads[aligned] = reloads.get(aligned, 0) + 1
+        if out.victim_address is not None:
+            evicted_once.add(out.victim_address)
+
+    total_fills = _reference_replay(trace, stream, _sram(cfg), clock_hz, observe).fills
+    unique = len(seen)
+    counts = {thd: sum(1 for r in reloads.values() if r >= thd) for thd in thresholds}
+    return PersistenceReport(
+        fractions={thd: n / unique if unique else 0.0 for thd, n in counts.items()},
+        reloaded_counts=counts,
+        unique_blocks=unique,
+        total_fills=total_fills,
+    )
+
+
+def reference_expiration_curve(trace, cfg, retentions, clock_hz, stream):
+    baseline = _reference_replay(trace, stream, _sram(cfg), clock_hz).misses
+    points = []
+    for r in retentions:
+        unit = _reference_replay(trace, stream, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)
+        points.append(ExpirationCurvePoint(
+            retention_s=r,
+            expiration_misses=unit.miss_expiration,
+            total_misses=unit.misses,
+            miss_ratio_vs_unbounded=unit.misses / baseline if baseline else 0.0,
+        ))
+    return points

@@ -3,8 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_trace
+from oracle import reference_block_lifetimes, reference_expiration_curve, reference_persistence
 from sttsim import (
     AccessKind,
     AccessRecord,
@@ -20,6 +23,7 @@ from sttsim import (
     persistence,
     read_write_ratio,
 )
+from sttsim import characterize
 from sttsim.characterize import LIFETIME_BUCKET_EDGES, _bucketize
 
 CLOCK = 1.9e9
@@ -142,8 +146,22 @@ class TestBlockLifetimes:
         # with expiration disabled the 50ms re-reference is a hit
         assert hist.quantiles_last_hit["p50"] == pytest.approx(50 * MS, rel=1e-9)
 
+    @pytest.mark.parametrize(
+        "edges", [(1e-4, 1e-6), (), (1e-3, 1e-3), (0.0, 1e-3), (-1e-3,), (1e-6, math.nan), (1e-6, math.inf), ("1e-3",)]
+    )
+    def test_bad_bucket_edges_rejected(self, edges):
+        trace = [ld(0, k * 50e-6, (k % 2) * 0x40) for k in range(12)]
+        with pytest.raises(ConfigError, match="bucket_edges"):
+            block_lifetimes(trace, unit_cfg(), clock_hz=CLOCK, bucket_edges=edges)
+
 
 class TestPersistence:
+    @pytest.mark.parametrize("thresholds", [(0, -3), (1, 0), (1.5,), ("2",), (True,)])
+    def test_bad_thresholds_rejected(self, thresholds):
+        trace = random_trace(17, 200, num_blocks=8)
+        with pytest.raises(ConfigError, match="thresholds"):
+            persistence(trace, unit_cfg(), thresholds=thresholds)
+
     def test_filled_once_never_evicted(self):
         report = persistence([ld(0, 0, 0x0)], unit_cfg())
         assert report.unique_blocks == 1
@@ -278,6 +296,131 @@ class TestRecordOrder:
         b = expiration_curve(ordered, cfg, retentions, clock_hz=CLOCK)
         assert a == b
         assert a[0].expiration_misses > 0
+
+
+def mixed_trace(seed, n, num_cores, line, ties):
+    """Records of every kind, unaligned addresses, shared timestamps when ties, not in time order."""
+    rng = random.Random(seed)
+    records = []
+    t = [0] * num_cores
+    for _ in range(n):
+        core = rng.randrange(num_cores)
+        kind = rng.choice((AccessKind.INSTR_FETCH, AccessKind.LOAD, AccessKind.LOAD, AccessKind.STORE))
+        records.append(AccessRecord(core, t[core], kind, rng.randrange(24) * line + rng.randrange(line)))
+        t[core] += rng.randint(0 if ties else 1, 2500)
+    return records
+
+
+def unit_config(sets, assoc, line, retention, counter_states, refresh_on_read):
+    tech = Technology.SRAM if retention is None else Technology.STTRAM
+    return CacheUnitConfig(sets * assoc * line, assoc, line, tech, retention, counter_states, refresh_on_read)
+
+
+def reference_results(trace, cfg, clock_hz, stream, retentions):
+    return (
+        reference_block_lifetimes(trace, cfg, clock_hz, stream, LIFETIME_BUCKET_EDGES),
+        reference_persistence(trace, cfg, (1, 2, 4, 8), clock_hz, stream),
+        reference_expiration_curve(trace, cfg, retentions, clock_hz, stream),
+    )
+
+
+def results(trace, cfg, clock_hz, stream, retentions):
+    return (
+        block_lifetimes(trace, cfg, clock_hz, stream),
+        persistence(trace, cfg, clock_hz=clock_hz, stream=stream),
+        expiration_curve(trace, cfg, retentions, clock_hz=clock_hz, stream=stream),
+    )
+
+
+RETENTIONS = [1e-7, 1e-6, 1e-5]
+
+
+class TestEquivalence:
+    """The three analyses equal the former per-analysis replays (tests/oracle.py)."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=hs.integers(0, 2**32 - 1),
+        n=hs.integers(0, 300),
+        num_cores=hs.integers(1, 3),
+        ties=hs.booleans(),
+        sets=hs.sampled_from([1, 2, 4, 8]),
+        assoc=hs.sampled_from([1, 2, 4]),
+        line=hs.sampled_from([16, 64]),
+        retention=hs.sampled_from([None, 1e-7, 1e-6, 1e-3]),
+        counter_states=hs.sampled_from([2, 4]),
+        refresh_on_read=hs.booleans(),
+        clock_hz=hs.sampled_from([1e9, 1.9e9, 3.2e9]),
+        streams=hs.lists(hs.sampled_from(["data", "instr", "all"]), min_size=1, max_size=3),
+        retentions=hs.lists(hs.sampled_from(RETENTIONS), min_size=1, max_size=3, unique=True).map(sorted),
+    )
+    def test_matches_reference(self, seed, n, num_cores, ties, sets, assoc, line, retention,
+                               counter_states, refresh_on_read, clock_hz, streams, retentions):
+        trace = mixed_trace(seed, n, num_cores, line, ties)
+        cfg = unit_config(sets, assoc, line, retention, counter_states, refresh_on_read)
+        for stream in streams:
+            assert results(trace, cfg, clock_hz, stream, retentions) == \
+                reference_results(trace, cfg, clock_hz, stream, retentions)
+
+
+class TestProfileMemo:
+    """Results never depend on what the one-entry profile memo holds."""
+
+    CFG = unit_config(4, 2, 64, 1e-6, 4, False)
+
+    def test_list_changed_in_place(self):
+        trace = sorted(mixed_trace(3, 400, 2, 64, True), key=lambda r: (r.timestamp, r.core_id))
+        before = results(trace, self.CFG, CLOCK, "all", RETENTIONS)
+        assert before == reference_results(trace, self.CFG, CLOCK, "all", RETENTIONS)
+        trace.append(AccessRecord(0, trace[-1].timestamp + 10, AccessKind.LOAD, 0x40))
+        assert results(trace, self.CFG, CLOCK, "all", RETENTIONS) == \
+            reference_results(trace, self.CFG, CLOCK, "all", RETENTIONS)
+        old = trace[200]
+        trace[200] = old._replace(address=old.address + 64 * 24)
+        after = results(trace, self.CFG, CLOCK, "all", RETENTIONS)
+        assert after == reference_results(trace, self.CFG, CLOCK, "all", RETENTIONS)
+        assert after != before
+
+    def test_config_clock_and_stream_varied_and_interleaved(self):
+        trace = mixed_trace(5, 600, 3, 64, True)
+        other = unit_config(8, 1, 64, None, 4, False)
+        calls = [
+            (self.CFG, CLOCK, "data"),
+            (self.CFG, CLOCK, "instr"),
+            (self.CFG, CLOCK, "data"),
+            (self.CFG, 1e9, "data"),
+            (other, 1e9, "data"),
+            (self.CFG, CLOCK, "all"),
+            (self.CFG, CLOCK, "data"),
+        ]
+        for cfg, clock_hz, stream in calls:
+            for one, ref in zip(results(trace, cfg, clock_hz, stream, RETENTIONS),
+                                reference_results(trace, cfg, clock_hz, stream, RETENTIONS)):
+                assert one == ref
+            # one analysis per call, interleaving streams between the three analyses
+            assert persistence(trace, cfg, clock_hz=clock_hz, stream="instr") == \
+                reference_persistence(trace, cfg, (1, 2, 4, 8), clock_hz, "instr")
+            assert block_lifetimes(trace, cfg, clock_hz, stream) == \
+                reference_block_lifetimes(trace, cfg, clock_hz, stream, LIFETIME_BUCKET_EDGES)
+
+    def test_one_unbounded_replay_per_stream(self, monkeypatch):
+        replayed = []
+        real_replay = characterize._replay
+
+        def counting_replay(records, cfg, clock_hz, observe=None):
+            replayed.append(cfg.technology)
+            return real_replay(records, cfg, clock_hz, observe)
+
+        monkeypatch.setattr(characterize, "_replay", counting_replay)
+        monkeypatch.setattr(characterize, "_memo", None)
+        trace = mixed_trace(7, 500, 2, 64, False)
+        results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        assert replayed.count(Technology.SRAM) == 1
+        assert replayed.count(Technology.STTRAM) == len(RETENTIONS)
+        results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        assert replayed.count(Technology.SRAM) == 1
+        results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
+        assert replayed.count(Technology.SRAM) == 2
 
 
 class TestBucketize:

@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import pytest
@@ -104,6 +105,44 @@ class TestTableParsing:
         p.write_text("STTRAM 1e-3 -1e-12 2e-12 1e-3 2 4\n")
         with pytest.raises(ConfigError):
             load_tech_table(str(p))
+
+    @pytest.mark.parametrize(
+        "row, field",
+        [
+            ("SRAM - 1e-12 -1e-11 1e-3 2 2", "e_write"),
+            ("SRAM - nan 1e-11 1e-3 2 2", "e_read"),
+            ("SRAM - 1e-12 inf 1e-3 2 2", "e_write"),
+            ("STTRAM 1e-3 1e-12 1e-11 -inf 2 4", "p_leak"),
+            ("STTRAM 1e-3 1e-12 1e-11 nan 2 4", "p_leak"),
+            ("STTRAM 1e-3 1e-12 1e-11 1e-3 -2 4", "t_read"),
+            ("STTRAM nan 1e-12 1e-11 1e-3 2 4", "retention_time"),
+            ("STTRAM inf 1e-12 1e-11 1e-3 2 4", "retention_time"),
+            ("STTRAM 0 1e-12 1e-11 1e-3 2 4", "retention_time"),
+        ],
+    )
+    def test_bad_value_names_file_and_line(self, tmp_path, row, field):
+        p = tmp_path / "tbl.txt"
+        p.write_text(f"# header\nSTTRAM 1e-4 1e-12 1e-12 1e-3 2 2\n{row}\n")
+        with pytest.raises(ConfigError) as exc:
+            load_tech_table(str(p))
+        assert str(exc.value).startswith(f"{p}:3: ")
+        assert field in str(exc.value)
+
+    def test_duplicate_names_file_and_line(self, tmp_path):
+        p = tmp_path / "tbl.txt"
+        p.write_text("STTRAM 1e-3 1e-12 2e-12 1e-3 2 4\n\nSTTRAM 1e-3 9e-12 9e-12 9e-3 2 4\n")
+        with pytest.raises(ConfigError) as exc:
+            load_tech_table(str(p))
+        assert str(exc.value).startswith(f"{p}:3: duplicate")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_params_require_finite_values(self, value):
+        with pytest.raises(ConfigError):
+            params(e_read=value)
+        with pytest.raises(ConfigError):
+            params(p_leak=value)
+        with pytest.raises(ConfigError):
+            params(retention=value)
 
     def test_malformed_row_rejected(self, tmp_path):
         p = tmp_path / "tbl.txt"
