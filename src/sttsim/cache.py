@@ -96,8 +96,9 @@ class CacheUnitConfig:
         if self.counter_states < 2:
             raise ConfigError("counter_states must be >= 2")
         if self.technology is Technology.STTRAM:
-            if self.retention_time is None or not self.retention_time > 0:
-                raise ConfigError("STTRAM requires retention_time > 0")
+            r = self.retention_time
+            if r is None or not 0 < r / self.counter_states < math.inf:
+                raise ConfigError(f"STTRAM requires a finite retention_time > 0 whose tick period is > 0, got {r!r}")
 
     @property
     def num_sets(self) -> int:
@@ -132,8 +133,12 @@ class BlockState:
 
 
 def tick_index(t: float, period: float) -> int:
-    """Largest k >= 0 with k * period <= t, robust to float division rounding."""
-    k = int(t / period)
+    """Largest k >= 0 with k * period <= t, robust to float division rounding;
+    ConfigError when t / period overflows a float."""
+    try:
+        k = int(t / period)
+    except OverflowError:
+        raise ConfigError(f"cannot count ticks of {period!r} s up to {t!r} s: the retention is too short") from None
     while (k + 1) * period <= t:
         k += 1
     while k > 0 and k * period > t:

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 from .cache import CacheUnitConfig, Technology
 from .errors import ConfigError
-from .explore import Objective
+from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
 from .trace import SyntheticTraceSpec, parse_gap_spec, parse_pattern_spec
 
@@ -163,10 +163,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             retentions = [float(tok) for tok in retentions_text.split()]
         except ValueError:
             raise ConfigError(f"bad retentions list {retentions_text!r}") from None
-    if not retentions or any(not r > 0 for r in retentions):
-        raise ConfigError("retentions must be a non-empty list of positive durations")
-    if len(set(retentions)) != len(retentions):
-        raise ConfigError("duplicate values in retentions")
+    retentions = _check_retentions(retentions)
 
     objective_text = _get(exp_sec, "objective", str, "energy").lower()
     try:
@@ -195,7 +192,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         hierarchy=hierarchy,
         trace_path=trace_path,
         synthetic=synthetic,
-        retentions=sorted(retentions),
+        retentions=retentions,
         objective=objective,
         profile_len=_get(exp_sec, "profile_len", int, 10_000),
         base_retention=_get(exp_sec, "base_retention", float, 1e-3),

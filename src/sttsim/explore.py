@@ -5,7 +5,8 @@ repeats an earlier one runs once.  With jobs > 1 the tasks run in a forked
 worker pool and results are reduced in a fixed key order, so reports are
 identical to a serial run.  A sweep simulates in full only the candidates
 that could expire a block before the run ends; it builds the report of every
-other candidate from its SRAM run (see hierarchy._derived_report).
+other candidate from its SRAM run, replaying the record loop's timing over
+the levels that run recorded (see hierarchy._derived_report).
 Objective values are total cache energy (joules), execution time (seconds),
 or their product; memory energy is reported separately and excluded from
 objectives.
@@ -15,13 +16,14 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 import multiprocessing
 from dataclasses import dataclass, replace
 
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError
-from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate_and_derive, simulate
+from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
 from .trace import SyntheticTraceSpec, generate_trace, time_ordered
 
 
@@ -64,10 +66,7 @@ _SHARED: dict = {}
 
 def _run_task(task):
     idx, cfg, derive = task
-    trace = _SHARED["traces"][idx]
-    if derive:
-        return _simulate_and_derive(cfg, trace, _SHARED["table"], derive)
-    return simulate(cfg, trace, _SHARED["table"]), ()
+    return _simulate(cfg, _SHARED["traces"][idx], _SHARED["table"], derive)
 
 
 def _run_sims(
@@ -136,13 +135,14 @@ class SweepResult:
 
 
 def _check_retentions(retentions) -> list[float]:
+    """The retentions sorted; ConfigError unless they are distinct, finite and positive."""
     rets = sorted(retentions)
     if not rets:
-        raise ConfigError("retention sweep requires at least one retention")
-    if any(not r > 0 for r in rets):
-        raise ConfigError("retentions must be positive")
+        raise ConfigError("retentions must list at least one retention")
+    if any(not 0 < r < math.inf for r in rets):
+        raise ConfigError(f"retentions must be finite and positive, got {rets}")
     if len(set(rets)) != len(rets):
-        raise ConfigError("duplicate retention values")
+        raise ConfigError(f"duplicate retention values in {rets}")
     return rets
 
 

@@ -24,9 +24,6 @@ unit applies and counts its due expirations inside access().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
-
-import numpy as np
 
 from .cache import CacheUnit, CacheUnitConfig, Technology, tick_index
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
@@ -153,32 +150,26 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     a core >= num_cores or a unit's (technology, retention) is missing
     from the table.
     """
-    return _simulate(cfg, trace, tech_table, None)
+    return _simulate(cfg, trace, tech_table)[0]
 
 
-def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytearray | None) -> SimReport:
-    """simulate(), also filling `levels`, unless None, with the level that served
-    each time-ordered record: 0 its L1, 1 the L2, 2 memory."""
+def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
+    """simulate(cfg), and the report of each config in `derive` built from
+    that run (see _derived_report), or None where that is refused."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
     records = time_ordered(trace)
-    if levels is not None:
-        levels[:] = bytes(len(records))
+    # the level that served each record, kept only to derive reports
+    levels = bytearray(len(records)) if derive else None
 
     l1i_units = [CacheUnit(c, f"core{i}.l1i") for i, c in enumerate(cfg.l1i)]
     l1d_units = [CacheUnit(c, f"core{i}.l1d") for i, c in enumerate(cfg.l1d)]
     l2 = CacheUnit(cfg.l2, "l2") if cfg.l2 is not None else None
-    params = [tech_table.lookup(c.technology, c.retention_time) for c in _unit_configs(cfg)]
-    l1i_params = params[:ncores]
-    l1d_params = params[ncores : 2 * ncores]
+    params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
+    costs = _cycle_costs(cfg, params)
 
     i_mask = ~(cfg.l1i[0].line_size_bytes - 1)
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
-    i_tr = [p.t_read for p in l1i_params]
-    d_tr = [p.t_read for p in l1d_params]
-    d_tw = [p.t_write for p in l1d_params]
-    l2_tr = params[-1].t_read if l2 is not None else 0
-    mem_lat = cfg.mem_latency_cycles
 
     avail = [0] * ncores
     l2_last = 0.0
@@ -204,12 +195,10 @@ def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytear
             unit = l1d_units[core]
             is_write = kind == 2
             aligned = rec[3] & d_mask
-            cyc = d_tw[core] if is_write else d_tr[core]
         else:
             unit = l1i_units[core]
             is_write = False
             aligned = rec[3] & i_mask
-            cyc = i_tr[core]
 
         # a dirty block expiring in an L1 is written to the L2 at its deadline;
         # without an L2, access() applies and counts due expirations itself
@@ -218,29 +207,42 @@ def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, levels: bytear
                 if ev.dirty:
                     l2_service(ev.address, True, ev.expire_time)
 
+        key = kind * 3
         out = unit.access(aligned, is_write, now)
         if not out.hit:
             level = 2
             if l2 is not None:
-                cyc += l2_tr
                 if l2_service(aligned, False, now):
                     level = 1
                 # dirty line leaving an L1: full-line write, no fetch on an L2 miss
                 if out.writeback_issued:
                     l2_service(out.victim_address, True, now)
-            if level == 2:
-                cyc += mem_lat
+            key += level
             if levels is not None:
                 levels[pos] = level
-        avail[core] = start + cyc
+        avail[core] = start + costs[core][key]
 
     units = l1_units + ([l2] if l2 is not None else [])
-    return _report(cfg, units, params, avail)
+    report = _report(cfg, units, params, avail)
+    return report, tuple(_derived_report(c, report, records, levels, tech_table) for c in derive)
 
 
 def _unit_configs(cfg: HierarchyConfig) -> list[CacheUnitConfig]:
     """Every unit's config in report order: each core's L1I, each core's L1D, then the L2."""
     return [*cfg.l1i, *cfg.l1d] + ([cfg.l2] if cfg.l2 is not None else [])
+
+
+def _cycle_costs(cfg: HierarchyConfig, params: list[TechParams]) -> list[list]:
+    """Per core, the cycles of a record by kind * 3 + the level that served it
+    (0 its L1, 1 the L2, 2 memory): its L1's read or write latency, plus on a
+    miss the L2's read latency, plus the memory latency when memory serves it."""
+    n = cfg.num_cores
+    l2 = params[-1].t_read if cfg.l2 is not None else 0
+    return [
+        [x for l1 in (params[c].t_read, params[n + c].t_read, params[n + c].t_write)
+         for x in (l1, l1 + l2, l1 + l2 + cfg.mem_latency_cycles)]
+        for c in range(n)
+    ]
 
 
 def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avail: list[int]) -> SimReport:
@@ -302,20 +304,8 @@ def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avai
 #
 # A run in which no unit expires a block has the hits, misses and traffic of
 # the SRAM run of the same trace: records are replayed in (timestamp, core_id)
-# order whatever the latencies, so only the timing and the energy differ.
-
-
-def _simulate_and_derive(
-    cfg: HierarchyConfig, trace, tech_table: TechTable, derive
-) -> tuple[SimReport, tuple[SimReport | None, ...]]:
-    """simulate(cfg), and the report of each config in `derive` built from
-    that run (see _derived_report), or None where that is refused."""
-    levels = bytearray()
-    report = _simulate(cfg, trace, tech_table, levels)
-    columns = _timing_columns(time_ordered(trace), levels, cfg.num_cores)
-    if columns is None:
-        return report, (None,) * len(derive)
-    return report, tuple(_derived_report(c, report, columns, tech_table) for c in derive)
+# order whatever the latencies, so only the timing and the energy differ: the
+# record loop's timing is replayed over the levels the SRAM run recorded.
 
 
 def _cannot_expire(cfg: HierarchyConfig, t: float) -> bool:
@@ -331,55 +321,24 @@ def _cannot_expire(cfg: HierarchyConfig, t: float) -> bool:
     )
 
 
-def _timing_columns(records: list, levels: bytearray, ncores: int) -> list | None:
-    """Per core, the timestamps (int64) and kind * 3 + serving level (uint8) of
-    its time-ordered records, given the levels an SRAM run recorded for them.
-
-    None when a timestamp is not an int that int64 holds, or a core id or
-    kind is not an int in 0..255 (kinds in 0..2).
-    """
-    if not records:
-        return None
-    try:
-        cores = np.frombuffer(bytes(map(itemgetter(0), records)), np.uint8)
-        kinds = np.frombuffer(bytes(map(itemgetter(2), records)), np.uint8)
-    except (TypeError, ValueError):
-        return None
-    stamps = np.array(list(map(itemgetter(1), records)))
-    if stamps.dtype != np.int64 or kinds.max() > 2:
-        return None
-    keys = kinds * 3 + np.frombuffer(levels, np.uint8)
-    return [(stamps[m], keys[m]) for m in (cores == c for c in range(ncores))]
-
-
 def _derived_report(
-    cfg: HierarchyConfig, sram: SimReport, columns: list, tech_table: TechTable
+    cfg: HierarchyConfig, sram: SimReport, records: list, levels: bytearray, tech_table: TechTable
 ) -> SimReport | None:
-    """cfg's report from the SRAM run of the same trace and its timing columns.
+    """cfg's report from the SRAM run of the same time-ordered records, given
+    the level that served each of them in that run.
 
-    None when a completion time reaches a unit's first deadline, since the
-    run might then expire a block, or when the cycle sums might not fit
-    int64; the caller then simulates cfg in full.
+    Each core's completion time replays the record loop of _simulate with
+    cfg's cycle costs.  None when that time reaches a unit's first deadline,
+    since the run might then expire a block; the caller then simulates cfg
+    in full.
     """
     params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
-    n = cfg.num_cores
-    l2_tr = params[-1].t_read if cfg.l2 is not None else 0
-    extra = (0, l2_tr, l2_tr + cfg.mem_latency_cycles)
-    avail = []
-    for core, (stamps, keys) in enumerate(columns):
-        # cycles of each (kind, level), as the record loop of _simulate adds them
-        base = (params[core].t_read, params[n + core].t_read, params[n + core].t_write)
-        lut = [b + e for b in base for e in extra]
-        if not all(isinstance(v, int) for v in lut):
-            return None
-        if not len(stamps):
-            avail.append(0)
-            continue
-        if max(int(stamps.max()), -int(stamps.min())) + len(stamps) * max(lut) >= 2**63:
-            return None
-        # a_j = max(ts_j, a_(j-1)) + c_j from a_0 = 0 ends at C_n + max(0, max_j(ts_j - C_(j-1)))
-        cost = np.array(lut, np.int64)[keys]
-        total = np.cumsum(cost)
-        avail.append(int(total[-1]) + max(0, int((stamps - (total - cost)).max())))
+    costs = _cycle_costs(cfg, params)
+    avail = [0] * cfg.num_cores
+    for rec, level in zip(records, levels):
+        core = rec[0]
+        ts = rec[1]
+        a = avail[core]
+        avail[core] = (ts if ts > a else a) + costs[core][rec[2] * 3 + level]
     report = _report(cfg, list(sram.units.values()), params, avail)
     return report if _cannot_expire(cfg, report.exec_time_s) else None

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 
@@ -53,8 +54,9 @@ class TestConfig:
     def test_sttram_needs_retention(self):
         with pytest.raises(ConfigError):
             CacheUnitConfig(64, 1, 64, Technology.STTRAM)
-        with pytest.raises(ConfigError):
-            CacheUnitConfig(64, 1, 64, Technology.STTRAM, retention_time=0.0)
+        for retention in (0.0, 5e-324, math.inf, math.nan):  # 5e-324 / 4 is 0
+            with pytest.raises(ConfigError):
+                CacheUnitConfig(64, 1, 64, Technology.STTRAM, retention_time=retention)
 
     def test_counter_overhead(self):
         cfg = CacheUnitConfig(32 * 1024, 4, 64, Technology.STTRAM, 1 * MS, counter_states=4)
@@ -400,3 +402,8 @@ def test_tick_index_robustness():
             t = k * period
             assert tick_index(t, period) == k
             assert tick_index(t + period * 1e-6, period) == k
+
+
+def test_tick_index_overflow_is_a_config_error():
+    with pytest.raises(ConfigError):
+        tick_index(1e-3, 2.5e-321)

@@ -145,6 +145,16 @@ class TestCharacterize:
         # one row per retention for the data stream
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("retention", ["1e-320", "5e-324", "1e400"])
+    def test_retention_beyond_tick_arithmetic_exits_2(self, tmp_path, capsys, retention):
+        # 1e-320 s ticks overflow t / period, 5e-324 s gives a zero tick period, 1e400 is inf
+        cfg = make_config(tmp_path, SINGLE_CORE.replace("retentions = 1e-5", f"retentions = {retention} 1e-5"))
+        assert run(["characterize", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestSweep:
     def test_rows_and_normalization(self, tmp_path):

@@ -3,6 +3,8 @@ import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import random_trace
 from sttsim import (
@@ -251,14 +253,13 @@ class TestAssignAsymmetric:
 def sim_calls(monkeypatch):
     """(config, trace length) of every simulation the studies run in this process."""
     calls = []
-    for name in ("simulate", "_simulate_and_derive"):
-        real = getattr(explore, name)
+    real = explore._simulate
 
-        def counted(cfg, trace, *args, _real=real):
-            calls.append((cfg, len(trace)))
-            return _real(cfg, trace, *args)
+    def counted(cfg, trace, *args):
+        calls.append((cfg, len(trace)))
+        return real(cfg, trace, *args)
 
-        monkeypatch.setattr(explore, name, counted)
+    monkeypatch.setattr(explore, "_simulate", counted)
     return calls
 
 
@@ -337,18 +338,47 @@ class TestDerivedSweep:
         assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e-6, 1e-5]
 
     @pytest.mark.parametrize("base", [2**63 - 50, 2**64])
-    def test_timestamps_beyond_int64_simulate_in_full(self, base, sim_calls):
+    def test_timestamps_beyond_int64_are_derived(self, base, sim_calls):
         # at 1e20 Hz these timestamps are under 0.2 s, before the first 1e0 deadline
         tmpl = replace(two_level(2), clock_hz=1e20)
         trace = [AccessRecord(i % 2, base + i, AccessKind.LOAD, 64 * i) for i in range(10)]
         assert_sweep_matches_simulate(trace, tmpl, [1e0], jobs=1)
-        # the SRAM run, then 1e0 in full although its timestamps rule nothing out
-        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e0]
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
 
-    def test_float_timestamps_simulate_in_full(self, sim_calls):
+    def test_float_timestamps_are_derived(self, sim_calls):
         trace = [AccessRecord(i % 2, 100 * i + 0.5, AccessKind.LOAD, 64 * i) for i in range(10)]
         assert_sweep_matches_simulate(trace, two_level(2), [1e0], jobs=1)
-        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e0]
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
+
+    def test_cores_beyond_255_are_derived(self, sim_calls):
+        tiny = CacheUnitConfig(128, 1, 64, Technology.SRAM)
+        tmpl = HierarchyConfig(num_cores=257, l1i=tiny, l1d=tiny, l2=two_level(1).l2, clock_hz=CLOCK)
+        trace = random_trace(3, 257 * 4, num_cores=257, num_blocks=8, instr_fraction=0.2)
+        assert_sweep_matches_simulate(trace, tmpl, [1e-2, 1e0], jobs=1)
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=hs.integers(0, 2**16),
+        num_cores=hs.integers(1, 4),
+        with_l2=hs.booleans(),
+        # past int64 the clock puts the trace just before the first 1e-4 deadline
+        offset_and_clock=hs.sampled_from([(0, CLOCK), (2**63 - 1000, 1e23), (0.25, CLOCK)]),
+        rets=hs.lists(hs.sampled_from([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0]), min_size=1, max_size=4,
+                      unique=True).map(sorted),
+    )
+    def test_every_report_equals_simulate(self, seed, num_cores, with_l2, offset_and_clock, rets):
+        """Derived or simulated in full, every sweep entry is simulate()'s report."""
+        offset, clock = offset_and_clock
+        trace = [
+            r._replace(timestamp=r.timestamp + offset)
+            for r in random_trace(seed, 60 * num_cores, num_cores=num_cores, num_blocks=32,
+                                  gap_lo=1, gap_hi=3000, instr_fraction=0.2)
+        ]
+        small = CacheUnitConfig(512, 2, 64, Technology.SRAM)
+        l2 = CacheUnitConfig(2048, 4, 64, Technology.SRAM) if with_l2 else None
+        tmpl = HierarchyConfig(num_cores=num_cores, l1i=small, l1d=small, l2=l2, clock_hz=clock)
+        assert_sweep_matches_simulate(trace, tmpl, rets, jobs=1)
 
     def test_golden_sweep_derives_two_candidates(self, sim_calls):
         cfg = load_experiment_config(os.path.join(SAMPLE_CONFIGS, "golden_sweep.cfg"))
