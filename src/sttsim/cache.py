@@ -58,6 +58,11 @@ class ExpiredBlock(NamedTuple):
 
 
 _HIT = AccessOutcome(True, None, False, None)
+_new_outcome = tuple.__new__  # a miss outcome without the namedtuple's Python-level __new__
+
+_COMPULSORY = MissClass.COMPULSORY
+_REPLACEMENT = MissClass.REPLACEMENT
+_EXPIRATION = MissClass.EXPIRATION
 
 _NEVER_RESIDENT = EvictionCause.NEVER_RESIDENT
 _RESIDENT = EvictionCause.RESIDENT
@@ -183,15 +188,14 @@ class CacheUnit:
         self.time = -math.inf
         self._tick = 0
         self.next_tick_time = self.tick_period
-        self._refresh_on_read = config.refresh_on_read
+        # whether a read hit restarts the counter, as every write hit does
+        self._read_resets = self.has_expiry and config.refresh_on_read
 
-        self.accesses = 0
         self.read_hits = 0
         self.write_hits = 0
         self.miss_compulsory = 0
         self.miss_replacement = 0
         self.miss_expiration = 0
-        self.fills = 0
         self.writebacks = 0
         self.evictions_replacement = 0
         self.evictions_expiration = 0
@@ -225,35 +229,40 @@ class CacheUnit:
         period = self.tick_period
         k = tick_index(now, period)
         n = self._n_states
+        tick = self._tick
         wheel = self._wheel
         tags = self._tags
         where = self._where
         gen = self._gen
+        reset_tick = self._reset_tick
         cause = self._cause
         dirty = self._dirty
-        # every filed deadline lies in (_tick, _tick + N], re-filed ones too
-        for t in range(self._tick + 1, min(k, self._tick + n) + 1):
+        # every filed deadline lies in (tick, tick + N], re-filed ones too
+        for t in range(tick + 1, min(k, tick + n) + 1):
             slot = wheel[t % n]
+            if not slot:
+                continue
             wheel[t % n] = []
             due = []
             for g, way in slot:
                 cur = gen[way]
                 if cur != g:
-                    deadline = self._reset_tick[way] + n
+                    deadline = reset_tick[way] + n
                     if deadline != t:
                         wheel[deadline % n].append((cur, way))  # reset since filed
                         continue
                 due.append((cur, way))
-            due.sort()
+            if len(due) > 1:
+                due.sort()
+            self.evictions_expiration += len(due)
             expire_time = t * period
             for g, way in due:
                 addr = tags[way]
-                was_dirty = dirty[way]
                 tags[way] = None
                 del where[addr]
                 gen[way] = g + 1
                 cause[addr] = _BY_EXPIRATION
-                self.evictions_expiration += 1
+                was_dirty = dirty[way]
                 if was_dirty:
                     self.writebacks += 1
                 if expired is not None:
@@ -277,75 +286,78 @@ class CacheUnit:
         if now < self.time:
             raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
         self.time = now
-        self.accesses += 1
-
         if now >= self.next_tick_time:
             self._expire_due(now, None)
 
-        where = self._where
-        way = where.get(addr)
+        way = self._where.get(addr)
         if way is not None:
-            self._seq += 1
-            self._lru[way] = self._seq
+            self._seq = seq = self._seq + 1
+            self._lru[way] = seq
             if is_write:
                 self.write_hits += 1
                 self._dirty[way] = True
+                if not self.has_expiry:
+                    return _HIT
             else:
                 self.read_hits += 1
-            if (is_write or self._refresh_on_read) and self.has_expiry:
-                # the counter restarts; the wheel entry is re-filed when it comes due
-                self._reset_tick[way] = self._tick
-                self._gen[way] += 1
+                if not self._read_resets:
+                    return _HIT
+            # the counter restarts; the wheel entry is re-filed when it comes due
+            self._reset_tick[way] = self._tick
+            self._gen[way] += 1
             return _HIT
 
         # miss: classify from the last eviction cause, pick a victim, allocate
-        cause = self._cause.get(addr, _NEVER_RESIDENT)
-        if cause is _NEVER_RESIDENT:
-            miss_class = MissClass.COMPULSORY
+        where = self._where
+        cause = self._cause
+        last = cause.get(addr)
+        if last is None:
+            miss_class = _COMPULSORY
             self.miss_compulsory += 1
-        elif cause is _BY_REPLACEMENT:
-            miss_class = MissClass.REPLACEMENT
+        elif last is _BY_REPLACEMENT:
+            miss_class = _REPLACEMENT
             self.miss_replacement += 1
         else:
-            miss_class = MissClass.EXPIRATION
+            miss_class = _EXPIRATION
             self.miss_expiration += 1
 
-        base = ((addr >> self._shift) & self._set_mask) * self.assoc
+        # the set's first invalid way, else its least recently used one
+        assoc = self.assoc
+        base = ((addr >> self._shift) & self._set_mask) * assoc
+        end = base + assoc
         tags = self._tags
-        victim_way = -1
         lru = self._lru
-        best = None
-        for way in range(base, base + self.assoc):
-            if tags[way] is None:
-                victim_way = way
-                break
-            if best is None or lru[way] < best:
-                best = lru[way]
-                victim_way = way
-
-        victim_addr = tags[victim_way]
+        dirty = self._dirty
+        ways = tags[base:end]
         writeback = False
-        if victim_addr is not None:
-            del where[victim_addr]
-            self._cause[victim_addr] = _BY_REPLACEMENT
+        if None in ways:
+            way = base + ways.index(None)
+            victim = None
+        else:
+            stamps = lru[base:end]
+            way = base + stamps.index(min(stamps))
+            victim = tags[way]
+            del where[victim]
+            cause[victim] = _BY_REPLACEMENT
             self.evictions_replacement += 1
-            if self._dirty[victim_way]:
+            if dirty[way]:
                 writeback = True
                 self.writebacks += 1
 
-        tags[victim_way] = addr
-        where[addr] = victim_way
-        self._dirty[victim_way] = is_write
-        self._seq += 1
-        lru[victim_way] = self._seq
-        self.fills += 1
-        self._cause[addr] = _RESIDENT
+        tags[way] = addr
+        where[addr] = way
+        dirty[way] = is_write
+        self._seq = seq = self._seq + 1
+        lru[way] = seq
+        cause[addr] = _RESIDENT
         if self.has_expiry:
-            self._reset_tick[victim_way] = self._tick
-            self._gen[victim_way] += 1
-            if victim_addr is None:  # a replaced block's wheel entry serves its successor
-                self._wheel[self._tick % self._n_states].append((self._gen[victim_way], victim_way))
-        return AccessOutcome(False, miss_class, writeback, victim_addr)
+            tick = self._tick
+            self._reset_tick[way] = tick
+            g = self._gen[way] + 1
+            self._gen[way] = g
+            if victim is None:  # a replaced block's wheel entry serves its successor
+                self._wheel[tick % self._n_states].append((g, way))
+        return _new_outcome(AccessOutcome, (False, miss_class, writeback, victim))
 
     # -- inspection ----------------------------------------------------------
 
@@ -356,6 +368,15 @@ class CacheUnit:
     @property
     def misses(self) -> int:
         return self.miss_compulsory + self.miss_replacement + self.miss_expiration
+
+    @property
+    def accesses(self) -> int:
+        return self.hits + self.misses
+
+    @property
+    def fills(self) -> int:
+        """Every miss allocates, so every miss is a fill."""
+        return self.misses
 
     def block_state(self, set_index: int, way: int, at: float | None = None) -> BlockState:
         w = set_index * self.assoc + way

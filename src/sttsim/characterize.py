@@ -22,6 +22,7 @@ import numpy as np
 
 from .cache import CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
+from .explore import _check_retentions
 from .trace import AccessKind, time_ordered
 
 DEFAULT_CLOCK_HZ = 1.9e9
@@ -297,11 +298,7 @@ def expiration_curve(
 ) -> list[ExpirationCurvePoint]:
     """Expiration-miss counts of one unit across a sorted retention sweep."""
     retentions = list(retentions)
-    if not retentions:
-        raise ConfigError("expiration_curve requires at least one retention")
-    if any(not r > 0 for r in retentions):
-        raise ConfigError("retentions must be positive")
-    if retentions != sorted(retentions):
+    if _check_retentions(retentions) != retentions:
         raise ConfigError("retentions must be sorted ascending")
 
     records = _stream(trace, stream)

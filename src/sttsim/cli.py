@@ -197,7 +197,6 @@ def _cmd_characterize(args) -> int:
         for core, (ld, st, frac) in sorted(ratio.per_core.items())
     ]
     rows.append(["aggregate", ratio.loads, ratio.stores, ratio.read_fraction])
-    _write_csv(os.path.join(out, "rwratio.csv"), ["scope", "loads", "stores", "read_fraction"], rows)
 
     unit_cfg_for = {"data": cfg.hierarchy.l1d[0], "instr": cfg.hierarchy.l1i[0]}
     life_rows = []
@@ -229,6 +228,8 @@ def _cmd_characterize(args) -> int:
                 [stream, pt.retention_s, pt.expiration_misses, pt.total_misses, pt.miss_ratio_vs_unbounded]
             )
 
+    # every analysis has succeeded: only now write the reports
+    _write_csv(os.path.join(out, "rwratio.csv"), ["scope", "loads", "stores", "read_fraction"], rows)
     _write_csv(
         os.path.join(out, "lifetimes.csv"),
         ["stream", "measure", "row_type", "label", "lo_s", "hi_s", "value"],

@@ -77,14 +77,15 @@ def _run_sims(
     Returns the report of every task, in task order, and one entry per
     config in `derive`: its report built from the run of tasks[0], or None
     where that is refused (see hierarchy._derived_report).  The derivation
-    runs in the process of that run, beside the other tasks.
+    runs in the process of that run, beside the other tasks.  Each trace is
+    put in time order once, before any task runs.
     """
     if table is None:
         table = sample_tech_table()
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
     if derive:
         unique[0] = (*unique[0][:2], tuple(derive))
-    _SHARED["traces"] = traces
+    _SHARED["traces"] = [time_ordered(t) for t in traces]
     _SHARED["table"] = table
     try:
         if jobs > 1 and len(unique) > 1 and "fork" in multiprocessing.get_all_start_methods():

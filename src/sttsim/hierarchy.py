@@ -24,11 +24,12 @@ unit applies and counts its due expirations inside access().
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .cache import CacheUnit, CacheUnitConfig, Technology, tick_index
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError
-from .trace import time_ordered
+from .trace import AccessKind, time_ordered
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
@@ -147,18 +148,32 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     """Run the trace through the hierarchy and aggregate counters and energy.
 
     Deterministic for fixed inputs.  Raises ConfigError if a record names
-    a core >= num_cores or a unit's (technology, retention) is missing
-    from the table.
+    a core outside 0..num_cores-1 or a kind other than an AccessKind, or a
+    unit's (technology, retention) is missing from the table.
     """
-    return _simulate(cfg, trace, tech_table)[0]
+    return _simulate(cfg, time_ordered(trace), tech_table)[0]
 
 
-def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
-    """simulate(cfg), and the report of each config in `derive` built from
-    that run (see _derived_report), or None where that is refused."""
+def _check_records(records: list, ncores: int) -> None:
+    """ConfigError naming the first record whose core or kind the record loop
+    cannot route; each column is checked in one C-level pass over the records."""
+    bad = set(map(itemgetter(0), records)).difference(range(ncores))
+    if bad:
+        core = next(r[0] for r in records if r[0] in bad)
+        raise ConfigError(f"trace references core {core} but num_cores is {ncores}")
+    bad = set(map(itemgetter(2), records)).difference(AccessKind)
+    if bad:
+        kind = next(r[2] for r in records if r[2] in bad)
+        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+
+
+def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
+    """simulate(cfg) of records already in time order, and the report of each
+    config in `derive` built from that run (see _derived_report), or None
+    where that is refused."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
-    records = time_ordered(trace)
+    _check_records(records, ncores)
     # the level that served each record, kept only to derive reports
     levels = bytearray(len(records)) if derive else None
 
@@ -172,51 +187,45 @@ def _simulate(cfg: HierarchyConfig, trace, tech_table: TechTable, derive=()) -> 
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
 
     avail = [0] * ncores
+    # shared-L2 accesses are serialized at a monotone time, the latest seen
     l2_last = 0.0
-
-    def l2_service(addr: int, is_write: bool, t: float) -> bool:
-        """Access the shared L2 at a monotone serialized time; True on hit."""
-        nonlocal l2_last
-        if t > l2_last:
-            l2_last = t
-        return l2.access(addr, is_write, l2_last).hit
+    l2_access = l2.access if l2 is not None else None
 
     l1_units = l1i_units + l1d_units
-    for pos, rec in enumerate(records):
-        core = rec[0]
-        if not 0 <= core < ncores:
-            raise ConfigError(f"trace references core {core} but num_cores is {ncores}")
-        ts = rec[1]
-        kind = rec[2]
+    for pos, (core, ts, kind, addr) in enumerate(records):
         a = avail[core]
         start = ts if ts > a else a
         now = start / clock
         if kind:
             unit = l1d_units[core]
             is_write = kind == 2
-            aligned = rec[3] & d_mask
+            addr &= d_mask
         else:
             unit = l1i_units[core]
             is_write = False
-            aligned = rec[3] & i_mask
+            addr &= i_mask
 
         # a dirty block expiring in an L1 is written to the L2 at its deadline;
         # without an L2, access() applies and counts due expirations itself
         if l2 is not None and now >= unit.next_tick_time:
-            for ev in unit.tick_expirations(now):
-                if ev.dirty:
-                    l2_service(ev.address, True, ev.expire_time)
+            for victim, dirty, expire_time in unit.tick_expirations(now):
+                if dirty:
+                    if expire_time > l2_last:
+                        l2_last = expire_time
+                    l2_access(victim, True, l2_last)
 
         key = kind * 3
-        out = unit.access(aligned, is_write, now)
-        if not out.hit:
+        out = unit.access(addr, is_write, now)
+        if not out[0]:
             level = 2
             if l2 is not None:
-                if l2_service(aligned, False, now):
+                if now > l2_last:
+                    l2_last = now
+                if l2_access(addr, False, l2_last)[0]:
                     level = 1
                 # dirty line leaving an L1: full-line write, no fetch on an L2 miss
-                if out.writeback_issued:
-                    l2_service(out.victim_address, True, now)
+                if out[2]:
+                    l2_access(out[3], True, l2_last)
             key += level
             if levels is not None:
                 levels[pos] = level

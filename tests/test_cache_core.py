@@ -146,6 +146,47 @@ class TestAccessBasics:
         assert u.writebacks == 1
 
 
+class TestVictimChoice:
+    """A miss fills its set's first invalid way, else its least recently used way."""
+
+    @staticmethod
+    def _addrs(assoc):
+        # blocks of set 1 of 2, so the set does not start at way 0
+        return [(2 * i + 1) * 64 for i in range(assoc + 1)]
+
+    @pytest.mark.parametrize("assoc", [1, 4, 16])
+    def test_first_invalid_way(self, assoc):
+        u = stt_unit(sets=2, assoc=assoc)
+        *addrs, new = self._addrs(assoc)
+        for a in addrs:  # fills the ways in order, all at tick 0
+            u.access(a, True, 0.0)
+        gone = {assoc // 2, assoc - 1}  # a middle way and the last one expire
+        for way, a in enumerate(addrs):
+            if way not in gone:
+                u.access(a, True, 0.5 * MS)  # restarts its counter
+        out = u.access(new, False, 1.1 * MS)
+        assert (out.hit, out.victim_address) == (False, None)
+        assert u.block_state(1, assoc // 2).tag == new
+        assert [u.block_state(1, w).valid for w in range(assoc)] == [
+            w not in gone or w == assoc // 2 for w in range(assoc)
+        ]
+
+    @pytest.mark.parametrize("assoc", [1, 4, 16])
+    def test_lru_way_of_a_full_set(self, assoc):
+        u = sram_unit(sets=2, assoc=assoc)
+        *addrs, new = self._addrs(assoc)
+        for a in addrs:
+            u.access(a, False, 0.0)
+        lru = assoc // 2
+        for way, a in enumerate(addrs):
+            if way != lru:
+                u.access(a, False, 1e-6)
+        out = u.access(new, True, 2e-6)
+        assert (out.hit, out.victim_address) == (False, addrs[lru])
+        assert u.block_state(1, lru).tag == new
+        assert u.resident_addresses() == set(addrs) - {addrs[lru]} | {new}
+
+
 class TestCounterPolicy:
     def test_write_hit_resets_counter(self):
         u = stt_unit()

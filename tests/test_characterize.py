@@ -261,6 +261,16 @@ class TestExpirationCurve:
             expiration_curve(trace, unit_cfg(), [])
         with pytest.raises(ConfigError):
             expiration_curve(trace, unit_cfg(), [-1e-3])
+        with pytest.raises(ConfigError, match="sorted ascending"):
+            expiration_curve(trace, unit_cfg(), [1e-3, 1e-6])
+
+    @pytest.mark.parametrize(
+        "retentions, message",
+        [([1e-6, 1e-3, 1e-3], "duplicate"), ([1e-6, math.inf], "finite"), ([math.nan, 1e-3], "finite")],
+    )
+    def test_rejects_duplicate_and_non_finite_retentions(self, retentions, message):
+        with pytest.raises(ConfigError, match=message):
+            expiration_curve([ld(0, 0, 0x0)], unit_cfg(), retentions)
 
     def test_repeated_invocation_identical(self):
         trace = random_trace(9, 2000, num_blocks=32, write_fraction=0.4)

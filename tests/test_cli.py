@@ -155,6 +155,14 @@ class TestCharacterize:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("retention", ["1e-320", "5e-324"])
+    def test_failed_run_writes_no_report(self, tmp_path, retention):
+        # the config loads; the retention fails only once the curve replays it
+        cfg = make_config(tmp_path, SINGLE_CORE.replace("retentions = 1e-5", f"retentions = {retention} 1e-5"))
+        assert run(["characterize", "--config", cfg]) == 2
+        out = tmp_path / "reports"
+        assert not (out.exists() and list(out.glob("*.csv")))
+
 
 class TestSweep:
     def test_rows_and_normalization(self, tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 from dataclasses import replace
 
 import pytest
@@ -387,6 +388,46 @@ class TestDerivedSweep:
         assert [c.l1d[0].retention_time for c, _ in sim_calls] == [None, 1e-5, 1e-4, 1e-3]
         for c, entry in zip(candidates(cfg.hierarchy, cfg.retentions), result.entries):
             assert entry.report == simulate(c, records, TABLE)
+
+
+def shuffled(trace, seed=1):
+    out = list(trace)
+    random.Random(seed).shuffle(out)
+    return out
+
+
+class TestRecordOrder:
+    """Each study puts its traces in (timestamp, core_id) order before simulating them."""
+
+    RETS = [1e-5, 1e-4, 1e-3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_of_a_shuffled_trace(self, jobs):
+        trace = random_trace(8, 3000, num_cores=2, num_blocks=512, write_fraction=0.4, instr_fraction=0.2)
+        mixed = shuffled(trace)
+        assert simulate(two_level(2), mixed, TABLE) == simulate(two_level(2), trace, TABLE)
+        a = sweep(mixed, two_level(2), self.RETS, tech_table=TABLE, jobs=jobs)
+        b = sweep(trace, two_level(2), self.RETS, tech_table=TABLE, jobs=jobs)
+        assert [e.report for e in a.entries] == [e.report for e in b.entries]
+
+    def test_specialize_and_asym_order_each_trace_and_prefix(self):
+        threads = [shuffled(random_trace(s, 1500, num_blocks=256, write_fraction=0.4), s) for s in (1, 2)]
+        k = 500
+
+        def value(cfg, trace):
+            return objective_value(simulate(cfg, trace, TABLE), Objective.ENERGY)
+
+        result = specialize(threads[0], template(), self.RETS, base_retention=1e-3, sample_len=k, tech_table=TABLE)
+        assert result.sample_values == {
+            r: value(with_technology(template(), Technology.STTRAM, r), threads[0][:k]) for r in self.RETS
+        }
+        rets = self.RETS[:2]
+        single = [explore._single_core_config(template(2), r) for r in rets]
+        asym = assign_asymmetric(threads, template(2), rets, k, tech_table=TABLE)
+        assert asym.cost_matrix == [[value(cfg, thread[:k]) for cfg in single] for thread in threads]
+        assert asym.full_asym_total == sum(
+            value(single[asym.assignment[t]], thread) for t, thread in enumerate(threads)
+        )
 
 
 class TestDistinctTasks:

@@ -119,6 +119,15 @@ class TestSharedL2:
         with pytest.raises(ConfigError, match=f"core {core} "):
             sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
 
+    @pytest.mark.parametrize("kind", [3, -1])
+    def test_trace_kind_out_of_range(self, kind):
+        cfg = small_hier(num_cores=1, tech=Technology.SRAM)
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 1, kind, 0x40)]
+        with pytest.raises(ConfigError, match=f"kind {kind} "):
+            simulate(cfg, trace, TABLE)
+        with pytest.raises(ConfigError, match=f"kind {kind} "):
+            sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_level_flow_conservation(self, seed):
         cfg = small_hier(num_cores=4, with_l2=True, retention=1e-4)
@@ -198,6 +207,32 @@ class TestPinnedTwoLevelRun:
         rep = simulate(cfg, trace, TABLE)
         assert all(u.evictions_expiration > 0 for u in rep.units.values())
         assert rep.units["l2"].miss_replacement > 0
+        assert hashlib.sha256(_report_rows(rep).encode()).hexdigest() == self.DIGEST
+
+
+class TestPinnedBenchmarkGeometryRun:
+    """A write-heavy quad-core run with 4-way L1s, a 16-way L2 and 1e-6
+    expiries at every level, pinned by digest.
+
+    Expiries leave invalid ways between valid ones and full sets evict
+    their LRU way, so the run takes both victim rules.  Which free way a
+    block takes changes no counter; the unit tests pin that.  Recorded
+    before victims were chosen on list slices.
+    """
+
+    DIGEST = "60ec02ee54857c378d4635c9a5fd70a8fcf08e5dfb03a378ec03a7bc5fb6a286"
+
+    def test_report_digest(self):
+        def unit(sets, assoc):
+            return CacheUnitConfig(sets * assoc * 64, assoc, 64, Technology.STTRAM, 1e-6)
+
+        cfg = HierarchyConfig(num_cores=4, l1i=unit(4, 4), l1d=unit(4, 4), l2=unit(8, 16))
+        trace = random_trace(2025, 12000, num_cores=4, num_blocks=1024, write_fraction=0.7,
+                             gap_lo=10, gap_hi=100, instr_fraction=0.1)
+        rep = simulate(cfg, trace, TABLE)
+        assert all(u.evictions_expiration > 0 for u in rep.units.values())
+        assert rep.units["l2"].evictions_replacement > 0
+        assert rep.units["core0.l1d"].evictions_replacement > 0
         assert hashlib.sha256(_report_rows(rep).encode()).hexdigest() == self.DIGEST
 
 
