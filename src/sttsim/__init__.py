@@ -18,7 +18,7 @@ from .cache import (
     ExpiredBlock,
     MissClass,
     Technology,
-    tick_index,
+    tick_cycles,
 )
 from .characterize import (
     ExpirationCurvePoint,
@@ -113,7 +113,7 @@ __all__ = [
     "simulate",
     "specialize",
     "sweep",
-    "tick_index",
+    "tick_cycles",
     "time_to_seconds",
     "unit_energy",
     "write_trace",

@@ -1,11 +1,11 @@
 """Set-associative write-back cache unit with optional retention expiration.
 
-An STTRAM unit carries a per-block counter driven by a unit-global tick
-clock of period retention_time / N.  A block whose counter receives N
-ticks since its last reset is evicted just before its data would decay:
-dirty blocks emit a writeback first.  The counter resets on fills and
-write hits (writes re-magnetize the cells); read hits leave it running
-unless refresh_on_read is enabled.
+Times are integer core clock cycles.  An STTRAM unit carries a per-block
+counter driven by a unit-global tick clock of a whole number of cycles
+(tick_cycles).  A block whose counter receives N ticks since its last reset
+is evicted just before its data would decay: dirty blocks emit a writeback
+first.  The counter resets on fills and write hits (writes re-magnetize the
+cells); read hits leave it running unless refresh_on_read is enabled.
 
 Ticks are applied lazily on a timing wheel of N slots (Varghese & Lauck,
 SOSP 1987); a refresh only records the way's reset tick, and a way found
@@ -22,6 +22,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import ConfigError
+
+DEFAULT_CLOCK_HZ = 1.9e9
 
 
 class Technology(enum.Enum):
@@ -54,7 +56,7 @@ class AccessOutcome(NamedTuple):
 class ExpiredBlock(NamedTuple):
     address: int
     dirty: bool
-    expire_time: float
+    expire_time: int  # cycles
 
 
 _HIT = AccessOutcome(True, None, False, None)
@@ -102,8 +104,8 @@ class CacheUnitConfig:
             raise ConfigError("counter_states must be >= 2")
         if self.technology is Technology.STTRAM:
             r = self.retention_time
-            if r is None or not 0 < r / self.counter_states < math.inf:
-                raise ConfigError(f"STTRAM requires a finite retention_time > 0 whose tick period is > 0, got {r!r}")
+            if r is None or not 0 < r < math.inf:
+                raise ConfigError(f"STTRAM requires a finite retention_time > 0, got {r!r}")
 
     @property
     def num_sets(self) -> int:
@@ -137,24 +139,21 @@ class BlockState:
     lru_rank: int
 
 
-def tick_index(t: float, period: float) -> int:
-    """Largest k >= 0 with k * period <= t, robust to float division rounding;
-    ConfigError when t / period overflows a float."""
-    try:
-        k = int(t / period)
-    except OverflowError:
-        raise ConfigError(f"cannot count ticks of {period!r} s up to {t!r} s: the retention is too short") from None
-    while (k + 1) * period <= t:
-        k += 1
-    while k > 0 and k * period > t:
-        k -= 1
-    return k
+def tick_cycles(config: CacheUnitConfig, clock_hz: float) -> int:
+    """Cycles of one counter tick, retention_time * clock_hz / N rounded to whole cycles as a
+    divided clock ticks; ConfigError when that is below one cycle or not finite."""
+    exact = config.retention_time * clock_hz / config.counter_states
+    cycles = round(exact) if exact < math.inf else 0
+    if cycles < 1:
+        raise ConfigError(f"retention_time {config.retention_time!r} s at {clock_hz!r} Hz gives a counter tick of "
+                          f"{exact!r} cycles; a tick must last a whole number of cycles, at least one")
+    return cycles
 
 
 class CacheUnit:
-    """One mutable cache unit; single-owner, not safe for concurrent use."""
+    """One mutable cache unit clocked at clock_hz; single-owner, not safe for concurrent use."""
 
-    def __init__(self, config: CacheUnitConfig, name: str = "unit") -> None:
+    def __init__(self, config: CacheUnitConfig, name: str = "unit", clock_hz: float = DEFAULT_CLOCK_HZ) -> None:
         self.config = config
         self.name = name
         self.num_sets = config.num_sets
@@ -178,13 +177,13 @@ class CacheUnit:
 
         self.has_expiry = config.technology is Technology.STTRAM
         if self.has_expiry:
-            self.tick_period = config.retention_time / config.counter_states
+            self.tick_period = tick_cycles(config, clock_hz)
         else:
             self.tick_period = math.inf
         self._n_states = config.counter_states
         # slot t % N: (gen, way) filed to come due at tick t, one entry per valid way
         self._wheel: list[list[tuple[int, int]]] = [[] for _ in range(self._n_states)]
-        # latest time seen by access() or tick_expirations(), and its tick
+        # latest time seen by access() or tick_expirations() (-inf before any), and its tick
         self.time = -math.inf
         self._tick = 0
         self.next_tick_time = self.tick_period
@@ -200,16 +199,16 @@ class CacheUnit:
         self.evictions_replacement = 0
         self.evictions_expiration = 0
 
-    def counter_value(self, way: int, at: float) -> int:
-        """Counter state of a valid way at time `at` (ticks since reset, capped)."""
+    def counter_value(self, way: int, at: int) -> int:
+        """Counter state of a valid way at cycle `at` (ticks since reset, capped)."""
         if not self.has_expiry:
             return 0
-        ticks = tick_index(at, self.tick_period) - self._reset_tick[way]
+        ticks = at // self.tick_period - self._reset_tick[way]
         return min(self._n_states - 1, max(0, ticks))
 
     # -- expiration --------------------------------------------------------
 
-    def tick_expirations(self, now: float) -> list[ExpiredBlock]:
+    def tick_expirations(self, now: int) -> list[ExpiredBlock]:
         """Apply all expirations due at or before `now`; return the blocks this call expired.
 
         Advances the unit's clock to `now` if later.  access() applies due
@@ -224,10 +223,10 @@ class CacheUnit:
             self._expire_due(now, expired)
         return expired
 
-    def _expire_due(self, now: float, expired: list[ExpiredBlock] | None) -> None:
+    def _expire_due(self, now: int, expired: list[ExpiredBlock] | None) -> None:
         """Expire every block due at or before `now`, appending each to `expired` unless None."""
         period = self.tick_period
-        k = tick_index(now, period)
+        k = now // period
         n = self._n_states
         tick = self._tick
         wheel = self._wheel
@@ -272,8 +271,8 @@ class CacheUnit:
 
     # -- access ------------------------------------------------------------
 
-    def access(self, addr: int, is_write: bool, now: float) -> AccessOutcome:
-        """One read or write of a block-aligned address at simulated time `now`.
+    def access(self, addr: int, is_write: bool, now: int) -> AccessOutcome:
+        """One read or write of a block-aligned address at simulated cycle `now`.
 
         `now` must not precede the unit's clock, the latest time seen by
         access() or tick_expirations(); the call advances the clock to it.
@@ -378,7 +377,7 @@ class CacheUnit:
         """Every miss allocates, so every miss is a fill."""
         return self.misses
 
-    def block_state(self, set_index: int, way: int, at: float | None = None) -> BlockState:
+    def block_state(self, set_index: int, way: int, at: int | None = None) -> BlockState:
         w = set_index * self.assoc + way
         tag = self._tags[w]
         when = self.time if at is None else at

@@ -20,12 +20,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .cache import CacheUnit, CacheUnitConfig, Technology
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
 from .explore import _check_retentions
 from .trace import AccessKind, time_ordered
-
-DEFAULT_CLOCK_HZ = 1.9e9
 
 # log-decade lifetime buckets spanning 1us..1s, plus underflow/overflow
 LIFETIME_BUCKET_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -89,19 +87,18 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
 def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
     """Replay ordered records (see _stream) through one fresh unit and return it.
 
-    All cores feed the single unit.  When given, observe(aligned_addr,
-    outcome, now_seconds) is called after every access.
+    All cores feed the single unit, clocked at clock_hz.  When given,
+    observe(aligned_addr, outcome, timestamp) is called after every access.
     """
-    unit = CacheUnit(cfg, "probe")
+    unit = CacheUnit(cfg, "probe", clock_hz)
     access = unit.access
     mask = ~(cfg.line_size_bytes - 1)
     store = AccessKind.STORE
     for rec in records:
-        now = rec[1] / clock_hz
         aligned = rec[3] & mask
-        out = access(aligned, rec[2] == store, now)
+        out = access(aligned, rec[2] == store, rec[1])
         if observe is not None:
-            observe(aligned, out, now)
+            observe(aligned, out, rec[1])
     return unit
 
 
@@ -138,8 +135,8 @@ def _sram_profile(records, cfg: CacheUnitConfig, clock_hz: float) -> _SramProfil
     memo = _memo  # read once: another thread may replace it
     if memo is not None and memo[0] == cfg and memo[1] == clock_hz and memo[2] == records:
         return memo[3]
-    fill_time: dict[int, float] = {}
-    last_hit: dict[int, float] = {}
+    fill_time: dict[int, int] = {}
+    last_hit: dict[int, int] = {}
     fills: dict[int, int] = {}
     by_last_hit = array("d")
     by_eviction = array("d")
@@ -149,8 +146,8 @@ def _sram_profile(records, cfg: CacheUnitConfig, clock_hz: float) -> _SramProfil
             victim = out.victim_address
             if victim is not None:
                 filled = fill_time[victim]
-                by_last_hit.append(last_hit[victim] - filled)
-                by_eviction.append(now - filled)
+                by_last_hit.append((last_hit[victim] - filled) / clock_hz)
+                by_eviction.append((now - filled) / clock_hz)
             fill_time[aligned] = now
             fills[aligned] = fills.get(aligned, 0) + 1
         last_hit[aligned] = now

@@ -48,7 +48,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .cache import CacheUnitConfig, Technology
+from .cache import DEFAULT_CLOCK_HZ, CacheUnitConfig, Technology
 from .errors import ConfigError
 from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
@@ -128,7 +128,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         l1i=_unit_config(section("l1i"), L1_DEFAULTS),
         l1d=_unit_config(section("l1d"), L1_DEFAULTS),
         l2=_unit_config(section("l2"), L2_DEFAULTS) if parser.has_section("l2") else None,
-        clock_hz=_get(hier_sec, "clock_hz", float, 1.9e9),
+        clock_hz=_get(hier_sec, "clock_hz", float, DEFAULT_CLOCK_HZ),
         mem_latency_cycles=_get(hier_sec, "mem_latency_cycles", int, 100),
         mem_energy_per_access=_get(hier_sec, "mem_energy_per_access_j", float, 2.0e-11),
     )

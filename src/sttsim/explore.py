@@ -74,18 +74,18 @@ def _run_sims(
 ) -> tuple[list[SimReport], tuple]:
     """Simulate each distinct (trace index, config) task once.
 
+    Each trace must already be in time order (see trace.time_ordered).
     Returns the report of every task, in task order, and one entry per
     config in `derive`: its report built from the run of tasks[0], or None
     where that is refused (see hierarchy._derived_report).  The derivation
-    runs in the process of that run, beside the other tasks.  Each trace is
-    put in time order once, before any task runs.
+    runs in the process of that run, beside the other tasks.
     """
     if table is None:
         table = sample_tech_table()
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
     if derive:
         unique[0] = (*unique[0][:2], tuple(derive))
-    _SHARED["traces"] = [time_ordered(t) for t in traces]
+    _SHARED["traces"] = traces
     _SHARED["table"] = table
     try:
         if jobs > 1 and len(unique) > 1 and "fork" in multiprocessing.get_all_start_methods():
@@ -171,8 +171,8 @@ def sweep(
     # lower bound on its completion time, runs in full beside the SRAM
     # baseline; the others are derived from the SRAM run where its check
     # allows, and run in full after it where not
-    last_s = records[-1][1] / template.clock_hz if records else 0.0
-    undecided = [c for c in configs if _cannot_expire(c, last_s)]
+    last = records[-1][1] if records else 0
+    undecided = [c for c in configs if _cannot_expire(c, last)]
     first = [sram_cfg] + [c for c in configs if c not in undecided]
     first_reports, derived = _run_sims([(0, c) for c in first], [records], table, jobs, derive=undecided)
     done = dict(zip(first, first_reports))
@@ -244,7 +244,7 @@ def specialize(
     if sample_len > len(records):
         raise ConfigError(f"sample_len {sample_len} exceeds trace length {len(records)}")
 
-    prefix = records[:sample_len]
+    prefix = time_ordered(records[:sample_len])
     tasks = [(0, with_technology(template, Technology.STTRAM, r)) for r in rets]
     sample_reports, _ = _run_sims(tasks, [prefix], tech_table, jobs)
     sample_values = {r: objective_value(rep, objective) for r, rep in zip(rets, sample_reports)}
@@ -260,7 +260,7 @@ def specialize(
         (0, with_technology(template, Technology.STTRAM, chosen)),
         (0, with_technology(template, Technology.STTRAM, base_retention)),
     ]
-    (full_chosen, full_base), _ = _run_sims(full_tasks, [records], tech_table, jobs)
+    (full_chosen, full_base), _ = _run_sims(full_tasks, [time_ordered(records)], tech_table, jobs)
     v_chosen = objective_value(full_chosen, objective)
     v_base = objective_value(full_base, objective)
     savings = (v_base - v_chosen) / v_base if v_base else 0.0
@@ -343,7 +343,8 @@ def assign_asymmetric(
         raise ConfigError("core retentions must be positive")
 
     traces = [_rebase_core(_materialize(t)) for t in thread_traces]
-    prefixes = [t[: min(profile_len, len(t))] for t in traces]
+    prefixes = [time_ordered(t[:profile_len]) for t in traces]
+    traces = [time_ordered(t) for t in traces]
 
     pair_tasks = []
     for t in range(nthreads):

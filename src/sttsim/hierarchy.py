@@ -12,7 +12,8 @@ max(record timestamp, previous completion) plus the demand-path latency
 when memory is reached).  Fills and writebacks are posted and do not
 stall the core.  Records are processed in (timestamp, core_id) order;
 shared-unit access times are serialized monotonically in that arbitration
-order.
+order.  Times are integer clock cycles from the trace to every unit's
+clock (see cache.tick_cycles); seconds appear only in the report.
 
 The units count; the record loop only routes.  Memory reads and writes are
 read from the unit counters when the report is built (see _report).  Only
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .cache import CacheUnit, CacheUnitConfig, Technology, tick_index
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, tick_cycles
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError
 from .trace import AccessKind, time_ordered
@@ -61,7 +62,7 @@ class HierarchyConfig:
     l1i: object
     l1d: object
     l2: CacheUnitConfig | None = None
-    clock_hz: float = 1.9e9
+    clock_hz: float = DEFAULT_CLOCK_HZ
     mem_latency_cycles: int = 100
     mem_energy_per_access: float = 2.0e-11
 
@@ -177,9 +178,9 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
     # the level that served each record, kept only to derive reports
     levels = bytearray(len(records)) if derive else None
 
-    l1i_units = [CacheUnit(c, f"core{i}.l1i") for i, c in enumerate(cfg.l1i)]
-    l1d_units = [CacheUnit(c, f"core{i}.l1d") for i, c in enumerate(cfg.l1d)]
-    l2 = CacheUnit(cfg.l2, "l2") if cfg.l2 is not None else None
+    l1i_units = [CacheUnit(c, f"core{i}.l1i", clock) for i, c in enumerate(cfg.l1i)]
+    l1d_units = [CacheUnit(c, f"core{i}.l1d", clock) for i, c in enumerate(cfg.l1d)]
+    l2 = CacheUnit(cfg.l2, "l2", clock) if cfg.l2 is not None else None
     params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
     costs = _cycle_costs(cfg, params)
 
@@ -188,14 +189,13 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
 
     avail = [0] * ncores
     # shared-L2 accesses are serialized at a monotone time, the latest seen
-    l2_last = 0.0
+    l2_last = 0
     l2_access = l2.access if l2 is not None else None
 
     l1_units = l1i_units + l1d_units
     for pos, (core, ts, kind, addr) in enumerate(records):
         a = avail[core]
         start = ts if ts > a else a
-        now = start / clock
         if kind:
             unit = l1d_units[core]
             is_write = kind == 2
@@ -207,20 +207,20 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
 
         # a dirty block expiring in an L1 is written to the L2 at its deadline;
         # without an L2, access() applies and counts due expirations itself
-        if l2 is not None and now >= unit.next_tick_time:
-            for victim, dirty, expire_time in unit.tick_expirations(now):
+        if l2 is not None and start >= unit.next_tick_time:
+            for victim, dirty, expire_time in unit.tick_expirations(start):
                 if dirty:
                     if expire_time > l2_last:
                         l2_last = expire_time
                     l2_access(victim, True, l2_last)
 
         key = kind * 3
-        out = unit.access(addr, is_write, now)
+        out = unit.access(addr, is_write, start)
         if not out[0]:
             level = 2
             if l2 is not None:
-                if now > l2_last:
-                    l2_last = now
+                if start > l2_last:
+                    l2_last = start
                 if l2_access(addr, False, l2_last)[0]:
                     level = 1
                 # dirty line leaving an L1: full-line write, no fetch on an L2 miss
@@ -317,15 +317,14 @@ def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avai
 # record loop's timing is replayed over the levels the SRAM run recorded.
 
 
-def _cannot_expire(cfg: HierarchyConfig, t: float) -> bool:
-    """True when no unit of cfg can expire a block at any time up to t.
+def _cannot_expire(cfg: HierarchyConfig, t: int) -> bool:
+    """True when no unit of cfg can expire a block at any cycle up to t.
 
     The earliest deadline of a unit is its counter_states-th tick (a block
-    filled at tick 0); ticks are counted as CacheUnit counts them.
+    filled at tick 0).
     """
     return all(
-        u.technology is not Technology.STTRAM
-        or tick_index(t, u.retention_time / u.counter_states) < u.counter_states
+        u.technology is not Technology.STTRAM or t < u.counter_states * tick_cycles(u, cfg.clock_hz)
         for u in _unit_configs(cfg)
     )
 
@@ -350,4 +349,4 @@ def _derived_report(
         a = avail[core]
         avail[core] = (ts if ts > a else a) + costs[core][rec[2] * 3 + level]
     report = _report(cfg, list(sram.units.values()), params, avail)
-    return report if _cannot_expire(cfg, report.exec_time_s) else None
+    return report if _cannot_expire(cfg, max(avail)) else None

@@ -6,8 +6,8 @@ Trace file grammar, one record per line::
 
 `#` begins a comment line, blank lines are ignored, fields are separated
 by one or more spaces.  Timestamps are core clock cycles since trace start
-and must be non-decreasing per core; conversion to seconds happens in the
-hierarchy layer using the configured clock frequency.
+and must be non-decreasing per core.  Simulation keeps time in those
+cycles; only reports convert to seconds, at the configured clock frequency.
 
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
@@ -207,9 +207,13 @@ def time_ordered(records) -> list[AccessRecord]:
     """Return records in (timestamp, core_id) order, the order every replay uses.
 
     A list already in that order is returned as is, without a copy or a
-    sort; otherwise a stably sorted copy is returned.
+    sort; otherwise a stably sorted copy is returned.  ConfigError names the
+    first record with a field that is not an int (replays count in cycles).
     """
     records = records if isinstance(records, list) else list(records)
+    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
+        bad = next(r for r in records if not all(isinstance(x, int) for x in r))
+        raise ConfigError(f"trace record {bad!r} has a field that is not an int")
     prev_ts = -1
     prev_core = -1
     for rec in records:

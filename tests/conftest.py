@@ -4,15 +4,15 @@ from sttsim import AccessKind, AccessRecord
 
 
 def random_access_stream(seed, n, num_blocks=16, line_size=64, write_fraction=0.3,
-                         gap_lo=50, gap_hi=2000, clock_hz=1.9e9):
-    """Random (addr, is_write, now_seconds) tuples with increasing times."""
+                         gap_lo=50, gap_hi=2000):
+    """Random (addr, is_write, now_cycles) tuples with increasing times."""
     rng = random.Random(seed)
     t = 0
     out = []
     for _ in range(n):
         addr = rng.randrange(num_blocks) * line_size
         is_write = rng.random() < write_fraction
-        out.append((addr, is_write, t / clock_hz))
+        out.append((addr, is_write, t))
         t += rng.randint(gap_lo, gap_hi)
     return out
 

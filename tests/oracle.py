@@ -1,10 +1,11 @@
 """Naive reference cache simulator used to cross-check the real one.
 
 Deliberately independent of the package implementation: blocks live in
-per-set dicts keyed by address, exact reset timestamps are kept per
-block, and retention ticks are fired eagerly one at a time, incrementing
-every valid block's counter and evicting blocks whose counter reaches N.
-No expiry deadlines are precomputed anywhere.
+per-set dicts keyed by address, and retention ticks are fired eagerly one
+at a time, incrementing every valid block's counter and evicting blocks
+whose counter reaches N.  No expiry deadlines are precomputed anywhere.
+Times are integer clock cycles; a tick lasts retention * clock_hz / N
+rounded to whole cycles, computed here rather than by the package.
 
 reference_generate_trace builds a synthetic trace one record at a time,
 the plain form of sttsim's generator; the bulk generator must reproduce
@@ -14,7 +15,7 @@ reference_block_lifetimes, reference_persistence and
 reference_expiration_curve are the plain forms of the characterize
 analyses: each filters and orders its stream and replays a fresh
 CacheUnit on its own, with its own observer, sharing nothing between
-calls.
+calls; each lifetime is its residency in cycles divided by the clock.
 """
 
 import bisect
@@ -40,14 +41,14 @@ from sttsim.trace import (
 
 class OracleCache:
     def __init__(self, num_sets, assoc, line_size, retention=None, counter_states=4,
-                 refresh_on_read=False):
+                 refresh_on_read=False, clock_hz=1.9e9):
         self.num_sets = num_sets
         self.assoc = assoc
         self.line_size = line_size
         self.n_states = counter_states
         self.refresh_on_read = refresh_on_read
         self.use_expiry = retention is not None
-        self.period = retention / counter_states if retention is not None else None
+        self.period = round(retention * clock_hz / counter_states) if retention is not None else None
         self.sets = [dict() for _ in range(num_sets)]
         self.ledger = {}  # addr -> 'resident' | 'repl' | 'exp'
         self.ticks_fired = 0
@@ -203,14 +204,13 @@ def _reference_replay(trace, stream, cfg, clock_hz, observe=None):
         "all": lambda kind: True,
     }[stream]
     records = sorted((r for r in trace if keep(r[2])), key=lambda r: (r[1], r[0]))
-    unit = CacheUnit(cfg)
+    unit = CacheUnit(cfg, clock_hz=clock_hz)
     mask = ~(cfg.line_size_bytes - 1)
     for _core, ts, kind, addr in records:
-        now = ts / clock_hz
         aligned = addr & mask
-        out = unit.access(aligned, kind == AccessKind.STORE, now)
+        out = unit.access(aligned, kind == AccessKind.STORE, ts)
         if observe is not None:
-            observe(aligned, out, now)
+            observe(aligned, out, ts)
     return unit
 
 
@@ -236,8 +236,8 @@ def reference_block_lifetimes(trace, cfg, clock_hz, stream, bucket_edges):
             victim = out.victim_address
             if victim is not None:
                 filled = fill_time[victim]
-                by_last_hit.append(last_hit[victim] - filled)
-                by_eviction.append(now - filled)
+                by_last_hit.append((last_hit[victim] - filled) / clock_hz)
+                by_eviction.append((now - filled) / clock_hz)
             fill_time[aligned] = now
         last_hit[aligned] = now
 

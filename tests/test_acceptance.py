@@ -81,8 +81,8 @@ def test_c01_oracle_equivalence():
     n_traces = 102
     for i in range(n_traces):
         retention = RETENTION_SWEEP[i % len(RETENTION_SWEEP)]
-        unit = CacheUnit(stt_cfg(4, 2, retention))
-        ref = OracleCache(4, 2, 64, retention=retention)
+        unit = CacheUnit(stt_cfg(4, 2, retention), clock_hz=CLOCK)
+        ref = OracleCache(4, 2, 64, retention=retention, clock_hz=CLOCK)
         stream = random_access_stream(1000 + i, 1000, num_blocks=16, write_fraction=0.35,
                                       gap_lo=20, gap_hi=1000)
         for addr, is_write, now in stream:
@@ -97,18 +97,18 @@ def test_c01_oracle_equivalence():
 
 @criterion(2, "expiry residency in ((N-1)/N * t_ret, t_ret] over random phases")
 def test_c02_residency_bound():
-    retention = 1 * MS
+    retention = cyc(1 * MS)  # cycles, a whole number of ticks for every n
     for n in (2, 4, 8):
-        unit = CacheUnit(stt_cfg(1, 1, retention, n=n))
+        unit = CacheUnit(stt_cfg(1, 1, 1 * MS, n=n), clock_hz=CLOCK)
         rng = random.Random(n * 7919)
-        t = 0.0
+        t = 0
         for _ in range(10_000):
-            t += rng.random() * 0.9 * retention
+            t += round(rng.random() * 0.9 * retention)
             unit.access(0x0, True, t)
             events = unit.tick_expirations(t + 2 * retention)
             assert len(events) == 1
             residency = events[0].expire_time - t
-            assert (n - 1) / n * retention < residency <= retention, (n, t, residency)
+            assert (n - 1) * retention < n * residency <= n * retention, (n, t, residency)
             t += 2 * retention
 
 
@@ -118,8 +118,10 @@ def test_c03_sram_equivalence():
         stream = random_access_stream(3000 + seed, 600 + 30 * seed, num_blocks=20,
                                       write_fraction=0.5, gap_lo=50, gap_hi=5000)
         duration = stream[-1][2]
-        for retention in (duration + 1 / CLOCK, 10 * duration):
-            stt = CacheUnit(stt_cfg(4, 2, retention))
+        # a tick rounds to whole cycles, so the first deadline (N = 4 ticks)
+        # lies within 2 cycles of the retention; 4 cycles more clear the last access
+        for retention in ((duration + 4) / CLOCK, 10 * duration / CLOCK):
+            stt = CacheUnit(stt_cfg(4, 2, retention), clock_hz=CLOCK)
             ram = CacheUnit(sram_cfg(4, 2))
             for addr, is_write, now in stream:
                 assert stt.access(addr, is_write, now) == ram.access(addr, is_write, now)
@@ -153,11 +155,11 @@ def test_c04_expiration_trend():
 def test_c05_energy_closed_form():
     unit = CacheUnit(stt_cfg(1, 1, 10 * MS))
     a, b = 0x0, 0x40
-    unit.access(a, False, 0.0)     # compulsory fill
-    unit.access(a, True, 1e-6)     # write hit, block now dirty
-    unit.access(a, False, 2e-6)    # read hit
-    unit.access(b, False, 3e-6)    # fills over dirty A: writeback
-    unit.access(a, False, 4e-6)    # replacement miss, evicts clean B
+    unit.access(a, False, 0)       # compulsory fill
+    unit.access(a, True, 1)        # write hit, block now dirty
+    unit.access(a, False, 2)       # read hit
+    unit.access(b, False, 3)       # fills over dirty A: writeback
+    unit.access(a, False, 4)       # replacement miss, evicts clean B
     assert (unit.read_hits, unit.write_hits, unit.fills, unit.writebacks) == (1, 1, 3, 1)
 
     params = TechParams(Technology.STTRAM, 10 * MS, 1e-12, 2e-12, 1e-3, 2, 4)

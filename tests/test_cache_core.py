@@ -15,12 +15,17 @@ from sttsim import (
     EvictionCause,
     MissClass,
     Technology,
-    tick_index,
+    tick_cycles,
 )
 from sttsim import cache as cache_mod
-from sttsim.cache import ExpiredBlock
+from sttsim.cache import DEFAULT_CLOCK_HZ, ExpiredBlock
 
-MS = 1e-3
+MS = 1e-3  # retentions are in seconds, unit times in cycles of the default clock
+CLOCK = DEFAULT_CLOCK_HZ
+
+
+def cyc(seconds):
+    return round(seconds * CLOCK)
 
 
 def stt_unit(sets=1, assoc=1, line=64, retention=1 * MS, n=4, refresh_on_read=False):
@@ -54,7 +59,7 @@ class TestConfig:
     def test_sttram_needs_retention(self):
         with pytest.raises(ConfigError):
             CacheUnitConfig(64, 1, 64, Technology.STTRAM)
-        for retention in (0.0, 5e-324, math.inf, math.nan):  # 5e-324 / 4 is 0
+        for retention in (0.0, -1 * MS, math.inf, math.nan):
             with pytest.raises(ConfigError):
                 CacheUnitConfig(64, 1, 64, Technology.STTRAM, retention_time=retention)
 
@@ -73,75 +78,84 @@ class TestConfig:
 class TestAccessBasics:
     def test_cold_start_compulsory(self):
         u = sram_unit()
-        out = u.access(0x0, False, 0.0)
+        out = u.access(0x0, False, 0)
         assert (out.hit, out.miss_class, out.writeback_issued) == (False, MissClass.COMPULSORY, False)
 
     def test_hit_within_minimum_residency(self):
         u = stt_unit()
-        u.access(0x0, True, 0.0)  # fill dirty, counter reset
-        out = u.access(0x0, False, 0.5 * MS)  # below the (N-1)/N * t_ret lower bound
+        u.access(0x0, True, 0)  # fill dirty, counter reset
+        out = u.access(0x0, False, cyc(0.5 * MS))  # below the (N-1)/N * t_ret lower bound
         assert out.hit
 
     def test_expiration_miss_past_retention(self):
         u = stt_unit()
-        u.access(0x0, True, 0.0)
-        out = u.access(0x0, False, 1.1 * MS)
+        u.access(0x0, True, 0)
+        out = u.access(0x0, False, cyc(1.1 * MS))
         assert not out.hit
         assert out.miss_class == MissClass.EXPIRATION
         assert u.writebacks == 1  # the expired block was dirty
 
+    def test_access_on_a_tick_boundary_sees_that_tick(self):
+        # 4,750-cycle ticks: filled in tick 2, the block's deadline is tick 6, cycle 28,500
+        u = stt_unit(retention=1e-5, n=4)
+        assert u.tick_period == 4_750
+        u.access(0x0, False, 9_500)
+        assert u.access(0x0, False, 28_499).hit
+        out = u.access(0x0, False, 28_500)
+        assert (out.hit, out.miss_class) == (False, MissClass.EXPIRATION)
+
     def test_conflict_prefix_replacement_miss(self):
         # direct-mapped single set: A, then B evicting A, then A again
         u = sram_unit(sets=1, assoc=1)
-        assert not u.access(0x0, False, 0.0).hit
-        out_b = u.access(0x40, False, 1e-6)
+        assert not u.access(0x0, False, 0).hit
+        out_b = u.access(0x40, False, 1)
         assert not out_b.hit and out_b.victim_address == 0x0
-        out_a = u.access(0x0, False, 2e-6)
+        out_a = u.access(0x0, False, 2)
         assert out_a.miss_class == MissClass.REPLACEMENT
 
     def test_unaligned_address_rejected(self):
         u = sram_unit()
         with pytest.raises(ValueError):
-            u.access(0x3, False, 0.0)
+            u.access(0x3, False, 0)
 
     def test_time_regression_rejected(self):
         u = sram_unit()
-        u.access(0x0, False, 1.0)
+        u.access(0x0, False, 10)
         with pytest.raises(ValueError):
-            u.access(0x40, False, 0.5)
-        u.access(0x40, False, 1.0)  # equal time is allowed
+            u.access(0x40, False, 5)
+        u.access(0x40, False, 10)  # equal time is allowed
 
     def test_tick_expirations_advances_clock(self):
         u = stt_unit()
-        u.access(0x0, True, 0.0)
-        assert len(u.tick_expirations(2 * MS)) == 1
-        assert u.time == 2 * MS
+        u.access(0x0, True, 0)
+        assert len(u.tick_expirations(cyc(2 * MS))) == 1
+        assert u.time == cyc(2 * MS)
         with pytest.raises(ValueError, match="time regression"):
-            u.access(0x0, False, 1.5 * MS)
-        assert u.tick_expirations(1.5 * MS) == []  # an earlier tick is a no-op
-        assert u.time == 2 * MS
-        out = u.access(0x0, False, 2 * MS)
+            u.access(0x0, False, cyc(1.5 * MS))
+        assert u.tick_expirations(cyc(1.5 * MS)) == []  # an earlier tick is a no-op
+        assert u.time == cyc(2 * MS)
+        out = u.access(0x0, False, cyc(2 * MS))
         assert out.miss_class == MissClass.EXPIRATION
         assert u.block_state(0, 0).counter == 0  # refilled at the clock's tick
 
     def test_lru_victim_selection(self):
         u = sram_unit(sets=1, assoc=2)
-        u.access(0x0, False, 0.0)
-        u.access(0x40, False, 1e-6)
-        u.access(0x0, False, 2e-6)  # refresh LRU of 0x0
-        out = u.access(0x80, False, 3e-6)
+        u.access(0x0, False, 0)
+        u.access(0x40, False, 1)
+        u.access(0x0, False, 2)  # refresh LRU of 0x0
+        out = u.access(0x80, False, 3)
         assert out.victim_address == 0x40
 
     def test_invalid_way_preferred_over_lru(self):
         u = sram_unit(sets=1, assoc=2)
-        u.access(0x0, False, 0.0)
-        out = u.access(0x40, False, 1e-6)
+        u.access(0x0, False, 0)
+        out = u.access(0x40, False, 1)
         assert out.victim_address is None  # second way was free
 
     def test_dirty_victim_writeback(self):
         u = sram_unit(sets=1, assoc=1)
-        u.access(0x0, True, 0.0)
-        out = u.access(0x40, False, 1e-6)
+        u.access(0x0, True, 0)
+        out = u.access(0x40, False, 1)
         assert out.writeback_issued and out.victim_address == 0x0
         assert u.writebacks == 1
 
@@ -159,12 +173,12 @@ class TestVictimChoice:
         u = stt_unit(sets=2, assoc=assoc)
         *addrs, new = self._addrs(assoc)
         for a in addrs:  # fills the ways in order, all at tick 0
-            u.access(a, True, 0.0)
+            u.access(a, True, 0)
         gone = {assoc // 2, assoc - 1}  # a middle way and the last one expire
         for way, a in enumerate(addrs):
             if way not in gone:
-                u.access(a, True, 0.5 * MS)  # restarts its counter
-        out = u.access(new, False, 1.1 * MS)
+                u.access(a, True, cyc(0.5 * MS))  # restarts its counter
+        out = u.access(new, False, cyc(1.1 * MS))
         assert (out.hit, out.victim_address) == (False, None)
         assert u.block_state(1, assoc // 2).tag == new
         assert [u.block_state(1, w).valid for w in range(assoc)] == [
@@ -176,12 +190,12 @@ class TestVictimChoice:
         u = sram_unit(sets=2, assoc=assoc)
         *addrs, new = self._addrs(assoc)
         for a in addrs:
-            u.access(a, False, 0.0)
+            u.access(a, False, 0)
         lru = assoc // 2
         for way, a in enumerate(addrs):
             if way != lru:
-                u.access(a, False, 1e-6)
-        out = u.access(new, True, 2e-6)
+                u.access(a, False, 1)
+        out = u.access(new, True, 2)
         assert (out.hit, out.victim_address) == (False, addrs[lru])
         assert u.block_state(1, lru).tag == new
         assert u.resident_addresses() == set(addrs) - {addrs[lru]} | {new}
@@ -190,29 +204,29 @@ class TestVictimChoice:
 class TestCounterPolicy:
     def test_write_hit_resets_counter(self):
         u = stt_unit()
-        u.access(0x0, True, 0.0)
-        u.access(0x0, True, 0.9 * MS)  # write hit, retention restarts
-        assert u.access(0x0, False, 1.6 * MS).hit
+        u.access(0x0, True, 0)
+        u.access(0x0, True, cyc(0.9 * MS))  # write hit, retention restarts
+        assert u.access(0x0, False, cyc(1.6 * MS)).hit
 
     def test_read_hit_does_not_reset(self):
         u = stt_unit()
-        u.access(0x0, True, 0.0)
-        assert u.access(0x0, False, 0.9 * MS).hit  # read hit, no refresh
-        out = u.access(0x0, False, 1.2 * MS)
+        u.access(0x0, True, 0)
+        assert u.access(0x0, False, cyc(0.9 * MS)).hit  # read hit, no refresh
+        out = u.access(0x0, False, cyc(1.2 * MS))
         assert not out.hit and out.miss_class == MissClass.EXPIRATION
 
     def test_refresh_on_read_switch(self):
         u = stt_unit(refresh_on_read=True)
-        u.access(0x0, True, 0.0)
-        assert u.access(0x0, False, 0.9 * MS).hit
-        assert u.access(0x0, False, 1.2 * MS).hit  # the read at 0.9ms restarted retention
+        u.access(0x0, True, 0)
+        assert u.access(0x0, False, cyc(0.9 * MS)).hit
+        assert u.access(0x0, False, cyc(1.2 * MS)).hit  # the read at 0.9ms restarted retention
 
     def test_periodic_writes_never_expire(self):
         u = stt_unit(retention=1 * MS)
-        t = 0.0
+        t = 0
         for _ in range(200):  # refresh every 0.5 * t_ret across 100 * t_ret
             u.access(0x0, True, t)
-            t += 0.5 * MS
+            t += cyc(0.5 * MS)
         assert u.miss_expiration == 0
         assert u.evictions_expiration == 0
 
@@ -220,26 +234,26 @@ class TestCounterPolicy:
 class TestTickSchedule:
     def test_aligned_reset_expires_at_exact_retention(self):
         u = stt_unit(retention=1 * MS, n=4)  # ticks every 0.25 ms
-        u.access(0x0, True, 0.0)
-        assert u.tick_expirations(0.999 * MS) == []
-        events = u.tick_expirations(1.0 * MS)
+        u.access(0x0, True, 0)
+        assert u.tick_expirations(cyc(1.0 * MS) - 1) == []
+        events = u.tick_expirations(cyc(1.0 * MS))
         assert len(events) == 1
         assert events[0].address == 0x0
         assert events[0].dirty
-        assert events[0].expire_time == 1.0 * MS
+        assert events[0].expire_time == cyc(1.0 * MS)
 
     def test_offset_reset_rounds_up_to_tick_grid(self):
         # reset at 0.1 ms; ticks at 0.25/0.5/0.75/1.0 ms; expiry at 1.0 ms
         u = stt_unit(retention=1 * MS, n=4)
-        u.access(0x0, True, 0.1 * MS)
-        assert u.tick_expirations(0.99 * MS) == []
-        events = u.tick_expirations(1.0 * MS)
-        assert events[0].expire_time == pytest.approx(1.0 * MS, abs=0.0)
+        u.access(0x0, True, cyc(0.1 * MS))
+        assert u.tick_expirations(cyc(0.99 * MS)) == []
+        events = u.tick_expirations(cyc(1.0 * MS))
+        assert events[0].expire_time == cyc(1.0 * MS)
 
     def test_sram_tick_is_noop(self):
         u = sram_unit()
-        u.access(0x0, True, 0.0)
-        assert u.tick_expirations(100.0) == []
+        u.access(0x0, True, 0)
+        assert u.tick_expirations(cyc(100.0)) == []
 
     def test_access_does_not_keep_expired_blocks(self):
         u = stt_unit(sets=2, assoc=2, retention=1e-5)
@@ -270,49 +284,50 @@ class TestTickSchedule:
         assert len(built) == returned == u.evictions_expiration - before > 0
 
     def test_idle_gap_drains_in_bounded_steps(self):
-        # 4e10 ticks pass; only the N slots after the last access can hold a deadline
-        u = stt_unit(retention=1e-9)
-        u.access(0x0, True, 0.0)
-        events = u.tick_expirations(10.0)
+        # one-cycle ticks: 1.9e10 ticks pass; only the N slots after the last access can hold a deadline
+        u = stt_unit(retention=4 / CLOCK)
+        assert u.tick_period == 1
+        u.access(0x0, True, 0)
+        events = u.tick_expirations(cyc(10.0))
         assert [(e.address, e.dirty) for e in events] == [(0x0, True)]
         assert events[0].expire_time == 4 * u.tick_period
-        assert u.next_tick_time > 10.0
-        assert u.tick_expirations(10.0) == []
+        assert u.next_tick_time > cyc(10.0)
+        assert u.tick_expirations(cyc(10.0)) == []
 
     def test_next_tick_time(self):
         u = stt_unit(retention=1 * MS, n=4)
-        assert u.next_tick_time == 0.25 * MS
-        u.access(0x0, False, 0.6 * MS)
-        assert u.next_tick_time == 0.75 * MS
+        assert u.next_tick_time == cyc(0.25 * MS)
+        u.access(0x0, False, cyc(0.6 * MS))
+        assert u.next_tick_time == cyc(0.75 * MS)
         assert sram_unit().next_tick_time == float("inf")
 
     @pytest.mark.parametrize("n", [2, 4, 8])
     def test_residency_bound_random_phases(self, n):
-        retention = 1 * MS
-        u = stt_unit(retention=retention, n=n)
+        retention = cyc(1 * MS)  # a whole number of ticks for every n
+        u = stt_unit(retention=1 * MS, n=n)
         rng = random.Random(n)
-        t = 0.0
+        t = 0
         for _ in range(1000):
-            t += rng.random() * 0.4 * MS
+            t += round(rng.random() * 0.4 * retention)
             u.access(0x0, True, t)  # write resets the counter at phase t
             events = u.tick_expirations(t + 2 * retention)
             assert len(events) == 1
             residency = events[0].expire_time - t
-            assert (n - 1) / n * retention < residency <= retention
+            assert (n - 1) * retention < n * residency <= n * retention
             t = t + 2 * retention
 
     def test_counter_value_progression(self):
         u = stt_unit(retention=1 * MS, n=4)
-        u.access(0x0, True, 0.0)
-        assert u.counter_value(0, 0.1 * MS) == 0
-        assert u.counter_value(0, 0.25 * MS) == 1
-        assert u.counter_value(0, 0.6 * MS) == 2
-        assert u.counter_value(0, 0.99 * MS) == 3
+        u.access(0x0, True, 0)
+        assert u.counter_value(0, cyc(0.1 * MS)) == 0
+        assert u.counter_value(0, cyc(0.25 * MS)) == 1
+        assert u.counter_value(0, cyc(0.6 * MS)) == 2
+        assert u.counter_value(0, cyc(0.99 * MS)) == 3
 
     def test_block_state_snapshot(self):
         u = stt_unit(retention=1 * MS, n=4)
-        u.access(0x0, True, 0.0)
-        st = u.block_state(0, 0, at=0.3 * MS)
+        u.access(0x0, True, 0)
+        st = u.block_state(0, 0, at=cyc(0.3 * MS))
         assert st.valid and st.dirty and st.tag == 0x0 and st.counter == 1
 
 
@@ -320,11 +335,11 @@ class TestLedger:
     def test_cause_transitions(self):
         u = stt_unit(sets=1, assoc=1, retention=1 * MS)
         assert u.eviction_cause(0x0) == EvictionCause.NEVER_RESIDENT
-        u.access(0x0, False, 0.0)
+        u.access(0x0, False, 0)
         assert u.eviction_cause(0x0) == EvictionCause.RESIDENT
-        u.access(0x40, False, 0.1 * MS)  # replaces 0x0
+        u.access(0x40, False, cyc(0.1 * MS))  # replaces 0x0
         assert u.eviction_cause(0x0) == EvictionCause.EVICTED_BY_REPLACEMENT
-        u.tick_expirations(5 * MS)
+        u.tick_expirations(cyc(5 * MS))
         assert u.eviction_cause(0x40) == EvictionCause.EVICTED_BY_EXPIRATION
 
     def test_resident_iff_hit(self):
@@ -357,7 +372,7 @@ class TestInvariants:
     def test_sram_equivalence_long_retention(self):
         stream = random_access_stream(23, 1500, num_blocks=20, write_fraction=0.5)
         duration = stream[-1][2]
-        stt = stt_unit(sets=4, assoc=2, retention=duration * 1.01)
+        stt = stt_unit(sets=4, assoc=2, retention=duration * 1.01 / CLOCK)
         ram = sram_unit(sets=4, assoc=2)
         for addr, w, now in stream:
             assert stt.access(addr, w, now) == ram.access(addr, w, now)
@@ -400,20 +415,21 @@ class TestOraclePropertyEquivalence:
         assoc=st.integers(1, 16),
         retention=st.sampled_from([None, 1e-6, 1e-5, 1e-4, 1e-3]),
         n=st.integers(2, 8),
+        clock_hz=st.sampled_from([1e9, 1.9e9, 3.2e9]),
         refresh_on_read=st.booleans(),
         write_fraction=st.floats(0.0, 1.0),
         blocks_per_way=st.floats(0.25, 3.0),
         seed=st.integers(0, 2**16),
         tick_first=st.booleans(),
     )
-    def test_matches_oracle(self, sets, assoc, retention, n, refresh_on_read, write_fraction,
+    def test_matches_oracle(self, sets, assoc, retention, n, clock_hz, refresh_on_read, write_fraction,
                             blocks_per_way, seed, tick_first):
         tech = Technology.SRAM if retention is None else Technology.STTRAM
         cfg = CacheUnitConfig(sets * assoc * 64, assoc, 64, tech, retention_time=retention,
                               counter_states=n, refresh_on_read=refresh_on_read)
-        unit = CacheUnit(cfg)
+        unit = CacheUnit(cfg, clock_hz=clock_hz)
         ref = OracleCache(sets, assoc, 64, retention=retention, counter_states=n,
-                          refresh_on_read=refresh_on_read)
+                          refresh_on_read=refresh_on_read, clock_hz=clock_hz)
         num_blocks = max(1, round(blocks_per_way * sets * assoc))
         stream = random_access_stream(seed, 300, num_blocks=num_blocks, write_fraction=write_fraction,
                                       gap_lo=20, gap_hi=1000)
@@ -437,14 +453,16 @@ class TestOraclePropertyEquivalence:
         assert unit.evictions_replacement == ref.evictions_replacement
 
 
-def test_tick_index_robustness():
-    for period in (2.5e-7, 1e-3 / 3, 0.1 / 7, 1.25e-4):
-        for k in (0, 1, 5, 999, 123456):
-            t = k * period
-            assert tick_index(t, period) == k
-            assert tick_index(t + period * 1e-6, period) == k
+def test_tick_cycles_rounds_to_whole_cycles():
+    def cfg(retention, n):
+        return CacheUnitConfig(64, 1, 64, Technology.STTRAM, retention, counter_states=n)
 
-
-def test_tick_index_overflow_is_a_config_error():
-    with pytest.raises(ConfigError):
-        tick_index(1e-3, 2.5e-321)
+    assert tick_cycles(cfg(1e-5, 4), 1.9e9) == 4_750
+    assert tick_cycles(cfg(1e-6, 7), 3.2e9) == 457  # 457.14 cycles
+    assert tick_cycles(cfg(1e-6, 6), 1e9) == 167  # 166.67 cycles
+    assert CacheUnit(cfg(1e-6, 7), clock_hz=3.2e9).tick_period == 457
+    for retention, clock in ((1e-9, 1.9e9), (1e-320, 1.9e9), (5e-324, 1e9)):
+        with pytest.raises(ConfigError, match=rf"{retention!r} s at {clock!r} Hz .* at least one"):
+            tick_cycles(cfg(retention, 4), clock)
+        with pytest.raises(ConfigError):
+            CacheUnit(cfg(retention, 4), clock_hz=clock)

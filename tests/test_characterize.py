@@ -136,8 +136,16 @@ class TestBlockLifetimes:
         unit = CacheUnit(cfg)
         for r in trace:
             if r.kind:
-                unit.access(r.address, r.kind == AccessKind.STORE, r.timestamp / CLOCK)
+                unit.access(r.address, r.kind == AccessKind.STORE, r.timestamp)
         assert hist.total_residencies == unit.fills - len(unit.resident_addresses())
+
+    def test_lifetime_is_its_cycles_divided_by_the_clock(self):
+        # 190,000 cycles are exactly 1e-4 s at 1.9 GHz; 201,000 / clock - 11,000 / clock is below it
+        trace = [AccessRecord(0, 11_000, AccessKind.LOAD, 0x0), AccessRecord(0, 201_000, AccessKind.LOAD, 0x0),
+                 AccessRecord(0, 300_000, AccessKind.LOAD, 0x40)]
+        hist = block_lifetimes(trace, unit_cfg(), clock_hz=CLOCK)
+        assert hist.counts_last_hit == [0, 0, 0, 1, 0, 0, 0, 0]  # [1e-4, 1e-3)
+        assert hist.quantiles_last_hit["p50"] == 1e-4
 
     def test_sttram_config_forced_unbounded(self):
         cfg = CacheUnitConfig(64, 1, 64, Technology.STTRAM, 1e-6)

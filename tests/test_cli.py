@@ -147,7 +147,7 @@ class TestCharacterize:
 
     @pytest.mark.parametrize("retention", ["1e-320", "5e-324", "1e400"])
     def test_retention_beyond_tick_arithmetic_exits_2(self, tmp_path, capsys, retention):
-        # 1e-320 s ticks overflow t / period, 5e-324 s gives a zero tick period, 1e400 is inf
+        # 1e-320 and 5e-324 s give ticks below one clock cycle, 1e400 is inf
         cfg = make_config(tmp_path, SINGLE_CORE.replace("retentions = 1e-5", f"retentions = {retention} 1e-5"))
         assert run(["characterize", "--config", cfg]) == 2
         captured = capsys.readouterr()

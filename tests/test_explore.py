@@ -346,10 +346,16 @@ class TestDerivedSweep:
         assert_sweep_matches_simulate(trace, tmpl, [1e0], jobs=1)
         assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
 
-    def test_float_timestamps_are_derived(self, sim_calls):
-        trace = [AccessRecord(i % 2, 100 * i + 0.5, AccessKind.LOAD, 64 * i) for i in range(10)]
-        assert_sweep_matches_simulate(trace, two_level(2), [1e0], jobs=1)
-        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
+    def test_float_timestamps_are_rejected(self, sim_calls):
+        # units keep time in integer cycles; a float timestamp is named before any simulation
+        for offset in (0.5, 0.25):
+            trace = [AccessRecord(i % 2, 100 * i + offset, AccessKind.LOAD, 64 * i) for i in range(10)]
+            match = rf"record AccessRecord\(core_id=0, timestamp={offset}, .* not an int"
+            with pytest.raises(ConfigError, match=match):
+                sweep(trace, two_level(2), [1e0], tech_table=TABLE, jobs=1)
+            with pytest.raises(ConfigError, match=match):
+                simulate(two_level(2), trace, TABLE)
+        assert sim_calls == []
 
     def test_cores_beyond_255_are_derived(self, sim_calls):
         tiny = CacheUnitConfig(128, 1, 64, Technology.SRAM)
@@ -364,7 +370,7 @@ class TestDerivedSweep:
         num_cores=hs.integers(1, 4),
         with_l2=hs.booleans(),
         # past int64 the clock puts the trace just before the first 1e-4 deadline
-        offset_and_clock=hs.sampled_from([(0, CLOCK), (2**63 - 1000, 1e23), (0.25, CLOCK)]),
+        offset_and_clock=hs.sampled_from([(0, CLOCK), (2**63 - 1000, 1e23)]),
         rets=hs.lists(hs.sampled_from([1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1e0]), min_size=1, max_size=4,
                       unique=True).map(sorted),
     )

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 
@@ -10,8 +11,13 @@ from sttsim import (
     ConfigError,
     HierarchyConfig,
     Technology,
+    assign_asymmetric,
+    block_lifetimes,
+    expiration_curve,
+    persistence,
     sample_tech_table,
     simulate,
+    specialize,
     sweep,
     time_to_seconds,
 )
@@ -127,6 +133,24 @@ class TestSharedL2:
             simulate(cfg, trace, TABLE)
         with pytest.raises(ConfigError, match=f"kind {kind} "):
             sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
+
+    @pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, 1.0), (3, 0.5), (3, 64.0), (1, "1")])
+    def test_record_field_that_is_not_an_int(self, field, value):
+        cfg = small_hier(num_cores=1, tech=Technology.SRAM)
+        bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), bad, AccessRecord(0, 2, AccessKind.STORE, 0x80)]
+        studies = [
+            lambda: simulate(cfg, trace, TABLE),
+            lambda: sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1),
+            lambda: specialize(trace, cfg, [1e-3], 1e-3, 3, tech_table=TABLE),
+            lambda: assign_asymmetric([trace], cfg, [1e-3], 3, tech_table=TABLE),
+            lambda: block_lifetimes(trace, cfg.l1d[0], stream="all"),
+            lambda: persistence(trace, cfg.l1d[0], stream="all"),
+            lambda: expiration_curve(trace, cfg.l1d[0], [1e-3], stream="all"),
+        ]
+        for study in studies:
+            with pytest.raises(ConfigError, match=re.escape(f"record {bad!r} has a field that is not an int")):
+                study()
 
     @pytest.mark.parametrize("seed", range(4))
     def test_level_flow_conservation(self, seed):
