@@ -225,6 +225,8 @@ class CacheUnit:
 
     def _expire_due(self, now: int, expired: list[ExpiredBlock] | None) -> None:
         """Expire every block due at or before `now`, appending each to `expired` unless None."""
+        if not isinstance(now, int):
+            raise ValueError(f"{self.name}: time {now!r} is not a whole number of cycles")
         period = self.tick_period
         k = now // period
         n = self._n_states

@@ -4,11 +4,10 @@ Covers read-write activity, cache block lifetimes, block persistence, and
 expiration-miss curves across retention times.  Every analysis replays the
 selected stream through one unit with a single loop (`_replay`), all cores
 feeding that unit in (timestamp, core_id) order; a stream already in that
-order is not re-sorted.  Lifetimes, persistence and the expiration curve's
-unbounded baseline all read one unbounded-retention (SRAM) replay of the
-stream (`_sram_profile`), which is kept for the last stream profiled, so the
-three analyses of one stream make one such replay between them; the curve
-then replays once per retention.
+order is not re-sorted.  Lifetimes, persistence and the expiration curve
+read one profile per stream (`_sram_profile`): the stream, selected, checked
+and ordered once, and its unbounded-retention (SRAM) replay.  It is kept for
+the last (trace, stream) profiled; the curve replays its stream once per retention.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import numpy as np
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
 from .explore import _check_retentions
-from .trace import AccessKind, time_ordered
+from .trace import AccessKind, check_records, time_ordered
 
 # log-decade lifetime buckets spanning 1us..1s, plus underflow/overflow
 LIFETIME_BUCKET_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -50,6 +49,8 @@ class RwRatioReport:
 def read_write_ratio(trace) -> RwRatioReport:
     if not trace:
         raise ConfigError("read_write_ratio requires a non-empty trace")
+    trace = trace if isinstance(trace, list) else list(trace)
+    check_records(trace)
     counts: dict[int, list[int]] = {}
     for rec in trace:
         kind = rec[2]
@@ -66,18 +67,6 @@ def read_write_ratio(trace) -> RwRatioReport:
     return RwRatioReport(per_core=per_core, loads=loads, stores=stores)
 
 
-def _stream(trace, stream: str) -> list:
-    if stream == "data":
-        records = [r for r in trace if r[2]]
-    elif stream == "instr":
-        records = [r for r in trace if not r[2]]
-    elif stream == "all":
-        records = trace
-    else:
-        raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
-    return time_ordered(records)
-
-
 def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
     if cfg.technology is Technology.SRAM:
         return cfg
@@ -85,7 +74,7 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
 
 
 def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
-    """Replay ordered records (see _stream) through one fresh unit and return it.
+    """Replay ordered records (see _sram_profile) through one fresh unit and return it.
 
     All cores feed the single unit, clocked at clock_hz.  When given,
     observe(aligned_addr, outcome, timestamp) is called after every access.
@@ -104,37 +93,49 @@ def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> Cac
 
 @dataclass(frozen=True)
 class _SramProfile:
-    """What lifetimes, persistence and the curve baseline read of one unbounded replay.
+    """One stream in time order, and what the analyses read of its unbounded replay.
 
     Lifetimes are in seconds, one per completed residency, in eviction
     order.  fills_per_block has one count per block address ever filled;
-    under unbounded retention a block is refilled only after an eviction,
-    so its reloads are its fills - 1.
+    every miss fills, and under unbounded retention a block is refilled
+    only after an eviction, so its reloads are its fills - 1.
     """
 
+    records: list
     last_hit_lifetimes: array
     eviction_lifetimes: array
     fills_per_block: array
-    fills: int
     misses: int
 
 
-# (unbounded cfg, clock_hz, copy of the ordered stream, profile) of the last stream profiled
+# (stream, unbounded cfg, clock_hz, copy of the caller's trace, profile) of the last stream profiled
 _memo: tuple | None = None
 
 
-def _sram_profile(records, cfg: CacheUnitConfig, clock_hz: float) -> _SramProfile:
-    """Profile ordered records (see _stream) on cfg's unbounded-retention unit.
+def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> _SramProfile:
+    """Profile one stream of trace ("data", "instr" or "all") on cfg's unbounded-retention unit.
 
-    The profile of the last stream is kept: a call with an equal unbounded
-    config, clock and stream (compared record by record against a copy, so a
-    list changed in place since is profiled anew) returns it without a replay.
+    The profile of the last stream is kept: a call with the same stream, an
+    equal unbounded config and clock, and an equal trace (compared record by
+    record against a copy, so a list changed in place since is profiled
+    anew) returns it without selecting, checking or replaying the stream.
     """
     global _memo
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
-    if memo is not None and memo[0] == cfg and memo[1] == clock_hz and memo[2] == records:
-        return memo[3]
+    if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] == trace:
+        return memo[4]
+    copy = list(trace)
+    if stream == "data":
+        records = [r for r in copy if r[2]]
+    elif stream == "instr":
+        records = [r for r in copy if not r[2]]
+    elif stream == "all":
+        records = copy
+    else:
+        raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
+    records = time_ordered(records)
+    check_records(copy)
     fill_time: dict[int, int] = {}
     last_hit: dict[int, int] = {}
     fills: dict[int, int] = {}
@@ -154,13 +155,13 @@ def _sram_profile(records, cfg: CacheUnitConfig, clock_hz: float) -> _SramProfil
 
     unit = _replay(records, cfg, clock_hz, observe)
     profile = _SramProfile(
+        records=records,
         last_hit_lifetimes=by_last_hit,
         eviction_lifetimes=by_eviction,
         fills_per_block=array("q", fills.values()),
-        fills=unit.fills,
         misses=unit.misses,
     )
-    _memo = (cfg, clock_hz, list(records), profile)
+    _memo = (stream, cfg, clock_hz, copy, profile)
     return profile
 
 
@@ -220,7 +221,7 @@ def block_lifetimes(
         and all(lo < hi for lo, hi in zip(edges, edges[1:]))
     ):
         raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {bucket_edges!r}")
-    profile = _sram_profile(_stream(trace, stream), cfg, clock_hz)
+    profile = _sram_profile(trace, cfg, clock_hz, stream)
     by_last_hit = profile.last_hit_lifetimes
     by_eviction = profile.eviction_lifetimes
     return LifetimeHistogram(
@@ -261,7 +262,7 @@ def persistence(
     for thd in thresholds:
         if not isinstance(thd, int) or isinstance(thd, bool) or thd < 1:
             raise ConfigError(f"persistence thresholds must be ints >= 1, got {thd!r}")
-    profile = _sram_profile(_stream(trace, stream), cfg, clock_hz)
+    profile = _sram_profile(trace, cfg, clock_hz, stream)
     unique = len(profile.fills_per_block)
     fills = np.asarray(profile.fills_per_block)
     fractions = {}
@@ -274,7 +275,7 @@ def persistence(
         fractions=fractions,
         reloaded_counts=counts,
         unique_blocks=unique,
-        total_fills=profile.fills,
+        total_fills=profile.misses,
     )
 
 
@@ -298,11 +299,11 @@ def expiration_curve(
     if _check_retentions(retentions) != retentions:
         raise ConfigError("retentions must be sorted ascending")
 
-    records = _stream(trace, stream)
-    baseline_misses = _sram_profile(records, cfg, clock_hz).misses
+    profile = _sram_profile(trace, cfg, clock_hz, stream)
+    baseline_misses = profile.misses
     points = []
     for r in retentions:
-        unit = _replay(records, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)
+        unit = _replay(profile.records, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)
         points.append(
             ExpirationCurvePoint(
                 retention_s=r,

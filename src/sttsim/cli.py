@@ -22,7 +22,6 @@ from .energy import load_tech_table, sample_tech_table
 from .errors import ConfigError, SttsimError
 from .hierarchy import simulate as run_simulation
 from .trace import (
-    AccessKind,
     SyntheticTraceSpec,
     generate_trace,
     parse_gap_spec,
@@ -176,15 +175,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _streams_present(records) -> list[str]:
-    streams = []
-    if any(r.kind != AccessKind.INSTR_FETCH for r in records):
-        streams.append("data")
-    if any(r.kind == AccessKind.INSTR_FETCH for r in records):
-        streams.append("instr")
-    return streams
-
-
 def _cmd_characterize(args) -> int:
     cfg = _load_config(args)
     records = _load_records(cfg)
@@ -202,7 +192,9 @@ def _cmd_characterize(args) -> int:
     life_rows = []
     pers_rows = []
     curve_rows = []
-    for stream in _streams_present(records):
+    data = ratio.loads + ratio.stores
+    streams = (["data"] if data else []) + (["instr"] if len(records) > data else [])
+    for stream in streams:
         unit_cfg = unit_cfg_for[stream]
         hist = chz.block_lifetimes(records, unit_cfg, clock_hz=clock, stream=stream)
         labels = hist.bucket_labels(hist.bucket_edges)

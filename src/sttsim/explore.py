@@ -24,7 +24,7 @@ from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
-from .trace import SyntheticTraceSpec, generate_trace, time_ordered
+from .trace import time_ordered
 
 
 class Objective(enum.Enum):
@@ -100,12 +100,6 @@ def _run_sims(
     return [done[t] for t in tasks], results[0][1] if results else ()
 
 
-def _materialize(trace) -> list:
-    if isinstance(trace, SyntheticTraceSpec):
-        return generate_trace(trace)
-    return trace if isinstance(trace, list) else list(trace)
-
-
 # -- retention sweep ---------------------------------------------------------
 
 
@@ -163,7 +157,7 @@ def sweep(
     broken toward the longer retention.
     """
     rets = _check_retentions(retentions)
-    records = time_ordered(_materialize(trace))
+    records = time_ordered(trace)
     table = tech_table if tech_table is not None else sample_tech_table()
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
@@ -238,7 +232,7 @@ def specialize(
     for adversarial phase-change workloads).
     """
     rets = _check_retentions(retentions)
-    records = _materialize(trace)
+    records = trace if isinstance(trace, list) else list(trace)
     if sample_len < 1:
         raise ConfigError("sample_len must be >= 1")
     if sample_len > len(records):
@@ -342,7 +336,7 @@ def assign_asymmetric(
     if any(not r > 0 for r in core_rets):
         raise ConfigError("core retentions must be positive")
 
-    traces = [_rebase_core(_materialize(t)) for t in thread_traces]
+    traces = [_rebase_core(list(t)) for t in thread_traces]
     prefixes = [time_ordered(t[:profile_len]) for t in traces]
     traces = [time_ordered(t) for t in traces]
 

@@ -25,12 +25,11 @@ unit applies and counts its due expirations inside access().
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, tick_cycles
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError
-from .trace import AccessKind, time_ordered
+from .trace import check_records, time_ordered
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
@@ -155,26 +154,13 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     return _simulate(cfg, time_ordered(trace), tech_table)[0]
 
 
-def _check_records(records: list, ncores: int) -> None:
-    """ConfigError naming the first record whose core or kind the record loop
-    cannot route; each column is checked in one C-level pass over the records."""
-    bad = set(map(itemgetter(0), records)).difference(range(ncores))
-    if bad:
-        core = next(r[0] for r in records if r[0] in bad)
-        raise ConfigError(f"trace references core {core} but num_cores is {ncores}")
-    bad = set(map(itemgetter(2), records)).difference(AccessKind)
-    if bad:
-        kind = next(r[2] for r in records if r[2] in bad)
-        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
-
-
 def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
     """simulate(cfg) of records already in time order, and the report of each
     config in `derive` built from that run (see _derived_report), or None
     where that is refused."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
-    _check_records(records, ncores)
+    check_records(records, ncores)
     # the level that served each record, kept only to derive reports
     levels = bytearray(len(records)) if derive else None
 

@@ -226,6 +226,25 @@ def time_ordered(records) -> list[AccessRecord]:
     return records
 
 
+def check_records(records: list, ncores: int | None = None) -> None:
+    """ConfigError naming the first record with a core id below 0 (or not below
+    ncores, when given) or a kind that is not an AccessKind.
+
+    Each column is checked in one C-level pass over the records; a field
+    that is not an int is left for time_ordered to name.
+    """
+    cores = set(map(itemgetter(0), records))
+    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if isinstance(c, int) and c < 0}
+    if bad:
+        core = next(r[0] for r in records if r[0] in bad)
+        rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
+        raise ConfigError(f"trace references core {core} but {rule}")
+    bad = set(map(itemgetter(2), records)).difference(AccessKind)
+    if bad:
+        kind = next(r[2] for r in records if r[2] in bad)
+        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+
+
 @dataclass(frozen=True)
 class ConstantGap:
     cycles: int

@@ -125,6 +125,16 @@ class TestAccessBasics:
             u.access(0x40, False, 5)
         u.access(0x40, False, 10)  # equal time is allowed
 
+    def test_float_time_past_a_tick_rejected(self):
+        # a float below the first tick is never turned into ticks; one past it is named
+        u = stt_unit(retention=1e-5)
+        u.access(0x0, False, 0)
+        u.access(0x0, False, 100.0)
+        with pytest.raises(ValueError, match=r"unit: time 5000\.0 "):
+            u.access(0x0, False, 5000.0)
+        with pytest.raises(ValueError, match=r"unit: time 6000\.0 "):
+            u.tick_expirations(6000.0)
+
     def test_tick_expirations_advances_clock(self):
         u = stt_unit()
         u.access(0x0, True, 0)

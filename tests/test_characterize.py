@@ -398,6 +398,13 @@ class TestProfileMemo:
         after = results(trace, self.CFG, CLOCK, "all", RETENTIONS)
         assert after == reference_results(trace, self.CFG, CLOCK, "all", RETENTIONS)
         assert after != before
+        # an instruction fetch turned into a load of a new block joins the data stream
+        before = results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        i = next(i for i, r in enumerate(trace) if r.kind == AccessKind.INSTR_FETCH)
+        trace[i] = trace[i]._replace(kind=AccessKind.LOAD, address=64 * 99)
+        after = results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        assert after == reference_results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        assert after != before
 
     def test_config_clock_and_stream_varied_and_interleaved(self):
         trace = mixed_trace(5, 600, 3, 64, True)
@@ -439,6 +446,52 @@ class TestProfileMemo:
         assert replayed.count(Technology.SRAM) == 1
         results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
         assert replayed.count(Technology.SRAM) == 2
+
+
+    def test_one_selection_per_trace_and_stream(self, monkeypatch):
+        ordered = []
+        real_time_ordered = characterize.time_ordered
+
+        def counting_time_ordered(records):
+            ordered.append(len(records))
+            return real_time_ordered(records)
+
+        monkeypatch.setattr(characterize, "time_ordered", counting_time_ordered)
+        monkeypatch.setattr(characterize, "_memo", None)
+        trace = mixed_trace(7, 500, 2, 64, False)
+        data = sum(1 for r in trace if r.kind)
+        results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        results(trace, self.CFG, CLOCK, "data", RETENTIONS)
+        assert ordered == [data]
+        results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
+        assert ordered == [data, len(trace) - data]
+
+
+class TestBadRecords:
+    """Every analysis names a record kind outside 0-2 or a negative core id."""
+
+    CFG = unit_cfg()
+
+    def analyses(self, trace):
+        return [
+            lambda: read_write_ratio(trace),
+            lambda: block_lifetimes(trace, self.CFG),
+            lambda: persistence(trace, self.CFG, stream="instr"),
+            lambda: expiration_curve(trace, self.CFG, [1e-3], stream="all"),
+        ]
+
+    @pytest.mark.parametrize("kind", [3, -1])
+    def test_kind_out_of_range(self, kind):
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 10, kind, 0x40)]
+        for analysis in self.analyses(trace):
+            with pytest.raises(ConfigError, match=f"kind {kind} "):
+                analysis()
+
+    def test_negative_core(self):
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(-1, 10, AccessKind.INSTR_FETCH, 0x40)]
+        for analysis in self.analyses(trace):
+            with pytest.raises(ConfigError, match="core -1 "):
+                analysis()
 
 
 class TestBucketize:

@@ -145,6 +145,22 @@ class TestCharacterize:
         # one row per retention for the data stream
         assert len(rows) == 4
 
+    @pytest.mark.parametrize("kinds, streams", [(("IF", "LD", "ST"), ["data", "instr"]), (("IF",), ["instr"])])
+    def test_streams_of_a_trace_file(self, tmp_path, kinds, streams):
+        # each stream the trace holds gets its rows, data first; rwratio counts loads and stores only
+        trace = tmp_path / "t.trace"
+        trace.write_text("".join(f"0 {100 * i} {kinds[i % len(kinds)]} {64 * (i % 5):#x}\n" for i in range(30)))
+        cfg = make_config(tmp_path, SINGLE_CORE)
+        assert run(["characterize", "--config", cfg, "--trace", trace, "--out-dir", tmp_path / "r"]) == 0
+        _, rows = read_csv(tmp_path / "r" / "rwratio.csv")
+        if "LD" in kinds:
+            assert rows == [["core0", "10", "10", "0.5"], ["aggregate", "10", "10", "0.5"]]
+        else:
+            assert rows == [["aggregate", "0", "0", "-"]]
+        for name in ("lifetimes.csv", "persistence.csv", "expiration_curve.csv"):
+            _, rows = read_csv(tmp_path / "r" / name)
+            assert list(dict.fromkeys(row[0] for row in rows)) == streams, name
+
     @pytest.mark.parametrize("retention", ["1e-320", "5e-324", "1e400"])
     def test_retention_beyond_tick_arithmetic_exits_2(self, tmp_path, capsys, retention):
         # 1e-320 and 5e-324 s give ticks below one clock cycle, 1e400 is inf
