@@ -8,10 +8,13 @@ first.  The counter resets on fills and write hits (writes re-magnetize the
 cells); read hits leave it running unless refresh_on_read is enabled.
 
 Ticks are applied lazily on a timing wheel of N slots (Varghese & Lauck,
-SOSP 1987); a refresh only records the way's reset tick, and a way found
-refreshed when its slot comes due is re-filed.  Observable outcomes are
-identical to firing every tick eagerly, which the test suite checks
-against an independent eager simulator.
+SOSP 1987) whose slots hold plain way indices; a refresh only records the
+way's reset tick, and a way found refreshed when its slot comes due is
+re-filed.  Observable outcomes are identical to firing every tick eagerly,
+which the test suite checks against an independent eager simulator.  Only
+a caller that collects the expired blocks (tick_expirations, or access()
+given a list) sees their order within a tick; a drain that only counts
+expires them in filing order.
 """
 
 from __future__ import annotations
@@ -60,11 +63,18 @@ class ExpiredBlock(NamedTuple):
 
 
 _HIT = AccessOutcome(True, None, False, None)
-_new_outcome = tuple.__new__  # a miss outcome without the namedtuple's Python-level __new__
+# builds an outcome or an ExpiredBlock without the namedtuple's Python-level __new__
+_new_tuple = tuple.__new__
 
 _COMPULSORY = MissClass.COMPULSORY
 _REPLACEMENT = MissClass.REPLACEMENT
 _EXPIRATION = MissClass.EXPIRATION
+
+# the outcome of a miss into a free way, by miss class
+_FREE_WAY_MISS = tuple(AccessOutcome(False, c, False, None) for c in MissClass)
+
+# a unit builds one wheel slot per counter state, and a drain walks up to that many
+MAX_COUNTER_STATES = 256
 
 _NEVER_RESIDENT = EvictionCause.NEVER_RESIDENT
 _RESIDENT = EvictionCause.RESIDENT
@@ -79,7 +89,8 @@ class CacheUnitConfig:
     size_bytes must equal num_sets * associativity * line_size_bytes with
     num_sets a power of two.  retention_time (seconds) is required for
     STTRAM and ignored for SRAM.  counter_states is the number of FSM
-    states N of the per-block retention counter.  Replacement is LRU.
+    states N of the per-block retention counter, 2 to MAX_COUNTER_STATES
+    (an 8-bit counter).  Replacement is LRU.
     """
 
     size_bytes: int
@@ -102,6 +113,8 @@ class CacheUnitConfig:
             raise ConfigError(f"num_sets must be a power of two, got {sets}")
         if self.counter_states < 2:
             raise ConfigError("counter_states must be >= 2")
+        if self.counter_states > MAX_COUNTER_STATES:
+            raise ConfigError(f"counter_states must be <= {MAX_COUNTER_STATES}, got {self.counter_states}")
         if self.technology is Technology.STTRAM:
             r = self.retention_time
             if r is None or not 0 < r < math.inf:
@@ -181,8 +194,8 @@ class CacheUnit:
         else:
             self.tick_period = math.inf
         self._n_states = config.counter_states
-        # slot t % N: (gen, way) filed to come due at tick t, one entry per valid way
-        self._wheel: list[list[tuple[int, int]]] = [[] for _ in range(self._n_states)]
+        # slot t % N: the ways filed to come due at tick t, one entry per valid way
+        self._wheel: list[list[int]] = [[] for _ in range(self._n_states)]
         # latest time seen by access() or tick_expirations() (-inf before any), and its tick
         self.time = -math.inf
         self._tick = 0
@@ -212,9 +225,11 @@ class CacheUnit:
         """Apply all expirations due at or before `now`; return the blocks this call expired.
 
         Advances the unit's clock to `now` if later.  access() applies due
-        expirations too but does not return them, so call this before
-        access() to see every expired block.  Blocks due at one tick come
-        in (generation, way) order.  Nothing is due before next_tick_time.
+        expirations too, and returns them only into a list it is given, so
+        call this (or pass access() a list) to see every expired block.
+        Blocks come in tick order, those due at one tick in (generation, way)
+        order, where a way's generation counts its fills, resets and expiries.
+        Nothing is due before next_tick_time.
         """
         if now > self.time:
             self.time = now
@@ -245,42 +260,44 @@ class CacheUnit:
                 continue
             wheel[t % n] = []
             due = []
-            for g, way in slot:
-                cur = gen[way]
-                if cur != g:
-                    deadline = reset_tick[way] + n
-                    if deadline != t:
-                        wheel[deadline % n].append((cur, way))  # reset since filed
-                        continue
-                due.append((cur, way))
-            if len(due) > 1:
+            for way in slot:
+                reset = reset_tick[way]
+                if reset + n == t:
+                    due.append(way)
+                else:  # reset since filed: its deadline's slot is its reset tick's
+                    wheel[reset % n].append(way)
+            if expired is not None and len(due) > 1:
                 due.sort()
+                due.sort(key=gen.__getitem__)  # stable: (generation, way) order
             self.evictions_expiration += len(due)
             expire_time = t * period
-            for g, way in due:
+            for way in due:
                 addr = tags[way]
                 tags[way] = None
                 del where[addr]
-                gen[way] = g + 1
+                gen[way] += 1
                 cause[addr] = _BY_EXPIRATION
                 was_dirty = dirty[way]
                 if was_dirty:
                     self.writebacks += 1
                 if expired is not None:
-                    expired.append(ExpiredBlock(addr, was_dirty, expire_time))
+                    expired.append(_new_tuple(ExpiredBlock, (addr, was_dirty, expire_time)))
         self._tick = k
         self.next_tick_time = (k + 1) * period
 
     # -- access ------------------------------------------------------------
 
-    def access(self, addr: int, is_write: bool, now: int) -> AccessOutcome:
+    def access(self, addr: int, is_write: bool, now: int, expired: list[ExpiredBlock] | None = None) -> AccessOutcome:
         """One read or write of a block-aligned address at simulated cycle `now`.
 
         `now` must not precede the unit's clock, the latest time seen by
         access() or tick_expirations(); the call advances the clock to it.
         Expirations due at or before `now` are applied before the lookup,
         so a reference arriving after a block's deadline observes the
-        expiration miss.
+        expiration miss.  When `expired` is a list, the blocks this call
+        expires are appended to it, as tick_expirations() would return them
+        (so an L1 can collect its own expiries); otherwise they are only
+        counted, and their order within a tick is not kept.
         """
         if addr & self._line_mask:
             raise ValueError(f"{self.name}: address {addr:#x} not aligned to {self._line_mask + 1}-byte line")
@@ -288,7 +305,7 @@ class CacheUnit:
             raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
         self.time = now
         if now >= self.next_tick_time:
-            self._expire_due(now, None)
+            self._expire_due(now, expired)
 
         way = self._where.get(addr)
         if way is not None:
@@ -330,7 +347,6 @@ class CacheUnit:
         lru = self._lru
         dirty = self._dirty
         ways = tags[base:end]
-        writeback = False
         if None in ways:
             way = base + ways.index(None)
             victim = None
@@ -341,8 +357,8 @@ class CacheUnit:
             del where[victim]
             cause[victim] = _BY_REPLACEMENT
             self.evictions_replacement += 1
-            if dirty[way]:
-                writeback = True
+            writeback = dirty[way]
+            if writeback:
                 self.writebacks += 1
 
         tags[way] = addr
@@ -354,11 +370,12 @@ class CacheUnit:
         if self.has_expiry:
             tick = self._tick
             self._reset_tick[way] = tick
-            g = self._gen[way] + 1
-            self._gen[way] = g
+            self._gen[way] += 1
             if victim is None:  # a replaced block's wheel entry serves its successor
-                self._wheel[tick % self._n_states].append((g, way))
-        return _new_outcome(AccessOutcome, (False, miss_class, writeback, victim))
+                self._wheel[tick % self._n_states].append(way)
+        if victim is None:
+            return _FREE_WAY_MISS[miss_class]
+        return _new_tuple(AccessOutcome, (False, miss_class, writeback, victim))
 
     # -- inspection ----------------------------------------------------------
 

@@ -24,7 +24,7 @@ from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
-from .trace import time_ordered
+from .trace import check_records, time_ordered
 
 
 class Objective(enum.Enum):
@@ -74,15 +74,19 @@ def _run_sims(
 ) -> tuple[list[SimReport], tuple]:
     """Simulate each distinct (trace index, config) task once.
 
-    Each trace must already be in time order (see trace.time_ordered).
-    Returns the report of every task, in task order, and one entry per
-    config in `derive`: its report built from the run of tasks[0], or None
-    where that is refused (see hierarchy._derived_report).  The derivation
-    runs in the process of that run, beside the other tasks.
+    Each trace must already be in time order (see trace.time_ordered); its
+    core ids and kinds are checked here, once per (trace index, num_cores),
+    before any task runs or a worker forks.  Returns the report of every
+    task, in task order, and one entry per config in `derive`: its report
+    built from the run of tasks[0], or None where that is refused (see
+    hierarchy._derived_report).  The derivation runs in the process of that
+    run, beside the other tasks.
     """
     if table is None:
         table = sample_tech_table()
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
+    for idx, ncores in dict.fromkeys((idx, cfg.num_cores) for idx, cfg, _ in unique):
+        check_records(traces[idx], ncores)
     if derive:
         unique[0] = (*unique[0][:2], tuple(derive))
     _SHARED["traces"] = traces

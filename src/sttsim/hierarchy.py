@@ -16,10 +16,13 @@ order.  Times are integer clock cycles from the trace to every unit's
 clock (see cache.tick_cycles); seconds appear only in the report.
 
 The units count; the record loop only routes.  Memory reads and writes are
-read from the unit counters when the report is built (see _report).  Only
-the L1s of a two-level run are polled for expirations, so that a dirty
-block expiring there is written to the L2 at its deadline; every other
-unit applies and counts its due expirations inside access().
+read from the unit counters when the report is built (see _report).  Every
+unit applies its due expirations inside access().  The L1 access of a
+two-level run also collects the blocks it expires, and each dirty one is
+written to the L2 at its deadline before the record's own L2 traffic; only
+such a collector sees the order of expiries within a tick.  Core ids and
+kinds are checked once per trace (simulate, or explore._run_sims), not in
+the record loop.
 """
 
 from __future__ import annotations
@@ -151,16 +154,17 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     a core outside 0..num_cores-1 or a kind other than an AccessKind, or a
     unit's (technology, retention) is missing from the table.
     """
-    return _simulate(cfg, time_ordered(trace), tech_table)[0]
+    records = time_ordered(trace)
+    check_records(records, cfg.num_cores)
+    return _simulate(cfg, records, tech_table)[0]
 
 
 def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
-    """simulate(cfg) of records already in time order, and the report of each
-    config in `derive` built from that run (see _derived_report), or None
-    where that is refused."""
+    """simulate(cfg) of records already in time order and checked (see
+    trace.check_records), and the report of each config in `derive` built
+    from that run (see _derived_report), or None where that is refused."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
-    check_records(records, ncores)
     # the level that served each record, kept only to derive reports
     levels = bytearray(len(records)) if derive else None
 
@@ -177,6 +181,8 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
     # shared-L2 accesses are serialized at a monotone time, the latest seen
     l2_last = 0
     l2_access = l2.access if l2 is not None else None
+    # an L1 access's expiries, collected only where an L2 takes the dirty ones
+    expired = [] if l2 is not None else None
 
     l1_units = l1i_units + l1d_units
     for pos, (core, ts, kind, addr) in enumerate(records):
@@ -191,17 +197,16 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
             is_write = False
             addr &= i_mask
 
-        # a dirty block expiring in an L1 is written to the L2 at its deadline;
-        # without an L2, access() applies and counts due expirations itself
-        if l2 is not None and start >= unit.next_tick_time:
-            for victim, dirty, expire_time in unit.tick_expirations(start):
+        key = kind * 3
+        out = unit.access(addr, is_write, start, expired)
+        if expired:
+            # each dirty block the L1 expired is written to the L2 at its deadline
+            for victim, dirty, expire_time in expired:
                 if dirty:
                     if expire_time > l2_last:
                         l2_last = expire_time
                     l2_access(victim, True, l2_last)
-
-        key = kind * 3
-        out = unit.access(addr, is_write, start)
+            expired.clear()
         if not out[0]:
             level = 2
             if l2 is not None:

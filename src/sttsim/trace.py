@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -227,19 +227,28 @@ def time_ordered(records) -> list[AccessRecord]:
 
 
 def check_records(records: list, ncores: int | None = None) -> None:
-    """ConfigError naming the first record with a core id below 0 (or not below
-    ncores, when given) or a kind that is not an AccessKind.
+    """ConfigError naming the first record whose core id or kind is not an
+    integer, or with a core id below 0 (or not below ncores, when given) or
+    a kind that is not an AccessKind.
 
-    Each column is checked in one C-level pass over the records; a field
-    that is not an int is left for time_ordered to name.
+    Each column is checked in one C-level pass over the records, which takes
+    every value through operator.index into a set of ints.
     """
-    cores = set(map(itemgetter(0), records))
-    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if isinstance(c, int) and c < 0}
+    try:
+        cores = set(map(index, map(itemgetter(0), records)))
+        kinds = set(map(index, map(itemgetter(2), records)))
+    except TypeError:
+        for rec in records:
+            for field, value in (("core id", rec[0]), ("kind", rec[2])):
+                if not hasattr(type(value), "__index__"):
+                    raise ConfigError(f"trace record {rec!r} has a {field} that is not an integer") from None
+        raise
+    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if c < 0}
     if bad:
         core = next(r[0] for r in records if r[0] in bad)
         rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
         raise ConfigError(f"trace references core {core} but {rule}")
-    bad = set(map(itemgetter(2), records)).difference(AccessKind)
+    bad = kinds.difference(AccessKind)
     if bad:
         kind = next(r[2] for r in records if r[2] in bad)
         raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")

@@ -18,7 +18,7 @@ from sttsim import (
     tick_cycles,
 )
 from sttsim import cache as cache_mod
-from sttsim.cache import DEFAULT_CLOCK_HZ, ExpiredBlock
+from sttsim.cache import DEFAULT_CLOCK_HZ, MAX_COUNTER_STATES, ExpiredBlock
 
 MS = 1e-3  # retentions are in seconds, unit times in cycles of the default clock
 CLOCK = DEFAULT_CLOCK_HZ
@@ -73,6 +73,15 @@ class TestConfig:
     def test_counter_states_minimum(self):
         with pytest.raises(ConfigError):
             CacheUnitConfig(64, 1, 64, Technology.STTRAM, 1 * MS, counter_states=1)
+
+    def test_counter_states_bound(self, monkeypatch):
+        # a unit builds one wheel slot per state; no unit of a rejected size is built
+        monkeypatch.setattr(cache_mod.CacheUnit, "__init__", None)
+        top = CacheUnitConfig(64, 1, 64, Technology.STTRAM, 1 * MS, counter_states=MAX_COUNTER_STATES)
+        assert MAX_COUNTER_STATES == 256 and top.counter_bits == 8
+        for n in (MAX_COUNTER_STATES + 1, 10**6):
+            with pytest.raises(ConfigError, match=f"counter_states must be <= 256, got {n}"):
+                CacheUnitConfig(64, 1, 64, Technology.STTRAM, 1 * MS, counter_states=n)
 
 
 class TestAccessBasics:
@@ -274,24 +283,33 @@ class TestTickSchedule:
 
     def test_access_builds_no_expired_blocks(self, monkeypatch):
         built = []
+        real = cache_mod._new_tuple
 
-        def counting(*fields):
-            built.append(fields)
-            return ExpiredBlock(*fields)
+        def counting(cls, fields):
+            if cls is ExpiredBlock:
+                built.append(fields)
+            return real(cls, fields)
 
-        monkeypatch.setattr(cache_mod, "ExpiredBlock", counting)
+        # the constructor the unit calls for both outcomes and expired blocks
+        monkeypatch.setattr(cache_mod, "_new_tuple", counting)
         u = stt_unit(sets=2, assoc=2, retention=1e-5)
         stream = list(random_access_stream(5, 500, num_blocks=8, write_fraction=0.4, gap_hi=40_000))
-        for addr, w, t in stream[:250]:
+        for addr, w, t in stream[:200]:
             u.access(addr, w, t)
         before = u.evictions_expiration
         assert before > 0 and built == []
+        # only a caller that collects them gets them built, one per block expired
         returned = 0
-        for addr, w, t in stream[250:]:
+        for addr, w, t in stream[200:350]:
             returned += len(u.tick_expirations(t))
             u.access(addr, w, t)
-        # only tick_expirations builds them, one per block it expires
         assert len(built) == returned == u.evictions_expiration - before > 0
+        before = u.evictions_expiration
+        sink = []
+        for addr, w, t in stream[350:]:
+            u.access(addr, w, t, sink)
+        assert len(built) - returned == len(sink) == u.evictions_expiration - before > 0
+        assert all(type(e) is ExpiredBlock for e in sink)
 
     def test_idle_gap_drains_in_bounded_steps(self):
         # one-cycle ticks: 1.9e10 ticks pass; only the N slots after the last access can hold a deadline
@@ -303,6 +321,41 @@ class TestTickSchedule:
         assert events[0].expire_time == 4 * u.tick_period
         assert u.next_tick_time > cyc(10.0)
         assert u.tick_expirations(cyc(10.0)) == []
+
+    @staticmethod
+    def four_due_at_tick_8():
+        """An L1 whose four ways all come due at tick 8, filed on the wheel as D, C, E, B."""
+        u = stt_unit(sets=1, assoc=4, retention=1 * MS, n=4)
+        p = u.tick_period
+        u.access(0xA00, True, 0)  # way 0, due at tick 4
+        u.access(0xB00, True, 3 * p)  # way 1, filed for tick 7
+        u.access(0xD00, True, 4 * p)  # A expires first; D refills way 0 (generation 3)
+        u.access(0xB00, True, 4 * p)  # refreshes way 1 (generation 2): re-filed at tick 7 for tick 8
+        u.access(0xC00, True, 4 * p)  # way 2 (generation 1)
+        u.access(0xE00, False, 4 * p)  # way 3 (generation 1), clean
+        return u
+
+    def expected_tick_8(self, p):
+        # (generation, way) order: C (1, 2), E (1, 3), B (2, 1), D (3, 0)
+        return [ExpiredBlock(0xC00, True, 8 * p), ExpiredBlock(0xE00, False, 8 * p),
+                ExpiredBlock(0xB00, True, 8 * p), ExpiredBlock(0xD00, True, 8 * p)]
+
+    def test_order_within_a_tick(self):
+        u = self.four_due_at_tick_8()
+        p = u.tick_period
+        assert u.evictions_expiration == 1
+        assert u.tick_expirations(7 * p) == []  # B re-filed, nothing due
+        assert u.tick_expirations(8 * p) == self.expected_tick_8(p)
+        # one drain over ticks 5-8, re-filing B and expiring it in the same call
+        twin = self.four_due_at_tick_8()
+        assert twin.tick_expirations(8 * p) == self.expected_tick_8(p)
+        # the same blocks in the same order through access()'s sink, after what it held
+        for at in (7 * p, 8 * p - 1):
+            twin = self.four_due_at_tick_8()
+            sink = ["kept"]
+            assert twin.access(0xE00, False, at, sink).hit  # a read leaves E's counter running
+            assert twin.access(0xE00, False, 8 * p, sink).miss_class is MissClass.EXPIRATION
+            assert sink == ["kept", *self.expected_tick_8(p)]
 
     def test_next_tick_time(self):
         u = stt_unit(retention=1 * MS, n=4)
@@ -430,32 +483,38 @@ class TestOraclePropertyEquivalence:
         write_fraction=st.floats(0.0, 1.0),
         blocks_per_way=st.floats(0.25, 3.0),
         seed=st.integers(0, 2**16),
-        tick_first=st.booleans(),
+        mode=st.sampled_from(["access", "tick_first", "sink"]),
     )
     def test_matches_oracle(self, sets, assoc, retention, n, clock_hz, refresh_on_read, write_fraction,
-                            blocks_per_way, seed, tick_first):
+                            blocks_per_way, seed, mode):
         tech = Technology.SRAM if retention is None else Technology.STTRAM
         cfg = CacheUnitConfig(sets * assoc * 64, assoc, 64, tech, retention_time=retention,
                               counter_states=n, refresh_on_read=refresh_on_read)
         unit = CacheUnit(cfg, clock_hz=clock_hz)
+        twin = CacheUnit(cfg, clock_hz=clock_hz)
         ref = OracleCache(sets, assoc, 64, retention=retention, counter_states=n,
                           refresh_on_read=refresh_on_read, clock_hz=clock_hz)
         num_blocks = max(1, round(blocks_per_way * sets * assoc))
         stream = random_access_stream(seed, 300, num_blocks=num_blocks, write_fraction=write_fraction,
                                       gap_lo=20, gap_hi=1000)
         for addr, w, now in stream:
-            # with tick_first, every expiry is seen through tick_expirations; else access() applies it
-            expired = unit.tick_expirations(now) if tick_first else []
-            out = unit.access(addr, w, now)
+            # tick_first sees every expiry through tick_expirations, sink through access()'s
+            # list; access only lets access() apply them
+            expired = unit.tick_expirations(now) if mode == "tick_first" else []
+            out = unit.access(addr, w, now, expired if mode == "sink" else None)
             got = (out.hit, _MISS_NAME[out.miss_class], out.writeback_issued, out.victim_address)
             seen = len(ref.expired_events)
             assert got == ref.access(addr, w, now)
-            if tick_first:
+            if mode != "access":
                 # same blocks per tick; the order within a tick is the unit's own
                 assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(
                     ref.expired_events[seen:])
                 times = [e.expire_time for e in expired]
                 assert times == sorted(times)
+            if mode == "sink":
+                # and the order tick_expirations gives
+                assert expired == twin.tick_expirations(now)
+                assert twin.access(addr, w, now) == out
         assert unit.resident_addresses() == {a for s in ref.sets for a in s}
         assert unit._where == {t: way for way, t in enumerate(unit._tags) if t is not None}
         assert unit.writebacks == ref.writebacks

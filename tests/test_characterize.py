@@ -1,6 +1,7 @@
 import bisect
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -492,6 +493,18 @@ class TestBadRecords:
         for analysis in self.analyses(trace):
             with pytest.raises(ConfigError, match="core -1 "):
                 analysis()
+
+    # a float equal to an int core id or kind seen before it, unhashable values, and values outside
+    # the data stream that the lifetimes analyse
+    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, 0.0), (0, []), (2, 1.0), (2, []), (2, "1")])
+    def test_core_or_kind_that_is_not_an_int(self, field, value):
+        good = AccessRecord(0, 0, AccessKind.LOAD, 0x0)
+        bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 10, AccessKind.LOAD, 0x40))))
+        for analysis in self.analyses([good, bad]):
+            with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} has a ") + ".* not an int"):
+                analysis()
+        with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} has a ") + ".* not an int"):
+            read_write_ratio([bad])
 
 
 class TestBucketize:

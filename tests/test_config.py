@@ -125,3 +125,11 @@ def test_sttram_without_retention_rejected(tmp_path):
     text = "[l1d]\ntechnology = STTRAM\n\n[synthetic]\nseed = 1\n"
     with pytest.raises(ConfigError):
         load_experiment_config(write(tmp_path, text))
+
+
+def test_counter_states_bound(tmp_path):
+    text = "[l1d]\ntechnology = STTRAM\nretention_s = 1e-3\ncounter_states = {}\n\n[synthetic]\nseed = 1\n"
+    assert load_experiment_config(write(tmp_path, text.format(256))).hierarchy.l1d[0].counter_states == 256
+    for n in (257, 10**6):
+        with pytest.raises(ConfigError, match=f"counter_states must be <= 256, got {n}"):
+            load_experiment_config(write(tmp_path, text.format(n)))

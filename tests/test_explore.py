@@ -26,6 +26,8 @@ from sttsim import (
     sweep,
 )
 from sttsim import explore
+from sttsim import hierarchy as hierarchy_mod
+from sttsim import trace as trace_mod
 from sttsim.explore import objective_value, with_technology
 
 SAMPLE_CONFIGS = os.path.join(os.path.dirname(__file__), "..", "sample_configs")
@@ -472,3 +474,57 @@ class TestDistinctTasks:
         full = simulate(with_technology(template(), Technology.STTRAM, 1e-1), trace, TABLE)
         assert result.full_value_chosen == result.full_value_base == objective_value(full, Objective.ENERGY)
         assert result.savings_vs_base == 0.0
+
+
+class TestRecordChecks:
+    """Core ids and kinds are checked once per (trace, num_cores), in the parent, before any fork."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch, tmp_path):
+        """(pid, trace length, ncores) of every check_records call, in this process or a forked worker."""
+        log = tmp_path / "checks"
+        log.touch()
+        real = trace_mod.check_records
+
+        def counted(records, ncores=None):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {len(records)} {ncores}\n")
+            return real(records, ncores)
+
+        for module in (hierarchy_mod, explore):
+            monkeypatch.setattr(module, "check_records", counted, raising=False)
+        return lambda: [(int(pid), int(n), None if c == "None" else int(c))
+                        for pid, n, c in (line.split() for line in log.read_text().splitlines())]
+
+    RETS = [1e-6, 1e-5, 1e-4, 1e-3]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_check_per_sweep(self, checks, sim_calls, jobs):
+        trace = random_trace(8, 3000, num_cores=2, num_blocks=512, write_fraction=0.4, instr_fraction=0.2)
+        sweep(trace, two_level(2), self.RETS, tech_table=TABLE, jobs=jobs)
+        assert checks() == [(os.getpid(), len(trace), 2)]
+        if jobs == 1:
+            assert len(sim_calls) > 1  # several simulations share the one check
+
+    def test_one_check_per_specialize_trace(self, checks, sim_calls):
+        trace = random_trace(9, 2000, num_blocks=256, write_fraction=0.4)
+        specialize(trace, template(), self.RETS, base_retention=1e-3, sample_len=500, tech_table=TABLE)
+        assert checks() == [(os.getpid(), 500, 1), (os.getpid(), len(trace), 1)]
+        assert len(sim_calls) == len(self.RETS) + 2
+
+    @pytest.mark.parametrize("field, value, match", [(0, 2, "core 2 "), (0, -1, "core -1 "), (2, 3, "kind 3 ")])
+    @pytest.mark.parametrize("at", [1, 1500])
+    def test_bad_record_named_by_every_study(self, sim_calls, field, value, match, at):
+        trace = random_trace(9, 2000, num_cores=2, num_blocks=256, write_fraction=0.4)
+        trace[at] = trace[at]._replace(**{trace[at]._fields[field]: value})
+        studies = [
+            lambda: sweep(trace, two_level(2), self.RETS, tech_table=TABLE, jobs=1),
+            lambda: sweep(trace, two_level(2), self.RETS, tech_table=TABLE, jobs=2),
+            lambda: specialize(trace, template(2), self.RETS, base_retention=1e-3, sample_len=500,
+                               tech_table=TABLE, jobs=1),
+        ]
+        for study in studies:
+            with pytest.raises(ConfigError, match=match):
+                study()
+        # a bad record in the prefix is named before any simulation; one past it after the prefix runs
+        assert len(sim_calls) == (0 if at < 500 else len(self.RETS))

@@ -134,7 +134,7 @@ class TestSharedL2:
         with pytest.raises(ConfigError, match=f"kind {kind} "):
             sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
 
-    @pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, 1.0), (3, 0.5), (3, 64.0), (1, "1")])
+    @pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, 1.0), (3, 0.5), (3, 64.0), (1, "1"), (2, [])])
     def test_record_field_that_is_not_an_int(self, field, value):
         cfg = small_hier(num_cores=1, tech=Technology.SRAM)
         bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))
@@ -150,6 +150,17 @@ class TestSharedL2:
         ]
         for study in studies:
             with pytest.raises(ConfigError, match=re.escape(f"record {bad!r} has a field that is not an int")):
+                study()
+
+    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, []), (2, 1.0), (2, [])])
+    def test_core_or_kind_that_is_not_an_int(self, field, value):
+        # unhashable values included; assign_asymmetric is left out, as it gives every thread core 0
+        cfg = small_hier(num_cores=1, tech=Technology.SRAM)
+        bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), bad]
+        for study in (lambda: simulate(cfg, trace, TABLE),
+                      lambda: sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)):
+            with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} has a ") + ".* not an int"):
                 study()
 
     @pytest.mark.parametrize("seed", range(4))
