@@ -77,7 +77,6 @@ _FREE_WAY_MISS = tuple(AccessOutcome(False, c, False, None) for c in MissClass)
 MAX_COUNTER_STATES = 256
 
 _NEVER_RESIDENT = EvictionCause.NEVER_RESIDENT
-_RESIDENT = EvictionCause.RESIDENT
 _BY_REPLACEMENT = EvictionCause.EVICTED_BY_REPLACEMENT
 _BY_EXPIRATION = EvictionCause.EVICTED_BY_EXPIRATION
 
@@ -185,7 +184,7 @@ class CacheUnit:
         self._reset_tick = [0] * n
         self._gen = [0] * n
         self._seq = 0
-        # address -> last EvictionCause; absent means never resident
+        # address -> cause of its last eviction; absent means never evicted
         self._cause: dict[int, EvictionCause] = {}
 
         self.has_expiry = config.technology is Technology.STTRAM
@@ -366,7 +365,6 @@ class CacheUnit:
         dirty[way] = is_write
         self._seq = seq = self._seq + 1
         lru[way] = seq
-        cause[addr] = _RESIDENT
         if self.has_expiry:
             tick = self._tick
             self._reset_tick[way] = tick
@@ -410,6 +408,8 @@ class CacheUnit:
 
     def eviction_cause(self, address: int) -> EvictionCause:
         """Last known state of a block-aligned address in this unit."""
+        if address in self._where:
+            return EvictionCause.RESIDENT
         return self._cause.get(address, _NEVER_RESIDENT)
 
     def resident_addresses(self) -> set[int]:

@@ -5,9 +5,10 @@ expiration-miss curves across retention times.  Every analysis replays the
 selected stream through one unit with a single loop (`_replay`), all cores
 feeding that unit in (timestamp, core_id) order; a stream already in that
 order is not re-sorted.  Lifetimes, persistence and the expiration curve
-read one profile per stream (`_sram_profile`): the stream, selected, checked
-and ordered once, and its unbounded-retention (SRAM) replay.  It is kept for
-the last (trace, stream) profiled; the curve replays its stream once per retention.
+read one profile per stream (`_sram_profile`): the trace admitted (see
+trace.check_records), its stream selected and ordered once, and the stream's
+unbounded-retention (SRAM) replay.  It is kept for the last (trace, stream)
+profiled; the curve replays its stream once per retention.
 """
 
 from __future__ import annotations
@@ -49,8 +50,7 @@ class RwRatioReport:
 def read_write_ratio(trace) -> RwRatioReport:
     if not trace:
         raise ConfigError("read_write_ratio requires a non-empty trace")
-    trace = trace if isinstance(trace, list) else list(trace)
-    check_records(trace)
+    trace = check_records(trace)
     counts: dict[int, list[int]] = {}
     for rec in trace:
         kind = rec[2]
@@ -125,7 +125,7 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     memo = _memo  # read once: another thread may replace it
     if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] == trace:
         return memo[4]
-    copy = list(trace)
+    copy = check_records(list(trace))  # the memo compares against this copy
     if stream == "data":
         records = [r for r in copy if r[2]]
     elif stream == "instr":
@@ -135,7 +135,6 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     else:
         raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
     records = time_ordered(records)
-    check_records(copy)
     fill_time: dict[int, int] = {}
     last_hit: dict[int, int] = {}
     fills: dict[int, int] = {}

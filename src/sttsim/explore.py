@@ -74,19 +74,16 @@ def _run_sims(
 ) -> tuple[list[SimReport], tuple]:
     """Simulate each distinct (trace index, config) task once.
 
-    Each trace must already be in time order (see trace.time_ordered); its
-    core ids and kinds are checked here, once per (trace index, num_cores),
-    before any task runs or a worker forks.  Returns the report of every
-    task, in task order, and one entry per config in `derive`: its report
-    built from the run of tasks[0], or None where that is refused (see
-    hierarchy._derived_report).  The derivation runs in the process of that
-    run, beside the other tasks.
+    The caller has admitted each trace for its tasks' num_cores (see
+    trace.check_records) and put it in time order (see trace.time_ordered).
+    Returns the report of every task, in task order, and one entry per
+    config in `derive`: its report built from the run of tasks[0], or None
+    where that is refused (see hierarchy._derived_report).  The derivation
+    runs in the process of that run, beside the other tasks.
     """
     if table is None:
         table = sample_tech_table()
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
-    for idx, ncores in dict.fromkeys((idx, cfg.num_cores) for idx, cfg, _ in unique):
-        check_records(traces[idx], ncores)
     if derive:
         unique[0] = (*unique[0][:2], tuple(derive))
     _SHARED["traces"] = traces
@@ -133,6 +130,11 @@ class SweepResult:
         raise KeyError(retention)
 
 
+def _best_retention(values: dict[float, float]) -> float:
+    """The retention with the least objective value, ties broken toward the longer retention."""
+    return min(values, key=lambda r: (values[r], -r))
+
+
 def _check_retentions(retentions) -> list[float]:
     """The retentions sorted; ConfigError unless they are distinct, finite and positive."""
     rets = sorted(retentions)
@@ -161,7 +163,7 @@ def sweep(
     broken toward the longer retention.
     """
     rets = _check_retentions(retentions)
-    records = time_ordered(trace)
+    records = time_ordered(check_records(trace, template.num_cores))
     table = tech_table if tech_table is not None else sample_tech_table()
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
@@ -194,13 +196,7 @@ def sweep(
             )
         )
 
-    best = rets[0]
-    best_value = objective_value(reports[1], objective)
-    for r, rep in zip(rets[1:], reports[2:]):
-        v = objective_value(rep, objective)
-        if v <= best_value:  # ties go to the longer retention
-            best_value = v
-            best = r
+    best = _best_retention({r: objective_value(rep, objective) for r, rep in zip(rets, reports[1:])})
     return SweepResult(entries=entries, best_retention=best, objective=objective)
 
 
@@ -236,7 +232,7 @@ def specialize(
     for adversarial phase-change workloads).
     """
     rets = _check_retentions(retentions)
-    records = trace if isinstance(trace, list) else list(trace)
+    records = check_records(trace, template.num_cores)
     if sample_len < 1:
         raise ConfigError("sample_len must be >= 1")
     if sample_len > len(records):
@@ -246,13 +242,7 @@ def specialize(
     tasks = [(0, with_technology(template, Technology.STTRAM, r)) for r in rets]
     sample_reports, _ = _run_sims(tasks, [prefix], tech_table, jobs)
     sample_values = {r: objective_value(rep, objective) for r, rep in zip(rets, sample_reports)}
-
-    chosen = rets[0]
-    best_value = sample_values[chosen]
-    for r in rets[1:]:
-        if sample_values[r] <= best_value:
-            best_value = sample_values[r]
-            chosen = r
+    chosen = _best_retention(sample_values)
 
     full_tasks = [
         (0, with_technology(template, Technology.STTRAM, chosen)),
@@ -340,7 +330,7 @@ def assign_asymmetric(
     if any(not r > 0 for r in core_rets):
         raise ConfigError("core retentions must be positive")
 
-    traces = [_rebase_core(list(t)) for t in thread_traces]
+    traces = [_rebase_core(check_records(t)) for t in thread_traces]
     prefixes = [time_ordered(t[:profile_len]) for t in traces]
     traces = [time_ordered(t) for t in traces]
 
@@ -376,7 +366,7 @@ def assign_asymmetric(
         homogeneous[r] = sum(objective_value(rep, objective) for rep in full_reports[pos : pos + nthreads])
         pos += nthreads
 
-    best_h_ret = min(homogeneous, key=lambda r: (homogeneous[r], -r))
+    best_h_ret = _best_retention(homogeneous)
     best_h_total = homogeneous[best_h_ret]
     savings = (best_h_total - asym_total) / best_h_total if best_h_total else 0.0
     return AssignmentResult(

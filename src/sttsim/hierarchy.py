@@ -20,9 +20,9 @@ read from the unit counters when the report is built (see _report).  Every
 unit applies its due expirations inside access().  The L1 access of a
 two-level run also collects the blocks it expires, and each dirty one is
 written to the L2 at its deadline before the record's own L2 traffic; only
-such a collector sees the order of expiries within a tick.  Core ids and
-kinds are checked once per trace (simulate, or explore._run_sims), not in
-the record loop.
+such a collector sees the order of expiries within a tick.  Records are
+checked once per trace, when a study admits it (see trace.check_records),
+not in the record loop.
 """
 
 from __future__ import annotations
@@ -150,18 +150,18 @@ class SimReport:
 def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     """Run the trace through the hierarchy and aggregate counters and energy.
 
-    Deterministic for fixed inputs.  Raises ConfigError if a record names
-    a core outside 0..num_cores-1 or a kind other than an AccessKind, or a
-    unit's (technology, retention) is missing from the table.
+    Deterministic for fixed inputs.  Raises ConfigError if a record has a
+    field that is not an int, a core outside 0..num_cores-1 or a kind other
+    than an AccessKind, or a unit's (technology, retention) is missing from
+    the table.
     """
-    records = time_ordered(trace)
-    check_records(records, cfg.num_cores)
+    records = time_ordered(check_records(trace, cfg.num_cores))
     return _simulate(cfg, records, tech_table)[0]
 
 
 def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
-    """simulate(cfg) of records already in time order and checked (see
-    trace.check_records), and the report of each config in `derive` built
+    """simulate(cfg) of records already admitted (see trace.check_records)
+    and in time order, and the report of each config in `derive` built
     from that run (see _derived_report), or None where that is refused."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz

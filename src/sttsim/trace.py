@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, starmap
-from operator import index, itemgetter
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -203,17 +203,40 @@ def write_trace(records: Sequence[AccessRecord], path: str) -> None:
             fh.write("".join(lines))
 
 
-def time_ordered(records) -> list[AccessRecord]:
-    """Return records in (timestamp, core_id) order, the order every replay uses.
+def check_records(records, ncores: int | None = None) -> list[AccessRecord]:
+    """Admit a trace: return its records as a list, or raise ConfigError.
 
-    A list already in that order is returned as is, without a copy or a
-    sort; otherwise a stably sorted copy is returned.  ConfigError names the
-    first record with a field that is not an int (replays count in cycles).
+    This is the one check of a trace's records; each study admits each input
+    trace once, before it slices, rebases or orders it.  ConfigError names
+    the first record with a field that is not an int (replays count in
+    cycles), or with a core id below 0 (or not below ncores, when given) or
+    a kind that is not an AccessKind.  The type check and each range check
+    are one C-level pass over the records.
     """
     records = records if isinstance(records, list) else list(records)
     if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
         bad = next(r for r in records if not all(isinstance(x, int) for x in r))
         raise ConfigError(f"trace record {bad!r} has a field that is not an int")
+    cores = set(map(itemgetter(0), records))
+    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if c < 0}
+    if bad:
+        core = next(r[0] for r in records if r[0] in bad)
+        rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
+        raise ConfigError(f"trace references core {core} but {rule}")
+    bad = set(map(itemgetter(2), records)).difference(AccessKind)
+    if bad:
+        kind = next(r[2] for r in records if r[2] in bad)
+        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+    return records
+
+
+def time_ordered(records: list) -> list[AccessRecord]:
+    """Return admitted records (see check_records) in (timestamp, core_id)
+    order, the order every replay uses.
+
+    A list already in that order is returned as is, without a copy or a
+    sort; otherwise a stably sorted copy is returned.
+    """
     prev_ts = -1
     prev_core = -1
     for rec in records:
@@ -224,34 +247,6 @@ def time_ordered(records) -> list[AccessRecord]:
         prev_ts = ts
         prev_core = core
     return records
-
-
-def check_records(records: list, ncores: int | None = None) -> None:
-    """ConfigError naming the first record whose core id or kind is not an
-    integer, or with a core id below 0 (or not below ncores, when given) or
-    a kind that is not an AccessKind.
-
-    Each column is checked in one C-level pass over the records, which takes
-    every value through operator.index into a set of ints.
-    """
-    try:
-        cores = set(map(index, map(itemgetter(0), records)))
-        kinds = set(map(index, map(itemgetter(2), records)))
-    except TypeError:
-        for rec in records:
-            for field, value in (("core id", rec[0]), ("kind", rec[2])):
-                if not hasattr(type(value), "__index__"):
-                    raise ConfigError(f"trace record {rec!r} has a {field} that is not an integer") from None
-        raise
-    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if c < 0}
-    if bad:
-        core = next(r[0] for r in records if r[0] in bad)
-        rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
-        raise ConfigError(f"trace references core {core} but {rule}")
-    bad = kinds.difference(AccessKind)
-    if bad:
-        kind = next(r[2] for r in records if r[2] in bad)
-        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import math
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hs
@@ -469,7 +470,7 @@ class TestProfileMemo:
 
 
 class TestBadRecords:
-    """Every analysis names a record kind outside 0-2 or a negative core id."""
+    """Every analysis names a record kind outside 0-2, a negative core id or a field that is not an int."""
 
     CFG = unit_cfg()
 
@@ -494,9 +495,11 @@ class TestBadRecords:
             with pytest.raises(ConfigError, match="core -1 "):
                 analysis()
 
-    # a float equal to an int core id or kind seen before it, unhashable values, and values outside
-    # the data stream that the lifetimes analyse
-    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, 0.0), (0, []), (2, 1.0), (2, []), (2, "1")])
+    # a float equal to an int core id or kind seen before it, unhashable values, values outside
+    # the data stream that the lifetimes analyse, and timestamps and addresses outside the
+    # instruction stream that persistence analyses, numpy integers included
+    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, 0.0), (0, []), (2, 1.0), (2, []), (2, "1"),
+                                              (1, 10.0), (1, np.int64(10)), (3, 64.0), (3, np.uint64(64))])
     def test_core_or_kind_that_is_not_an_int(self, field, value):
         good = AccessRecord(0, 0, AccessKind.LOAD, 0x0)
         bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 10, AccessKind.LOAD, 0x40))))

@@ -477,7 +477,7 @@ class TestDistinctTasks:
 
 
 class TestRecordChecks:
-    """Core ids and kinds are checked once per (trace, num_cores), in the parent, before any fork."""
+    """Each study admits each input trace once, at entry, in the parent, before any fork."""
 
     @pytest.fixture
     def checks(self, monkeypatch, tmp_path):
@@ -507,10 +507,32 @@ class TestRecordChecks:
             assert len(sim_calls) > 1  # several simulations share the one check
 
     def test_one_check_per_specialize_trace(self, checks, sim_calls):
+        # the profile prefix is a slice of the admitted trace, so it is not checked again
         trace = random_trace(9, 2000, num_blocks=256, write_fraction=0.4)
         specialize(trace, template(), self.RETS, base_retention=1e-3, sample_len=500, tech_table=TABLE)
-        assert checks() == [(os.getpid(), 500, 1), (os.getpid(), len(trace), 1)]
+        assert checks() == [(os.getpid(), len(trace), 1)]
         assert len(sim_calls) == len(self.RETS) + 2
+
+    def test_one_check_per_sweep_with_a_refused_derivation(self, checks, monkeypatch):
+        batches = []
+        real = explore._run_sims
+
+        def recorded(tasks, *args, **kwargs):
+            batches.append(len(tasks))
+            return real(tasks, *args, **kwargs)
+
+        monkeypatch.setattr(explore, "_run_sims", recorded)
+        trace = backlog_trace()
+        sweep(trace, two_level(2), TestDerivedSweep.RETS, tech_table=TABLE, jobs=1)
+        assert len(batches) == 2  # the refused candidate runs in a second batch
+        assert checks() == [(os.getpid(), len(trace), 2)]
+
+    def test_one_check_per_asymmetric_thread_trace(self, checks, sim_calls):
+        threads = [random_trace(seed, 600, num_cores=2, num_blocks=256, write_fraction=0.4) for seed in (3, 4)]
+        assign_asymmetric(threads, template(), [1e-5, 1e-3], profile_len=200, tech_table=TABLE)
+        # once per thread trace, before its core ids are rebased; the profile prefixes are slices
+        assert checks() == [(os.getpid(), 600, None), (os.getpid(), 600, None)]
+        assert len(sim_calls) > 2
 
     @pytest.mark.parametrize("field, value, match", [(0, 2, "core 2 "), (0, -1, "core -1 "), (2, 3, "kind 3 ")])
     @pytest.mark.parametrize("at", [1, 1500])
@@ -523,8 +545,11 @@ class TestRecordChecks:
             lambda: specialize(trace, template(2), self.RETS, base_retention=1e-3, sample_len=500,
                                tech_table=TABLE, jobs=1),
         ]
+        if (field, value) != (0, 2):  # assign_asymmetric moves every thread to core 0, so core 2 is valid there
+            studies.append(lambda: assign_asymmetric([trace], template(), [1e-5, 1e-3], profile_len=500,
+                                                     tech_table=TABLE, jobs=1))
         for study in studies:
             with pytest.raises(ConfigError, match=match):
                 study()
-        # a bad record in the prefix is named before any simulation; one past it after the prefix runs
-        assert len(sim_calls) == (0 if at < 500 else len(self.RETS))
+        # the whole trace is admitted at entry, so a bad record past the profile prefix is named before any simulation
+        assert sim_calls == []

@@ -152,15 +152,21 @@ class TestSharedL2:
             with pytest.raises(ConfigError, match=re.escape(f"record {bad!r} has a field that is not an int")):
                 study()
 
-    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, []), (2, 1.0), (2, [])])
+    # unhashable values included, and a negative core id, which assign_asymmetric must name before it
+    # moves every thread to core 0
+    @pytest.mark.parametrize("field, value", [(0, 0.5), (0, []), (2, 1.0), (2, []), (0, -1)])
     def test_core_or_kind_that_is_not_an_int(self, field, value):
-        # unhashable values included; assign_asymmetric is left out, as it gives every thread core 0
         cfg = small_hier(num_cores=1, tech=Technology.SRAM)
         bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))
         trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), bad]
+        if value == -1:
+            match = "trace references core -1 "
+        else:
+            match = re.escape(f"trace record {bad!r} has a ") + ".* not an int"
         for study in (lambda: simulate(cfg, trace, TABLE),
-                      lambda: sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)):
-            with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} has a ") + ".* not an int"):
+                      lambda: sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1),
+                      lambda: assign_asymmetric([trace], cfg, [1e-3], 2, tech_table=TABLE)):
+            with pytest.raises(ConfigError, match=match):
                 study()
 
     @pytest.mark.parametrize("seed", range(4))

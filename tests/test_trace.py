@@ -1,7 +1,9 @@
 import gc
 import random
+import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +26,7 @@ from sttsim import (
     write_trace,
 )
 from sttsim import trace as trace_mod
-from sttsim.trace import parse_gap_spec, parse_pattern_spec, time_ordered
+from sttsim.trace import check_records, parse_gap_spec, parse_pattern_spec, time_ordered
 
 
 def test_read_basic_line(tmp_path):
@@ -222,7 +224,26 @@ def test_time_ordered():
     shuffled = [ordered[2], ordered[0], ordered[1]]
     assert time_ordered(shuffled) == ordered
     assert shuffled[0] is ordered[2]  # the input is left as it was
-    assert time_ordered(iter(shuffled)) == ordered
+
+
+def test_check_records_admits_a_trace_as_a_list():
+    records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x40)]
+    assert check_records(records, 2) is records  # a list is returned as is
+    assert check_records(iter(records)) == records
+    assert check_records([]) == []
+
+
+# a numpy integer, floats equal to an int, a string and unhashable values, in every field
+@pytest.mark.parametrize("field, value", [
+    (0, np.int64(0)), (0, 0.0), (0, []), (1, 1.0), (1, np.int64(1)), (1, "1"),
+    (2, 1.0), (2, []), (3, 64.0), (3, np.uint64(64)),
+])
+def test_check_records_names_a_field_that_is_not_an_int(field, value):
+    good = AccessRecord(0, 0, AccessKind.LOAD, 0x0)
+    bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))
+    for ncores in (None, 1):
+        with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} has a field that is not an int")):
+            check_records([good, bad, bad], ncores)
 
 
 # -- bulk generation against the per-record reference --------------------------
