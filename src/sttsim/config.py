@@ -20,7 +20,7 @@ sections and keys, all optional unless marked required:
     An [l2] section enables the shared L2; omit it for single-level runs.
 
 [input]                                ; exactly one of trace / synthetic
-    trace = path/to/file.trace         ; relative paths resolve from the config file
+    trace = path/to/file.trace
 
 [synthetic]
     seed = 1
@@ -40,6 +40,9 @@ sections and keys, all optional unless marked required:
     core_retentions = 1e-3 1e-2 1e-1 1e-3   ; asym per-core retentions
     tech_table = path/to/table.txt     ; default: bundled illustrative table
     out_dir = reports
+
+The paths trace, tech_table and out_dir resolve from the config file's
+directory; an absolute path is kept.
 """
 
 from __future__ import annotations
@@ -88,6 +91,10 @@ def _get(section, key, conv, default):
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
 
+def _floats(raw: str) -> list[float]:
+    return [float(tok) for tok in raw.split()]
+
+
 def _unit_config(section, defaults: dict) -> CacheUnitConfig:
     tech_text = _get(section, "technology", str, defaults.get("technology", "SRAM")).upper()
     if tech_text not in ("SRAM", "STTRAM"):
@@ -121,6 +128,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     def section(name):
         return parser[name] if parser.has_section(name) else None
 
+    def resolve(p):  # relative to the config's directory; an absolute path is kept
+        return os.path.join(base_dir, p)
+
     hier_sec = section("hierarchy")
     num_cores = _get(hier_sec, "num_cores", int, 1)
     hierarchy = HierarchyConfig(
@@ -134,9 +144,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     )
 
     input_sec = section("input")
-    trace_path = _get(input_sec, "trace", str, None)
-    if trace_path is not None and not os.path.isabs(trace_path):
-        trace_path = os.path.join(base_dir, trace_path)
+    trace_path = _get(input_sec, "trace", resolve, None)
     synth_sec = section("synthetic")
     synthetic = None
     if synth_sec is not None:
@@ -150,43 +158,17 @@ def load_experiment_config(path: str) -> ExperimentConfig:
             gap=parse_gap_spec(_get(synth_sec, "gap", str, "constant:20")),
             pattern=parse_pattern_spec(_get(synth_sec, "pattern", str, "uniform")),
         )
-        synthetic.validate()
     if (trace_path is None) == (synthetic is None):
         raise ConfigError("config must provide exactly one of [input] trace or a [synthetic] section")
 
     exp_sec = section("experiment")
-    retentions_text = _get(exp_sec, "retentions", str, None)
-    if retentions_text is None:
-        retentions = list(DEFAULT_RETENTIONS)
-    else:
-        try:
-            retentions = [float(tok) for tok in retentions_text.split()]
-        except ValueError:
-            raise ConfigError(f"bad retentions list {retentions_text!r}") from None
-    retentions = _check_retentions(retentions)
+    retentions = _check_retentions(_get(exp_sec, "retentions", _floats, DEFAULT_RETENTIONS))
 
     objective_text = _get(exp_sec, "objective", str, "energy").lower()
     try:
         objective = Objective(objective_text)
     except ValueError:
         raise ConfigError(f"objective must be energy, time, or edp, got {objective_text!r}") from None
-
-    core_rets_text = _get(exp_sec, "core_retentions", str, None)
-    if core_rets_text is None:
-        core_retentions = []
-    else:
-        try:
-            core_retentions = [float(tok) for tok in core_rets_text.split()]
-        except ValueError:
-            raise ConfigError(f"bad core_retentions list {core_rets_text!r}") from None
-
-    tech_table_path = _get(exp_sec, "tech_table", str, None)
-    if tech_table_path is not None and not os.path.isabs(tech_table_path):
-        tech_table_path = os.path.join(base_dir, tech_table_path)
-
-    out_dir = _get(exp_sec, "out_dir", str, "reports")
-    if not os.path.isabs(out_dir):
-        out_dir = os.path.join(base_dir, out_dir)
 
     return ExperimentConfig(
         hierarchy=hierarchy,
@@ -196,7 +178,7 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         objective=objective,
         profile_len=_get(exp_sec, "profile_len", int, 10_000),
         base_retention=_get(exp_sec, "base_retention", float, 1e-3),
-        core_retentions=core_retentions,
-        tech_table_path=tech_table_path,
-        out_dir=out_dir,
+        core_retentions=_get(exp_sec, "core_retentions", _floats, []),
+        tech_table_path=_get(exp_sec, "tech_table", resolve, None),
+        out_dir=_get(exp_sec, "out_dir", resolve, resolve("reports")),
     )

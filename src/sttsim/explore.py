@@ -6,7 +6,9 @@ worker pool and results are reduced in a fixed key order, so reports are
 identical to a serial run.  A sweep simulates in full only the candidates
 that could expire a block before the run ends; it builds the report of every
 other candidate from its SRAM run, replaying the record loop's timing over
-the levels that run recorded (see hierarchy._derived_report).
+the levels that run recorded, and simulates there in full any candidate
+whose replayed completion time could expire a block (see
+hierarchy._derived_report).
 Objective values are total cache energy (joules), execution time (seconds),
 or their product; memory energy is reported separately and excluded from
 objectives.
@@ -76,10 +78,10 @@ def _run_sims(
 
     The caller has admitted each trace for its tasks' num_cores (see
     trace.check_records) and put it in time order (see trace.time_ordered).
-    Returns the report of every task, in task order, and one entry per
-    config in `derive`: its report built from the run of tasks[0], or None
-    where that is refused (see hierarchy._derived_report).  The derivation
-    runs in the process of that run, beside the other tasks.
+    Returns the report of every task, in task order, and the report of each
+    config in `derive`, built from the run of tasks[0] (see
+    hierarchy._derived_report).  The derivations run in the process of that
+    run, beside the other tasks.
     """
     if table is None:
         table = sample_tech_table()
@@ -164,22 +166,16 @@ def sweep(
     """
     rets = _check_retentions(retentions)
     records = time_ordered(check_records(trace, template.num_cores))
-    table = tech_table if tech_table is not None else sample_tech_table()
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
     # a candidate that can expire a block by the last record's timestamp, a
     # lower bound on its completion time, runs in full beside the SRAM
-    # baseline; the others are derived from the SRAM run where its check
-    # allows, and run in full after it where not
+    # baseline; the others are derived from the SRAM run, in its process
     last = records[-1][1] if records else 0
-    undecided = [c for c in configs if _cannot_expire(c, last)]
-    first = [sram_cfg] + [c for c in configs if c not in undecided]
-    first_reports, derived = _run_sims([(0, c) for c in first], [records], table, jobs, derive=undecided)
-    done = dict(zip(first, first_reports))
-    done.update((c, rep) for c, rep in zip(undecided, derived) if rep is not None)
-    rest = [c for c in undecided if c not in done]
-    rest_reports, _ = _run_sims([(0, c) for c in rest], [records], table, jobs)
-    done.update(zip(rest, rest_reports))
+    derived = [c for c in configs if _cannot_expire(c, last)]
+    full = [sram_cfg] + [c for c in configs if c not in derived]
+    full_reports, derived_reports = _run_sims([(0, c) for c in full], [records], tech_table, jobs, derive=derived)
+    done = dict(zip(full, full_reports)) | dict(zip(derived, derived_reports))
     reports = [done[c] for c in [sram_cfg, *configs]]
 
     sram_energy = reports[0].cache_energy_j

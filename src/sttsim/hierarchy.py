@@ -162,7 +162,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
 def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
     """simulate(cfg) of records already admitted (see trace.check_records)
     and in time order, and the report of each config in `derive` built
-    from that run (see _derived_report), or None where that is refused."""
+    from that run (see _derived_report)."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz
     # the level that served each record, kept only to derive reports
@@ -322,14 +322,13 @@ def _cannot_expire(cfg: HierarchyConfig, t: int) -> bool:
 
 def _derived_report(
     cfg: HierarchyConfig, sram: SimReport, records: list, levels: bytearray, tech_table: TechTable
-) -> SimReport | None:
+) -> SimReport:
     """cfg's report from the SRAM run of the same time-ordered records, given
     the level that served each of them in that run.
 
     Each core's completion time replays the record loop of _simulate with
-    cfg's cycle costs.  None when that time reaches a unit's first deadline,
-    since the run might then expire a block; the caller then simulates cfg
-    in full.
+    cfg's cycle costs.  When that time reaches a unit's first deadline the
+    run might expire a block, so cfg is simulated in full here instead.
     """
     params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
     costs = _cycle_costs(cfg, params)
@@ -339,5 +338,6 @@ def _derived_report(
         ts = rec[1]
         a = avail[core]
         avail[core] = (ts if ts > a else a) + costs[core][rec[2] * 3 + level]
-    report = _report(cfg, list(sram.units.values()), params, avail)
-    return report if _cannot_expire(cfg, max(avail)) else None
+    if not _cannot_expire(cfg, max(avail)):
+        return _simulate(cfg, records, tech_table)[0]
+    return _report(cfg, list(sram.units.values()), params, avail)

@@ -253,7 +253,7 @@ def time_ordered(records: list) -> list[AccessRecord]:
 class ConstantGap:
     cycles: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.cycles < 1:
             raise ConfigError("constant inter-access gap must be >= 1 cycle")
 
@@ -263,34 +263,36 @@ class LogUniformGap:
     lo: int
     hi: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("log-uniform gap requires 1 <= lo <= hi")
 
 
 @dataclass(frozen=True)
 class SequentialLoop:
-    def validate(self) -> None:
-        pass
+    pass
 
 
 @dataclass(frozen=True)
 class UniformRandom:
-    def validate(self) -> None:
-        pass
+    pass
 
 
 @dataclass(frozen=True)
 class Zipf:
     s: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.s > 0:
             raise ConfigError("zipf exponent must be > 0")
 
 
 GapSpec = ConstantGap | LogUniformGap
 PatternSpec = SequentialLoop | UniformRandom | Zipf
+
+# a zipf pattern builds its CDF as Python floats, two per working-set block
+# while it is built: about 270 MB at this bound
+MAX_ZIPF_BLOCKS = 2**22
 
 
 def parse_gap_spec(text: str) -> GapSpec:
@@ -328,7 +330,9 @@ class SyntheticTraceSpec:
     An identical spec (including seed) always yields a byte-identical
     trace.  Addresses are block-aligned multiples of line_size_bytes drawn
     from a working set shared by all cores; the generator emits only data
-    accesses (LD/ST), with P(LD) = read_fraction.
+    accesses (LD/ST), with P(LD) = read_fraction.  A spec checks its fields
+    when it is built, raising ConfigError; a zipf pattern allows at most
+    MAX_ZIPF_BLOCKS working-set blocks.
     """
 
     seed: int
@@ -340,7 +344,7 @@ class SyntheticTraceSpec:
     gap: GapSpec = ConstantGap(10)
     pattern: PatternSpec = SequentialLoop()
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
         if self.accesses_per_core < 1:
@@ -353,8 +357,10 @@ class SyntheticTraceSpec:
             raise ConfigError("line_size_bytes must be a positive power of two")
         if self.working_set_blocks * self.line_size_bytes > 2**62:
             raise ConfigError("working set must span at most 2**62 bytes")
-        self.gap.validate()
-        self.pattern.validate()
+        if isinstance(self.pattern, Zipf) and self.working_set_blocks > MAX_ZIPF_BLOCKS:
+            raise ConfigError(
+                f"a zipf working set must be at most {MAX_ZIPF_BLOCKS} blocks, got {self.working_set_blocks}"
+            )
 
 
 def _zipf_cdf(num_blocks: int, s: float) -> list[float]:
@@ -376,7 +382,6 @@ def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
     order; per-core timestamps increase strictly by the sampled gaps,
     starting at 0.
     """
-    spec.validate()
     cdf = None
     if isinstance(spec.pattern, Zipf):
         cdf = np.array(_zipf_cdf(spec.working_set_blocks, spec.pattern.s))

@@ -149,7 +149,6 @@ def reference_generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
     order; per-core timestamps increase strictly by the sampled gaps,
     starting at 0.
     """
-    spec.validate()
     line = spec.line_size_bytes
     nblocks = spec.working_set_blocks
     zipf_cdf = _zipf_cdf(nblocks, spec.pattern.s) if isinstance(spec.pattern, Zipf) else None

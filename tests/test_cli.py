@@ -3,6 +3,7 @@ import os
 import pytest
 
 from sttsim.cli import main
+from sttsim.trace import MAX_ZIPF_BLOCKS
 
 MS = 1e-3
 
@@ -97,6 +98,22 @@ class TestGenTrace:
         assert os.listdir(out_dir) == ["t.trace"]
         assert len((out_dir / "t.trace").read_text().splitlines()) == 100
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gap", "constant:0"], "constant inter-access gap must be >= 1 cycle"),
+            (["--pattern", "zipf:0"], "zipf exponent must be > 0"),
+            (["--working-set-blocks", 0], "working_set_blocks must be >= 1"),
+            (["--accesses-per-core", 0], "accesses_per_core must be >= 1"),
+            (["--pattern", "zipf:1.2", "--working-set-blocks", MAX_ZIPF_BLOCKS + 1],
+             f"a zipf working set must be at most {MAX_ZIPF_BLOCKS} blocks, got {MAX_ZIPF_BLOCKS + 1}"),
+        ],
+    )
+    def test_bad_spec_exits_2_and_writes_nothing(self, tmp_path, capsys, flags, message):
+        assert run(["gen-trace", *flags, "--out", tmp_path / "t.trace"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == []
+
 
 class TestSimulate:
     def test_schema_and_mem_row(self, tmp_path):
@@ -121,6 +138,21 @@ class TestSimulate:
         assert run(["simulate", "--config", cfg, "--tech-table", table]) == 2
         err = capsys.readouterr().err
         assert "STTRAM" in err and "0.001" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "characterize", "sweep", "specialize", "asym"])
+    def test_study_without_config_exits_2(self, tmp_path, capsys, command):
+        assert run([command, "--out-dir", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err == "error: this subcommand requires --config <path>\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_flag_overrides_synthetic_seed(self, tmp_path):
+        cfg = make_config(tmp_path, SINGLE_CORE)
+        seed4 = make_config(tmp_path, SINGLE_CORE.replace("seed = 3", "seed = 4"), name="seed4.cfg")
+        for config, seed, out in ((cfg, None, "a"), (cfg, 4, "b"), (seed4, None, "c")):
+            flags = ["--seed", seed] if seed is not None else []
+            assert run(["simulate", "--config", config, "--out-dir", tmp_path / out] + flags) == 0
+        a, b, c = ((tmp_path / out / "simulate.csv").read_bytes() for out in "abc")
+        assert b == c and b != a
 
     def test_trace_flag_overrides_synthetic(self, tmp_path):
         trace = tmp_path / "tiny.trace"

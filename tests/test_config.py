@@ -133,3 +133,59 @@ def test_counter_states_bound(tmp_path):
     for n in (257, 10**6):
         with pytest.raises(ConfigError, match=f"counter_states must be <= 256, got {n}"):
             load_experiment_config(write(tmp_path, text.format(n)))
+
+
+@pytest.mark.parametrize("text, value", [("true", True), ("Yes", True), ("on", True), ("1", True),
+                                         ("false", False), ("NO", False), ("off", False), ("0", False)])
+def test_refresh_on_read_values(tmp_path, text, value):
+    cfg = load_experiment_config(write(tmp_path, f"[l1d]\nrefresh_on_read = {text}\n\n[synthetic]\nseed = 1\n"))
+    assert cfg.hierarchy.l1d[0].refresh_on_read is value
+    assert cfg.hierarchy.l1i[0].refresh_on_read is False
+
+
+def test_bad_refresh_on_read_names_key(tmp_path):
+    with pytest.raises(ConfigError, match="bad value 'sometimes' for key 'refresh_on_read'"):
+        load_experiment_config(write(tmp_path, "[l1i]\nrefresh_on_read = sometimes\n\n[synthetic]\nseed = 1\n"))
+
+
+def test_unknown_technology_named(tmp_path):
+    with pytest.raises(ConfigError, match="technology must be SRAM or STTRAM, got 'DRAM'"):
+        load_experiment_config(write(tmp_path, "[l2]\ntechnology = dram\n\n[synthetic]\nseed = 1\n"))
+
+
+@pytest.mark.parametrize("key", ["retentions", "core_retentions"])
+def test_bad_retention_list_names_key(tmp_path, key):
+    text = f"[synthetic]\nseed = 1\n\n[experiment]\n{key} = 1e-3 fast\n"
+    with pytest.raises(ConfigError, match=f"bad value '1e-3 fast' for key '{key}'"):
+        load_experiment_config(write(tmp_path, text))
+
+
+def test_empty_retention_lists(tmp_path):
+    cfg = load_experiment_config(write(tmp_path, "[synthetic]\nseed = 1\n\n[experiment]\ncore_retentions =\n"))
+    assert cfg.core_retentions == []
+    with pytest.raises(ConfigError, match="at least one retention"):
+        load_experiment_config(write(tmp_path, "[synthetic]\nseed = 1\n\n[experiment]\nretentions =\n"))
+
+
+def test_paths_resolve_from_config_directory(tmp_path):
+    sub = tmp_path / "configs"
+    sub.mkdir()
+    text = "[input]\ntrace = {0}t.trace\n\n[experiment]\ntech_table = {0}table.txt\nout_dir = {0}out\n"
+    cfg = load_experiment_config(write(sub, text.format("")))
+    assert (cfg.trace_path, cfg.tech_table_path, cfg.out_dir) == (
+        str(sub / "t.trace"), str(sub / "table.txt"), str(sub / "out"))
+    # an absolute path is kept as written
+    cfg = load_experiment_config(write(sub, text.format(f"{tmp_path}/")))
+    assert (cfg.trace_path, cfg.tech_table_path, cfg.out_dir) == (
+        str(tmp_path / "t.trace"), str(tmp_path / "table.txt"), str(tmp_path / "out"))
+
+
+def test_default_paths(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = load_experiment_config(write(tmp_path, "[synthetic]\nseed = 1\n"))
+    assert cfg.tech_table_path is None
+    assert cfg.out_dir == str(tmp_path / "reports")
+    # a config named by a relative path resolves from its own directory, not the working one
+    (tmp_path / "sub").mkdir()
+    write(tmp_path / "sub", "[input]\ntrace = t.trace\n")
+    assert load_experiment_config("sub/exp.cfg").trace_path == str(tmp_path / "sub" / "t.trace")

@@ -118,6 +118,11 @@ class TestTableParsing:
             ("STTRAM nan 1e-12 1e-11 1e-3 2 4", "retention_time"),
             ("STTRAM inf 1e-12 1e-11 1e-3 2 4", "retention_time"),
             ("STTRAM 0 1e-12 1e-11 1e-3 2 4", "retention_time"),
+            ("DRAM - 1e-12 1e-11 1e-3 2 2", "unknown technology 'DRAM'"),
+            ("STTRAM - 1e-12 1e-11 1e-3 2 4", "STTRAM row requires a retention time"),
+            ("STTRAM fast 1e-12 1e-11 1e-3 2 4", "malformed numeric field"),
+            ("STTRAM 1e-3 1e-12 x 1e-3 2 4", "malformed numeric field"),
+            ("STTRAM 1e-3 1e-12 1e-11 1e-3 2.5 4", "malformed numeric field"),
         ],
     )
     def test_bad_value_names_file_and_line(self, tmp_path, row, field):

@@ -244,6 +244,21 @@ class TestAssignAsymmetric:
             assign_asymmetric([loop_thread(0, 2, 1 * MS, 2 * MS)], template(), [1e-3] * 9,
                               profile_len=10, tech_table=TABLE)
 
+    @pytest.mark.parametrize(
+        "threads, core_rets, profile_len, match",
+        [
+            (0, [1e-3, 1e-2], 10, "requires at least one thread trace"),
+            (1, [1e-3, 1e-2], 0, "profile_len must be >= 1"),
+            (1, [1e-3, 0.0], 10, "core retentions must be positive"),
+            (1, [1e-3, -1e-3], 10, "core retentions must be positive"),
+        ],
+    )
+    def test_bad_input_named_before_any_simulation(self, sim_calls, threads, core_rets, profile_len, match):
+        traces = [loop_thread(0, 2, 1 * MS, 2 * MS)] * threads
+        with pytest.raises(ConfigError, match=match):
+            assign_asymmetric(traces, template(), core_rets, profile_len=profile_len, tech_table=TABLE)
+        assert sim_calls == []
+
     def test_fewer_threads_than_cores(self):
         threads = [loop_thread(0, 8, 0.5 * MS, 50 * MS), loop_thread(0, 8, 30 * MS, 50 * MS)]
         result = assign_asymmetric(threads, template(), [1e-3, 1e-2, 1e-1], profile_len=200,
@@ -334,11 +349,20 @@ class TestDerivedSweep:
             return real(tasks, *args, **kwargs)
 
         monkeypatch.setattr(explore, "_run_sims", recorded)
+        in_place = []
+        real_simulate = hierarchy_mod._simulate
+
+        def counted(cfg, records, *args):
+            in_place.append(cfg.l1d[0].retention_time)
+            return real_simulate(cfg, records, *args)
+
+        monkeypatch.setattr(hierarchy_mod, "_simulate", counted)
         sweep(backlog_trace(), two_level(2), self.RETS, tech_table=TABLE, jobs=1)
-        # 1e-6 is ruled out by the last timestamp and runs beside SRAM;
-        # 1e-5 is refused by the completion time and runs after it
-        assert [b for b in batches if b] == [[None, 1e-6], [1e-5]]
-        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e-6, 1e-5]
+        # one batch: 1e-6 is ruled out by the last timestamp and runs beside SRAM;
+        # 1e-5 is refused by the completion time and runs in full in the SRAM run's process
+        assert batches == [[None, 1e-6]]
+        assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e-6]
+        assert in_place == [1e-5]
 
     @pytest.mark.parametrize("base", [2**63 - 50, 2**64])
     def test_timestamps_beyond_int64_are_derived(self, base, sim_calls):
@@ -524,7 +548,7 @@ class TestRecordChecks:
         monkeypatch.setattr(explore, "_run_sims", recorded)
         trace = backlog_trace()
         sweep(trace, two_level(2), TestDerivedSweep.RETS, tech_table=TABLE, jobs=1)
-        assert len(batches) == 2  # the refused candidate runs in a second batch
+        assert len(batches) == 1  # the refused candidate runs in the SRAM run's process
         assert checks() == [(os.getpid(), len(trace), 2)]
 
     def test_one_check_per_asymmetric_thread_trace(self, checks, sim_calls):

@@ -346,3 +346,17 @@ class TestConfigValidation:
     def test_per_core_list_length(self):
         with pytest.raises(ConfigError):
             HierarchyConfig(num_cores=3, l1i=(l1(), l1()), l1d=l1())
+
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("num_cores", 0, "num_cores must be >= 1"),
+            ("clock_hz", 0.0, "clock_hz must be > 0"),
+            ("clock_hz", float("nan"), "clock_hz must be > 0"),
+            ("mem_latency_cycles", -1, "memory parameters must be >= 0"),
+            ("mem_energy_per_access", -1e-12, "memory parameters must be >= 0"),
+        ],
+    )
+    def test_bad_hierarchy_field_named(self, field, value, match):
+        with pytest.raises(ConfigError, match=match):
+            HierarchyConfig(**{"num_cores": 1, "l1i": l1(), "l1d": l1(), field: value})

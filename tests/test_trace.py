@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 import re
@@ -204,6 +205,44 @@ def test_invalid_specs():
         generate_trace(SyntheticTraceSpec(**{**good, "gap": LogUniformGap(10, 5)}))
     with pytest.raises(ConfigError):
         generate_trace(SyntheticTraceSpec(**{**good, "line_size_bytes": 48}))
+    with pytest.raises(ConfigError):
+        generate_trace(SyntheticTraceSpec(**{**good, "accesses_per_core": 0}))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: ConstantGap(0), "constant inter-access gap must be >= 1 cycle"),
+        (lambda: LogUniformGap(0, 5), r"log-uniform gap requires 1 <= lo <= hi"),
+        (lambda: Zipf(0), "zipf exponent must be > 0"),
+        (lambda: Zipf(float("nan")), "zipf exponent must be > 0"),
+    ],
+)
+def test_specs_check_themselves_when_built(build, match):
+    with pytest.raises(ConfigError, match=match):
+        build()
+
+
+def test_replaced_spec_is_checked():
+    spec = SyntheticTraceSpec(seed=1, working_set_blocks=8)
+    with pytest.raises(ConfigError, match="working_set_blocks must be >= 1"):
+        dataclasses.replace(spec, working_set_blocks=0)
+    with pytest.raises(ConfigError, match="zipf exponent must be > 0"):
+        dataclasses.replace(spec, pattern=dataclasses.replace(Zipf(1.0), s=-1.0))
+
+
+def test_zipf_working_set_bound(monkeypatch):
+    def no_cdf(*args):
+        raise AssertionError("a spec over the bound must fail before any CDF is built")
+
+    monkeypatch.setattr(trace_mod, "_zipf_cdf", no_cdf)
+    bound = trace_mod.MAX_ZIPF_BLOCKS
+    assert bound == 2**22
+    with pytest.raises(ConfigError, match=f"zipf working set must be at most {bound} blocks, got {bound + 1}"):
+        SyntheticTraceSpec(seed=1, working_set_blocks=bound + 1, pattern=Zipf(1.2))
+    # other patterns build no CDF and keep the 2**62-byte bound only
+    spec = SyntheticTraceSpec(seed=1, working_set_blocks=bound + 1, pattern=UniformRandom())
+    assert spec.working_set_blocks == bound + 1
 
 
 def test_spec_string_parsers():
@@ -212,7 +251,7 @@ def test_spec_string_parsers():
     assert parse_pattern_spec("sequential") == SequentialLoop()
     assert parse_pattern_spec("uniform") == UniformRandom()
     assert parse_pattern_spec("zipf:1.5") == Zipf(1.5)
-    for bad in ("constant", "loguniform:5", "zipf", "gauss:1", "constant:x"):
+    for bad in ("constant", "loguniform:5", "zipf", "gauss:1", "constant:x", "constant:0", "zipf:0", "zipf:x"):
         with pytest.raises(ConfigError):
             parse_gap_spec(bad) if bad.startswith(("constant", "loguniform")) else parse_pattern_spec(bad)
 
@@ -309,9 +348,10 @@ def test_generate_shared_timestamps_tie_by_core():
 
 
 def test_working_set_must_fit_64_bit_arithmetic():
-    spec = SyntheticTraceSpec(seed=1, working_set_blocks=2**56, line_size_bytes=128, pattern=UniformRandom())
     with pytest.raises(ConfigError):
-        generate_trace(spec)
+        generate_trace(
+            SyntheticTraceSpec(seed=1, working_set_blocks=2**56, line_size_bytes=128, pattern=UniformRandom())
+        )
 
 
 @pytest.mark.parametrize("enabled", [True, False])
