@@ -163,7 +163,20 @@ def tick_cycles(config: CacheUnitConfig, clock_hz: float) -> int:
 
 
 class CacheUnit:
-    """One mutable cache unit clocked at clock_hz; single-owner, not safe for concurrent use."""
+    """One mutable cache unit clocked at clock_hz; single-owner, not safe for concurrent use.
+
+    The unit's state lives in __slots__, one per attribute __init__ sets, so
+    the hot paths read and write it at fixed offsets rather than through a
+    dict; a new attribute must be added to the slots.
+    """
+
+    __slots__ = (
+        "config", "name", "num_sets", "assoc", "_set_mask", "_shift", "_line_mask",
+        "_tags", "_where", "_dirty", "_lru", "_reset_tick", "_gen", "_seq", "_cause",
+        "has_expiry", "tick_period", "_n_states", "_wheel", "time", "_tick", "next_tick_time",
+        "_read_resets", "read_hits", "write_hits", "miss_compulsory", "miss_replacement",
+        "miss_expiration", "writebacks", "evictions_replacement", "evictions_expiration",
+    )
 
     def __init__(self, config: CacheUnitConfig, name: str = "unit", clock_hz: float = DEFAULT_CLOCK_HZ) -> None:
         self.config = config

@@ -223,18 +223,20 @@ def specialize(
 ) -> SpecializeResult:
     """Pick a retention by simulating a cold-cache profile prefix per candidate.
 
-    The chosen retention then runs the full trace; savings are reported
-    against running the full trace at base_retention (and may be negative
-    for adversarial phase-change workloads).
+    The prefix is the first sample_len records in (timestamp, core_id)
+    order, whatever the input's line order.  The chosen retention then runs
+    the full trace; savings are reported against running the full trace at
+    base_retention (and may be negative for adversarial phase-change
+    workloads).
     """
     rets = _check_retentions(retentions)
-    records = check_records(trace, template.num_cores)
+    records = time_ordered(check_records(trace, template.num_cores))
     if sample_len < 1:
         raise ConfigError("sample_len must be >= 1")
     if sample_len > len(records):
         raise ConfigError(f"sample_len {sample_len} exceeds trace length {len(records)}")
 
-    prefix = time_ordered(records[:sample_len])
+    prefix = records[:sample_len]
     tasks = [(0, with_technology(template, Technology.STTRAM, r)) for r in rets]
     sample_reports, _ = _run_sims(tasks, [prefix], tech_table, jobs)
     sample_values = {r: objective_value(rep, objective) for r, rep in zip(rets, sample_reports)}
@@ -244,7 +246,7 @@ def specialize(
         (0, with_technology(template, Technology.STTRAM, chosen)),
         (0, with_technology(template, Technology.STTRAM, base_retention)),
     ]
-    (full_chosen, full_base), _ = _run_sims(full_tasks, [time_ordered(records)], tech_table, jobs)
+    (full_chosen, full_base), _ = _run_sims(full_tasks, [records], tech_table, jobs)
     v_chosen = objective_value(full_chosen, objective)
     v_base = objective_value(full_base, objective)
     savings = (v_base - v_chosen) / v_base if v_base else 0.0
@@ -306,10 +308,10 @@ def assign_asymmetric(
 ) -> AssignmentResult:
     """Match threads to asymmetric-retention cores by profiled cost.
 
-    Profiles every (thread, core) pair on the first profile_len accesses
-    from cold caches, searches all assignments exhaustively for the
-    minimum total cost, then runs every thread's full trace under the
-    plan.  The comparison baseline is the best single retention from the
+    Profiles every (thread, core) pair on the thread's first profile_len
+    accesses in time order, from cold caches, searches all assignments
+    exhaustively for the minimum total cost, then runs every thread's full
+    trace under the plan.  The comparison baseline is the best single retention from the
     core set applied to all threads.
     """
     core_rets = [float(r) for r in core_retentions]
@@ -326,9 +328,8 @@ def assign_asymmetric(
     if any(not r > 0 for r in core_rets):
         raise ConfigError("core retentions must be positive")
 
-    traces = [_rebase_core(check_records(t)) for t in thread_traces]
-    prefixes = [time_ordered(t[:profile_len]) for t in traces]
-    traces = [time_ordered(t) for t in traces]
+    traces = [_rebase_core(time_ordered(check_records(t))) for t in thread_traces]
+    prefixes = [t[:profile_len] for t in traces]
 
     pair_tasks = []
     for t in range(nthreads):

@@ -15,14 +15,17 @@ shared-unit access times are serialized monotonically in that arbitration
 order.  Times are integer clock cycles from the trace to every unit's
 clock (see cache.tick_cycles); seconds appear only in the report.
 
-The units count; the record loop only routes.  Memory reads and writes are
-read from the unit counters when the report is built (see _report).  Every
-unit applies its due expirations inside access().  The L1 access of a
-two-level run also collects the blocks it expires, and each dirty one is
-written to the L2 at its deadline before the record's own L2 traffic; only
-such a collector sees the order of expiries within a tick.  Records are
-checked once per trace, when a study admits it (see trace.check_records),
-not in the record loop.
+The units count; the record loop only routes.  Before the loop, a route
+table holds one entry per (core, kind): the L1's access, the write flag,
+the line mask and the record's cycles by the level that serves it, sliced
+from _cycle_costs.  Each record takes all four from one lookup.  Memory
+reads and writes are read from the unit counters when the report is built
+(see _report).  Every unit applies its due expirations inside access().
+The L1 access of a two-level run also collects the blocks it expires, and
+each dirty one is written to the L2 at its deadline before the record's own
+L2 traffic; only such a collector sees the order of expiries within a tick.
+Records are checked once per trace, when a study admits it (see
+trace.check_records), not in the record loop.
 """
 
 from __future__ import annotations
@@ -176,6 +179,14 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
 
     i_mask = ~(cfg.l1i[0].line_size_bytes - 1)
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
+    # routes[core][kind]: the L1's access, the write flag, the line mask and
+    # the record's cycles by the level that serves it
+    routes = [
+        [(l1i_units[c].access, False, i_mask, costs[c][0:3]),
+         (l1d_units[c].access, False, d_mask, costs[c][3:6]),
+         (l1d_units[c].access, True, d_mask, costs[c][6:9])]
+        for c in range(ncores)
+    ]
 
     avail = [0] * ncores
     # shared-L2 accesses are serialized at a monotone time, the latest seen
@@ -184,21 +195,12 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
     # an L1 access's expiries, collected only where an L2 takes the dirty ones
     expired = [] if l2 is not None else None
 
-    l1_units = l1i_units + l1d_units
     for pos, (core, ts, kind, addr) in enumerate(records):
         a = avail[core]
         start = ts if ts > a else a
-        if kind:
-            unit = l1d_units[core]
-            is_write = kind == 2
-            addr &= d_mask
-        else:
-            unit = l1i_units[core]
-            is_write = False
-            addr &= i_mask
-
-        key = kind * 3
-        out = unit.access(addr, is_write, start, expired)
+        access, is_write, mask, cost = routes[core][kind]
+        addr &= mask
+        out = access(addr, is_write, start, expired)
         if expired:
             # each dirty block the L1 expired is written to the L2 at its deadline
             for victim, dirty, expire_time in expired:
@@ -207,22 +209,23 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
                         l2_last = expire_time
                     l2_access(victim, True, l2_last)
             expired.clear()
-        if not out[0]:
-            level = 2
-            if l2 is not None:
-                if start > l2_last:
-                    l2_last = start
-                if l2_access(addr, False, l2_last)[0]:
-                    level = 1
-                # dirty line leaving an L1: full-line write, no fetch on an L2 miss
-                if out[2]:
-                    l2_access(out[3], True, l2_last)
-            key += level
-            if levels is not None:
-                levels[pos] = level
-        avail[core] = start + costs[core][key]
+        if out[0]:
+            avail[core] = start + cost[0]
+            continue
+        level = 2
+        if l2 is not None:
+            if start > l2_last:
+                l2_last = start
+            if l2_access(addr, False, l2_last)[0]:
+                level = 1
+            # dirty line leaving an L1: full-line write, no fetch on an L2 miss
+            if out[2]:
+                l2_access(out[3], True, l2_last)
+        if levels is not None:
+            levels[pos] = level
+        avail[core] = start + cost[level]
 
-    units = l1_units + ([l2] if l2 is not None else [])
+    units = l1i_units + l1d_units + ([l2] if l2 is not None else [])
     report = _report(cfg, units, params, avail)
     return report, tuple(_derived_report(c, report, records, levels, tech_table) for c in derive)
 

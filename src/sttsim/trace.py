@@ -254,6 +254,8 @@ class ConstantGap:
     cycles: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.cycles, int):
+            raise ConfigError(f"constant inter-access gap must be a whole number of cycles, got {self.cycles!r}")
         if self.cycles < 1:
             raise ConfigError("constant inter-access gap must be >= 1 cycle")
 
@@ -264,6 +266,8 @@ class LogUniformGap:
     hi: int
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+            raise ConfigError(f"log-uniform gap bounds must be whole numbers of cycles, got {self.lo!r}, {self.hi!r}")
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("log-uniform gap requires 1 <= lo <= hi")
 
@@ -331,7 +335,8 @@ class SyntheticTraceSpec:
     trace.  Addresses are block-aligned multiples of line_size_bytes drawn
     from a working set shared by all cores; the generator emits only data
     accesses (LD/ST), with P(LD) = read_fraction.  A spec checks its fields
-    when it is built, raising ConfigError; a zipf pattern allows at most
+    when it is built, raising ConfigError: the integer fields must be ints,
+    gap and pattern spec objects, and a zipf pattern allows at most
     MAX_ZIPF_BLOCKS working-set blocks.
     """
 
@@ -345,6 +350,14 @@ class SyntheticTraceSpec:
     pattern: PatternSpec = SequentialLoop()
 
     def __post_init__(self) -> None:
+        for name in ("seed", "num_cores", "accesses_per_core", "working_set_blocks", "line_size_bytes"):
+            value = getattr(self, name)
+            if not isinstance(value, int):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.gap, GapSpec):
+            raise ConfigError(f"gap must be a ConstantGap or LogUniformGap, got {self.gap!r}")
+        if not isinstance(self.pattern, PatternSpec):
+            raise ConfigError(f"pattern must be a SequentialLoop, UniformRandom or Zipf, got {self.pattern!r}")
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
         if self.accesses_per_core < 1:

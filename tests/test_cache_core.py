@@ -85,6 +85,14 @@ class TestConfig:
 
 
 class TestAccessBasics:
+    def test_state_lives_in_slots(self):
+        # an instance dict would put the hot paths back on hashed attribute lookups
+        for u in (sram_unit(), stt_unit()):
+            assert not hasattr(u, "__dict__")
+            assert all(hasattr(u, name) for name in CacheUnit.__slots__)
+            with pytest.raises(AttributeError):
+                u.extra = 0
+
     def test_cold_start_compulsory(self):
         u = sram_unit()
         out = u.access(0x0, False, 0)

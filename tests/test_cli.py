@@ -265,6 +265,23 @@ class TestDeterminism:
         b = (tmp_path / "r2" / "sweep.csv").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "specialize", "asym", "characterize"])
+    def test_trace_file_grouped_by_core(self, tmp_path, command):
+        # read_trace requires only each core's own order, so a file may group its lines by core
+        cfg = make_config(tmp_path, ASYM)
+        timed = tmp_path / "timed.trace"
+        run(["gen-trace", "--num-cores", 4, "--accesses-per-core", 600, "--working-set-blocks", 64,
+             "--pattern", "uniform", "--gap", "loguniform:1000:2000000", "--out", timed])
+        lines = timed.read_text().splitlines(keepends=True)
+        grouped = tmp_path / "grouped.trace"
+        grouped.write_text("".join(sorted(lines, key=lambda line: int(line.split()[0]))))
+        for trace in (timed, grouped):
+            assert run([command, "--config", cfg, "--trace", trace, "--out-dir", tmp_path / trace.stem]) == 0
+        names = sorted(os.listdir(tmp_path / "timed"))
+        assert names and names == sorted(os.listdir(tmp_path / "grouped"))
+        for name in names:
+            assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "grouped" / name).read_bytes(), name
+
 
 class TestGoldenSweep:
     @pytest.mark.parametrize("jobs", [1, 2])

@@ -443,20 +443,22 @@ class TestRecordOrder:
         assert [e.report for e in a.entries] == [e.report for e in b.entries]
 
     def test_specialize_and_asym_order_each_trace_and_prefix(self):
-        threads = [shuffled(random_trace(s, 1500, num_blocks=256, write_fraction=0.4), s) for s in (1, 2)]
+        ordered = [random_trace(s, 1500, num_blocks=256, write_fraction=0.4) for s in (1, 2)]
+        threads = [shuffled(trace, s) for trace, s in zip(ordered, (1, 2))]
         k = 500
 
         def value(cfg, trace):
             return objective_value(simulate(cfg, trace, TABLE), Objective.ENERGY)
 
+        # each profile is the first k records in time order, not in input order
         result = specialize(threads[0], template(), self.RETS, base_retention=1e-3, sample_len=k, tech_table=TABLE)
         assert result.sample_values == {
-            r: value(with_technology(template(), Technology.STTRAM, r), threads[0][:k]) for r in self.RETS
+            r: value(with_technology(template(), Technology.STTRAM, r), ordered[0][:k]) for r in self.RETS
         }
         rets = self.RETS[:2]
         single = [explore._single_core_config(template(2), r) for r in rets]
         asym = assign_asymmetric(threads, template(2), rets, k, tech_table=TABLE)
-        assert asym.cost_matrix == [[value(cfg, thread[:k]) for cfg in single] for thread in threads]
+        assert asym.cost_matrix == [[value(cfg, trace[:k]) for cfg in single] for trace in ordered]
         assert asym.full_asym_total == sum(
             value(single[asym.assignment[t]], thread) for t, thread in enumerate(threads)
         )

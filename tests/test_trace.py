@@ -223,6 +223,27 @@ def test_specs_check_themselves_when_built(build, match):
         build()
 
 
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: SyntheticTraceSpec(seed=1, gap="constant:5"),
+         "gap must be a ConstantGap or LogUniformGap, got 'constant:5'"),
+        (lambda: SyntheticTraceSpec(seed=1, pattern="zipf:1.2"),
+         "pattern must be a SequentialLoop, UniformRandom or Zipf, got 'zipf:1.2'"),
+        (lambda: ConstantGap(2.5), "constant inter-access gap must be a whole number of cycles, got 2.5"),
+        (lambda: LogUniformGap(1, 2.0), "log-uniform gap bounds must be whole numbers of cycles, got 1, 2.0"),
+        (lambda: SyntheticTraceSpec(seed=1, working_set_blocks=4.5), "working_set_blocks must be an int, got 4.5"),
+        (lambda: SyntheticTraceSpec(seed="1"), "seed must be an int, got '1'"),
+        (lambda: SyntheticTraceSpec(seed=1, num_cores=2.0), "num_cores must be an int, got 2.0"),
+        (lambda: SyntheticTraceSpec(seed=1, accesses_per_core=None), "accesses_per_core must be an int, got None"),
+        (lambda: SyntheticTraceSpec(seed=1, line_size_bytes=64.0), "line_size_bytes must be an int, got 64.0"),
+    ],
+)
+def test_spec_fields_of_the_wrong_type(build, match):
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        build()
+
+
 def test_replaced_spec_is_checked():
     spec = SyntheticTraceSpec(seed=1, working_set_blocks=8)
     with pytest.raises(ConfigError, match="working_set_blocks must be >= 1"):
