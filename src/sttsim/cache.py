@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 DEFAULT_CLOCK_HZ = 1.9e9
 
@@ -89,7 +90,9 @@ class CacheUnitConfig:
     num_sets a power of two.  retention_time (seconds) is required for
     STTRAM and ignored for SRAM.  counter_states is the number of FSM
     states N of the per-block retention counter, 2 to MAX_COUNTER_STATES
-    (an 8-bit counter).  Replacement is LRU.
+    (an 8-bit counter).  Replacement is LRU.  Sizes and counter_states must
+    be ints, retention_time a real number or None, and refresh_on_read a
+    bool.
     """
 
     size_bytes: int
@@ -101,6 +104,11 @@ class CacheUnitConfig:
     refresh_on_read: bool = False
 
     def __post_init__(self) -> None:
+        check_field_types(self, int, "size_bytes", "associativity", "line_size_bytes", "counter_states")
+        check_field_types(self, Technology, "technology")
+        if self.retention_time is not None:
+            check_field_types(self, numbers.Real, "retention_time")
+        check_field_types(self, bool, "refresh_on_read")
         if self.line_size_bytes < 1 or self.line_size_bytes & (self.line_size_bytes - 1):
             raise ConfigError("line_size_bytes must be a positive power of two")
         if self.associativity < 1:

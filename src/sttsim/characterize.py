@@ -13,12 +13,11 @@ profiled; the curve replays its stream once per retention.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 from array import array
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
@@ -190,16 +189,39 @@ class LifetimeHistogram:
 
 
 def _bucketize(values, edges: tuple[float, ...]) -> list[int]:
-    idx = np.searchsorted(np.asarray(edges, dtype=float), np.asarray(values, dtype=float), side="right")
-    return np.bincount(idx, minlength=len(edges) + 1).tolist()
+    """Count values, in any order, into the buckets LifetimeHistogram describes.
+
+    The count below each edge is a bisect_left of the sorted values; sorting
+    values that are already in order is one linear pass.
+    """
+    ordered = sorted(values)
+    below = [bisect.bisect_left(ordered, edge) for edge in edges]
+    return [hi - lo for lo, hi in zip([0] + below, below + [len(ordered)])]
 
 
-def _quantiles(values) -> dict[str, float]:
-    if not len(values):
+def _quantiles(ordered: list[float]) -> dict[str, float]:
+    """p50, p90 and p99 of ascending values, interpolated linearly.
+
+    Quantile q sits at position (n - 1) * q (method 7 of Hyndman and Fan).
+    Between the values a and b around it, at fraction g past a, it is
+    a + (b - a) * g below g = 0.5 and b - (b - a) * (1 - g) from 0.5, the
+    form that is exact at both ends; the tests hold it to a reference
+    quantile bit for bit.
+    """
+    if not ordered:
         return {"p50": 0.0, "p90": 0.0, "p99": 0.0}
-    arr = np.asarray(values)
-    p50, p90, p99 = np.quantile(arr, [0.50, 0.90, 0.99])
-    return {"p50": float(p50), "p90": float(p90), "p99": float(p99)}
+    last = len(ordered) - 1
+    out = {}
+    for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99)):
+        pos = last * q
+        i = int(pos)
+        if i >= last:
+            out[name] = float(ordered[last])
+            continue
+        a, b = ordered[i], ordered[i + 1]
+        g = pos - i
+        out[name] = a + (b - a) * g if g < 0.5 else b - (b - a) * (1 - g)
+    return out
 
 
 def block_lifetimes(
@@ -221,8 +243,8 @@ def block_lifetimes(
     ):
         raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {bucket_edges!r}")
     profile = _sram_profile(trace, cfg, clock_hz, stream)
-    by_last_hit = profile.last_hit_lifetimes
-    by_eviction = profile.eviction_lifetimes
+    by_last_hit = sorted(profile.last_hit_lifetimes)
+    by_eviction = sorted(profile.eviction_lifetimes)
     return LifetimeHistogram(
         bucket_edges=bucket_edges,
         counts_last_hit=_bucketize(by_last_hit, bucket_edges),
@@ -262,12 +284,12 @@ def persistence(
         if not isinstance(thd, int) or isinstance(thd, bool) or thd < 1:
             raise ConfigError(f"persistence thresholds must be ints >= 1, got {thd!r}")
     profile = _sram_profile(trace, cfg, clock_hz, stream)
-    unique = len(profile.fills_per_block)
-    fills = np.asarray(profile.fills_per_block)
+    fills = profile.fills_per_block
+    unique = len(fills)
     fractions = {}
     counts = {}
     for thd in thresholds:
-        n = int(np.count_nonzero(fills > thd))  # reloads >= thd
+        n = sum(map(thd.__lt__, fills))  # reloads >= thd
         counts[thd] = n
         fractions[thd] = n / unique if unique else 0.0
     return PersistenceReport(

@@ -15,13 +15,14 @@ Table file format, one row per line::
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
 from .cache import Technology
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 
 SAMPLE_TABLE_RESOURCE = "tech_table_sample.txt"
 
@@ -37,6 +38,11 @@ class TechParams:
     t_write: int
 
     def __post_init__(self) -> None:
+        check_field_types(self, Technology, "technology")
+        if self.retention_time is not None:
+            check_field_types(self, numbers.Real, "retention_time")
+        check_field_types(self, numbers.Real, "e_read", "e_write", "p_leak")
+        check_field_types(self, int, "t_read", "t_write")
         for field in ("e_read", "e_write", "p_leak", "t_read", "t_write"):
             value = getattr(self, field)
             if not 0 <= value < math.inf:  # NaN fails too

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field type check of its configs."""
+
+import numbers
 
 
 class SttsimError(Exception):
@@ -15,3 +17,18 @@ class TraceValidationError(SttsimError):
 
 class ConfigError(SttsimError):
     """A configuration value is invalid or inconsistent."""
+
+
+_KIND_NAMES = {int: "an int", numbers.Real: "a real number", bool: "a bool"}
+
+
+def check_field_types(obj, kind: type, *names: str) -> None:
+    """Raise ConfigError naming the first of obj's fields `names` whose value is not a kind.
+
+    Configs run it before their range checks, so that a value of the wrong
+    type fails with its field's name instead of a bare TypeError later.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be {_KIND_NAMES.get(kind, f'a {kind.__name__}')}, got {value!r}")

@@ -30,11 +30,13 @@ trace.check_records), not in the record loop.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, tick_cycles
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
-from .errors import ConfigError
+from .errors import ConfigError, check_field_types
 from .trace import check_records, time_ordered
 
 
@@ -48,10 +50,11 @@ def time_to_seconds(cycles: int, clock_hz: float) -> float:
 def _as_per_core(cfg, num_cores: int, label: str) -> tuple[CacheUnitConfig, ...]:
     if isinstance(cfg, CacheUnitConfig):
         return (cfg,) * num_cores
-    cfgs = tuple(cfg)
-    if len(cfgs) != num_cores:
-        raise ConfigError(f"{label}: expected {num_cores} per-core configs, got {len(cfgs)}")
-    return cfgs
+    if not (isinstance(cfg, (list, tuple)) and all(isinstance(c, CacheUnitConfig) for c in cfg)):
+        raise ConfigError(f"{label} must be a CacheUnitConfig or a list or tuple of them, got {cfg!r}")
+    if len(cfg) != num_cores:
+        raise ConfigError(f"{label}: expected {num_cores} per-core configs, got {len(cfg)}")
+    return tuple(cfg)
 
 
 @dataclass(frozen=True)
@@ -59,8 +62,10 @@ class HierarchyConfig:
     """Cores, caches, and memory parameters of one simulated system.
 
     l1i and l1d accept a single CacheUnitConfig (replicated across cores)
-    or one per core; per-core L1 configs may differ only in technology and
-    retention, not geometry.
+    or a list or tuple of one per core; per-core L1 configs may differ only
+    in technology and retention, not geometry.  num_cores and
+    mem_latency_cycles must be ints, and clock_hz and mem_energy_per_access
+    real numbers.
     """
 
     num_cores: int
@@ -72,12 +77,16 @@ class HierarchyConfig:
     mem_energy_per_access: float = 2.0e-11
 
     def __post_init__(self) -> None:
+        check_field_types(self, int, "num_cores", "mem_latency_cycles")
+        check_field_types(self, numbers.Real, "clock_hz", "mem_energy_per_access")
+        if self.l2 is not None and not isinstance(self.l2, CacheUnitConfig):
+            raise ConfigError(f"l2 must be a CacheUnitConfig or None, got {self.l2!r}")
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
-        if not self.clock_hz > 0:
-            raise ConfigError("clock_hz must be > 0")
-        if self.mem_latency_cycles < 0 or self.mem_energy_per_access < 0:
-            raise ConfigError("memory parameters must be >= 0")
+        if not 0 < self.clock_hz < math.inf:  # NaN fails too
+            raise ConfigError("clock_hz must be > 0 and finite")
+        if self.mem_latency_cycles < 0 or not 0 <= self.mem_energy_per_access < math.inf:
+            raise ConfigError("memory parameters must be >= 0 and finite")
         object.__setattr__(self, "l1i", _as_per_core(self.l1i, self.num_cores, "l1i"))
         object.__setattr__(self, "l1d", _as_per_core(self.l1d, self.num_cores, "l1d"))
         for label, cfgs in (("l1i", self.l1i), ("l1d", self.l1d)):

@@ -11,11 +11,11 @@ cycles; only reports convert to seconds, at the configured clock frequency.
 
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
-and does the per-record arithmetic with numpy; the reader splits a chunk of
-lines at once and checks it column by column, and re-reads a chunk that
-fails a check line by line, which names the offending line.  Both return a
-list of `AccessRecord`s with plain `int` fields, identical to building every
-record in Python.
+a chunk at a time and maps each column of them with one comprehension; the
+reader splits a chunk of lines at once and checks it column by column, and
+re-reads a chunk that fails a check line by line, which names the offending
+line.  Both return a list of `AccessRecord`s with plain `int` fields,
+identical to building every record one at a time.
 """
 
 from __future__ import annotations
@@ -24,15 +24,14 @@ import bisect
 import enum
 import gc
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-import numpy as np
-
-from .errors import ConfigError, TraceParseError, TraceValidationError
+from .errors import ConfigError, TraceParseError, TraceValidationError, check_field_types
 
 
 class AccessKind(enum.IntEnum):
@@ -287,6 +286,7 @@ class Zipf:
     s: float
 
     def __post_init__(self) -> None:
+        check_field_types(self, numbers.Real, "s")
         if not self.s > 0:
             raise ConfigError("zipf exponent must be > 0")
 
@@ -336,8 +336,8 @@ class SyntheticTraceSpec:
     from a working set shared by all cores; the generator emits only data
     accesses (LD/ST), with P(LD) = read_fraction.  A spec checks its fields
     when it is built, raising ConfigError: the integer fields must be ints,
-    gap and pattern spec objects, and a zipf pattern allows at most
-    MAX_ZIPF_BLOCKS working-set blocks.
+    read_fraction a real number, gap and pattern spec objects, and a zipf
+    pattern allows at most MAX_ZIPF_BLOCKS working-set blocks.
     """
 
     seed: int
@@ -350,10 +350,8 @@ class SyntheticTraceSpec:
     pattern: PatternSpec = SequentialLoop()
 
     def __post_init__(self) -> None:
-        for name in ("seed", "num_cores", "accesses_per_core", "working_set_blocks", "line_size_bytes"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ConfigError(f"{name} must be an int, got {value!r}")
+        check_field_types(self, int, "seed", "num_cores", "accesses_per_core", "working_set_blocks", "line_size_bytes")
+        check_field_types(self, numbers.Real, "read_fraction")
         if not isinstance(self.gap, GapSpec):
             raise ConfigError(f"gap must be a ConstantGap or LogUniformGap, got {self.gap!r}")
         if not isinstance(self.pattern, PatternSpec):
@@ -368,8 +366,6 @@ class SyntheticTraceSpec:
             raise ConfigError("working_set_blocks must be >= 1")
         if self.line_size_bytes < 1 or self.line_size_bytes & (self.line_size_bytes - 1):
             raise ConfigError("line_size_bytes must be a positive power of two")
-        if self.working_set_blocks * self.line_size_bytes > 2**62:
-            raise ConfigError("working set must span at most 2**62 bytes")
         if isinstance(self.pattern, Zipf) and self.working_set_blocks > MAX_ZIPF_BLOCKS:
             raise ConfigError(
                 f"a zipf working set must be at most {MAX_ZIPF_BLOCKS} blocks, got {self.working_set_blocks}"
@@ -397,7 +393,7 @@ def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
     """
     cdf = None
     if isinstance(spec.pattern, Zipf):
-        cdf = np.array(_zipf_cdf(spec.working_set_blocks, spec.pattern.s))
+        cdf = _zipf_cdf(spec.working_set_blocks, spec.pattern.s)
     return _collect(_merge_cores([_core_batches(spec, core, cdf) for core in range(spec.num_cores)]))
 
 
@@ -428,38 +424,46 @@ def _merge_cores(cores: list[Iterator[list[AccessRecord]]]) -> Iterator[list[Acc
         yield window
 
 
-def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: np.ndarray | None):
+def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: list[float] | None):
     """One core's records, a chunk at a time, in timestamp order.
 
     Each record draws, in order, its block (random patterns), its kind and
-    its gap (log-uniform gaps) from the core's own generator; a chunk draws
-    all its uniforms in that order at once and maps them with numpy, except
-    for the gaps, which keep math.exp and round.
+    its gap (log-uniform gaps) from the core's own generator.  A chunk draws
+    all its uniforms in that order at once and maps each column of them:
+    a zipf block is the bisect_right of its uniform in the CDF, a uniform
+    block the truncated product with the block count, a kind a comparison
+    with read_fraction, and a gap math.exp and round of its exponent.
     """
     rand = random.Random(spec.seed * 1_000_003 + core).random
     nblocks = spec.working_set_blocks
+    line = spec.line_size_bytes
+    end = nblocks * line
     gap = spec.gap
     kind_col = 0 if isinstance(spec.pattern, SequentialLoop) else 1
     draws = kind_col + 1 + isinstance(gap, LogUniformGap)
     if isinstance(gap, LogUniformGap):
-        log_lo, log_hi = math.log(gap.lo), math.log(gap.hi)
-    kinds = (AccessKind.STORE, AccessKind.LOAD)  # indexed by "is a load"
+        log_lo, log_span = math.log(gap.lo), math.log(gap.hi) - math.log(gap.lo)
+    scale = float(nblocks)  # what x * nblocks converts nblocks to
+    read_fraction = float(spec.read_fraction)
+    load, store = AccessKind.LOAD, AccessKind.STORE
+    bisect_right, exp = bisect.bisect_right, math.exp
     t = 0
     for start in range(0, spec.accesses_per_core, _CHUNK_RECORDS):
         k = min(_CHUNK_RECORDS, spec.accesses_per_core - start)
-        u = np.fromiter(starmap(rand, repeat((), k * draws)), np.float64, k * draws).reshape(k, draws)
+        u = list(starmap(rand, repeat((), k * draws)))
         if kind_col == 0:
-            blocks = np.arange(start, start + k) % nblocks
-        elif cdf is not None:
-            blocks = np.minimum(np.searchsorted(cdf, u[:, 0], side="right"), nblocks - 1)
-        else:  # uniform; u * nblocks can round up to nblocks
-            blocks = np.minimum((u[:, 0] * nblocks).astype(np.int64), nblocks - 1)
+            addresses = [i % nblocks * line for i in range(start, start + k)]
+        elif cdf is not None:  # every draw is below 1.0, the CDF's last entry, so within the last block
+            addresses = [bisect_right(cdf, x) * line for x in u[0::draws]]
+        else:
+            addresses = [int(x * scale) * line for x in u[0::draws]]
+            if end in addresses:  # x * nblocks can round up to nblocks
+                addresses = [min(a, end - line) for a in addresses]
         if isinstance(gap, ConstantGap):
             stamps = range(t, t + k * gap.cycles, gap.cycles)
             t += k * gap.cycles
         else:
-            exponents = (log_lo + u[:, kind_col + 1] * (log_hi - log_lo)).tolist()
-            gaps = map(max, repeat(1), map(round, map(math.exp, exponents)))
+            gaps = [round(exp(log_lo + x * log_span)) or 1 for x in u[kind_col + 1::draws]]  # each gap >= 1
             stamps = list(accumulate(gaps, initial=t))
             t = stamps.pop()
         yield list(map(
@@ -468,7 +472,7 @@ def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: np.ndarray | None):
             zip(
                 repeat(core),
                 stamps,
-                map(kinds.__getitem__, (u[:, kind_col] < spec.read_fraction).tolist()),
-                (blocks * spec.line_size_bytes).tolist(),
+                [load if x < read_fraction else store for x in u[kind_col::draws]],
+                addresses,
             ),
         ))

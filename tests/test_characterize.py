@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 from conftest import random_trace
-from oracle import reference_block_lifetimes, reference_expiration_curve, reference_persistence
+from oracle import _reference_quantiles, reference_block_lifetimes, reference_expiration_curve, reference_persistence
 from sttsim import (
     AccessKind,
     AccessRecord,
@@ -26,7 +26,7 @@ from sttsim import (
     read_write_ratio,
 )
 from sttsim import characterize
-from sttsim.characterize import LIFETIME_BUCKET_EDGES, _bucketize
+from sttsim.characterize import LIFETIME_BUCKET_EDGES, _bucketize, _quantiles
 
 CLOCK = 1.9e9
 MS = 1e-3
@@ -536,3 +536,29 @@ class TestBucketize:
         got = _bucketize(values, self.EDGES)
         assert got == expected
         assert all(type(c) is int for c in got)
+
+
+class TestQuantiles:
+    """_quantiles against numpy.quantile (tests/oracle.py), bit for bit."""
+
+    @staticmethod
+    def check(values):
+        got = _quantiles(sorted(values))
+        assert got == _reference_quantiles(values)
+        assert all(type(v) is float for v in got.values())
+
+    @given(values=hs.lists(hs.one_of(hs.floats(0.0, 10.0), hs.sampled_from([0.0, 1e-6, 2.5e-4, 1.0])),
+                           min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, values):
+        self.check(values)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 51])
+    def test_short_lists_duplicates_and_halfway_positions(self, n):
+        # (n - 1) * q lies exactly halfway between two values for p50 at n = 2 and 4,
+        # for p90 at n = 6 and for p99 at n = 51
+        rng = random.Random(n)
+        for _ in range(200):
+            self.check([rng.choice([0.0, 1e-5, 3e-3]) if rng.random() < 0.4 else rng.uniform(0, 1e-3)
+                        for _ in range(n)])
+        self.check([7e-4] * n)

@@ -1,7 +1,10 @@
 import os
+import subprocess
+import sys
 
 import pytest
 
+import sttsim
 from sttsim.cli import main
 from sttsim.trace import MAX_ZIPF_BLOCKS
 
@@ -344,3 +347,33 @@ class TestUnwritableOutputs:
         assert len(lines) == 1 and lines[0].startswith(f"error: cannot write {target}: ")
         assert "Traceback" not in captured.err
         assert not [n for _, _, names in os.walk(tmp_path) for n in names if n.endswith(".tmp")]
+
+
+_WITHOUT_NUMPY = """
+import sys
+import sttsim
+from sttsim.cli import main
+config, out = sys.argv[1:]
+for args in (
+    ["gen-trace", "--num-cores", "2", "--accesses-per-core", "400", "--pattern", "zipf:1.2",
+     "--gap", "loguniform:10:1000", "--out", out + "/zipf.trace"],
+    ["sweep", "--config", config, "--out-dir", out + "/sweep"],
+    ["characterize", "--config", config, "--out-dir", out + "/characterize"],
+    ["characterize", "--config", config, "--trace", out + "/zipf.trace", "--out-dir", out + "/zipf"],
+):
+    assert main(args) == 0, args
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "numpy"))
+"""
+
+
+def test_import_and_cli_load_no_numpy(tmp_path):
+    # sttsim has no runtime dependency: neither the import nor a study loads numpy
+    cfg = make_config(tmp_path, SINGLE_CORE.replace("accesses_per_core = 3000", "accesses_per_core = 400"))
+    src = os.path.dirname(os.path.dirname(sttsim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, cfg, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"  # the numpy modules loaded
+    for csv in ("sweep/sweep.csv", "characterize/lifetimes.csv", "zipf/persistence.csv"):
+        assert os.path.getsize(tmp_path / csv) > 0

@@ -1,6 +1,16 @@
+import re
+
 import pytest
 
-from sttsim import ConfigError, Objective, Technology, load_experiment_config
+from sttsim import (
+    CacheUnitConfig,
+    ConfigError,
+    HierarchyConfig,
+    Objective,
+    Technology,
+    TechParams,
+    load_experiment_config,
+)
 
 FULL = """
 [hierarchy]
@@ -189,3 +199,56 @@ def test_default_paths(tmp_path, monkeypatch):
     (tmp_path / "sub").mkdir()
     write(tmp_path / "sub", "[input]\ntrace = t.trace\n")
     assert load_experiment_config("sub/exp.cfg").trace_path == str(tmp_path / "sub" / "t.trace")
+
+
+L1 = CacheUnitConfig(4096, 4, 64)
+
+
+def _tech(**fields):
+    values = dict(technology=Technology.STTRAM, retention_time=1e-3, e_read=1e-12, e_write=2e-12, p_leak=1e-3,
+                  t_read=2, t_write=4)
+    return TechParams(**(values | fields))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: CacheUnitConfig(4096.0, 4, 64), "size_bytes must be an int, got 4096.0"),
+        (lambda: CacheUnitConfig(4096, "4", 64), "associativity must be an int, got '4'"),
+        (lambda: CacheUnitConfig(4096, 4, 64.0), "line_size_bytes must be an int, got 64.0"),
+        (lambda: CacheUnitConfig(4096, 4, 64, counter_states=4.0), "counter_states must be an int, got 4.0"),
+        (lambda: CacheUnitConfig(4096, 4, 64, "STTRAM", 1e-3), "technology must be a Technology, got 'STTRAM'"),
+        (lambda: CacheUnitConfig(4096, 4, 64, Technology.STTRAM, "1e-3"),
+         "retention_time must be a real number, got '1e-3'"),
+        (lambda: CacheUnitConfig(4096, 4, 64, refresh_on_read="no"), "refresh_on_read must be a bool, got 'no'"),
+        (lambda: CacheUnitConfig(4096, 4, 64, refresh_on_read=1), "refresh_on_read must be a bool, got 1"),
+        (lambda: HierarchyConfig(num_cores=2.0, l1i=L1, l1d=L1), "num_cores must be an int, got 2.0"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, mem_latency_cycles=1.5),
+         "mem_latency_cycles must be an int, got 1.5"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, clock_hz="1.9e9"),
+         "clock_hz must be a real number, got '1.9e9'"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, mem_energy_per_access=None),
+         "mem_energy_per_access must be a real number, got None"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, l2="l2"), "l2 must be a CacheUnitConfig or None, got 'l2'"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=4096), "l1d must be a CacheUnitConfig or a list or tuple of them"),
+        (lambda: HierarchyConfig(num_cores=2, l1i=L1, l1d=[L1, None]),
+         "l1d must be a CacheUnitConfig or a list or tuple of them"),
+        (lambda: _tech(t_read=1.5), "t_read must be an int, got 1.5"),
+        (lambda: _tech(t_write="4"), "t_write must be an int, got '4'"),
+        (lambda: _tech(e_read="1e-12"), "e_read must be a real number, got '1e-12'"),
+        (lambda: _tech(retention_time="1e-3"), "retention_time must be a real number, got '1e-3'"),
+        (lambda: _tech(technology="SRAM"), "technology must be a Technology, got 'SRAM'"),
+    ],
+)
+def test_config_fields_of_the_wrong_type(build, match):
+    # built in code, where no loader converts the values first
+    with pytest.raises(ConfigError, match=re.escape(match)):
+        build()
+
+
+def test_config_fields_of_the_right_type():
+    l2 = CacheUnitConfig(65536, 16, 64, Technology.STTRAM, 1, counter_states=8, refresh_on_read=True)
+    cfg = HierarchyConfig(num_cores=2, l1i=[L1, L1], l1d=(L1, L1), l2=l2, clock_hz=2_000_000_000,
+                          mem_latency_cycles=0, mem_energy_per_access=0)
+    assert cfg.l1i == (L1, L1) and cfg.l2 is l2
+    assert _tech(technology=Technology.SRAM, retention_time=None, e_read=0, t_read=0).t_read == 0

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import re
 
 import pytest
@@ -355,6 +356,10 @@ class TestConfigValidation:
             ("clock_hz", float("nan"), "clock_hz must be > 0"),
             ("mem_latency_cycles", -1, "memory parameters must be >= 0"),
             ("mem_energy_per_access", -1e-12, "memory parameters must be >= 0"),
+            # a NaN or infinite energy or clock would turn every report's energy or time into NaN or inf
+            ("clock_hz", math.inf, "clock_hz must be > 0 and finite"),
+            ("mem_energy_per_access", float("nan"), "memory parameters must be >= 0 and finite"),
+            ("mem_energy_per_access", math.inf, "memory parameters must be >= 0 and finite"),
         ],
     )
     def test_bad_hierarchy_field_named(self, field, value, match):

@@ -237,6 +237,8 @@ def test_specs_check_themselves_when_built(build, match):
         (lambda: SyntheticTraceSpec(seed=1, num_cores=2.0), "num_cores must be an int, got 2.0"),
         (lambda: SyntheticTraceSpec(seed=1, accesses_per_core=None), "accesses_per_core must be an int, got None"),
         (lambda: SyntheticTraceSpec(seed=1, line_size_bytes=64.0), "line_size_bytes must be an int, got 64.0"),
+        (lambda: SyntheticTraceSpec(seed=1, read_fraction="0.5"), "read_fraction must be a real number, got '0.5'"),
+        (lambda: Zipf("1.2"), "s must be a real number, got '1.2'"),
     ],
 )
 def test_spec_fields_of_the_wrong_type(build, match):
@@ -261,9 +263,6 @@ def test_zipf_working_set_bound(monkeypatch):
     assert bound == 2**22
     with pytest.raises(ConfigError, match=f"zipf working set must be at most {bound} blocks, got {bound + 1}"):
         SyntheticTraceSpec(seed=1, working_set_blocks=bound + 1, pattern=Zipf(1.2))
-    # other patterns build no CDF and keep the 2**62-byte bound only
-    spec = SyntheticTraceSpec(seed=1, working_set_blocks=bound + 1, pattern=UniformRandom())
-    assert spec.working_set_blocks == bound + 1
 
 
 def test_spec_string_parsers():
@@ -368,11 +367,19 @@ def test_generate_shared_timestamps_tie_by_core():
     assert _shape(records) == _shape(reference_generate_trace(spec))
 
 
-def test_working_set_must_fit_64_bit_arithmetic():
-    with pytest.raises(ConfigError):
-        generate_trace(
-            SyntheticTraceSpec(seed=1, working_set_blocks=2**56, line_size_bytes=128, pattern=UniformRandom())
-        )
+@pytest.mark.parametrize("pattern", [UniformRandom(), SequentialLoop()], ids=["uniform", "sequential"])
+@pytest.mark.parametrize("blocks", [2**56, 2**56 + 1, 2**70 + 3], ids=["2**56", "2**56+1", "2**70+3"])
+def test_working_sets_past_64_bit_generate_aligned_addresses(pattern, blocks):
+    # patterns other than zipf build no CDF, so their working set has no bound
+    line = 128
+    assert blocks * line > 2**62
+    spec = SyntheticTraceSpec(seed=1, num_cores=2, accesses_per_core=3000, working_set_blocks=blocks,
+                              line_size_bytes=line, pattern=pattern)
+    addresses = [r.address for r in generate_trace(spec)]
+    assert len(addresses) == 6000
+    assert all(type(a) is int and a % line == 0 and 0 <= a < blocks * line for a in addresses)
+    if isinstance(pattern, UniformRandom):  # the draws reach far past 2**62 bytes
+        assert max(addresses) > 2**62
 
 
 @pytest.mark.parametrize("enabled", [True, False])
