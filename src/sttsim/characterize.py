@@ -188,13 +188,12 @@ class LifetimeHistogram:
         return labels
 
 
-def _bucketize(values, edges: tuple[float, ...]) -> list[int]:
-    """Count values, in any order, into the buckets LifetimeHistogram describes.
+def _bucketize(ordered: list[float], edges: tuple[float, ...]) -> list[int]:
+    """Count ascending values into the buckets LifetimeHistogram describes.
 
-    The count below each edge is a bisect_left of the sorted values; sorting
-    values that are already in order is one linear pass.
+    The count below each edge is a bisect_left of the values, so they must
+    already be sorted.
     """
-    ordered = sorted(values)
     below = [bisect.bisect_left(ordered, edge) for edge in edges]
     return [hi - lo for lo, hi in zip([0] + below, below + [len(ordered)])]
 
@@ -224,6 +223,16 @@ def _quantiles(ordered: list[float]) -> dict[str, float]:
     return out
 
 
+def _summarize(lifetimes, edges: tuple[float, ...]) -> tuple[list[int], dict[str, float]]:
+    """Bucket counts and quantiles of lifetimes.
+
+    The sorted list of boxed floats is freed on return, so a caller that
+    summarizes one lifetimes array at a time holds one such list at once.
+    """
+    ordered = sorted(lifetimes)
+    return _bucketize(ordered, edges), _quantiles(ordered)
+
+
 def block_lifetimes(
     trace,
     cfg: CacheUnitConfig,
@@ -243,15 +252,15 @@ def block_lifetimes(
     ):
         raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {bucket_edges!r}")
     profile = _sram_profile(trace, cfg, clock_hz, stream)
-    by_last_hit = sorted(profile.last_hit_lifetimes)
-    by_eviction = sorted(profile.eviction_lifetimes)
+    counts_last_hit, quantiles_last_hit = _summarize(profile.last_hit_lifetimes, bucket_edges)
+    counts_fill_to_eviction, quantiles_fill_to_eviction = _summarize(profile.eviction_lifetimes, bucket_edges)
     return LifetimeHistogram(
         bucket_edges=bucket_edges,
-        counts_last_hit=_bucketize(by_last_hit, bucket_edges),
-        counts_fill_to_eviction=_bucketize(by_eviction, bucket_edges),
-        quantiles_last_hit=_quantiles(by_last_hit),
-        quantiles_fill_to_eviction=_quantiles(by_eviction),
-        total_residencies=len(by_last_hit),
+        counts_last_hit=counts_last_hit,
+        counts_fill_to_eviction=counts_fill_to_eviction,
+        quantiles_last_hit=quantiles_last_hit,
+        quantiles_fill_to_eviction=quantiles_fill_to_eviction,
+        total_residencies=len(profile.last_hit_lifetimes),
     )
 
 

@@ -14,8 +14,11 @@ generator draws each core's uniforms from that core's own `random.Random`
 a chunk at a time and maps each column of them with one comprehension; the
 reader splits a chunk of lines at once and checks it column by column, and
 re-reads a chunk that fails a check line by line, which names the offending
-line.  Both return a list of `AccessRecord`s with plain `int` fields,
-identical to building every record one at a time.
+line.  Both return a list of `AccessRecord`s with plain `int` fields, equal
+value for value and type for type to building every record one at a time.
+The generator builds each distinct value once where it can: a zipf trace's
+records share one `int` per block address, and a constant-gap trace's
+records, across all cores, one `int` per timestamp.
 """
 
 from __future__ import annotations
@@ -295,7 +298,9 @@ GapSpec = ConstantGap | LogUniformGap
 PatternSpec = SequentialLoop | UniformRandom | Zipf
 
 # a zipf pattern builds its CDF as Python floats, two per working-set block
-# while it is built: about 270 MB at this bound
+# while it is built, and then, once one of the two lists is freed, an int
+# address per block: generate_trace peaks about 320 MB above the interpreter
+# at this bound (CPython 3.11), the address list adding nothing to that peak
 MAX_ZIPF_BLOCKS = 2**22
 
 
@@ -391,10 +396,15 @@ def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
     order; per-core timestamps increase strictly by the sampled gaps,
     starting at 0.
     """
-    cdf = None
+    line = spec.line_size_bytes
+    cdf = block_addresses = stamps = None
     if isinstance(spec.pattern, Zipf):
         cdf = _zipf_cdf(spec.working_set_blocks, spec.pattern.s)
-    return _collect(_merge_cores([_core_batches(spec, core, cdf) for core in range(spec.num_cores)]))
+        block_addresses = list(range(0, spec.working_set_blocks * line, line))  # after the CDF's weights are freed
+    if isinstance(spec.gap, ConstantGap):
+        stamps = list(range(0, spec.accesses_per_core * spec.gap.cycles, spec.gap.cycles))
+    cores = [_core_batches(spec, core, cdf, block_addresses, stamps) for core in range(spec.num_cores)]
+    return _collect(_merge_cores(cores))
 
 
 def _merge_cores(cores: list[Iterator[list[AccessRecord]]]) -> Iterator[list[AccessRecord]]:
@@ -424,15 +434,24 @@ def _merge_cores(cores: list[Iterator[list[AccessRecord]]]) -> Iterator[list[Acc
         yield window
 
 
-def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: list[float] | None):
+def _core_batches(
+    spec: SyntheticTraceSpec,
+    core: int,
+    cdf: list[float] | None,
+    block_addresses: list[int] | None,
+    stamps: list[int] | None,
+):
     """One core's records, a chunk at a time, in timestamp order.
 
     Each record draws, in order, its block (random patterns), its kind and
     its gap (log-uniform gaps) from the core's own generator.  A chunk draws
     all its uniforms in that order at once and maps each column of them:
-    a zipf block is the bisect_right of its uniform in the CDF, a uniform
-    block the truncated product with the block count, a kind a comparison
-    with read_fraction, and a gap math.exp and round of its exponent.
+    a zipf block is the bisect_right of its uniform in the CDF, an index
+    into the trace's one list of block_addresses; a uniform block the
+    truncated product with the block count; a kind a comparison with
+    read_fraction; and a gap math.exp and round of its exponent.  Under a
+    constant gap, a chunk's timestamps are a slice of the trace's one list
+    of them (stamps), which every core shares.
     """
     rand = random.Random(spec.seed * 1_000_003 + core).random
     nblocks = spec.working_set_blocks
@@ -454,24 +473,23 @@ def _core_batches(spec: SyntheticTraceSpec, core: int, cdf: list[float] | None):
         if kind_col == 0:
             addresses = [i % nblocks * line for i in range(start, start + k)]
         elif cdf is not None:  # every draw is below 1.0, the CDF's last entry, so within the last block
-            addresses = [bisect_right(cdf, x) * line for x in u[0::draws]]
+            addresses = [block_addresses[bisect_right(cdf, x)] for x in u[0::draws]]
         else:
             addresses = [int(x * scale) * line for x in u[0::draws]]
             if end in addresses:  # x * nblocks can round up to nblocks
                 addresses = [min(a, end - line) for a in addresses]
-        if isinstance(gap, ConstantGap):
-            stamps = range(t, t + k * gap.cycles, gap.cycles)
-            t += k * gap.cycles
+        if stamps is not None:
+            chunk_stamps = stamps[start:start + k]
         else:
             gaps = [round(exp(log_lo + x * log_span)) or 1 for x in u[kind_col + 1::draws]]  # each gap >= 1
-            stamps = list(accumulate(gaps, initial=t))
-            t = stamps.pop()
+            chunk_stamps = list(accumulate(gaps, initial=t))
+            t = chunk_stamps.pop()
         yield list(map(
             tuple.__new__,
             repeat(AccessRecord),
             zip(
                 repeat(core),
-                stamps,
+                chunk_stamps,
                 [load if x < read_fraction else store for x in u[kind_col::draws]],
                 addresses,
             ),

@@ -529,7 +529,7 @@ class TestBucketize:
 
     def test_matches_loop_reference(self):
         rng = random.Random(3)
-        values = [10 ** rng.uniform(-8, 1) for _ in range(2000)] + list(self.EDGES) + [0.0]
+        values = sorted([10 ** rng.uniform(-8, 1) for _ in range(2000)] + list(self.EDGES) + [0.0])
         expected = [0] * (len(self.EDGES) + 1)
         for v in values:
             expected[bisect.bisect_right(self.EDGES, v)] += 1

@@ -367,6 +367,21 @@ def test_generate_shared_timestamps_tie_by_core():
     assert _shape(records) == _shape(reference_generate_trace(spec))
 
 
+@pytest.mark.parametrize("gap", [ConstantGap(20), LogUniformGap(10, 1000)], ids=["constant", "loguniform"])
+@pytest.mark.parametrize("num_cores", [1, 4])
+def test_generated_values_are_built_once(num_cores, gap):
+    # one object per distinct zipf address, and per distinct constant-gap timestamp, across chunks and cores
+    spec = SyntheticTraceSpec(seed=3, num_cores=num_cores, accesses_per_core=2 * trace_mod._CHUNK_RECORDS + 5,
+                              working_set_blocks=4096, gap=gap, pattern=Zipf(1.2))
+    records = generate_trace(spec)
+    addresses = [r.address for r in records]
+    assert len(set(map(id, addresses))) == len(set(addresses)) > 256
+    if isinstance(gap, ConstantGap):
+        stamps = [r.timestamp for r in records]
+        assert len(set(map(id, stamps))) == len(set(stamps)) == spec.accesses_per_core
+    assert _shape(records) == _shape(reference_generate_trace(spec))
+
+
 @pytest.mark.parametrize("pattern", [UniformRandom(), SequentialLoop()], ids=["uniform", "sequential"])
 @pytest.mark.parametrize("blocks", [2**56, 2**56 + 1, 2**70 + 3], ids=["2**56", "2**56+1", "2**70+3"])
 def test_working_sets_past_64_bit_generate_aligned_addresses(pattern, blocks):
