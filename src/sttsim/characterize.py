@@ -244,18 +244,18 @@ def block_lifetimes(
 
     bucket_edges must be finite, positive and strictly ascending seconds.
     """
-    edges = list(bucket_edges)
+    edges = tuple(bucket_edges)
     if not (
         edges
         and all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in edges)
         and all(lo < hi for lo, hi in zip(edges, edges[1:]))
     ):
-        raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {bucket_edges!r}")
+        raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {edges!r}")
     profile = _sram_profile(trace, cfg, clock_hz, stream)
-    counts_last_hit, quantiles_last_hit = _summarize(profile.last_hit_lifetimes, bucket_edges)
-    counts_fill_to_eviction, quantiles_fill_to_eviction = _summarize(profile.eviction_lifetimes, bucket_edges)
+    counts_last_hit, quantiles_last_hit = _summarize(profile.last_hit_lifetimes, edges)
+    counts_fill_to_eviction, quantiles_fill_to_eviction = _summarize(profile.eviction_lifetimes, edges)
     return LifetimeHistogram(
-        bucket_edges=bucket_edges,
+        bucket_edges=edges,
         counts_last_hit=counts_last_hit,
         counts_fill_to_eviction=counts_fill_to_eviction,
         quantiles_last_hit=quantiles_last_hit,
@@ -289,6 +289,7 @@ def persistence(
 
     Each threshold must be an int >= 1.
     """
+    thresholds = tuple(thresholds)
     for thd in thresholds:
         if not isinstance(thd, int) or isinstance(thd, bool) or thd < 1:
             raise ConfigError(f"persistence thresholds must be ints >= 1, got {thd!r}")

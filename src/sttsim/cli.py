@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Subcommands: gen-trace, simulate, characterize, sweep, specialize, asym.
-Reports are deterministic CSV files written atomically (temp file plus
-rename) with floats formatted to 9 significant digits, so identical
-inputs produce byte-identical outputs.
+The five studies share one driver: it loads the config and the records,
+the study builds all its tables, and only then does the driver write
+them, so a study that fails writes no report.  Reports are
+deterministic CSV files written atomically (temp file plus rename) with
+floats formatted to 9 significant digits, so identical inputs produce
+byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -101,7 +104,7 @@ def _load_records(cfg: ExperimentConfig):
 
 def _cmd_gen_trace(args) -> int:
     spec = SyntheticTraceSpec(
-        seed=args.seed if args.seed is not None else 1,
+        seed=args.seed,
         num_cores=args.num_cores,
         accesses_per_core=args.accesses_per_core,
         read_fraction=args.read_fraction,
@@ -117,11 +120,18 @@ def _cmd_gen_trace(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_study(args) -> int:
     cfg = _load_config(args)
-    table = _load_table(cfg)
     records = _load_records(cfg)
-    report = run_simulation(cfg.hierarchy, records, table)
+    tables = args.study(cfg, records, args.jobs)
+    # every table is built: only now write the reports
+    for name, header, rows in tables:
+        _write_csv(os.path.join(cfg.out_dir, name), header, rows)
+    return 0
+
+
+def _cmd_simulate(cfg, records, jobs):
+    report = run_simulation(cfg.hierarchy, records, _load_table(cfg))
 
     header = [
         "unit",
@@ -171,15 +181,11 @@ def _cmd_simulate(args) -> int:
             report.exec_time_s,
         ]
     )
-    _write_csv(os.path.join(cfg.out_dir, "simulate.csv"), header, rows)
-    return 0
+    return [("simulate.csv", header, rows)]
 
 
-def _cmd_characterize(args) -> int:
-    cfg = _load_config(args)
-    records = _load_records(cfg)
+def _cmd_characterize(cfg, records, jobs):
     clock = cfg.hierarchy.clock_hz
-    out = cfg.out_dir
 
     ratio = chz.read_write_ratio(records)
     rows = [
@@ -220,32 +226,25 @@ def _cmd_characterize(args) -> int:
                 [stream, pt.retention_s, pt.expiration_misses, pt.total_misses, pt.miss_ratio_vs_unbounded]
             )
 
-    # every analysis has succeeded: only now write the reports
-    _write_csv(os.path.join(out, "rwratio.csv"), ["scope", "loads", "stores", "read_fraction"], rows)
-    _write_csv(
-        os.path.join(out, "lifetimes.csv"),
-        ["stream", "measure", "row_type", "label", "lo_s", "hi_s", "value"],
-        life_rows,
-    )
-    _write_csv(
-        os.path.join(out, "persistence.csv"),
-        ["stream", "thd", "persistent_blocks", "unique_blocks", "total_fills", "fraction"],
-        pers_rows,
-    )
-    _write_csv(
-        os.path.join(out, "expiration_curve.csv"),
-        ["stream", "retention_s", "expiration_misses", "total_misses", "miss_ratio_vs_unbounded"],
-        curve_rows,
-    )
-    return 0
+    return [
+        ("rwratio.csv", ["scope", "loads", "stores", "read_fraction"], rows),
+        ("lifetimes.csv", ["stream", "measure", "row_type", "label", "lo_s", "hi_s", "value"], life_rows),
+        (
+            "persistence.csv",
+            ["stream", "thd", "persistent_blocks", "unique_blocks", "total_fills", "fraction"],
+            pers_rows,
+        ),
+        (
+            "expiration_curve.csv",
+            ["stream", "retention_s", "expiration_misses", "total_misses", "miss_ratio_vs_unbounded"],
+            curve_rows,
+        ),
+    ]
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _load_config(args)
-    table = _load_table(cfg)
-    records = _load_records(cfg)
+def _cmd_sweep(cfg, records, jobs):
     result = explore.sweep(
-        records, cfg.hierarchy, cfg.retentions, cfg.objective, table, jobs=args.jobs
+        records, cfg.hierarchy, cfg.retentions, cfg.objective, _load_table(cfg), jobs=jobs
     )
     header = [
         "technology",
@@ -275,14 +274,10 @@ def _cmd_sweep(args) -> int:
                 e.retention_s == result.best_retention,
             ]
         )
-    _write_csv(os.path.join(cfg.out_dir, "sweep.csv"), header, rows)
-    return 0
+    return [("sweep.csv", header, rows)]
 
 
-def _cmd_specialize(args) -> int:
-    cfg = _load_config(args)
-    table = _load_table(cfg)
-    records = _load_records(cfg)
+def _cmd_specialize(cfg, records, jobs):
     result = explore.specialize(
         records,
         cfg.hierarchy,
@@ -290,8 +285,8 @@ def _cmd_specialize(args) -> int:
         cfg.base_retention,
         sample_len=min(cfg.profile_len, len(records)),
         objective=cfg.objective,
-        tech_table=table,
-        jobs=args.jobs,
+        tech_table=_load_table(cfg),
+        jobs=jobs,
     )
     header = ["row_type", "retention_s", "sample_value", "full_value", "savings_vs_base"]
     rows = []
@@ -299,14 +294,11 @@ def _cmd_specialize(args) -> int:
         rows.append(["candidate", r, result.sample_values[r], None, None])
     rows.append(["chosen", result.chosen_retention, result.sample_values[result.chosen_retention], result.full_value_chosen, result.savings_vs_base])
     rows.append(["base", result.base_retention, None, result.full_value_base, 0.0])
-    _write_csv(os.path.join(cfg.out_dir, "specialize.csv"), header, rows)
-    return 0
+    return [("specialize.csv", header, rows)]
 
 
-def _cmd_asym(args) -> int:
-    cfg = _load_config(args)
+def _cmd_asym(cfg, records, jobs):
     table = _load_table(cfg)
-    records = _load_records(cfg)
     if not cfg.core_retentions:
         raise ConfigError("asym requires core_retentions in the [experiment] section")
     by_core: dict[int, list] = {}
@@ -320,7 +312,7 @@ def _cmd_asym(args) -> int:
         profile_len=cfg.profile_len,
         objective=cfg.objective,
         tech_table=table,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     header = ["row_type", "thread", "core", "retention_s", "value"]
     rows = []
@@ -337,23 +329,23 @@ def _cmd_asym(args) -> int:
         ["best_homogeneous", None, None, result.best_homogeneous_retention, result.best_homogeneous_total]
     )
     rows.append(["savings_vs_best_homogeneous", None, None, None, result.savings_vs_best_homogeneous])
-    _write_csv(os.path.join(cfg.out_dir, "asym.csv"), header, rows)
-    return 0
+    return [("asym.csv", header, rows)]
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="experiment config file")
-    common.add_argument("--tech-table", help="technology parameter table (overrides config)")
-    common.add_argument("--trace", help="trace file (overrides config input)")
-    common.add_argument("--out-dir", help="report output directory (overrides config)")
-    common.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
-    common.add_argument("--seed", type=int, help="synthetic trace seed override")
+    study_flags = argparse.ArgumentParser(add_help=False)
+    study_flags.add_argument("--config", help="experiment config file")
+    study_flags.add_argument("--tech-table", help="technology parameter table (overrides config)")
+    study_flags.add_argument("--trace", help="trace file (overrides config input)")
+    study_flags.add_argument("--out-dir", help="report output directory (overrides config)")
+    study_flags.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
+    study_flags.add_argument("--seed", type=int, help="synthetic trace seed override")
 
     parser = argparse.ArgumentParser(prog="sttsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen-trace", parents=[common], help="generate a synthetic trace")
+    gen = sub.add_parser("gen-trace", help="generate a synthetic trace")
+    gen.add_argument("--seed", type=int, default=1, help="trace seed")
     gen.add_argument("--num-cores", type=int, default=1)
     gen.add_argument("--accesses-per-core", type=int, default=1000)
     gen.add_argument("--read-fraction", type=float, default=0.67)
@@ -364,15 +356,15 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True, help="output trace path")
     gen.set_defaults(func=_cmd_gen_trace)
 
-    for name, func, help_text in (
+    for name, study, help_text in (
         ("simulate", _cmd_simulate, "run one hierarchy simulation"),
         ("characterize", _cmd_characterize, "read-write ratio, lifetimes, persistence, expiration curve"),
         ("sweep", _cmd_sweep, "retention sweep with SRAM normalization"),
         ("specialize", _cmd_specialize, "pick a retention by sampled profiling"),
         ("asym", _cmd_asym, "asymmetric-retention thread assignment"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        p.set_defaults(func=func)
+        p = sub.add_parser(name, parents=[study_flags], help=help_text)
+        p.set_defaults(func=_cmd_study, study=study)
     return parser
 
 

@@ -51,7 +51,7 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnitConfig, Technology
+from .cache import CacheUnitConfig, Technology
 from .errors import ConfigError
 from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
@@ -96,7 +96,7 @@ def _floats(raw: str) -> list[float]:
 
 
 def _unit_config(section, defaults: dict) -> CacheUnitConfig:
-    tech_text = _get(section, "technology", str, defaults.get("technology", "SRAM")).upper()
+    tech_text = _get(section, "technology", str, CacheUnitConfig.technology.name).upper()
     if tech_text not in ("SRAM", "STTRAM"):
         raise ConfigError(f"technology must be SRAM or STTRAM, got {tech_text!r}")
     return CacheUnitConfig(
@@ -104,9 +104,9 @@ def _unit_config(section, defaults: dict) -> CacheUnitConfig:
         associativity=_get(section, "associativity", int, defaults["associativity"]),
         line_size_bytes=_get(section, "line_size_bytes", int, defaults["line_size_bytes"]),
         technology=Technology[tech_text],
-        retention_time=_get(section, "retention_s", float, defaults.get("retention_s")),
-        counter_states=_get(section, "counter_states", int, 4),
-        refresh_on_read=_get(section, "refresh_on_read", bool, False),
+        retention_time=_get(section, "retention_s", float, CacheUnitConfig.retention_time),
+        counter_states=_get(section, "counter_states", int, CacheUnitConfig.counter_states),
+        refresh_on_read=_get(section, "refresh_on_read", bool, CacheUnitConfig.refresh_on_read),
     )
 
 
@@ -138,9 +138,9 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         l1i=_unit_config(section("l1i"), L1_DEFAULTS),
         l1d=_unit_config(section("l1d"), L1_DEFAULTS),
         l2=_unit_config(section("l2"), L2_DEFAULTS) if parser.has_section("l2") else None,
-        clock_hz=_get(hier_sec, "clock_hz", float, DEFAULT_CLOCK_HZ),
-        mem_latency_cycles=_get(hier_sec, "mem_latency_cycles", int, 100),
-        mem_energy_per_access=_get(hier_sec, "mem_energy_per_access_j", float, 2.0e-11),
+        clock_hz=_get(hier_sec, "clock_hz", float, HierarchyConfig.clock_hz),
+        mem_latency_cycles=_get(hier_sec, "mem_latency_cycles", int, HierarchyConfig.mem_latency_cycles),
+        mem_energy_per_access=_get(hier_sec, "mem_energy_per_access_j", float, HierarchyConfig.mem_energy_per_access),
     )
 
     input_sec = section("input")

@@ -314,6 +314,7 @@ def assign_asymmetric(
     trace under the plan.  The comparison baseline is the best single retention from the
     core set applied to all threads.
     """
+    thread_traces = list(thread_traces)
     core_rets = [float(r) for r in core_retentions]
     nthreads = len(thread_traces)
     ncores = len(core_rets)

@@ -48,6 +48,9 @@ def st(core, t_s, addr):
     return AccessRecord(core, cycles(t_s), AccessKind.STORE, addr)
 
 
+ONE_SHOT = {"list": list, "generator": lambda xs: (x for x in xs)}
+
+
 class TestReadWriteRatio:
     def test_two_loads_one_store(self):
         trace = [ld(0, 0, 0x0), ld(0, 1e-6, 0x40), st(0, 2e-6, 0x80)]
@@ -165,7 +168,26 @@ class TestBlockLifetimes:
             block_lifetimes(trace, unit_cfg(), clock_hz=CLOCK, bucket_edges=edges)
 
 
+    @pytest.mark.parametrize("kind", ["list", "generator"])
+    def test_edges_of_any_iterable(self, kind):
+        # a one-shot iterable is read once: validated and bucketed alike, stored as a tuple
+        trace = random_trace(5, 400, num_blocks=8)
+        edges = (1e-8, 1e-7, 1e-6)
+        want = block_lifetimes(trace, unit_cfg(), clock_hz=CLOCK, bucket_edges=edges)
+        got = block_lifetimes(trace, unit_cfg(), clock_hz=CLOCK, bucket_edges=ONE_SHOT[kind](edges))
+        assert len(want.counts_last_hit) == 4
+        assert got == want and type(got.bucket_edges) is tuple
+
+
 class TestPersistence:
+    @pytest.mark.parametrize("kind", ["list", "generator"])
+    def test_thresholds_of_any_iterable(self, kind):
+        trace = random_trace(17, 200, num_blocks=8)
+        want = persistence(trace, unit_cfg(), thresholds=(1, 2, 4))
+        got = persistence(trace, unit_cfg(), thresholds=ONE_SHOT[kind]((1, 2, 4)))
+        assert list(want.fractions) == [1, 2, 4]
+        assert got == want
+
     @pytest.mark.parametrize("thresholds", [(0, -3), (1, 0), (1.5,), ("2",), (True,)])
     def test_bad_thresholds_rejected(self, thresholds):
         trace = random_trace(17, 200, num_blocks=8)

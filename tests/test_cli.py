@@ -1,4 +1,5 @@
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ from sttsim.cli import main
 from sttsim.trace import MAX_ZIPF_BLOCKS
 
 MS = 1e-3
+CONFIGS = pathlib.Path(__file__).parent.parent / "sample_configs"
 
 
 def run(args):
@@ -117,6 +119,19 @@ class TestGenTrace:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--config", CONFIGS / "quadcore_two_level.cfg"), ("--jobs", 4), ("--trace", "nothing"),
+         ("--tech-table", "nothing"), ("--out-dir", "nowhere")],
+    )
+    def test_study_flag_exits_2_and_writes_nothing(self, tmp_path, capsys, flag, value):
+        # gen-trace reads none of the study flags, so it refuses them
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-trace", flag, value, "--out", tmp_path / "t.trace"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
 
 class TestSimulate:
     def test_schema_and_mem_row(self, tmp_path):
@@ -213,6 +228,26 @@ class TestCharacterize:
         assert run(["characterize", "--config", cfg]) == 2
         out = tmp_path / "reports"
         assert not (out.exists() and list(out.glob("*.csv")))
+
+
+class TestStudyDriver:
+    """A study builds all its tables before the driver writes any."""
+
+    @pytest.mark.parametrize("command", ["simulate", "characterize", "sweep", "specialize", "asym"])
+    def test_failed_study_writes_no_report(self, tmp_path, capsys, command):
+        if command == "characterize":
+            # the config loads; the retention fails only once the curve replays it
+            cfg, flags = make_config(tmp_path, ASYM.replace("retentions = 1e-4", "retentions = 1e-320 1e-4")), []
+        else:
+            # the table loads; it lacks the STTRAM retentions the study simulates
+            table = tmp_path / "table.txt"
+            table.write_text("SRAM - 1e-12 1e-12 1e-3 2 2\n")
+            cfg, flags = make_config(tmp_path, ASYM), ["--tech-table", table]
+        out = tmp_path / "out"
+        assert run([command, "--config", cfg, "--out-dir", out, *flags]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (out.exists() and os.listdir(out))  # no CSV and no .tmp file
 
 
 class TestSweep:

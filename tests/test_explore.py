@@ -234,6 +234,14 @@ class TestAssignAsymmetric:
         assert result.full_asym_total < result.best_homogeneous_total
         assert result.savings_vs_best_homogeneous > 0
 
+    @pytest.mark.parametrize("kind", ["list", "generator"])
+    def test_threads_of_any_iterable(self, kind):
+        threads = four_thread_workload(duration_s=0.02)
+        want = assign_asymmetric(threads, template(), self.CORE_RETS, profile_len=100, tech_table=TABLE)
+        one_shot = list(threads) if kind == "list" else (t for t in threads)
+        got = assign_asymmetric(one_shot, template(), self.CORE_RETS, profile_len=100, tech_table=TABLE)
+        assert got == want
+
     def test_thread_count_exceeding_cores_rejected(self):
         threads = four_thread_workload(duration_s=0.02)
         with pytest.raises(ConfigError):
