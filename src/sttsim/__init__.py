@@ -57,6 +57,7 @@ from .trace import (
     LogUniformGap,
     SequentialLoop,
     SyntheticTraceSpec,
+    Trace,
     UniformRandom,
     Zipf,
     generate_trace,
@@ -95,6 +96,7 @@ __all__ = [
     "TechParams",
     "TechTable",
     "Technology",
+    "Trace",
     "TraceParseError",
     "TraceValidationError",
     "UniformRandom",

@@ -17,12 +17,14 @@ import bisect
 import math
 import numbers
 from array import array
+from collections import Counter
 from dataclasses import dataclass, replace
+from operator import not_
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology
 from .errors import ConfigError
 from .explore import _check_retentions
-from .trace import AccessKind, check_records, time_ordered
+from .trace import AccessKind, Trace, check_records, time_ordered
 
 # log-decade lifetime buckets spanning 1us..1s, plus underflow/overflow
 LIFETIME_BUCKET_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -50,16 +52,11 @@ def read_write_ratio(trace) -> RwRatioReport:
     if not trace:
         raise ConfigError("read_write_ratio requires a non-empty trace")
     trace = check_records(trace)
-    counts: dict[int, list[int]] = {}
-    for rec in trace:
-        kind = rec[2]
-        if kind:
-            c = counts.setdefault(rec[0], [0, 0])
-            c[kind - 1] += 1
+    counts = Counter(zip(trace.cores, trace.kinds))  # (core, kind) -> records
     per_core = {}
     loads = stores = 0
-    for core in sorted(counts):
-        ld, st = counts[core]
+    for core in sorted({core for core, kind in counts if kind}):
+        ld, st = counts[core, AccessKind.LOAD], counts[core, AccessKind.STORE]
         loads += ld
         stores += st
         per_core[core] = (ld, st, ld / (ld + st) if ld + st else None)
@@ -72,7 +69,7 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
     return replace(cfg, technology=Technology.SRAM, retention_time=None)
 
 
-def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
+def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
     """Replay ordered records (see _sram_profile) through one fresh unit and return it.
 
     All cores feed the single unit, clocked at clock_hz.  When given,
@@ -82,11 +79,11 @@ def _replay(records, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> Cac
     access = unit.access
     mask = ~(cfg.line_size_bytes - 1)
     store = AccessKind.STORE
-    for rec in records:
-        aligned = rec[3] & mask
-        out = access(aligned, rec[2] == store, rec[1])
+    for ts, kind, addr in zip(records.stamps, records.kinds, records.addresses):
+        aligned = addr & mask
+        out = access(aligned, kind == store, ts)
         if observe is not None:
-            observe(aligned, out, rec[1])
+            observe(aligned, out, ts)
     return unit
 
 
@@ -100,14 +97,14 @@ class _SramProfile:
     only after an eviction, so its reloads are its fills - 1.
     """
 
-    records: list
+    records: Trace
     last_hit_lifetimes: array
     eviction_lifetimes: array
     fills_per_block: array
     misses: int
 
 
-# (stream, unbounded cfg, clock_hz, copy of the caller's trace, profile) of the last stream profiled
+# (stream, unbounded cfg, clock_hz, column copy of the caller's trace, profile) of the last stream profiled
 _memo: tuple | None = None
 
 
@@ -115,20 +112,22 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     """Profile one stream of trace ("data", "instr" or "all") on cfg's unbounded-retention unit.
 
     The profile of the last stream is kept: a call with the same stream, an
-    equal unbounded config and clock, and an equal trace (compared record by
-    record against a copy, so a list changed in place since is profiled
-    anew) returns it without selecting, checking or replaying the stream.
+    equal unbounded config and clock, and an equal trace (compared against
+    a Trace copy of it, so a list changed in place since is profiled anew)
+    returns it without selecting, checking or replaying the stream.
     """
     global _memo
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
     if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] == trace:
         return memo[4]
-    copy = check_records(list(trace))  # the memo compares against this copy
+    # the memo compares against this copy: a new Trace for a list, and a
+    # slice, whose columns are copies, for a Trace
+    copy = check_records(trace[:] if isinstance(trace, Trace) else trace)
     if stream == "data":
-        records = [r for r in copy if r[2]]
+        records = copy.select(copy.kinds)
     elif stream == "instr":
-        records = [r for r in copy if not r[2]]
+        records = copy.select(bytes(map(not_, copy.kinds)))
     elif stream == "all":
         records = copy
     else:

@@ -78,6 +78,9 @@ def _load_config(args) -> ExperimentConfig:
     if not args.config:
         raise ConfigError("this subcommand requires --config <path>")
     cfg = load_experiment_config(args.config)
+    if args.seed is not None and (args.trace or cfg.trace_path):
+        source = f"--trace {args.trace}" if args.trace else f"[input] trace = {cfg.trace_path}"
+        raise ConfigError(f"--seed seeds only a [synthetic] trace, but the input is a trace file ({source})")
     if args.trace:
         cfg.trace_path = args.trace
         cfg.synthetic = None
@@ -85,7 +88,7 @@ def _load_config(args) -> ExperimentConfig:
         cfg.tech_table_path = args.tech_table
     if args.out_dir:
         cfg.out_dir = args.out_dir
-    if args.seed is not None and cfg.synthetic is not None:
+    if args.seed is not None:
         cfg.synthetic = replace(cfg.synthetic, seed=args.seed)
     return cfg
 
@@ -301,10 +304,7 @@ def _cmd_asym(cfg, records, jobs):
     table = _load_table(cfg)
     if not cfg.core_retentions:
         raise ConfigError("asym requires core_retentions in the [experiment] section")
-    by_core: dict[int, list] = {}
-    for rec in records:
-        by_core.setdefault(rec.core_id, []).append(rec)
-    threads = [by_core[c] for c in sorted(by_core)]
+    threads = [records.select(bytes(map(core.__eq__, records.cores))) for core in sorted(set(records.cores))]
     result = explore.assign_asymmetric(
         threads,
         cfg.hierarchy,

@@ -20,13 +20,14 @@ import enum
 import itertools
 import math
 import multiprocessing
+from array import array
 from dataclasses import dataclass, replace
 
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
-from .trace import check_records, time_ordered
+from .trace import Trace, check_records, time_ordered
 
 
 class Objective(enum.Enum):
@@ -59,8 +60,8 @@ def with_technology(cfg: HierarchyConfig, technology: Technology, retention: flo
 
 # -- parallel execution plumbing -------------------------------------------
 #
-# Workers inherit the submitted traces through fork, so large record lists
-# are never pickled.  Falls back to serial execution when fork is not
+# Workers inherit the submitted traces through fork, so large traces are
+# never pickled.  Falls back to serial execution when fork is not
 # available or jobs <= 1.
 
 _SHARED: dict = {}
@@ -171,7 +172,7 @@ def sweep(
     # a candidate that can expire a block by the last record's timestamp, a
     # lower bound on its completion time, runs in full beside the SRAM
     # baseline; the others are derived from the SRAM run, in its process
-    last = records[-1][1] if records else 0
+    last = records.stamps[-1] if records else 0
     derived = [c for c in configs if _cannot_expire(c, last)]
     full = [sram_cfg] + [c for c in configs if c not in derived]
     full_reports, derived_reports = _run_sims([(0, c) for c in full], [records], tech_table, jobs, derive=derived)
@@ -291,10 +292,11 @@ def _single_core_config(template: HierarchyConfig, retention: float) -> Hierarch
     return replace(template, num_cores=1, l1i=l1i, l1d=l1d, l2=None)
 
 
-def _rebase_core(records: list, core: int = 0) -> list:
-    if all(r[0] == core for r in records):
+def _rebase_core(records: Trace) -> Trace:
+    """The records with every core id set to 0."""
+    if not any(records.cores):
         return records
-    return [r._replace(core_id=core) for r in records]
+    return Trace(array("q", [0]) * len(records), records.stamps, records.kinds, records.addresses)
 
 
 def assign_asymmetric(

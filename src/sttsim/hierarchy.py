@@ -18,7 +18,8 @@ clock (see cache.tick_cycles); seconds appear only in the report.
 The units count; the record loop only routes.  Before the loop, a route
 table holds one entry per (core, kind): the L1's access, the write flag,
 the line mask and the record's cycles by the level that serves it, sliced
-from _cycle_costs.  Each record takes all four from one lookup.  Memory
+from _cycle_costs.  The loop zips the trace's columns (see trace.Trace),
+and each record takes all four from one lookup.  Memory
 reads and writes are read from the unit counters when the report is built
 (see _report).  Every unit applies its due expirations inside access().
 The L1 access of a two-level run also collects the blocks it expires, and
@@ -33,11 +34,12 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from itertools import count
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, tick_cycles
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError, check_field_types
-from .trace import check_records, time_ordered
+from .trace import Trace, check_records, time_ordered
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
@@ -171,7 +173,7 @@ def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     return _simulate(cfg, records, tech_table)[0]
 
 
-def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
+def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
     """simulate(cfg) of records already admitted (see trace.check_records)
     and in time order, and the report of each config in `derive` built
     from that run (see _derived_report)."""
@@ -204,7 +206,7 @@ def _simulate(cfg: HierarchyConfig, records: list, tech_table: TechTable, derive
     # an L1 access's expiries, collected only where an L2 takes the dirty ones
     expired = [] if l2 is not None else None
 
-    for pos, (core, ts, kind, addr) in enumerate(records):
+    for pos, core, ts, kind, addr in zip(count(), records.cores, records.stamps, records.kinds, records.addresses):
         a = avail[core]
         start = ts if ts > a else a
         access, is_write, mask, cost = routes[core][kind]
@@ -333,7 +335,7 @@ def _cannot_expire(cfg: HierarchyConfig, t: int) -> bool:
 
 
 def _derived_report(
-    cfg: HierarchyConfig, sram: SimReport, records: list, levels: bytearray, tech_table: TechTable
+    cfg: HierarchyConfig, sram: SimReport, records: Trace, levels: bytearray, tech_table: TechTable
 ) -> SimReport:
     """cfg's report from the SRAM run of the same time-ordered records, given
     the level that served each of them in that run.
@@ -345,11 +347,9 @@ def _derived_report(
     params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
     costs = _cycle_costs(cfg, params)
     avail = [0] * cfg.num_cores
-    for rec, level in zip(records, levels):
-        core = rec[0]
-        ts = rec[1]
+    for core, ts, kind, level in zip(records.cores, records.stamps, records.kinds, levels):
         a = avail[core]
-        avail[core] = (ts if ts > a else a) + costs[core][rec[2] * 3 + level]
+        avail[core] = (ts if ts > a else a) + costs[core][kind * 3 + level]
     if not _cannot_expire(cfg, max(avail)):
         return _simulate(cfg, records, tech_table)[0]
     return _report(cfg, list(sram.units.values()), params, avail)

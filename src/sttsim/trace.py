@@ -9,30 +9,37 @@ by one or more spaces.  Timestamps are core clock cycles since trace start
 and must be non-decreasing per core.  Simulation keeps time in those
 cycles; only reports convert to seconds, at the configured clock frequency.
 
+A trace is a `Trace`, a read-only sequence of `AccessRecord`s held as four
+columns: cores, timestamps and addresses are `array('q')` columns and kinds
+an `array('b')`, so a record costs 25 bytes and no object.  A column falls
+back to a list of ints only when a value does not fit its array, such as a
+timestamp or an address past int64.  The replay loops iterate the columns.
+
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
 a chunk at a time and maps each column of them with one comprehension; the
 reader splits a chunk of lines at once and checks it column by column, and
 re-reads a chunk that fails a check line by line, which names the offending
-line.  Both return a list of `AccessRecord`s with plain `int` fields, equal
-value for value and type for type to building every record one at a time.
-The generator builds each distinct value once where it can: a zipf trace's
-records share one `int` per block address, and a constant-gap trace's
-records, across all cores, one `int` per timestamp.
+line.  Both extend the trace's columns a chunk at a time, and the records
+they return equal, value for value and type for type, building every record
+one at a time.  Building allocates no object per record that the cyclic
+garbage collector tracks, so it runs with the collector as it is.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
-import gc
 import math
 import numbers
 import random
+import struct
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, repeat, starmap
-from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from itertools import accumulate, chain, compress, islice, repeat, starmap
+from operator import eq, itemgetter
+from typing import Iterator, NamedTuple
 
 from .errors import ConfigError, TraceParseError, TraceValidationError, check_field_types
 
@@ -45,17 +52,22 @@ class AccessKind(enum.IntEnum):
 
 _KIND_TO_TOKEN = {AccessKind.INSTR_FETCH: "IF", AccessKind.LOAD: "LD", AccessKind.STORE: "ST"}
 _TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
-# every ASCII spelling of a kind token ("ld", "Ld", ...); others go through str.upper()
+# every ASCII spelling of a kind token ("ld", "Ld", ...) and its kind's value; others go through str.upper()
 _ANY_CASE_TO_KIND = {
-    a + b: kind for token, kind in _TOKEN_TO_KIND.items() for a in token[0] + token[0].lower()
+    a + b: kind.value for token, kind in _TOKEN_TO_KIND.items() for a in token[0] + token[0].lower()
     for b in token[1] + token[1].lower()
 }
+# a kinds column value -> its AccessKind
+_KIND_OF = {kind.value: kind for kind in AccessKind}
 
 # characters of whole lines read_trace parses at a time, and records per core
 # generate_trace draws (and write_trace formats) at a time; both bound the
 # scratch memory of one chunk
 _READ_CHUNK_CHARS = 1 << 14
 _CHUNK_RECORDS = 1 << 11
+
+# array typecodes of the columns cores, stamps, kinds and addresses
+_TYPECODES = ("q", "q", "b", "q")
 
 
 class AccessRecord(NamedTuple):
@@ -67,22 +79,91 @@ class AccessRecord(NamedTuple):
     address: int
 
 
-def _collect(batches: Iterable[Iterable[AccessRecord]]) -> list[AccessRecord]:
-    """Concatenate batches of records into one list with the cyclic GC paused.
+def _append(column, values):
+    """The column extended by a list or tuple of ints: an array column takes
+    them packed by struct, which converts an int in about half the time
+    array.fromlist takes, and becomes a list when one does not fit it."""
+    if isinstance(column, array):
+        try:
+            column.frombytes(struct.pack(f"{len(values)}{column.typecode}", *values))
+            return column
+        except struct.error:  # a value out of range: nothing was packed
+            column = column.tolist()
+    column.extend(values)
+    return column
 
-    Records are acyclic tuples, so the pause frees nothing late; it only
-    skips the collections a burst of new tuples would otherwise trigger.
+
+def _like(column, values):
+    """values as a column of the same type as `column`."""
+    return array(column.typecode, values) if isinstance(column, array) else list(values)
+
+
+class Trace(Sequence):
+    """A read-only sequence of AccessRecords, held as four columns.
+
+    `cores`, `stamps`, `kinds` and `addresses` are columns of equal length
+    (see the module docstring).  Indexing and iteration build each
+    AccessRecord on demand, with int fields and an AccessKind kind; a slice
+    is a Trace, and a Trace equals a Trace or a list of the same records.
+    read_trace, generate_trace and check_records build them; the
+    constructor takes the columns as they are, without a copy or a check,
+    and nothing may change them after.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return list(chain.from_iterable(batches))
-    finally:
-        if enabled:
-            gc.enable()
+
+    __slots__ = ("cores", "stamps", "kinds", "addresses")
+
+    def __init__(self, cores, stamps, kinds, addresses) -> None:
+        if not len(cores) == len(stamps) == len(kinds) == len(addresses):
+            raise ValueError("trace columns must have equal lengths")
+        self.cores = cores
+        self.stamps = stamps
+        self.kinds = kinds
+        self.addresses = addresses
+
+    @property
+    def columns(self) -> tuple:
+        return self.cores, self.stamps, self.kinds, self.addresses
+
+    def __len__(self) -> int:
+        return len(self.cores)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(*(column[index] for column in self.columns))
+        kind = self.kinds[index]
+        return tuple.__new__(
+            AccessRecord, (self.cores[index], self.stamps[index], _KIND_OF.get(kind, kind), self.addresses[index])
+        )
+
+    def __iter__(self):
+        kinds = map(_KIND_OF.get, self.kinds, self.kinds)
+        return map(tuple.__new__, repeat(AccessRecord), zip(self.cores, self.stamps, kinds, self.addresses))
+
+    def __eq__(self, other):
+        if isinstance(other, Trace):
+            return all(map(_same_values, self.columns, other.columns))
+        if isinstance(other, list):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Trace({list(self)!r})"
+
+    def select(self, selectors) -> Trace:
+        """The records whose selector is true, in order: one selector per
+        record, in a sequence (it is read once per column)."""
+        return Trace(*(_like(column, compress(column, selectors)) for column in self.columns))
 
 
-def read_trace(path: str) -> list[AccessRecord]:
+def _same_values(a, b) -> bool:
+    if type(a) is type(b):
+        return a == b
+    return len(a) == len(b) and all(map(eq, a, b))
+
+
+def read_trace(path: str) -> Trace:
     """Parse a trace file, validating per-core timestamp monotonicity.
 
     Returns records in file order.  Raises TraceParseError with the line
@@ -91,25 +172,26 @@ def read_trace(path: str) -> list[AccessRecord]:
     when it cannot be opened, read or decoded as UTF-8.
     """
     last_ts: dict[int, int] = {}
+    columns = [array(code) for code in _TYPECODES]
     try:
         with open(path, "r", encoding="utf-8") as fh:
-
-            def batches():
-                lineno = 1
-                while lines := fh.readlines(_READ_CHUNK_CHARS):
-                    records = _parse_bulk(lines, last_ts)
-                    yield records if records is not None else _parse_each(path, lines, lineno, last_ts)
-                    lineno += len(lines)
-
-            return _collect(batches())
+            lineno = 1
+            while lines := fh.readlines(_READ_CHUNK_CHARS):
+                chunk = _parse_bulk(lines, last_ts)
+                if chunk is None:
+                    chunk = _parse_each(path, lines, lineno, last_ts)
+                columns = list(map(_append, columns, chunk))
+                lineno += len(lines)
     except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
         raise TraceParseError(f"cannot read trace {path}: not UTF-8 ({exc.reason})") from None
     except OSError as exc:
         raise TraceParseError(f"cannot read trace {path}: {exc}") from None
+    return Trace(*columns)
 
 
-def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord] | None:
-    """Records of consecutive trace lines, checked a column at a time.
+def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> tuple[list, list, list, list] | None:
+    """Columns (cores, stamps, kinds, addresses) of consecutive trace lines,
+    checked a column at a time.
 
     Returns None, leaving last_ts (core -> latest timestamp) as it was, when
     any line is not plainly valid.  Accepts only lines that the line-by-line
@@ -121,7 +203,7 @@ def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord]
     if "#" in text or len(words) != 5 * len(lines):  # comment or blank lines: drop them
         lines = [line for line in lines if (s := line.strip()) and s[0] != "#"]
         if not lines:
-            return []
+            return [], [], [], []
         words = _split_fields("".join(lines))
     # a sentinel ends every line and fails every field check below, so 5 words
     # per line that pass them mean exactly 4 fields on every line
@@ -146,7 +228,7 @@ def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> list[AccessRecord]
             return None
         latest[core] = ts
     last_ts.update(latest)
-    return list(map(tuple.__new__, repeat(AccessRecord), zip(cores, stamps, kinds, addresses)))
+    return cores, stamps, kinds, addresses
 
 
 def _split_fields(text: str) -> list[str]:
@@ -156,9 +238,12 @@ def _split_fields(text: str) -> list[str]:
     return text.replace("\n", " | ").split()
 
 
-def _parse_each(path: str, lines: list[str], first_lineno: int, last_ts: dict[int, int]) -> list[AccessRecord]:
-    """Parse lines one at a time, raising on the first bad one with its line number."""
-    records: list[AccessRecord] = []
+def _parse_each(path: str, lines: list[str], first_lineno: int, last_ts: dict[int, int]) -> tuple[list, ...]:
+    """Parse lines one at a time into columns, raising on the first bad one with its line number."""
+    cores: list[int] = []
+    stamps: list[int] = []
+    kinds: list[int] = []
+    addresses: list[int] = []
     for lineno, line in enumerate(lines, start=first_lineno):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -192,8 +277,11 @@ def _parse_each(path: str, lines: list[str], first_lineno: int, last_ts: dict[in
                 f"{path}:{lineno}: timestamp regression on core {core_id} ({timestamp} < {prev})"
             )
         last_ts[core_id] = timestamp
-        records.append(AccessRecord(core_id, timestamp, kind, address))
-    return records
+        cores.append(core_id)
+        stamps.append(timestamp)
+        kinds.append(kind.value)
+        addresses.append(address)
+    return cores, stamps, kinds, addresses
 
 
 def write_trace(records: Sequence[AccessRecord], path: str) -> None:
@@ -205,50 +293,64 @@ def write_trace(records: Sequence[AccessRecord], path: str) -> None:
             fh.write("".join(lines))
 
 
-def check_records(records, ncores: int | None = None) -> list[AccessRecord]:
-    """Admit a trace: return its records as a list, or raise ConfigError.
+def check_records(records, ncores: int | None = None) -> Trace:
+    """Admit a trace: return its records as a Trace, or raise ConfigError.
 
     This is the one check of a trace's records; each study admits each input
-    trace once, before it slices, rebases or orders it.  ConfigError names
-    the first record with a field that is not an int (replays count in
-    cycles), or with a core id below 0 (or not below ncores, when given) or
-    a kind that is not an AccessKind.  The type check and each range check
-    are one C-level pass over the records.
+    trace once, before it slices, rebases or orders it.  A Trace is returned
+    as is; other records are converted to one once.  ConfigError names the
+    first record without 4 fields or with a field that is not an int
+    (replays count in cycles), or with a core id below 0 (or not below
+    ncores, when given) or a kind that is not an AccessKind.  Each of
+    those checks is one C-level pass over the records or a column.
     """
-    records = records if isinstance(records, list) else list(records)
+    if isinstance(records, Trace):
+        trace = records
+        if not all(isinstance(column, array) for column in trace.columns):  # a list column may hold anything
+            _check_fields(trace)
+    else:
+        records = records if isinstance(records, list) else list(records)
+        _check_fields(records)
+        trace = Trace(*(_append(array(code), list(map(itemgetter(i), records))) for i, code in enumerate(_TYPECODES)))
+    cores = set(trace.cores)
+    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if c < 0}
+    if bad:
+        core = next(c for c in trace.cores if c in bad)
+        rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
+        raise ConfigError(f"trace references core {core} but {rule}")
+    bad = set(trace.kinds).difference(AccessKind)
+    if bad:
+        kind = next(k for k in trace.kinds if k in bad)
+        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+    return trace
+
+
+def _check_fields(records) -> None:
+    if set(map(len, records)) - {4}:  # a column would drop a fifth field
+        bad = next(r for r in records if len(r) != 4)
+        raise ConfigError(f"trace record {bad!r} does not have 4 fields")
     if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
         bad = next(r for r in records if not all(isinstance(x, int) for x in r))
         raise ConfigError(f"trace record {bad!r} has a field that is not an int")
-    cores = set(map(itemgetter(0), records))
-    bad = cores.difference(range(ncores)) if ncores is not None else {c for c in cores if c < 0}
-    if bad:
-        core = next(r[0] for r in records if r[0] in bad)
-        rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
-        raise ConfigError(f"trace references core {core} but {rule}")
-    bad = set(map(itemgetter(2), records)).difference(AccessKind)
-    if bad:
-        kind = next(r[2] for r in records if r[2] in bad)
-        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
-    return records
 
 
-def time_ordered(records: list) -> list[AccessRecord]:
-    """Return admitted records (see check_records) in (timestamp, core_id)
+def time_ordered(trace: Trace) -> Trace:
+    """Return an admitted trace (see check_records) in (timestamp, core_id)
     order, the order every replay uses.
 
-    A list already in that order is returned as is, without a copy or a
+    A trace already in that order is returned as is, without a copy or a
     sort; otherwise a stably sorted copy is returned.
     """
     prev_ts = -1
     prev_core = -1
-    for rec in records:
-        ts = rec[1]
-        core = rec[0]
+    for ts, core in zip(trace.stamps, trace.cores):
         if ts < prev_ts or (ts == prev_ts and core < prev_core):
-            return sorted(records, key=lambda r: (r[1], r[0]))
+            order = sorted(range(len(trace)), key=trace.cores.__getitem__)
+            order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
+            return Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
         prev_ts = ts
         prev_core = core
-    return records
+    return trace
 
 
 @dataclass(frozen=True)
@@ -389,7 +491,7 @@ def _zipf_cdf(num_blocks: int, s: float) -> list[float]:
     return cdf
 
 
-def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
+def generate_trace(spec: SyntheticTraceSpec) -> Trace:
     """Generate a deterministic synthetic trace from a SyntheticTraceSpec.
 
     Records are returned merged across cores in (timestamp, core_id)
@@ -403,35 +505,65 @@ def generate_trace(spec: SyntheticTraceSpec) -> list[AccessRecord]:
         block_addresses = list(range(0, spec.working_set_blocks * line, line))  # after the CDF's weights are freed
     if isinstance(spec.gap, ConstantGap):
         stamps = list(range(0, spec.accesses_per_core * spec.gap.cycles, spec.gap.cycles))
-    cores = [_core_batches(spec, core, cdf, block_addresses, stamps) for core in range(spec.num_cores)]
-    return _collect(_merge_cores(cores))
+    return _merge_cores([_core_batches(spec, core, cdf, block_addresses, stamps) for core in range(spec.num_cores)])
 
 
-def _merge_cores(cores: list[Iterator[list[AccessRecord]]]) -> Iterator[list[AccessRecord]]:
-    """Merge per-core chunks of time-ordered records into (timestamp, core_id) order.
+def _merge_cores(batches: list[Iterator[tuple[list, list, list]]]) -> Trace:
+    """Merge per-core chunks of time-ordered (stamps, kinds, addresses)
+    columns into one Trace in (timestamp, core_id) order.
 
     Works a window at a time: a core's later records come strictly after its
     pending ones, so every pending record no later than the earliest last
-    pending timestamp among cores still producing is final.  A stable sort of
-    the window, concatenated in core order, puts equal timestamps in core
-    order.  Sorting per window keeps the sort's key and merge buffers at the
-    size of a chunk instead of the whole trace.
+    pending timestamp among cores still producing is final.  Each window is
+    merged on its own (see _merge_window) and appended to the columns, so
+    the merge's scratch memory stays at the size of a chunk per core.
     """
-    pending: list[list[AccessRecord]] = [[] for _ in cores]
-    live = list(range(len(cores)))  # cores with records still to come
-    while live or any(pending):
+    columns = [array(code) for code in _TYPECODES]
+    empty = ((), (), ())
+    pending = [empty] * len(batches)
+    live = list(range(len(batches)))  # cores with records still to come
+    while live or any(chunk[0] for chunk in pending):
         for core in live:
-            if not pending[core]:
-                pending[core] = next(cores[core], [])  # chunks are never empty
-        live = [core for core in live if pending[core]]
-        cut = min((pending[core][-1][1] for core in live), default=math.inf)
-        window: list[AccessRecord] = []
-        for core, recs in enumerate(pending):
-            i = bisect.bisect_right(recs, cut, key=itemgetter(1))
-            window += recs[:i]
-            pending[core] = recs[i:]
-        window.sort(key=itemgetter(1))
-        yield window
+            if not pending[core][0]:
+                pending[core] = next(batches[core], empty)  # chunks are never empty
+        live = [core for core in live if pending[core][0]]
+        cut = min((pending[core][0][-1] for core in live), default=math.inf)
+        window = []
+        for core, chunk in enumerate(pending):
+            i = bisect.bisect_right(chunk[0], cut)
+            window.append([column[:i] for column in chunk])
+            pending[core] = [column[i:] for column in chunk]
+        columns = list(map(_append, columns, _merge_window(window)))
+    return Trace(*columns)
+
+
+def _merge_window(window: list[list[list]]) -> list:
+    """The (cores, stamps, kinds, addresses) columns of one (stamps, kinds,
+    addresses) chunk per core, each in timestamp order, merged in
+    (timestamp, core_id) order.
+
+    When every core has the same timestamps, as under a constant gap, the
+    merge takes each timestamp's records core by core: each column is
+    interleaved by slice assignment.  Otherwise the chunks are concatenated
+    core by core and stably sorted by timestamp, which keeps equal
+    timestamps in core order; every column then takes the sorted positions.
+    """
+    ncores = len(window)
+    first = window[0][0]
+    if all(chunk[0] == first for chunk in window):
+        merged = [list(range(ncores)) * len(first)]
+        for i in range(3):
+            column = [0] * (len(first) * ncores)
+            for core, chunk in enumerate(window):
+                column[core::ncores] = chunk[i]
+            merged.append(column)
+        return merged
+    cores = list(chain.from_iterable(repeat(core, len(chunk[0])) for core, chunk in enumerate(window)))
+    columns = [cores] + [list(chain.from_iterable(chunk[i] for chunk in window)) for i in range(3)]
+    if len(cores) < 2:  # an itemgetter of one position returns the value, not a tuple
+        return columns
+    take = itemgetter(*sorted(range(len(cores)), key=columns[1].__getitem__))
+    return [take(column) for column in columns]
 
 
 def _core_batches(
@@ -441,7 +573,8 @@ def _core_batches(
     block_addresses: list[int] | None,
     stamps: list[int] | None,
 ):
-    """One core's records, a chunk at a time, in timestamp order.
+    """One core's records, a chunk of (stamps, kinds, addresses) columns at
+    a time, in timestamp order.
 
     Each record draws, in order, its block (random patterns), its kind and
     its gap (log-uniform gaps) from the core's own generator.  A chunk draws
@@ -464,7 +597,7 @@ def _core_batches(
         log_lo, log_span = math.log(gap.lo), math.log(gap.hi) - math.log(gap.lo)
     scale = float(nblocks)  # what x * nblocks converts nblocks to
     read_fraction = float(spec.read_fraction)
-    load, store = AccessKind.LOAD, AccessKind.STORE
+    load, store = AccessKind.LOAD.value, AccessKind.STORE.value
     bisect_right, exp = bisect.bisect_right, math.exp
     t = 0
     for start in range(0, spec.accesses_per_core, _CHUNK_RECORDS):
@@ -484,13 +617,4 @@ def _core_batches(
             gaps = [round(exp(log_lo + x * log_span)) or 1 for x in u[kind_col + 1::draws]]  # each gap >= 1
             chunk_stamps = list(accumulate(gaps, initial=t))
             t = chunk_stamps.pop()
-        yield list(map(
-            tuple.__new__,
-            repeat(AccessRecord),
-            zip(
-                repeat(core),
-                chunk_stamps,
-                [load if x < read_fraction else store for x in u[kind_col::draws]],
-                addresses,
-            ),
-        ))
+        yield chunk_stamps, [load if x < read_fraction else store for x in u[kind_col::draws]], addresses

@@ -172,6 +172,22 @@ class TestSimulate:
         a, b, c = ((tmp_path / out / "simulate.csv").read_bytes() for out in "abc")
         assert b == c and b != a
 
+    @pytest.mark.parametrize("source", ["--trace", "[input] trace"])
+    def test_seed_with_a_trace_file_exits_2(self, tmp_path, capsys, source):
+        trace = tmp_path / "tiny.trace"
+        trace.write_text("0 0 LD 0x0\n0 10 ST 0x40\n")
+        if source == "--trace":
+            cfg, flags = make_config(tmp_path, SINGLE_CORE), ["--trace", trace]
+        else:
+            body = SINGLE_CORE[:SINGLE_CORE.index("[synthetic]")] + f"[input]\ntrace = {trace}\n"
+            cfg, flags = make_config(tmp_path, body), []
+        out = tmp_path / "out"
+        assert run(["simulate", "--config", cfg, "--seed", 5, "--out-dir", out, *flags]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: --seed ")
+        assert source in lines[0] and str(trace) in lines[0]
+        assert not out.exists()
+
     def test_trace_flag_overrides_synthetic(self, tmp_path):
         trace = tmp_path / "tiny.trace"
         trace.write_text("0 0 LD 0x0\n0 10 ST 0x40\n")

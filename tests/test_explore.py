@@ -15,6 +15,8 @@ from sttsim import (
     ConfigError,
     HierarchyConfig,
     Objective,
+    TechParams,
+    TechTable,
     Technology,
     assign_asymmetric,
     generate_trace,
@@ -24,6 +26,7 @@ from sttsim import (
     simulate,
     specialize,
     sweep,
+    tick_cycles,
 )
 from sttsim import explore
 from sttsim import hierarchy as hierarchy_mod
@@ -141,6 +144,15 @@ class TestSweep:
         for objective in (Objective.TIME, Objective.EDP):
             result = sweep(trace, template(), rets, objective, tech_table=TABLE)
             assert result.best_retention in rets
+
+    def test_time_ties_go_to_the_longer_retention(self):
+        # loads only and no expiry: every STTRAM row of the table reads in the same cycles, so all times tie
+        trace = loop_thread(0, 8, 1 * MS, 5 * MS)
+        rets = [1e-2, 1e-1, 1e0]
+        result = sweep(trace, template(), rets, Objective.TIME, tech_table=TABLE)
+        assert all(e.report.total_expiration_misses() == 0 for e in result.entries)
+        assert len({e.report.exec_time_s for e in result.entries[1:]}) == 1
+        assert result.best_retention == 1e0
 
 
 class TestSpecialize:
@@ -371,6 +383,20 @@ class TestDerivedSweep:
         assert batches == [[None, 1e-6]]
         assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None, 1e-6]
         assert in_place == [1e-5]
+
+    def test_last_record_on_a_first_deadline_runs_in_full(self):
+        # with every latency 0 the completion time is the last timestamp, here exactly the first deadline of
+        # the block filled at cycle 0, which then expires as it is read again: no SRAM run can show that
+        zero = [TechParams(Technology.SRAM, None, 1e-12, 1e-12, 1e-3, 0, 0),
+                TechParams(Technology.STTRAM, 1e-5, 1e-12, 1e-12, 1e-4, 0, 0)]
+        table = TechTable(zero)
+        tmpl = replace(template(), mem_latency_cycles=0)
+        cfg = with_technology(tmpl, Technology.STTRAM, 1e-5)
+        deadline = cfg.l1d[0].counter_states * tick_cycles(cfg.l1d[0], CLOCK)
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(0, deadline, AccessKind.LOAD, 0x0)]
+        entry = sweep(trace, tmpl, [1e-5], tech_table=table).entries[1]
+        assert entry.report == simulate(cfg, trace, table)
+        assert entry.report.total_expiration_misses() == 1
 
     @pytest.mark.parametrize("base", [2**63 - 50, 2**64])
     def test_timestamps_beyond_int64_are_derived(self, base, sim_calls):

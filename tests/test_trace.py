@@ -1,7 +1,8 @@
 import dataclasses
-import gc
 import random
 import re
+import tracemalloc
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -9,25 +10,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_trace
 from oracle import reference_generate_trace
 from sttsim import (
     AccessKind,
     AccessRecord,
+    CacheUnitConfig,
     ConfigError,
     ConstantGap,
+    HierarchyConfig,
     LogUniformGap,
     SequentialLoop,
     SyntheticTraceSpec,
+    Technology,
+    Trace,
     TraceParseError,
     TraceValidationError,
     UniformRandom,
     Zipf,
+    block_lifetimes,
+    expiration_curve,
     generate_trace,
+    persistence,
     read_trace,
+    read_write_ratio,
+    sample_tech_table,
+    simulate,
+    sweep,
     write_trace,
 )
+from sttsim import characterize
 from sttsim import trace as trace_mod
 from sttsim.trace import check_records, parse_gap_spec, parse_pattern_spec, time_ordered
+
+TABLE = sample_tech_table()
 
 
 def test_read_basic_line(tmp_path):
@@ -277,19 +293,27 @@ def test_spec_string_parsers():
 
 
 def test_time_ordered():
-    ordered = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40),
+    records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40),
                AccessRecord(1, 5, AccessKind.LOAD, 0x80)]
+    ordered = check_records(records)
     assert time_ordered(ordered) is ordered  # already ordered: no copy, no sort
-    shuffled = [ordered[2], ordered[0], ordered[1]]
-    assert time_ordered(shuffled) == ordered
-    assert shuffled[0] is ordered[2]  # the input is left as it was
+    shuffled = check_records([records[2], records[0], records[1]])
+    assert time_ordered(shuffled) == records
+    assert shuffled == [records[2], records[0], records[1]]  # the input is left as it was
 
 
 def test_check_records_admits_a_trace_as_a_list():
     records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x40)]
-    assert check_records(records, 2) is records  # a list is returned as is
+    trace = check_records(records, 2)
+    assert type(trace) is Trace and check_records(trace, 2) is trace  # a Trace is returned as is
     assert check_records(iter(records)) == records
     assert check_records([]) == []
+
+
+@pytest.mark.parametrize("bad", [(0, 1, AccessKind.LOAD), (0, 1, AccessKind.LOAD, 0x40, 7)])
+def test_check_records_names_a_record_without_4_fields(bad):
+    with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} does not have 4 fields")):
+        check_records([AccessRecord(0, 0, AccessKind.LOAD, 0x0), bad])
 
 
 # a numpy integer, floats equal to an int, a string and unhashable values, in every field
@@ -370,15 +394,13 @@ def test_generate_shared_timestamps_tie_by_core():
 @pytest.mark.parametrize("gap", [ConstantGap(20), LogUniformGap(10, 1000)], ids=["constant", "loguniform"])
 @pytest.mark.parametrize("num_cores", [1, 4])
 def test_generated_values_are_built_once(num_cores, gap):
-    # one object per distinct zipf address, and per distinct constant-gap timestamp, across chunks and cores
+    # each value is written once, as a machine integer, into its column: across chunks and cores no
+    # record holds an object of its own
     spec = SyntheticTraceSpec(seed=3, num_cores=num_cores, accesses_per_core=2 * trace_mod._CHUNK_RECORDS + 5,
                               working_set_blocks=4096, gap=gap, pattern=Zipf(1.2))
     records = generate_trace(spec)
-    addresses = [r.address for r in records]
-    assert len(set(map(id, addresses))) == len(set(addresses)) > 256
-    if isinstance(gap, ConstantGap):
-        stamps = [r.timestamp for r in records]
-        assert len(set(map(id, stamps))) == len(set(stamps)) == spec.accesses_per_core
+    assert [type(column) for column in records.columns] == [array] * 4
+    assert [column.typecode for column in records.columns] == ["q", "q", "b", "q"]
     assert _shape(records) == _shape(reference_generate_trace(spec))
 
 
@@ -395,26 +417,6 @@ def test_working_sets_past_64_bit_generate_aligned_addresses(pattern, blocks):
     assert all(type(a) is int and a % line == 0 and 0 <= a < blocks * line for a in addresses)
     if isinstance(pattern, UniformRandom):  # the draws reach far past 2**62 bytes
         assert max(addresses) > 2**62
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_collect_restores_gc_state(enabled):
-    was = gc.isenabled()
-    try:
-        gc.enable() if enabled else gc.disable()
-
-        def batches():
-            assert not gc.isenabled()
-            yield [1, 2]
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            trace_mod._collect(batches())
-        assert gc.isenabled() is enabled
-        assert trace_mod._collect(iter([[1], [], [2, 3]])) == [1, 2, 3]
-        assert gc.isenabled() is enabled
-    finally:
-        gc.enable() if was else gc.disable()
 
 
 # -- bulk parsing: errors keep their exact message and line across chunks -------
@@ -547,3 +549,82 @@ def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
     write_trace(records, str(p))
     with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
         assert _shape(read_trace(str(p))) == _shape(records)
+
+
+# -- the Trace: four columns behind the record view ------------------------------
+
+
+def test_trace_memory_per_record(tmp_path):
+    # four columns hold a record in 25 bytes; a list of this trace's records held about 124 (generated) and
+    # 138 (read)
+    spec = SyntheticTraceSpec(seed=1, num_cores=4, accesses_per_core=30_000, read_fraction=0.67,
+                              working_set_blocks=16384, gap=LogUniformGap(20, 20000), pattern=Zipf(1.0))
+    path = str(tmp_path / "t.trace")
+    write_trace(generate_trace(spec), path)
+    for build in (lambda: generate_trace(spec), lambda: read_trace(path)):
+        tracemalloc.start()
+        try:
+            trace = build()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 120_000
+        assert held / len(trace) <= 40
+        del trace
+
+
+_INT64 = 2**63
+_ANY_RECORDS = st.lists(
+    st.builds(
+        AccessRecord,
+        st.one_of(st.integers(0, 300), st.just(_INT64)),  # cores past 255, and past int64
+        st.one_of(st.integers(0, 10**9), st.just(2**64)),
+        st.sampled_from(list(AccessKind)),
+        st.one_of(st.integers(0, 2**62), st.integers(_INT64 - 2, 2**80)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ANY_RECORDS, st.slices(45))
+def test_trace_is_its_records(records, window):
+    trace = check_records(records)
+    assert len(trace) == len(records)
+    assert trace == records and records == trace and trace == check_records(list(records))
+    assert _shape(trace) == _shape(records)
+    assert [trace[i] for i in range(-len(records), 0)] == records
+    for i in (len(records), -len(records) - 1):
+        with pytest.raises(IndexError):
+            trace[i]
+    part = trace[window]
+    assert type(part) is Trace and part == records[window] and _shape(part) == _shape(records[window])
+    # a column is an array while its values fit one, and a list of ints past that
+    for column, values in zip(trace.columns, zip(*records) if records else [()] * 4):
+        assert isinstance(column, array) == all(-_INT64 <= v < _INT64 for v in values)
+    if records:
+        changed = records[:-1] + [records[-1]._replace(address=records[-1].address + 64)]
+        assert trace != changed and trace != check_records(changed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**16), st.integers(1, 3), st.booleans(), st.booleans())
+def test_studies_take_a_trace_or_its_list(seed, num_cores, by_core, with_instr):
+    records = random_trace(seed, 120 * num_cores, num_cores=num_cores, num_blocks=48, gap_lo=1, gap_hi=4000,
+                           instr_fraction=0.3 if with_instr else 0.0)
+    if by_core:  # each core's order kept, cores not interleaved: the studies order it
+        records.sort(key=lambda r: r.core_id)
+    trace = check_records(records)
+    unit = CacheUnitConfig(1024, 2, 64, Technology.SRAM)
+    cfg = HierarchyConfig(num_cores=num_cores, l1i=unit, l1d=unit, l2=CacheUnitConfig(4096, 4, 64, Technology.SRAM))
+    assert simulate(cfg, trace, TABLE) == simulate(cfg, records, TABLE)
+    a, b = (sweep(t, cfg, [1e-6, 1e-4, 1e-2], tech_table=TABLE) for t in (trace, records))
+    assert [e.report for e in a.entries] == [e.report for e in b.entries] and a.best_retention == b.best_retention
+    assert read_write_ratio(trace) == read_write_ratio(records)
+    for stream in ("data", "instr", "all"):
+        reports = []
+        for t in (trace, records):
+            characterize._memo = None  # profile each input anew
+            reports.append((block_lifetimes(t, unit, stream=stream), persistence(t, unit, stream=stream),
+                            expiration_curve(t, unit, [1e-6, 1e-5], stream=stream)))
+        assert reports[0] == reports[1]
