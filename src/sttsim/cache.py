@@ -170,6 +170,16 @@ def tick_cycles(config: CacheUnitConfig, clock_hz: float) -> int:
     return cycles
 
 
+def cannot_expire_by(config: CacheUnitConfig, clock_hz: float, t: int) -> bool:
+    """True when a unit of config, clocked at clock_hz, cannot expire a block at any cycle up to t.
+
+    A unit without retention never expires one.  Otherwise the earliest
+    deadline is the counter_states-th tick, that of a block filled at tick 0;
+    an access at that very cycle already finds the block expired.
+    """
+    return config.technology is not Technology.STTRAM or t < config.counter_states * tick_cycles(config, clock_hz)
+
+
 class CacheUnit:
     """One mutable cache unit clocked at clock_hz; single-owner, not safe for concurrent use.
 

@@ -7,8 +7,12 @@ feeding that unit in (timestamp, core_id) order; a stream already in that
 order is not re-sorted.  Lifetimes, persistence and the expiration curve
 read one profile per stream (`_sram_profile`): the trace admitted (see
 trace.check_records), its stream selected and ordered once, and the stream's
-unbounded-retention (SRAM) replay.  It is kept for the last (trace, stream)
-profiled; the curve replays its stream once per retention.
+unbounded-retention (SRAM) replay.  None of these copies a Trace that needs
+no change: a Trace is admitted as is, an all-data trace is its own data
+stream, and a trace in time order is not re-sorted.  The profile is kept
+for the last (trace, stream) profiled.  The curve replays its stream once
+per retention, except where no block can expire before the stream's last
+record; that point is the profile's own (see hierarchy._cannot_expire).
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from operator import not_
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
 from .errors import ConfigError
 from .explore import _check_retentions
 from .trace import AccessKind, Trace, check_records, time_ordered
@@ -104,32 +108,36 @@ class _SramProfile:
     misses: int
 
 
-# (stream, unbounded cfg, clock_hz, column copy of the caller's trace, profile) of the last stream profiled
+# (stream, unbounded cfg, clock_hz, admitted trace, profile) of the last stream profiled
 _memo: tuple | None = None
 
 
 def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> _SramProfile:
     """Profile one stream of trace ("data", "instr" or "all") on cfg's unbounded-retention unit.
 
-    The profile of the last stream is kept: a call with the same stream, an
-    equal unbounded config and clock, and an equal trace (compared against
-    a Trace copy of it, so a list changed in place since is profiled anew)
-    returns it without selecting, checking or replaying the stream.
+    The profile of the last stream is kept with the admitted trace: a Trace
+    itself, which never changes, or the Trace a list was converted to.  A
+    call with the same stream, an equal unbounded config and clock, and the
+    same or an equal trace (so a list changed in place since is profiled
+    anew) returns it without selecting, checking or replaying the stream.
+    The fill-time and last-hit tables drop a block as it is evicted, so
+    they hold no more blocks than the unit does.
     """
     global _memo
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
-    if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] == trace:
+    if (
+        memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz
+        and (memo[3] is trace or memo[3] == trace)
+    ):
         return memo[4]
-    # the memo compares against this copy: a new Trace for a list, and a
-    # slice, whose columns are copies, for a Trace
-    copy = check_records(trace[:] if isinstance(trace, Trace) else trace)
+    admitted = check_records(trace)
     if stream == "data":
-        records = copy.select(copy.kinds)
+        records = admitted.select(admitted.kinds)
     elif stream == "instr":
-        records = copy.select(bytes(map(not_, copy.kinds)))
+        records = admitted.select(bytes(map(not_, admitted.kinds)))
     elif stream == "all":
-        records = copy
+        records = admitted
     else:
         raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
     records = time_ordered(records)
@@ -143,8 +151,8 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
         if not out.hit:
             victim = out.victim_address
             if victim is not None:
-                filled = fill_time[victim]
-                by_last_hit.append((last_hit[victim] - filled) / clock_hz)
+                filled = fill_time.pop(victim)
+                by_last_hit.append((last_hit.pop(victim) - filled) / clock_hz)
                 by_eviction.append((now - filled) / clock_hz)
             fill_time[aligned] = now
             fills[aligned] = fills.get(aligned, 0) + 1
@@ -158,7 +166,7 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
         fills_per_block=array("q", fills.values()),
         misses=unit.misses,
     )
-    _memo = (stream, cfg, clock_hz, copy, profile)
+    _memo = (stream, cfg, clock_hz, admitted, profile)
     return profile
 
 
@@ -324,22 +332,34 @@ def expiration_curve(
     clock_hz: float = DEFAULT_CLOCK_HZ,
     stream: str = "data",
 ) -> list[ExpirationCurvePoint]:
-    """Expiration-miss counts of one unit across a sorted retention sweep."""
+    """Expiration-miss counts of one unit across a sorted retention sweep.
+
+    A retention whose first deadline is after the stream's last timestamp
+    cannot expire a block, so its point is the unbounded replay's: no
+    expiration misses and the baseline's misses, without a replay of its own.
+    """
     retentions = list(retentions)
     if _check_retentions(retentions) != retentions:
         raise ConfigError("retentions must be sorted ascending")
 
     profile = _sram_profile(trace, cfg, clock_hz, stream)
+    records = profile.records
+    last = records.stamps[-1] if records else 0
     baseline_misses = profile.misses
     points = []
     for r in retentions:
-        unit = _replay(profile.records, replace(cfg, technology=Technology.STTRAM, retention_time=r), clock_hz)
+        sttram = replace(cfg, technology=Technology.STTRAM, retention_time=r)
+        if cannot_expire_by(sttram, clock_hz, last):
+            expirations, misses = 0, baseline_misses
+        else:
+            unit = _replay(records, sttram, clock_hz)
+            expirations, misses = unit.miss_expiration, unit.misses
         points.append(
             ExpirationCurvePoint(
                 retention_s=r,
-                expiration_misses=unit.miss_expiration,
-                total_misses=unit.misses,
-                miss_ratio_vs_unbounded=unit.misses / baseline_misses if baseline_misses else 0.0,
+                expiration_misses=expirations,
+                total_misses=misses,
+                miss_ratio_vs_unbounded=misses / baseline_misses if baseline_misses else 0.0,
             )
         )
     return points

@@ -36,7 +36,7 @@ import numbers
 from dataclasses import dataclass
 from itertools import count
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, tick_cycles
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError, check_field_types
 from .trace import Trace, check_records, time_ordered
@@ -323,15 +323,14 @@ def _report(cfg: HierarchyConfig, counters: list, params: list[TechParams], avai
 
 
 def _cannot_expire(cfg: HierarchyConfig, t: int) -> bool:
-    """True when no unit of cfg can expire a block at any cycle up to t.
+    """True when no unit of cfg can expire a block at any cycle up to t
+    (see cache.cannot_expire_by).
 
-    The earliest deadline of a unit is its counter_states-th tick (a block
-    filled at tick 0).
+    The same rule lets characterize.expiration_curve build a retention's
+    point from the stream's unbounded replay, without replaying it, when
+    the stream's last timestamp is before that retention's first deadline.
     """
-    return all(
-        u.technology is not Technology.STTRAM or t < u.counter_states * tick_cycles(u, cfg.clock_hz)
-        for u in _unit_configs(cfg)
-    )
+    return all(cannot_expire_by(u, cfg.clock_hz, t) for u in _unit_configs(cfg))
 
 
 def _derived_report(

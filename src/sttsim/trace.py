@@ -107,7 +107,9 @@ class Trace(Sequence):
     is a Trace, and a Trace equals a Trace or a list of the same records.
     read_trace, generate_trace and check_records build them; the
     constructor takes the columns as they are, without a copy or a check,
-    and nothing may change them after.
+    and nothing may change them after.  Code that receives a Trace relies on
+    that: check_records returns it as is, select may return it as is, and
+    characterize's profile memo keeps it and knows it by identity.
     """
 
     __slots__ = ("cores", "stamps", "kinds", "addresses")
@@ -153,7 +155,14 @@ class Trace(Sequence):
 
     def select(self, selectors) -> Trace:
         """The records whose selector is true, in order: one selector per
-        record, in a sequence (it is read once per column)."""
+        record, in a sequence (it is read once per column).
+
+        When there is a selector for every record and each is true, this
+        trace itself is returned, not a copy; no trace changes, so the two
+        cannot differ.
+        """
+        if len(selectors) == len(self) and all(selectors):
+            return self
         return Trace(*(_like(column, compress(column, selectors)) for column in self.columns))
 
 

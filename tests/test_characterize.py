@@ -2,6 +2,7 @@ import bisect
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,17 +17,20 @@ from sttsim import (
     CacheUnitConfig,
     ConfigError,
     ConstantGap,
+    LogUniformGap,
     SyntheticTraceSpec,
     Technology,
     UniformRandom,
+    Zipf,
     block_lifetimes,
     expiration_curve,
     generate_trace,
     persistence,
     read_write_ratio,
+    tick_cycles,
 )
 from sttsim import characterize
-from sttsim.characterize import LIFETIME_BUCKET_EDGES, _bucketize, _quantiles
+from sttsim.characterize import LIFETIME_BUCKET_EDGES, ExpirationCurvePoint, _bucketize, _quantiles
 
 CLOCK = 1.9e9
 MS = 1e-3
@@ -312,6 +316,71 @@ class TestExpirationCurve:
         assert a == b
 
 
+def counted_replays(monkeypatch):
+    """The retention of each unit _replay runs from now on (None for the unbounded profile)."""
+    replayed = []
+    real_replay = characterize._replay
+
+    def counting_replay(records, cfg, clock_hz, observe=None):
+        replayed.append(cfg.retention_time)
+        return real_replay(records, cfg, clock_hz, observe)
+
+    monkeypatch.setattr(characterize, "_replay", counting_replay)
+    monkeypatch.setattr(characterize, "_memo", None)
+    return replayed
+
+
+def first_deadline(retention, counter_states=4):
+    cfg = CacheUnitConfig(64, 1, 64, Technology.STTRAM, retention, counter_states)
+    return counter_states * tick_cycles(cfg, CLOCK)
+
+
+class TestCurvePointsThatCannotExpire:
+    """A retention whose first deadline is after the stream's last record takes its point from the profile."""
+
+    def test_points_past_the_stream_do_not_replay(self, monkeypatch):
+        replayed = counted_replays(monkeypatch)
+        trace = random_trace(13, 3000, num_cores=2, num_blocks=24, write_fraction=0.4, gap_lo=1, gap_hi=20)
+        last = trace[-1].timestamp
+        retentions = [1e-7, 1e-6, 1e-5, 1e-4, 1e-3]
+        assert first_deadline(1e-6) <= last < first_deadline(1e-5)
+        cfg = unit_cfg(sets=8, assoc=2)
+        points = expiration_curve(trace, cfg, retentions, clock_hz=CLOCK)
+        assert points == reference_expiration_curve(trace, cfg, retentions, CLOCK, "data")
+        assert points[0].expiration_misses > 0
+        assert replayed == [None, 1e-7, 1e-6]
+
+    def test_last_record_on_a_first_deadline_replays(self, monkeypatch):
+        # the block filled at cycle 0 comes due at the first deadline, and a read at that very cycle finds it
+        # expired: no unbounded replay can show that
+        replayed = counted_replays(monkeypatch)
+        cfg = CacheUnitConfig(64, 1, 64, Technology.STTRAM, 1e-5)
+        deadline = first_deadline(1e-5)
+        trace = [ld(0, 0, 0x0), AccessRecord(0, deadline, AccessKind.LOAD, 0x0)]
+        points = expiration_curve(trace, cfg, [1e-5], clock_hz=CLOCK)
+        assert replayed == [None, 1e-5]
+        assert points == reference_expiration_curve(trace, cfg, [1e-5], CLOCK, "data")
+        assert points == [ExpirationCurvePoint(1e-5, 1, 2, 2.0)]
+        # a cycle earlier the block is still there, and the point is the profile's
+        trace[-1] = trace[-1]._replace(timestamp=deadline - 1)
+        points = expiration_curve(trace, cfg, [1e-5], clock_hz=CLOCK)
+        assert replayed == [None, 1e-5, None]
+        assert points == reference_expiration_curve(trace, cfg, [1e-5], CLOCK, "data")
+        assert points == [ExpirationCurvePoint(1e-5, 0, 1, 1.0)]
+
+    def test_empty_stream(self, monkeypatch):
+        replayed = counted_replays(monkeypatch)
+        trace = [AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x0)]
+        cfg = unit_cfg()
+        points = expiration_curve(trace, cfg, [1e-6, 1e-3], clock_hz=CLOCK)
+        assert points == reference_expiration_curve(trace, cfg, [1e-6, 1e-3], CLOCK, "data")
+        assert points == [ExpirationCurvePoint(1e-6, 0, 0, 0.0), ExpirationCurvePoint(1e-3, 0, 0, 0.0)]
+        assert replayed == [None]
+        # a retention below one cycle is still named, though nothing is replayed at it
+        with pytest.raises(ConfigError, match="a tick must last a whole number of cycles"):
+            expiration_curve(trace, cfg, [1e-12], clock_hz=CLOCK)
+
+
 class TestRecordOrder:
     """Reports do not depend on the order records arrive in."""
 
@@ -472,6 +541,18 @@ class TestProfileMemo:
         assert replayed.count(Technology.SRAM) == 2
 
 
+    def test_an_all_data_trace_is_profiled_in_place(self, monkeypatch):
+        # no instruction fetch, in time order: the data stream is the caller's trace, and the memo keeps it
+        monkeypatch.setattr(characterize, "_memo", None)
+        spec = SyntheticTraceSpec(seed=3, num_cores=2, accesses_per_core=500, read_fraction=0.7,
+                                  working_set_blocks=64, gap=LogUniformGap(20, 2000), pattern=Zipf(1.0))
+        trace = generate_trace(spec)
+        profile = characterize._sram_profile(trace, self.CFG, CLOCK, "data")
+        assert profile.records is trace
+        assert characterize._memo[3] is trace
+        assert characterize._sram_profile(trace, self.CFG, CLOCK, "data") is profile
+        assert characterize._sram_profile(trace, self.CFG, CLOCK, "all").records is trace
+
     def test_one_selection_per_trace_and_stream(self, monkeypatch):
         ordered = []
         real_time_ordered = characterize.time_ordered
@@ -489,6 +570,39 @@ class TestProfileMemo:
         assert ordered == [data]
         results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
         assert ordered == [data, len(trace) - data]
+
+
+class TestProfileMemory:
+    """A profile holds no copy of the caller's trace, and its tables no more blocks than the unit."""
+
+    # the characterize-tracefile benchmark's trace, and a unit of 512 blocks
+    SPEC = SyntheticTraceSpec(seed=1, num_cores=4, accesses_per_core=30_000, read_fraction=0.67,
+                              working_set_blocks=16384, gap=LogUniformGap(20, 20000), pattern=Zipf(1.0))
+    CFG = unit_cfg(sets=128, assoc=4)
+
+    def traced(self, monkeypatch, analysis):
+        """Bytes per record (held after, peak during) that analysis(trace) allocates."""
+        trace = generate_trace(self.SPEC)
+        monkeypatch.setattr(characterize, "_memo", None)
+        tracemalloc.start()
+        try:
+            analysis(trace)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return held / len(trace), peak / len(trace)
+
+    def test_lifetimes_hold_no_copy_of_the_trace(self, monkeypatch):
+        # the profile's lifetimes and fill counts take about 8 bytes a record; the memo's and the data stream's
+        # copies of the columns took about 51 more
+        held, _ = self.traced(monkeypatch, lambda trace: block_lifetimes(trace, self.CFG, CLOCK))
+        assert held <= 16
+
+    def test_profile_tables_hold_resident_blocks_only(self, monkeypatch):
+        # about 23 bytes a record at the peak; fill-time and last-hit tables of every block ever filled
+        # (12,611 here, against the unit's 512) took about 35
+        _, peak = self.traced(monkeypatch, lambda trace: characterize._sram_profile(trace, self.CFG, CLOCK, "data"))
+        assert peak <= 28
 
 
 class TestBadRecords:

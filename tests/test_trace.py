@@ -21,6 +21,7 @@ from sttsim import (
     HierarchyConfig,
     LogUniformGap,
     SequentialLoop,
+    SttsimError,
     SyntheticTraceSpec,
     Technology,
     Trace,
@@ -605,6 +606,48 @@ def test_trace_is_its_records(records, window):
     if records:
         changed = records[:-1] + [records[-1]._replace(address=records[-1].address + 64)]
         assert trace != changed and trace != check_records(changed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_select_keeps_the_selected_records(data):
+    records = data.draw(_ANY_RECORDS)
+    trace = check_records(records)
+    keep = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    kept = [r for r, k in zip(records, keep) if k]
+    for selectors in (keep, bytes(keep), array("b", keep)):
+        part = trace.select(selectors)
+        assert type(part) is Trace and part == kept and _shape(part) == _shape(kept)
+        assert list(map(type, part.columns)) == list(map(type, trace.columns))
+        # every record selected: the trace itself, which no one changes
+        assert (part is trace) == all(keep)
+    assert trace.select([1] * len(records)) is trace
+
+
+# field-like tokens, kinds in any case, and the characters a line splits or strips on
+_TOKENS = st.sampled_from([
+    "0", "1", "3", "-1", "+2", "1_0", "1.5", "2999", str(2**63), str(2**64), "١",
+    "IF", "LD", "ST", "ld", "sT", "XX", "0x0", "0x40", "0X1f", "0x", "0xg", "0x-40", "-0x40", "0x_40", "7f00",
+    "#", "# note", "", " ", "\t", "\r", "\x0c", "\x1c", "\u2028", "\x00",
+])
+_LINE_SOUP = st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=12).map(
+    lambda lines: "\n".join(lines).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _LINE_SOUP), st.sampled_from([1, 7, 64, trace_mod._READ_CHUNK_CHARS]))
+def test_read_trace_returns_a_trace_or_names_the_file(tmp_path_factory, content, chunk_chars):
+    path = tmp_path_factory.mktemp("fuzz") / "t.trace"
+    path.write_bytes(content)
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
+        try:
+            trace = read_trace(str(path))
+        except SttsimError as exc:
+            assert str(path) in str(exc)
+            return
+    assert type(trace) is Trace
+    write_trace(trace, str(path))
+    assert read_trace(str(path)) == trace
 
 
 @settings(max_examples=40, deadline=None)
