@@ -79,6 +79,9 @@ def _get(section, key, conv, default):
         return default
     raw = section[key]
     try:
+        # int() and float() also take "1_0" and other scripts' digits
+        if conv in (int, float, _floats) and (not raw.isascii() or "_" in raw):
+            raise ValueError(raw)
         if conv is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):
@@ -96,14 +99,14 @@ def _floats(raw: str) -> list[float]:
 
 
 def _unit_config(section, defaults: dict) -> CacheUnitConfig:
-    tech_text = _get(section, "technology", str, CacheUnitConfig.technology.name).upper()
-    if tech_text not in ("SRAM", "STTRAM"):
-        raise ConfigError(f"technology must be SRAM or STTRAM, got {tech_text!r}")
+    tech_text = _get(section, "technology", str, CacheUnitConfig.technology.name)
+    if tech_text.upper() not in ("SRAM", "STTRAM") or not tech_text.isascii():  # "\u017fram".upper() is "SRAM"
+        raise ConfigError(f"technology must be SRAM or STTRAM, got {tech_text.upper()!r}")
     return CacheUnitConfig(
         size_bytes=_get(section, "size_bytes", int, defaults["size_bytes"]),
         associativity=_get(section, "associativity", int, defaults["associativity"]),
         line_size_bytes=_get(section, "line_size_bytes", int, defaults["line_size_bytes"]),
-        technology=Technology[tech_text],
+        technology=Technology[tech_text.upper()],
         retention_time=_get(section, "retention_s", float, CacheUnitConfig.retention_time),
         counter_states=_get(section, "counter_states", int, CacheUnitConfig.counter_states),
         refresh_on_read=_get(section, "refresh_on_read", bool, CacheUnitConfig.refresh_on_read),
@@ -115,7 +118,11 @@ L2_DEFAULTS = {"size_bytes": 2 * 1024 * 1024, "associativity": 16, "line_size_by
 
 
 def load_experiment_config(path: str) -> ExperimentConfig:
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    """Load a config file; every ConfigError it raises names the file.
+
+    Values are taken as written: `%` is a plain character, not interpolation.
+    """
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
@@ -123,8 +130,13 @@ def load_experiment_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
-    base_dir = os.path.dirname(os.path.abspath(path))
+    try:
+        return _config_from(parser, os.path.dirname(os.path.abspath(path)))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
+
+def _config_from(parser: configparser.ConfigParser, base_dir: str) -> ExperimentConfig:
     def section(name):
         return parser[name] if parser.has_section(name) else None
 

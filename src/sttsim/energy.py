@@ -9,7 +9,10 @@ Table file format, one row per line::
 
     <tech:SRAM|STTRAM> <retention_s:float|-> <e_read_J> <e_write_J> <p_leak_W> <t_read_cycles:int> <t_write_cycles:int>
 
-`-` retention marks the SRAM row; `#` begins a comment.
+The technology is SRAM or STTRAM in any ASCII case.  The SRAM row, and only
+it, has `-` as its retention.  Reals are ASCII float literals (`1e-3`,
+`1.5e-11`) and cycle counts ASCII digits; neither takes `_`, and a count
+takes no `+`.  `#` begins a comment.
 """
 
 from __future__ import annotations
@@ -105,16 +108,21 @@ class TechTable:
 
 
 def _parse_row(fields: list[str], where: str) -> TechParams:
+    """The TechParams of a row's 7 fields; raises ValueError on a malformed numeric field."""
     tech_text = fields[0].upper()
-    if tech_text not in ("SRAM", "STTRAM"):
+    if tech_text not in ("SRAM", "STTRAM") or not fields[0].isascii():  # "\u017fram".upper() is "SRAM"
         raise ConfigError(f"{where}: unknown technology {fields[0]!r}")
     tech = Technology[tech_text]
-    if fields[1] == "-":
-        retention = None
-        if tech is Technology.STTRAM:
-            raise ConfigError(f"{where}: STTRAM row requires a retention time")
-    else:
-        retention = float(fields[1])
+    if tech is Technology.STTRAM and fields[1] == "-":
+        raise ConfigError(f"{where}: STTRAM row requires a retention time")
+    if tech is Technology.SRAM and fields[1] != "-":  # its key would drop the retention
+        raise ConfigError(f"{where}: SRAM row takes retention '-', got {fields[1]!r}")
+    # float() and int() take "1_0", other scripts' digits and a "+" sign; a cycle count is ASCII digits, and a
+    # "-" before it fails the range check with the field's name
+    text = "".join(fields[1:])
+    if not text.isascii() or "_" in text or not all(f.removeprefix("-").isdigit() for f in fields[5:]):
+        raise ValueError(text)
+    retention = None if tech is Technology.SRAM else float(fields[1])
     values = [float(f) for f in fields[2:5]] + [int(f) for f in fields[5:]]
     try:
         return TechParams(tech, retention, *values)

@@ -2,12 +2,15 @@
 
 Trace file grammar, one record per line::
 
-    <core_id:int> <timestamp:uint> <kind:IF|LD|ST> <address:0x-hex>
+    <core_id:digits> <timestamp:digits> <kind:IF|LD|ST> <address:0x-hex>
 
-`#` begins a comment line, blank lines are ignored, fields are separated
-by one or more spaces.  Timestamps are core clock cycles since trace start
-and must be non-decreasing per core.  Simulation keeps time in those
-cycles; only reports convert to seconds, at the configured clock frequency.
+Core ids and timestamps are ASCII decimal digits, with no sign or `_`; an
+address is `0x` or `0X` and ASCII hex digits, with no `_`; a kind is `IF`,
+`LD` or `ST` in any ASCII case.  `#` begins a comment line, blank lines are
+ignored, fields are separated by whitespace.  Timestamps are core clock
+cycles since trace start and must be non-decreasing per core.  Simulation
+keeps time in those cycles; only reports convert to seconds, at the
+configured clock frequency.
 
 A trace is a `Trace`, a read-only sequence of `AccessRecord`s held as four
 columns: cores, timestamps and addresses are `array('q')` columns and kinds
@@ -17,13 +20,14 @@ timestamp or an address past int64.  The replay loops iterate the columns.
 
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
-a chunk at a time and maps each column of them with one comprehension; the
-reader splits a chunk of lines at once and checks it column by column, and
-re-reads a chunk that fails a check line by line, which names the offending
-line.  Both extend the trace's columns a chunk at a time, and the records
-they return equal, value for value and type for type, building every record
-one at a time.  Building allocates no object per record that the cyclic
-garbage collector tracks, so it runs with the collector as it is.
+a chunk at a time and maps each column of them with one comprehension.
+The reader's chunk parser, the only code that turns trace text into
+records, checks a chunk of lines against the grammar column by column;
+for a chunk it declines, an error reporter passes it the lines one at a
+time and returns the first bad line's error.  Both extend the trace's
+columns a chunk at a time, and the records they return equal, value for
+value and type for type, building every record one at a time.  Building
+allocates no object per record that the cyclic garbage collector tracks.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import eq, itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import ConfigError, TraceParseError, TraceValidationError, check_field_types
+from .errors import ConfigError, SttsimError, TraceParseError, TraceValidationError, check_field_types
 
 
 class AccessKind(enum.IntEnum):
@@ -51,12 +55,12 @@ class AccessKind(enum.IntEnum):
 
 
 _KIND_TO_TOKEN = {AccessKind.INSTR_FETCH: "IF", AccessKind.LOAD: "LD", AccessKind.STORE: "ST"}
-_TOKEN_TO_KIND = {v: k for k, v in _KIND_TO_TOKEN.items()}
-# every ASCII spelling of a kind token ("ld", "Ld", ...) and its kind's value; others go through str.upper()
+# every ASCII spelling of a kind token ("ld", "Ld", ...) and its kind's value: the kinds a trace may name
 _ANY_CASE_TO_KIND = {
-    a + b: kind.value for token, kind in _TOKEN_TO_KIND.items() for a in token[0] + token[0].lower()
+    a + b: kind.value for kind, token in _KIND_TO_TOKEN.items() for a in token[0] + token[0].lower()
     for b in token[1] + token[1].lower()
 }
+_HEX_PREFIXES = ("0x", "0X")
 # a kinds column value -> its AccessKind
 _KIND_OF = {kind.value: kind for kind in AccessKind}
 
@@ -188,7 +192,7 @@ def read_trace(path: str) -> Trace:
             while lines := fh.readlines(_READ_CHUNK_CHARS):
                 chunk = _parse_bulk(lines, last_ts)
                 if chunk is None:
-                    chunk = _parse_each(path, lines, lineno, last_ts)
+                    raise _first_error(path, lines, lineno, last_ts)
                 columns = list(map(_append, columns, chunk))
                 lineno += len(lines)
     except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
@@ -200,12 +204,10 @@ def read_trace(path: str) -> Trace:
 
 def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> tuple[list, list, list, list] | None:
     """Columns (cores, stamps, kinds, addresses) of consecutive trace lines,
-    checked a column at a time.
+    checked against the grammar a column at a time.
 
     Returns None, leaving last_ts (core -> latest timestamp) as it was, when
-    any line is not plainly valid.  Accepts only lines that the line-by-line
-    parser accepts with the same records, so None costs time, never a
-    different answer.
+    any line is not in the grammar or regresses a core's timestamp.
     """
     text = "".join(lines)
     words = _split_fields(text)
@@ -216,20 +218,15 @@ def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> tuple[list, list, 
         words = _split_fields("".join(lines))
     # a sentinel ends every line and fails every field check below, so 5 words
     # per line that pass them mean exactly 4 fields on every line
-    if len(words) != 5 * len(lines):
+    core_texts, stamp_texts = words[0::5], words[1::5]
+    if len(words) != 5 * len(lines) or not _decimal("".join(core_texts) + "".join(stamp_texts)):
         return None
-    addr_texts = words[3::5]
     kinds = list(map(_ANY_CASE_TO_KIND.get, words[2::5]))
-    if None in kinds or not all(map(str.startswith, addr_texts, repeat(("0x", "0X")))):
+    addresses = _hex_values(words[3::5])
+    if None in kinds or addresses is None:
         return None
-    try:
-        cores = list(map(int, words[0::5]))
-        stamps = list(map(int, words[1::5]))
-        addresses = list(map(int, addr_texts, repeat(16)))
-    except ValueError:
-        return None
-    if min(cores) < 0 or min(stamps) < 0:  # no sign can follow an address's 0x
-        return None
+    cores = list(map(int, core_texts))
+    stamps = list(map(int, stamp_texts))
     # per-core monotonicity, committed to last_ts only if every record passes
     latest = dict(last_ts)
     for core, ts in zip(cores, stamps):
@@ -247,50 +244,52 @@ def _split_fields(text: str) -> list[str]:
     return text.replace("\n", " | ").split()
 
 
-def _parse_each(path: str, lines: list[str], first_lineno: int, last_ts: dict[int, int]) -> tuple[list, ...]:
-    """Parse lines one at a time into columns, raising on the first bad one with its line number."""
-    cores: list[int] = []
-    stamps: list[int] = []
-    kinds: list[int] = []
-    addresses: list[int] = []
+def _decimal(text: str) -> bool:
+    """Whether text is ASCII decimal digits only: no sign, `_` or other script's digit."""
+    return text.isascii() and text.isdigit()
+
+
+def _hex_values(texts: list[str]) -> list[int] | None:
+    """The ints of address texts, or None unless each is `0x`/`0X` and ASCII hex digits, with no `_`."""
+    joined = "".join(texts)
+    if not joined.isascii() or "_" in joined or not all(map(str.startswith, texts, repeat(_HEX_PREFIXES))):
+        return None
+    try:
+        return list(map(int, texts, repeat(16)))
+    except ValueError:
+        return None
+
+
+def _first_error(path: str, lines: list[str], first_lineno: int, last_ts: dict[int, int]) -> SttsimError:
+    """The error of the first of the lines that _parse_bulk declines, naming its line number.
+
+    Passes the lines to _parse_bulk one at a time, carrying last_ts, so it
+    declines exactly the line the chunk parser stops at; its message names
+    the first of that line's fields to break the grammar, in field order.
+    """
     for lineno, line in enumerate(lines, start=first_lineno):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+        if _parse_bulk([line], last_ts) is not None:
             continue
-        fields = stripped.split()
+        where = f"{path}:{lineno}"
+        fields = line.split()
         if len(fields) != 4:
-            raise TraceParseError(
-                f"{path}:{lineno}: expected 4 fields "
-                f"'<core> <timestamp> <IF|LD|ST> <0x-address>', got {len(fields)}"
+            return TraceParseError(
+                f"{where}: expected 4 fields '<core> <timestamp> <IF|LD|ST> <0x-address>', got {len(fields)}"
             )
-        try:
-            core_id = int(fields[0])
-            timestamp = int(fields[1])
-        except ValueError:
-            raise TraceParseError(f"{path}:{lineno}: non-integer core id or timestamp") from None
-        kind = _TOKEN_TO_KIND.get(fields[2].upper())
-        if kind is None:
-            raise TraceParseError(f"{path}:{lineno}: unknown access kind {fields[2]!r}")
-        addr_text = fields[3]
-        if not addr_text.lower().startswith("0x"):
-            raise TraceParseError(f"{path}:{lineno}: address must be 0x-prefixed hex, got {addr_text!r}")
-        try:
-            address = int(addr_text, 16)
-        except ValueError:
-            raise TraceParseError(f"{path}:{lineno}: bad hex address {addr_text!r}") from None
-        if core_id < 0 or timestamp < 0 or address < 0:
-            raise TraceParseError(f"{path}:{lineno}: negative field")
-        prev = last_ts.get(core_id)
-        if prev is not None and timestamp < prev:
-            raise TraceValidationError(
-                f"{path}:{lineno}: timestamp regression on core {core_id} ({timestamp} < {prev})"
-            )
-        last_ts[core_id] = timestamp
-        cores.append(core_id)
-        stamps.append(timestamp)
-        kinds.append(kind.value)
-        addresses.append(address)
-    return cores, stamps, kinds, addresses
+        core, stamp, kind, address = fields
+        if not (_decimal(core.removeprefix("-")) and _decimal(stamp.removeprefix("-"))):
+            return TraceParseError(f"{where}: non-integer core id or timestamp")
+        if kind not in _ANY_CASE_TO_KIND:
+            return TraceParseError(f"{where}: unknown access kind {kind!r}")
+        if not address.startswith(_HEX_PREFIXES):
+            return TraceParseError(f"{where}: address must be 0x-prefixed hex, got {address!r}")
+        if _hex_values([address]) is None:
+            return TraceParseError(f"{where}: bad hex address {address!r}")
+        if core[0] == "-" or stamp[0] == "-":
+            return TraceParseError(f"{where}: negative field")
+        return TraceValidationError(
+            f"{where}: timestamp regression on core {int(core)} ({int(stamp)} < {last_ts[int(core)]})"
+        )
 
 
 def write_trace(records: Sequence[AccessRecord], path: str) -> None:
@@ -416,8 +415,8 @@ MAX_ZIPF_BLOCKS = 2**22
 
 
 def parse_gap_spec(text: str) -> GapSpec:
-    """Parse 'constant:<cycles>' or 'loguniform:<lo>:<hi>'."""
-    parts = text.lower().split(":")
+    """Parse 'constant:<cycles>' or 'loguniform:<lo>:<hi>', in ASCII without `_`."""
+    parts = text.lower().split(":") if text.isascii() and "_" not in text else [text]
     try:
         if parts[0] == "constant" and len(parts) == 2:
             return ConstantGap(int(parts[1]))
@@ -429,8 +428,8 @@ def parse_gap_spec(text: str) -> GapSpec:
 
 
 def parse_pattern_spec(text: str) -> PatternSpec:
-    """Parse 'sequential', 'uniform', or 'zipf:<s>'."""
-    parts = text.lower().split(":")
+    """Parse 'sequential', 'uniform', or 'zipf:<s>', in ASCII without `_`."""
+    parts = text.lower().split(":") if text.isascii() and "_" not in text else [text]
     try:
         if parts[0] == "sequential" and len(parts) == 1:
             return SequentialLoop()

@@ -1,10 +1,13 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttsim import (
     CacheUnitConfig,
     ConfigError,
+    SttsimError,
     HierarchyConfig,
     Objective,
     Technology,
@@ -131,6 +134,54 @@ def test_bad_value_names_key(tmp_path):
     assert "num_cores" in str(exc.value)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("hierarchy", "num_cores", "1_0"),
+    ("hierarchy", "num_cores", "\u0664"),
+    ("hierarchy", "clock_hz", "1_900e6"),
+    ("l1d", "associativity", "\u0668"),
+    ("experiment", "retentions", "1e-3 1_0e-3"),
+    ("experiment", "core_retentions", "\u0661e-3"),
+])
+def test_numbers_outside_ascii_digits_rejected(tmp_path, section, key, value):
+    # int() and float() take each value; dropping the check from _get loads 1_0 as 10 and \u0664 as 4
+    text = f"[{section}]\n{key} = {value}\n\n[synthetic]\nseed = 1\n"
+    path = tmp_path / "exp.cfg"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError) as exc:
+        load_experiment_config(str(path))
+    assert str(exc.value) == f"{path}: bad value {value!r} for key {key!r}"
+
+
+@pytest.mark.parametrize("spec", ["gap = constant:1_0", "gap = loguniform:1:\u0669", "pattern = zipf:1_0"])
+def test_specs_outside_ascii_digits_rejected(tmp_path, spec):
+    path = tmp_path / "exp.cfg"
+    path.write_text(f"[synthetic]\nseed = 1\n{spec}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"bad {spec.split()[0]} spec"):
+        load_experiment_config(str(path))
+
+
+def test_percent_is_a_plain_character(tmp_path):
+    # interpolation would raise InterpolationSyntaxError, a traceback out of the CLI
+    cfg = load_experiment_config(write(tmp_path, "[synthetic]\nseed = 1\n\n[experiment]\nout_dir = 100%\n"))
+    assert cfg.out_dir == str(tmp_path / "100%")
+    cfg = load_experiment_config(write(tmp_path, "[input]\ntrace = %(here)s.trace\n"))
+    assert cfg.trace_path == str(tmp_path / "%(here)s.trace")
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[hierarchy]\nnum_cores = many\n\n[synthetic]\nseed = 1\n", "bad value 'many' for key 'num_cores'"),
+    ("[hierarchy]\nnum_cores = 0\n\n[synthetic]\nseed = 1\n", "num_cores must be >= 1"),
+    ("[l1d]\nassociativity = 3\n\n[synthetic]\nseed = 1\n", "associativity"),
+    ("[synthetic]\nseed = 1\nread_fraction = 2\n", "read_fraction must be in [0, 1]"),
+    ("[hierarchy]\nnum_cores = 1\n", "exactly one of [input] trace or a [synthetic] section"),
+])
+def test_errors_name_the_config_file(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_experiment_config(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
 def test_sttram_without_retention_rejected(tmp_path):
     text = "[l1d]\ntechnology = STTRAM\n\n[synthetic]\nseed = 1\n"
     with pytest.raises(ConfigError):
@@ -161,6 +212,14 @@ def test_bad_refresh_on_read_names_key(tmp_path):
 def test_unknown_technology_named(tmp_path):
     with pytest.raises(ConfigError, match="technology must be SRAM or STTRAM, got 'DRAM'"):
         load_experiment_config(write(tmp_path, "[l2]\ntechnology = dram\n\n[synthetic]\nseed = 1\n"))
+
+
+def test_technology_is_ascii(tmp_path):
+    # "\u017fram".upper() is "SRAM"
+    path = tmp_path / "exp.cfg"
+    path.write_text("[l2]\ntechnology = \u017fram\n\n[synthetic]\nseed = 1\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="technology must be SRAM or STTRAM, got 'SRAM'"):
+        load_experiment_config(str(path))
 
 
 @pytest.mark.parametrize("key", ["retentions", "core_retentions"])
@@ -252,3 +311,31 @@ def test_config_fields_of_the_right_type():
                           mem_latency_cycles=0, mem_energy_per_access=0)
     assert cfg.l1i == (L1, L1) and cfg.l2 is l2
     assert _tech(technology=Technology.SRAM, retention_time=None, e_read=0, t_read=0).t_read == 0
+
+
+# config-like lines: sections, keys with values in and out of the grammar, interpolation and comment syntax
+_CONFIG_LINES = st.one_of(
+    st.sampled_from(["[hierarchy]", "[l1i]", "[l1d]", "[l2]", "[input]", "[synthetic]", "[experiment]", "[other]",
+                     "[", "", "; note", "# note", "  indented", "%", "%(x)s"]),
+    st.builds("{} = {}".format,
+              st.sampled_from(["num_cores", "clock_hz", "mem_latency_cycles", "size_bytes", "associativity",
+                               "line_size_bytes", "technology", "retention_s", "counter_states", "refresh_on_read",
+                               "trace", "seed", "accesses_per_core", "read_fraction", "working_set_blocks", "gap",
+                               "pattern", "retentions", "objective", "profile_len", "base_retention",
+                               "core_retentions", "tech_table", "out_dir", "unknown"]),
+              st.sampled_from(["0", "1", "4", "-1", "1_0", "\u0664", "1e-3", "1e999", "nan", "-inf", "2.5", "64",
+                               "STTRAM", "sram", "\u017fram", "yes", "maybe", "constant:20", "loguniform:10:5",
+                               "zipf:1.2", "zipf:0", "uniform", "t.trace", "100%", "%(x)s", "edp", "1e-3 1e-3", ""])),
+)
+_CONFIG_SOUP = st.lists(_CONFIG_LINES, max_size=14).map(lambda lines: "\n".join(lines).encode())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _CONFIG_SOUP))
+def test_load_experiment_config_returns_a_config_or_names_the_file(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "exp.cfg"
+    path.write_bytes(content)
+    try:
+        load_experiment_config(str(path))
+    except SttsimError as exc:
+        assert str(path) in str(exc)

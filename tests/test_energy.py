@@ -2,10 +2,13 @@ import math
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sttsim import (
     ConfigError,
     EnergyBreakdown,
+    SttsimError,
     TechParams,
     Technology,
     load_tech_table,
@@ -123,11 +126,22 @@ class TestTableParsing:
             ("STTRAM fast 1e-12 1e-11 1e-3 2 4", "malformed numeric field"),
             ("STTRAM 1e-3 1e-12 x 1e-3 2 4", "malformed numeric field"),
             ("STTRAM 1e-3 1e-12 1e-11 1e-3 2.5 4", "malformed numeric field"),
+            # float() and int() take each of these: dropping the "_" check of _parse_row loads 1_0e-3, its
+            # isascii() check the Arabic-Indic digits, and its check of the cycle counts' digits +2
+            ("STTRAM 1_0e-3 1e-12 1e-11 1e-3 2 4", "malformed numeric field"),
+            ("STTRAM 1e-3 \u0661e-12 1e-11 1e-3 2 4", "malformed numeric field"),
+            ("STTRAM 1e-3 1e-12 1e-11 1e-3 +2 4", "malformed numeric field"),
+            ("STTRAM 1e-3 1e-12 1e-11 1e-3 2 1_0", "malformed numeric field"),
+            ("STTRAM 1e-3 1e-12 1e-11 1e-3 2 \u0664", "malformed numeric field"),
+            # an SRAM key has no retention, so one given would be dropped without a word
+            ("SRAM 1e-3 1e-12 1e-11 1e-3 2 2", "SRAM row takes retention '-', got '1e-3'"),
+            ("SRAM x 1e-12 1e-11 1e-3 2 2", "SRAM row takes retention '-', got 'x'"),
+            ("\u017fram - 1e-12 1e-11 1e-3 2 2", "unknown technology '\u017fram'"),  # its upper() is "SRAM"
         ],
     )
     def test_bad_value_names_file_and_line(self, tmp_path, row, field):
         p = tmp_path / "tbl.txt"
-        p.write_text(f"# header\nSTTRAM 1e-4 1e-12 1e-12 1e-3 2 2\n{row}\n")
+        p.write_text(f"# header\nSTTRAM 1e-4 1e-12 1e-12 1e-3 2 2\n{row}\n", encoding="utf-8")
         with pytest.raises(ConfigError) as exc:
             load_tech_table(str(p))
         assert str(exc.value).startswith(f"{p}:3: ")
@@ -173,3 +187,25 @@ class TestTableParsing:
         rets = table.retentions()
         costs = [table.lookup(Technology.STTRAM, r).e_write for r in rets]
         assert costs == sorted(costs)
+
+
+# row-like tokens, numbers Python's float and int take beyond the grammar, and the characters a line splits on
+_TABLE_TOKENS = st.sampled_from([
+    "SRAM", "STTRAM", "sttram", "\u017fram", "DRAM", "-", "0", "2", "-2", "+2", "1_0", "\u0661", "2.5", "1e-3",
+    "1.5e-11", "-1e-12", "1e999", "nan", "inf", "x", "#", "# note", "", " ", "\t", "\r", "\x0c", "\u2028", "\x00",
+])
+_TABLE_SOUP = st.lists(st.lists(_TABLE_TOKENS, max_size=9).map(" ".join), max_size=10).map(
+    lambda lines: "\n".join(lines).encode())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.binary(max_size=200), _TABLE_SOUP))
+def test_load_tech_table_returns_a_table_or_names_the_file(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "tbl.txt"
+    path.write_bytes(content)
+    try:
+        table = load_tech_table(str(path))
+    except SttsimError as exc:
+        assert str(path) in str(exc)
+        return
+    assert isinstance(table, TechTable)

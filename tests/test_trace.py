@@ -423,8 +423,8 @@ def test_working_sets_past_64_bit_generate_aligned_addresses(pattern, blocks):
 # -- bulk parsing: errors keep their exact message and line across chunks -------
 
 _FIELDS = "'<core> <timestamp> <IF|LD|ST> <0x-address>'"
-# bad line -> (error type, message after "<path>:<line>: "), recorded from the
-# line-by-line parser the bulk parser replaced
+# bad line -> (error type, message after "<path>:<line>: "), recorded from a
+# former line-by-line parser; the error reporter keeps each byte for byte
 _BAD_LINES = {
     "0 100 LD": (TraceParseError, f"expected 4 fields {_FIELDS}, got 3"),
     "0 100 LD 0x40 extra": (TraceParseError, f"expected 4 fields {_FIELDS}, got 5"),
@@ -477,10 +477,10 @@ def test_read_mixed_file_in_bulk(tmp_path):
         AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x0),
         AccessRecord(1, 9, AccessKind.STORE, 0xC0),
     ]
-    # a valid file never needs the line-by-line parser, whatever the chunking
+    # a valid file never needs the error reporter, whatever the chunking
     for chunk_chars in (1, 20, 1 << 16):
         with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(trace_mod, "_parse_each", side_effect=AssertionError("line by line")):
+                mock.patch.object(trace_mod, "_first_error", side_effect=AssertionError("error reporter")):
             assert _shape(read_trace(str(p))) == _shape(expected)
 
 
@@ -497,7 +497,7 @@ def test_read_timestamps_past_int64_in_bulk(tmp_path):
     write_trace(records, str(p))
     for chunk_chars in (1, 30, 1 << 16):
         with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(trace_mod, "_parse_each", side_effect=AssertionError("line by line")):
+                mock.patch.object(trace_mod, "_first_error", side_effect=AssertionError("error reporter")):
             assert _shape(read_trace(str(p))) == _shape(records)
 
 
@@ -510,14 +510,32 @@ def test_read_field_counts_checked_per_line(tmp_path):
     assert str(exc.value) == f"{p}:1: expected 4 fields {_FIELDS}, got 5"
 
 
-def test_read_accepts_what_bulk_declines(tmp_path):
-    # str.upper() maps "\u017ft" to "ST", and a timestamp past int64 is still an int
+# tokens that Python's int, int(_, 16) or str.upper() takes but the grammar does not name -> the message on
+# their line; dropping the isascii() check from _decimal lets the Arabic-Indic digits through as records, and
+# dropping either check of _hex_values lets their address through
+_OFF_GRAMMAR = {
+    "1_0 5 LD 0x40": "non-integer core id or timestamp",
+    "+2 5 LD 0x40": "non-integer core id or timestamp",
+    "\u0661 5 LD 0x40": "non-integer core id or timestamp",
+    "0 1_0 LD 0x40": "non-integer core id or timestamp",
+    "0 +2 LD 0x40": "non-integer core id or timestamp",
+    "0 \u0661 LD 0x40": "non-integer core id or timestamp",
+    "0 5 LD 0x_4_0": "bad hex address '0x_4_0'",
+    "0 5 LD 0x\u0664\u0660": "bad hex address '0x\u0664\u0660'",
+    "0 5 \u017ft 0x40": "unknown access kind '\u017ft'",
+    "0 5 \u0131f 0x40": "unknown access kind '\u0131f'",
+    "-0 5 LD 0x40": "negative field",
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [1, 1 << 14])
+@pytest.mark.parametrize("bad", list(_OFF_GRAMMAR))
+def test_read_rejects_tokens_outside_the_grammar(tmp_path, bad, chunk_chars):
     p = tmp_path / "t.trace"
-    p.write_text("0 5 \u017ft 0x40\n0 36893488147419103232 LD 0x80\n")
-    assert _shape(read_trace(str(p))) == _shape([
-        AccessRecord(0, 5, AccessKind.STORE, 0x40),
-        AccessRecord(0, 2**65, AccessKind.LOAD, 0x80),
-    ])
+    p.write_text(f"0 1 ld 0x0\n{bad}\n0 9 LD 0x80\n", encoding="utf-8")
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), pytest.raises(TraceParseError) as exc:
+        read_trace(str(p))
+    assert str(exc.value) == f"{p}:2: {_OFF_GRAMMAR[bad]}"
 
 
 def test_read_only_comments(tmp_path):
@@ -626,8 +644,9 @@ def test_select_keeps_the_selected_records(data):
 
 # field-like tokens, kinds in any case, and the characters a line splits or strips on
 _TOKENS = st.sampled_from([
-    "0", "1", "3", "-1", "+2", "1_0", "1.5", "2999", str(2**63), str(2**64), "١",
-    "IF", "LD", "ST", "ld", "sT", "XX", "0x0", "0x40", "0X1f", "0x", "0xg", "0x-40", "-0x40", "0x_40", "7f00",
+    "0", "1", "3", "-1", "-0", "+2", "1_0", "1.5", "2999", str(2**63), str(2**64), "١",
+    "IF", "LD", "ST", "ld", "sT", "\u017ft", "\u0131f", "XX", "0x0", "0x40", "0X1f", "0x", "0xg", "0x-40", "-0x40",
+    "0x_40", "0x\u0664", "7f00",
     "#", "# note", "", " ", "\t", "\r", "\x0c", "\x1c", "\u2028", "\x00",
 ])
 _LINE_SOUP = st.lists(st.lists(_TOKENS, max_size=6).map(" ".join), max_size=12).map(
@@ -671,3 +690,20 @@ def test_studies_take_a_trace_or_its_list(seed, num_cores, by_core, with_instr):
             reports.append((block_lifetimes(t, unit, stream=stream), persistence(t, unit, stream=stream),
                             expiration_curve(t, unit, [1e-6, 1e-5], stream=stream)))
         assert reports[0] == reports[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LINE_SOUP)
+def test_read_trace_outcome_does_not_depend_on_chunking(tmp_path_factory, content):
+    # the chunk parser and the error reporter agree: every chunking reads the same records or raises the
+    # same error, on the same line
+    path = tmp_path_factory.mktemp("chunks") / "t.trace"
+    path.write_bytes(content)
+    outcomes = []
+    for chunk_chars in (1, 7, 64, 1 << 14):
+        with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
+            try:
+                outcomes.append(_shape(read_trace(str(path))))
+            except SttsimError as exc:
+                outcomes.append((type(exc), str(exc)))
+    assert outcomes.count(outcomes[0]) == len(outcomes)
