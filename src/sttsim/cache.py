@@ -11,10 +11,15 @@ Ticks are applied lazily on a timing wheel of N slots (Varghese & Lauck,
 SOSP 1987) whose slots hold plain way indices; a refresh only records the
 way's reset tick, and a way found refreshed when its slot comes due is
 re-filed.  Observable outcomes are identical to firing every tick eagerly,
-which the test suite checks against an independent eager simulator.  Only
-a caller that collects the expired blocks (tick_expirations, or access()
-given a list) sees their order within a tick; a drain that only counts
-expires them in filing order.
+which the test suite checks against an independent eager simulator.
+
+One address map holds each resident address's way and, for an address no
+longer resident, a negative code naming how it left (replaced or expired),
+so a miss takes its class from the lookup that found it absent.  A drain
+expires each due slot in one pass, in filing order, and only counts.  A
+caller that collects expired blocks sees them in (tick, generation, way)
+order: tick_expirations returns every one, while access() given a list
+appends only the dirty ones, the blocks an L1 writes to the next level.
 """
 
 from __future__ import annotations
@@ -77,9 +82,15 @@ _FREE_WAY_MISS = tuple(AccessOutcome(False, c, False, None) for c in MissClass)
 # a unit builds one wheel slot per counter state, and a drain walks up to that many
 MAX_COUNTER_STATES = 256
 
-_NEVER_RESIDENT = EvictionCause.NEVER_RESIDENT
-_BY_REPLACEMENT = EvictionCause.EVICTED_BY_REPLACEMENT
-_BY_EXPIRATION = EvictionCause.EVICTED_BY_EXPIRATION
+# a unit's address map holds a resident address's way (>= 0), else how it left
+_NEVER = -1  # never resident: what the map's get() defaults to, never stored
+_REPLACED = -2
+_EXPIRED = -3
+_CAUSE_OF_CODE = {
+    _NEVER: EvictionCause.NEVER_RESIDENT,
+    _REPLACED: EvictionCause.EVICTED_BY_REPLACEMENT,
+    _EXPIRED: EvictionCause.EVICTED_BY_EXPIRATION,
+}
 
 
 @dataclass(frozen=True)
@@ -190,7 +201,7 @@ class CacheUnit:
 
     __slots__ = (
         "config", "name", "num_sets", "assoc", "_set_mask", "_shift", "_line_mask",
-        "_tags", "_where", "_dirty", "_lru", "_reset_tick", "_gen", "_seq", "_cause",
+        "_tags", "_where", "_dirty", "_lru", "_reset_tick", "_gen", "_seq",
         "has_expiry", "tick_period", "_n_states", "_wheel", "time", "_tick", "next_tick_time",
         "_read_resets", "read_hits", "write_hits", "miss_compulsory", "miss_replacement",
         "miss_expiration", "writebacks", "evictions_replacement", "evictions_expiration",
@@ -207,7 +218,8 @@ class CacheUnit:
         n = self.num_sets * self.assoc
         # parallel per-way arrays; tag None marks an invalid way
         self._tags: list[int | None] = [None] * n
-        # resident address -> way, kept in step with _tags; hits look up here
+        # every address seen -> its way while resident (kept in step with _tags),
+        # else _REPLACED or _EXPIRED; an absent address was never resident
         self._where: dict[int, int] = {}
         self._dirty = [False] * n
         self._lru = [0] * n
@@ -215,8 +227,6 @@ class CacheUnit:
         self._reset_tick = [0] * n
         self._gen = [0] * n
         self._seq = 0
-        # address -> cause of its last eviction; absent means never evicted
-        self._cause: dict[int, EvictionCause] = {}
 
         self.has_expiry = config.technology is Technology.STTRAM
         if self.has_expiry:
@@ -255,11 +265,11 @@ class CacheUnit:
         """Apply all expirations due at or before `now`; return the blocks this call expired.
 
         Advances the unit's clock to `now` if later.  access() applies due
-        expirations too, and returns them only into a list it is given, so
-        call this (or pass access() a list) to see every expired block.
+        expirations too, and appends only the dirty ones to a list it is
+        given, so call this first to see every expired block.
         Blocks come in tick order, those due at one tick in (generation, way)
         order, where a way's generation counts its fills, resets and expiries.
-        Nothing is due before next_tick_time.
+        Nothing is due before next_tick_time, the next tick boundary.
         """
         if now > self.time:
             self.time = now
@@ -268,8 +278,10 @@ class CacheUnit:
             self._expire_due(now, expired)
         return expired
 
-    def _expire_due(self, now: int, expired: list[ExpiredBlock] | None) -> None:
-        """Expire every block due at or before `now`, appending each to `expired` unless None."""
+    def _expire_due(self, now: int, expired: list[ExpiredBlock] | None, dirty_only: bool = False) -> None:
+        """Expire every block due at or before `now`.  Unless `expired` is None, append to it
+        each block expired, only the dirty ones when `dirty_only`, in (tick, generation, way)
+        order."""
         if not isinstance(now, int):
             raise ValueError(f"{self.name}: time {now!r} is not a whole number of cycles")
         period = self.tick_period
@@ -281,37 +293,49 @@ class CacheUnit:
         where = self._where
         gen = self._gen
         reset_tick = self._reset_tick
-        cause = self._cause
         dirty = self._dirty
+        expirations = writebacks = 0
+        # the ways of one tick to collect, expired once sorted; the others expire as they are met
+        due = [] if expired is not None else None
         # every filed deadline lies in (tick, tick + N], re-filed ones too
-        for t in range(tick + 1, min(k, tick + n) + 1):
-            slot = wheel[t % n]
+        last = tick + n if k > tick + n else k  # not min(), a builtin call per drain
+        for t in range(tick + 1, last + 1):
+            i = t % n
+            slot = wheel[i]
             if not slot:
                 continue
-            wheel[t % n] = []
-            due = []
+            wheel[i] = []
             for way in slot:
                 reset = reset_tick[way]
-                if reset + n == t:
-                    due.append(way)
-                else:  # reset since filed: its deadline's slot is its reset tick's
+                if reset + n != t:  # reset since filed: its deadline's slot is its reset tick's
                     wheel[reset % n].append(way)
-            if expired is not None and len(due) > 1:
-                due.sort()
-                due.sort(key=gen.__getitem__)  # stable: (generation, way) order
-            self.evictions_expiration += len(due)
-            expire_time = t * period
-            for way in due:
-                addr = tags[way]
-                tags[way] = None
-                del where[addr]
-                gen[way] += 1
-                cause[addr] = _BY_EXPIRATION
-                was_dirty = dirty[way]
-                if was_dirty:
-                    self.writebacks += 1
-                if expired is not None:
+                elif due is not None and (dirty[way] or not dirty_only):
+                    due.append(way)
+                else:
+                    where[tags[way]] = _EXPIRED
+                    tags[way] = None
+                    gen[way] += 1
+                    expirations += 1
+                    if dirty[way]:
+                        writebacks += 1
+            if due:
+                if len(due) > 1:
+                    due.sort()
+                    due.sort(key=gen.__getitem__)  # stable: (generation, way) order
+                expire_time = t * period
+                for way in due:
+                    addr = tags[way]
+                    was_dirty = dirty[way]
                     expired.append(_new_tuple(ExpiredBlock, (addr, was_dirty, expire_time)))
+                    where[addr] = _EXPIRED
+                    tags[way] = None
+                    gen[way] += 1
+                    if was_dirty:
+                        writebacks += 1
+                expirations += len(due)
+                due.clear()
+        self.evictions_expiration += expirations
+        self.writebacks += writebacks
         self._tick = k
         self.next_tick_time = (k + 1) * period
 
@@ -324,10 +348,10 @@ class CacheUnit:
         access() or tick_expirations(); the call advances the clock to it.
         Expirations due at or before `now` are applied before the lookup,
         so a reference arriving after a block's deadline observes the
-        expiration miss.  When `expired` is a list, the blocks this call
-        expires are appended to it, as tick_expirations() would return them
-        (so an L1 can collect its own expiries); otherwise they are only
-        counted, and their order within a tick is not kept.
+        expiration miss.  When `expired` is a list, the dirty blocks this
+        call expires are appended to it in the order tick_expirations() would
+        return them among the others (so an L1 collects the writebacks its
+        expiries owe the next level); every expiry is counted either way.
         """
         if addr & self._line_mask:
             raise ValueError(f"{self.name}: address {addr:#x} not aligned to {self._line_mask + 1}-byte line")
@@ -335,10 +359,11 @@ class CacheUnit:
             raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
         self.time = now
         if now >= self.next_tick_time:
-            self._expire_due(now, expired)
+            self._expire_due(now, expired, True)
 
-        way = self._where.get(addr)
-        if way is not None:
+        where = self._where
+        way = where.get(addr, _NEVER)
+        if way >= 0:
             self._seq = seq = self._seq + 1
             self._lru[way] = seq
             if is_write:
@@ -355,14 +380,11 @@ class CacheUnit:
             self._gen[way] += 1
             return _HIT
 
-        # miss: classify from the last eviction cause, pick a victim, allocate
-        where = self._where
-        cause = self._cause
-        last = cause.get(addr)
-        if last is None:
+        # miss: classify from the code the lookup found, pick a victim, allocate
+        if way == _NEVER:
             miss_class = _COMPULSORY
             self.miss_compulsory += 1
-        elif last is _BY_REPLACEMENT:
+        elif way == _REPLACED:
             miss_class = _REPLACEMENT
             self.miss_replacement += 1
         else:
@@ -384,8 +406,7 @@ class CacheUnit:
             stamps = lru[base:end]
             way = base + stamps.index(min(stamps))
             victim = tags[way]
-            del where[victim]
-            cause[victim] = _BY_REPLACEMENT
+            where[victim] = _REPLACED
             self.evictions_replacement += 1
             writeback = dirty[way]
             if writeback:
@@ -439,9 +460,8 @@ class CacheUnit:
 
     def eviction_cause(self, address: int) -> EvictionCause:
         """Last known state of a block-aligned address in this unit."""
-        if address in self._where:
-            return EvictionCause.RESIDENT
-        return self._cause.get(address, _NEVER_RESIDENT)
+        code = self._where.get(address, _NEVER)
+        return EvictionCause.RESIDENT if code >= 0 else _CAUSE_OF_CODE[code]
 
     def resident_addresses(self) -> set[int]:
         return {t for t in self._tags if t is not None}

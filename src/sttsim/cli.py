@@ -22,7 +22,7 @@ from . import characterize as chz
 from . import explore
 from .config import ExperimentConfig, load_experiment_config
 from .energy import load_tech_table, sample_tech_table
-from .errors import ConfigError, SttsimError
+from .errors import ConfigError, SttsimError, number_text
 from .hierarchy import simulate as run_simulation
 from .trace import (
     SyntheticTraceSpec,
@@ -332,25 +332,36 @@ def _cmd_asym(cfg, records, jobs):
     return [("asym.csv", header, rows)]
 
 
+def _number(conv):
+    """An argparse type: conv of a flag's text, under the rule of every number sttsim reads
+    (errors.number_text); argparse names conv in its usage error."""
+
+    def parse(text: str):
+        return conv(number_text(text))
+
+    parse.__name__ = conv.__name__
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     study_flags = argparse.ArgumentParser(add_help=False)
     study_flags.add_argument("--config", help="experiment config file")
     study_flags.add_argument("--tech-table", help="technology parameter table (overrides config)")
     study_flags.add_argument("--trace", help="trace file (overrides config input)")
     study_flags.add_argument("--out-dir", help="report output directory (overrides config)")
-    study_flags.add_argument("--jobs", type=int, default=1, help="parallel simulation workers")
-    study_flags.add_argument("--seed", type=int, help="synthetic trace seed override")
+    study_flags.add_argument("--jobs", type=_number(int), default=1, help="parallel simulation workers")
+    study_flags.add_argument("--seed", type=_number(int), help="synthetic trace seed override")
 
     parser = argparse.ArgumentParser(prog="sttsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen-trace", help="generate a synthetic trace")
-    gen.add_argument("--seed", type=int, default=1, help="trace seed")
-    gen.add_argument("--num-cores", type=int, default=1)
-    gen.add_argument("--accesses-per-core", type=int, default=1000)
-    gen.add_argument("--read-fraction", type=float, default=0.67)
-    gen.add_argument("--working-set-blocks", type=int, default=256)
-    gen.add_argument("--line-size", type=int, default=64)
+    gen.add_argument("--seed", type=_number(int), default=1, help="trace seed")
+    gen.add_argument("--num-cores", type=_number(int), default=1)
+    gen.add_argument("--accesses-per-core", type=_number(int), default=1000)
+    gen.add_argument("--read-fraction", type=_number(float), default=0.67)
+    gen.add_argument("--working-set-blocks", type=_number(int), default=256)
+    gen.add_argument("--line-size", type=_number(int), default=64)
     gen.add_argument("--gap", default="constant:10", help="constant:<cycles> or loguniform:<lo>:<hi>")
     gen.add_argument("--pattern", default="sequential", help="sequential, uniform, or zipf:<s>")
     gen.add_argument("--out", required=True, help="output trace path")

@@ -52,7 +52,7 @@ import os
 from dataclasses import dataclass
 
 from .cache import CacheUnitConfig, Technology
-from .errors import ConfigError
+from .errors import ConfigError, number_text
 from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
 from .trace import SyntheticTraceSpec, parse_gap_spec, parse_pattern_spec
@@ -79,9 +79,8 @@ def _get(section, key, conv, default):
         return default
     raw = section[key]
     try:
-        # int() and float() also take "1_0" and other scripts' digits
-        if conv in (int, float, _floats) and (not raw.isascii() or "_" in raw):
-            raise ValueError(raw)
+        if conv in (int, float, _floats):
+            number_text(raw)
         if conv is bool:
             lowered = raw.strip().lower()
             if lowered in ("1", "true", "yes", "on"):

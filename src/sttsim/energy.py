@@ -25,7 +25,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .cache import Technology
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, number_text
 
 SAMPLE_TABLE_RESOURCE = "tech_table_sample.txt"
 
@@ -117,10 +117,10 @@ def _parse_row(fields: list[str], where: str) -> TechParams:
         raise ConfigError(f"{where}: STTRAM row requires a retention time")
     if tech is Technology.SRAM and fields[1] != "-":  # its key would drop the retention
         raise ConfigError(f"{where}: SRAM row takes retention '-', got {fields[1]!r}")
-    # float() and int() take "1_0", other scripts' digits and a "+" sign; a cycle count is ASCII digits, and a
-    # "-" before it fails the range check with the field's name
-    text = "".join(fields[1:])
-    if not text.isascii() or "_" in text or not all(f.removeprefix("-").isdigit() for f in fields[5:]):
+    # int() also takes a "+" sign; a cycle count is ASCII digits, and a "-" before it fails the range check
+    # with the field's name
+    text = number_text("".join(fields[1:]))
+    if not all(f.removeprefix("-").isdigit() for f in fields[5:]):
         raise ValueError(text)
     retention = None if tech is Technology.SRAM else float(fields[1])
     values = [float(f) for f in fields[2:5]] + [int(f) for f in fields[5:]]

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the field type check of its configs."""
+"""Exception types shared across the package, the field type check of its configs, and
+the one rule for the text of a number in any of its inputs."""
 
 import numbers
 
@@ -17,6 +18,14 @@ class TraceValidationError(SttsimError):
 
 class ConfigError(SttsimError):
     """A configuration value is invalid or inconsistent."""
+
+
+def number_text(text: str) -> str:
+    """`text` if it is ASCII without `_`, else ValueError: the rule for a number in every
+    sttsim input, as int() and float() also take "1_0" and other scripts' digits."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not an ASCII number without '_': {text!r}")
+    return text
 
 
 _KIND_NAMES = {int: "an int", numbers.Real: "a real number", bool: "a bool"}

@@ -21,10 +21,11 @@ the line mask and the record's cycles by the level that serves it, sliced
 from _cycle_costs.  The loop zips the trace's columns (see trace.Trace),
 and each record takes all four from one lookup.  Memory
 reads and writes are read from the unit counters when the report is built
-(see _report).  Every unit applies its due expirations inside access().
-The L1 access of a two-level run also collects the blocks it expires, and
-each dirty one is written to the L2 at its deadline before the record's own
-L2 traffic; only such a collector sees the order of expiries within a tick.
+(see _report).  Every unit applies its due expirations inside access(),
+where they are only counted.  The L1 access of a two-level run is also
+given a list, into which it puts only the dirty blocks it expires, in
+(tick, generation, way) order; each is written to the L2 at its deadline
+before the record's own L2 traffic, with no filtering in the loop.
 Records are checked once per trace, when a study admits it (see
 trace.check_records), not in the record loop.
 """
@@ -203,7 +204,7 @@ def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, deriv
     # shared-L2 accesses are serialized at a monotone time, the latest seen
     l2_last = 0
     l2_access = l2.access if l2 is not None else None
-    # an L1 access's expiries, collected only where an L2 takes the dirty ones
+    # the dirty blocks an L1 access expires, collected only where an L2 takes them
     expired = [] if l2 is not None else None
 
     for pos, core, ts, kind, addr in zip(count(), records.cores, records.stamps, records.kinds, records.addresses):
@@ -214,11 +215,10 @@ def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, deriv
         out = access(addr, is_write, start, expired)
         if expired:
             # each dirty block the L1 expired is written to the L2 at its deadline
-            for victim, dirty, expire_time in expired:
-                if dirty:
-                    if expire_time > l2_last:
-                        l2_last = expire_time
-                    l2_access(victim, True, l2_last)
+            for victim, _, expire_time in expired:
+                if expire_time > l2_last:
+                    l2_last = expire_time
+                l2_access(victim, True, l2_last)
             expired.clear()
         if out[0]:
             avail[core] = start + cost[0]

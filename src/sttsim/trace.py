@@ -45,7 +45,7 @@ from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import eq, itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import ConfigError, SttsimError, TraceParseError, TraceValidationError, check_field_types
+from .errors import ConfigError, SttsimError, TraceParseError, TraceValidationError, check_field_types, number_text
 
 
 class AccessKind(enum.IntEnum):
@@ -416,8 +416,8 @@ MAX_ZIPF_BLOCKS = 2**22
 
 def parse_gap_spec(text: str) -> GapSpec:
     """Parse 'constant:<cycles>' or 'loguniform:<lo>:<hi>', in ASCII without `_`."""
-    parts = text.lower().split(":") if text.isascii() and "_" not in text else [text]
     try:
+        parts = number_text(text).lower().split(":")
         if parts[0] == "constant" and len(parts) == 2:
             return ConstantGap(int(parts[1]))
         if parts[0] == "loguniform" and len(parts) == 3:
@@ -429,8 +429,8 @@ def parse_gap_spec(text: str) -> GapSpec:
 
 def parse_pattern_spec(text: str) -> PatternSpec:
     """Parse 'sequential', 'uniform', or 'zipf:<s>', in ASCII without `_`."""
-    parts = text.lower().split(":") if text.isascii() and "_" not in text else [text]
     try:
+        parts = number_text(text).lower().split(":")
         if parts[0] == "sequential" and len(parts) == 1:
             return SequentialLoop()
         if parts[0] == "uniform" and len(parts) == 1:

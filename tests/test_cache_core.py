@@ -312,12 +312,23 @@ class TestTickSchedule:
             returned += len(u.tick_expirations(t))
             u.access(addr, w, t)
         assert len(built) == returned == u.evictions_expiration - before > 0
+        # a collecting access() builds one block per dirty expiry and none for a clean one;
+        # a twin in the same state counts the dirty ones through tick_expirations
+        twin = stt_unit(sets=2, assoc=2, retention=1e-5)
+        for addr, w, t in stream[:350]:
+            twin.access(addr, w, t)
         before = u.evictions_expiration
         sink = []
+        built_by_access = dirty_expiries = 0
         for addr, w, t in stream[350:]:
+            dirty_expiries += sum(e.dirty for e in twin.tick_expirations(t))
+            twin.access(addr, w, t)
+            seen = len(built)
             u.access(addr, w, t, sink)
-        assert len(built) - returned == len(sink) == u.evictions_expiration - before > 0
-        assert all(type(e) is ExpiredBlock for e in sink)
+            built_by_access += len(built) - seen
+        assert built_by_access == len(sink) == dirty_expiries > 0
+        assert u.evictions_expiration - before > dirty_expiries  # clean ones expired too, unbuilt
+        assert all(type(e) is ExpiredBlock and e.dirty for e in sink)
 
     def test_idle_gap_drains_in_bounded_steps(self):
         # one-cycle ticks: 1.9e10 ticks pass; only the N slots after the last access can hold a deadline
@@ -357,13 +368,15 @@ class TestTickSchedule:
         # one drain over ticks 5-8, re-filing B and expiring it in the same call
         twin = self.four_due_at_tick_8()
         assert twin.tick_expirations(8 * p) == self.expected_tick_8(p)
-        # the same blocks in the same order through access()'s sink, after what it held
+        # access()'s list gets the dirty ones in that order, C, B, D (not filing order D, C, B,
+        # nor way order D, B, C), after what it held; the clean E is only counted
         for at in (7 * p, 8 * p - 1):
             twin = self.four_due_at_tick_8()
             sink = ["kept"]
             assert twin.access(0xE00, False, at, sink).hit  # a read leaves E's counter running
             assert twin.access(0xE00, False, 8 * p, sink).miss_class is MissClass.EXPIRATION
-            assert sink == ["kept", *self.expected_tick_8(p)]
+            assert sink == ["kept", *(e for e in self.expected_tick_8(p) if e.dirty)]
+            assert twin.evictions_expiration == 5
 
     def test_next_tick_time(self):
         u = stt_unit(retention=1 * MS, n=4)
@@ -514,17 +527,27 @@ class TestOraclePropertyEquivalence:
             seen = len(ref.expired_events)
             assert got == ref.access(addr, w, now)
             if mode != "access":
-                # same blocks per tick; the order within a tick is the unit's own
-                assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(
-                    ref.expired_events[seen:])
+                # same blocks per tick (sink: the dirty ones only); the order within a tick is the unit's own
+                want = [e for e in ref.expired_events[seen:] if e[1] or mode == "tick_first"]
+                assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(want)
                 times = [e.expire_time for e in expired]
                 assert times == sorted(times)
             if mode == "sink":
-                # and the order tick_expirations gives
-                assert expired == twin.tick_expirations(now)
+                # and the order tick_expirations gives them among the clean ones
+                assert expired == [e for e in twin.tick_expirations(now) if e.dirty]
                 assert twin.access(addr, w, now) == out
         assert unit.resident_addresses() == {a for s in ref.sets for a in s}
-        assert unit._where == {t: way for way, t in enumerate(unit._tags) if t is not None}
+        # the address map: every address seen, its way while resident, else how it left
+        where = unit._where
+        assert {a: way for a, way in where.items() if way >= 0} == {
+            t: way for way, t in enumerate(unit._tags) if t is not None}
+        assert set(where) == set(ref.ledger)
+        assert {way for way in where.values() if way < 0} <= {cache_mod._REPLACED, cache_mod._EXPIRED}
+        cause_of = {"resident": EvictionCause.RESIDENT, "repl": EvictionCause.EVICTED_BY_REPLACEMENT,
+                    "exp": EvictionCause.EVICTED_BY_EXPIRATION}
+        for a, state in ref.ledger.items():
+            assert unit.eviction_cause(a) is cause_of[state]
+        assert unit.eviction_cause(num_blocks * 64) is EvictionCause.NEVER_RESIDENT
         assert unit.writebacks == ref.writebacks
         assert unit.evictions_expiration == ref.evictions_expiration
         assert unit.evictions_replacement == ref.evictions_replacement

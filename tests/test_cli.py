@@ -83,8 +83,8 @@ def read_csv(path):
 
 class TestGenTrace:
     def test_deterministic_bytes(self, tmp_path):
-        args = ["gen-trace", "--seed", 1, "--num-cores", 2, "--accesses-per-core", 500,
-                "--working-set-blocks", 32, "--pattern", "zipf:1.2", "--gap", "loguniform:10:1000"]
+        args = ["gen-trace", "--seed", 1, "--num-cores", 2, "--accesses-per-core", 500, "--read-fraction", 0.5,
+                "--working-set-blocks", 32, "--line-size", 32, "--pattern", "zipf:1.2", "--gap", "loguniform:10:1000"]
         a, b = tmp_path / "a.trace", tmp_path / "b.trace"
         assert run(args + ["--out", a]) == 0
         assert run(args + ["--out", b]) == 0
@@ -131,6 +131,31 @@ class TestGenTrace:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
         assert os.listdir(tmp_path) == []
+
+
+# every numeric flag, with the subcommand that takes it: (arguments before the flag, the flag, its type)
+NUMBER_FLAGS = [
+    (["gen-trace"], "--seed", "int"),
+    (["gen-trace"], "--num-cores", "int"),
+    (["gen-trace"], "--accesses-per-core", "int"),
+    (["gen-trace"], "--read-fraction", "float"),
+    (["gen-trace"], "--working-set-blocks", "int"),
+    (["gen-trace"], "--line-size", "int"),
+    (["sweep", "--config", CONFIGS / "quadcore_two_level.cfg"], "--jobs", "int"),
+    (["simulate", "--config", CONFIGS / "asym_quadcore.cfg"], "--seed", "int"),
+]
+
+
+@pytest.mark.parametrize("before, flag, kind", NUMBER_FLAGS, ids=[f"{b[0]} {f}" for b, f, _ in NUMBER_FLAGS])
+@pytest.mark.parametrize("value", ["1_0", "٢", "1٠"], ids=["underscore", "arabic-indic", "mixed"])
+def test_number_flag_takes_the_config_number_rule(tmp_path, capsys, before, flag, kind, value):
+    # int() and float() take each value (1_0 as 10, the Arabic-Indic two as 2); no sttsim input does
+    out = ["--out", tmp_path / "t.trace"] if before == ["gen-trace"] else ["--out-dir", tmp_path / "out"]
+    with pytest.raises(SystemExit) as exc:
+        run([*before, flag, value, *out])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 class TestSimulate:
