@@ -39,7 +39,7 @@ from .energy import (
     sample_tech_table,
     unit_energy,
 )
-from .errors import ConfigError, SttsimError, TraceParseError, TraceValidationError
+from .errors import ConfigError, SttsimError, TraceParseError, TraceRecordsError, TraceValidationError
 from .explore import (
     AssignmentResult,
     Objective,
@@ -98,6 +98,7 @@ __all__ = [
     "Technology",
     "Trace",
     "TraceParseError",
+    "TraceRecordsError",
     "TraceValidationError",
     "UniformRandom",
     "UnitStats",

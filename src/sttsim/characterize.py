@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 from operator import not_
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
-from .errors import ConfigError
+from .errors import ConfigError, TraceRecordsError
 from .explore import _check_retentions
 from .trace import AccessKind, Trace, check_records, time_ordered
 
@@ -54,7 +54,7 @@ class RwRatioReport:
 
 def read_write_ratio(trace) -> RwRatioReport:
     if not trace:
-        raise ConfigError("read_write_ratio requires a non-empty trace")
+        raise TraceRecordsError("read_write_ratio requires a non-empty trace")
     trace = check_records(trace)
     counts = Counter(zip(trace.cores, trace.kinds))  # (core, kind) -> records
     per_core = {}

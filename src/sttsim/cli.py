@@ -22,7 +22,7 @@ from . import characterize as chz
 from . import explore
 from .config import ExperimentConfig, load_experiment_config
 from .energy import load_tech_table, sample_tech_table
-from .errors import ConfigError, SttsimError, number_text
+from .errors import ConfigError, SttsimError, TraceRecordsError, number_text
 from .hierarchy import simulate as run_simulation
 from .trace import (
     SyntheticTraceSpec,
@@ -126,7 +126,10 @@ def _cmd_gen_trace(args) -> int:
 def _cmd_study(args) -> int:
     cfg = _load_config(args)
     records = _load_records(cfg)
-    tables = args.study(cfg, records, args.jobs)
+    try:
+        tables = args.study(cfg, records, args.jobs)
+    except TraceRecordsError as exc:  # name where the records came from
+        raise TraceRecordsError(f"{cfg.trace_path or args.config + ' [synthetic]'}: {exc}") from None
     # every table is built: only now write the reports
     for name, header, rows in tables:
         _write_csv(os.path.join(cfg.out_dir, name), header, rows)

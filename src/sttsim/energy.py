@@ -66,8 +66,9 @@ class EnergyBreakdown(NamedTuple):
 class TechTable:
     """Lookup of TechParams keyed by (technology, retention)."""
 
-    def __init__(self, entries: list[TechParams], origins: list[str] | None = None) -> None:
-        """origins, when given, names each entry's source (file:line) in errors."""
+    def __init__(self, entries: list[TechParams], origins: list[str] | None = None, source: str | None = None) -> None:
+        """origins, when given, names each entry's source (file:line) in errors, and source the table's file."""
+        self._source = f"{source}: " if source else ""
         self._by_key: dict[tuple[Technology, float | None], TechParams] = {}
         for i, p in enumerate(entries):
             key = (p.technology, p.retention_time if p.technology is Technology.STTRAM else None)
@@ -96,7 +97,7 @@ class TechTable:
             return self._by_key[key]
         except KeyError:
             raise ConfigError(
-                f"tech table has no entry for ({technology.value}, "
+                f"{self._source}tech table has no entry for ({technology.value}, "
                 f"{'-' if key[1] is None else format(key[1], 'g')})"
             ) from None
 
@@ -147,7 +148,7 @@ def _table_from_lines(lines, where: str) -> TechTable:
         except ValueError:
             raise ConfigError(f"{origin}: malformed numeric field") from None
         origins.append(origin)
-    return TechTable(entries, origins)
+    return TechTable(entries, origins, where)
 
 
 def load_tech_table(path: str) -> TechTable:

@@ -20,6 +20,13 @@ class ConfigError(SttsimError):
     """A configuration value is invalid or inconsistent."""
 
 
+class TraceRecordsError(ConfigError):
+    """A trace's records do not suit the analysis or config given them: an
+    empty trace, more threads than cores, a core id past num_cores.  Its
+    message does not name where the records came from; the command line adds
+    the trace file, or the config of a [synthetic] trace."""
+
+
 def number_text(text: str) -> str:
     """`text` if it is ASCII without `_`, else ValueError: the rule for a number in every
     sttsim input, as int() and float() also take "1_0" and other scripts' digits."""

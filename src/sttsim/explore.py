@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
-from .errors import ConfigError
+from .errors import ConfigError, TraceRecordsError
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
 from .trace import Trace, check_records, time_ordered
 
@@ -232,6 +232,8 @@ def specialize(
     """
     rets = _check_retentions(retentions)
     records = time_ordered(check_records(trace, template.num_cores))
+    if not records:
+        raise TraceRecordsError("specialize requires a non-empty trace")
     if sample_len < 1:
         raise ConfigError("sample_len must be >= 1")
     if sample_len > len(records):
@@ -296,7 +298,7 @@ def _rebase_core(records: Trace) -> Trace:
     """The records with every core id set to 0."""
     if not any(records.cores):
         return records
-    return Trace(array("q", [0]) * len(records), records.stamps, records.kinds, records.addresses)
+    return Trace(array("B", [0]) * len(records), records.stamps, records.kinds, records.addresses)
 
 
 def assign_asymmetric(
@@ -321,9 +323,9 @@ def assign_asymmetric(
     nthreads = len(thread_traces)
     ncores = len(core_rets)
     if nthreads == 0:
-        raise ConfigError("assign_asymmetric requires at least one thread trace")
+        raise TraceRecordsError("assign_asymmetric requires at least one thread trace")
     if nthreads > ncores:
-        raise ConfigError(f"thread count {nthreads} exceeds core count {ncores} (one thread per core)")
+        raise TraceRecordsError(f"thread count {nthreads} exceeds core count {ncores} (one thread per core)")
     if ncores > 8:
         raise ConfigError("exhaustive assignment supports at most 8 cores")
     if profile_len < 1:

@@ -13,14 +13,20 @@ keeps time in those cycles; only reports convert to seconds, at the
 configured clock frequency.
 
 A trace is a `Trace`, a read-only sequence of `AccessRecord`s held as four
-columns: cores, timestamps and addresses are `array('q')` columns and kinds
-an `array('b')`, so a record costs 25 bytes and no object.  A column falls
-back to a list of ints only when a value does not fit its array, such as a
-timestamp or an address past int64.  The replay loops iterate the columns.
+columns, each in the narrowest array that fits its values: cores start as
+an `array('B')`, timestamps and addresses as `array('I')` and kinds as an
+`array('b')`.  A trace whose core ids are below 256 and whose timestamps
+and addresses are below 2**32 (2.26 s at 1.9 GHz), as every benchmark
+trace is, costs 10 bytes a record and no object.  The first value that
+does not fit copies its column once to an `array('q')`, which holds the
+column twice for the length of the copy, and past int64 to a list of ints;
+a trace with all three of those columns widened takes 25 bytes a record, as
+`array('q')` columns always did.  The replay loops iterate the columns.
 
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
-a chunk at a time and maps each column of them with one comprehension.
+a chunk at a time and maps each column of them with one comprehension;
+besides the trace, it holds the zipf tables and about one chunk per core.
 The reader's chunk parser, the only code that turns trace text into
 records, checks a chunk of lines against the grammar column by column;
 for a chunk it declines, an error reporter passes it the lines one at a
@@ -45,7 +51,15 @@ from itertools import accumulate, chain, compress, islice, repeat, starmap
 from operator import eq, itemgetter
 from typing import Iterator, NamedTuple
 
-from .errors import ConfigError, SttsimError, TraceParseError, TraceValidationError, check_field_types, number_text
+from .errors import (
+    ConfigError,
+    SttsimError,
+    TraceParseError,
+    TraceRecordsError,
+    TraceValidationError,
+    check_field_types,
+    number_text,
+)
 
 
 class AccessKind(enum.IntEnum):
@@ -70,8 +84,9 @@ _KIND_OF = {kind.value: kind for kind in AccessKind}
 _READ_CHUNK_CHARS = 1 << 14
 _CHUNK_RECORDS = 1 << 11
 
-# array typecodes of the columns cores, stamps, kinds and addresses
-_TYPECODES = ("q", "q", "b", "q")
+# array typecodes the columns cores, stamps, kinds and addresses start as: the narrowest that hold core
+# ids below 256 and timestamps and addresses below 2**32; _append widens a column that outgrows its type
+_TYPECODES = ("B", "I", "b", "I")
 
 
 class AccessRecord(NamedTuple):
@@ -84,14 +99,17 @@ class AccessRecord(NamedTuple):
 
 
 def _append(column, values):
-    """The column extended by a list or tuple of ints: an array column takes
+    """The column extended by a sequence of ints: an array column takes
     them packed by struct, which converts an int in about half the time
-    array.fromlist takes, and becomes a list when one does not fit it."""
+    array.fromlist takes.  When one does not fit its type, the column is
+    copied once to an array('q'), and past int64 to a list of ints."""
     if isinstance(column, array):
         try:
             column.frombytes(struct.pack(f"{len(values)}{column.typecode}", *values))
             return column
         except struct.error:  # a value out of range: nothing was packed
+            if column.typecode != "q":
+                return _append(array("q", column), values)
             column = column.tolist()
     column.extend(values)
     return column
@@ -105,9 +123,10 @@ def _like(column, values):
 class Trace(Sequence):
     """A read-only sequence of AccessRecords, held as four columns.
 
-    `cores`, `stamps`, `kinds` and `addresses` are columns of equal length
-    (see the module docstring).  Indexing and iteration build each
-    AccessRecord on demand, with int fields and an AccessKind kind; a slice
+    `cores`, `stamps`, `kinds` and `addresses` are columns of equal length,
+    each an array of the narrowest type that fits its values or, past int64,
+    a list of ints (see the module docstring).  Indexing and iteration build
+    each AccessRecord on demand, with int fields and an AccessKind kind; a slice
     is a Trace, and a Trace equals a Trace or a list of the same records.
     read_trace, generate_trace and check_records build them; the
     constructor takes the columns as they are, without a copy or a check,
@@ -306,11 +325,11 @@ def check_records(records, ncores: int | None = None) -> Trace:
 
     This is the one check of a trace's records; each study admits each input
     trace once, before it slices, rebases or orders it.  A Trace is returned
-    as is; other records are converted to one once.  ConfigError names the
-    first record without 4 fields or with a field that is not an int
-    (replays count in cycles), or with a core id below 0 (or not below
-    ncores, when given) or a kind that is not an AccessKind.  Each of
-    those checks is one C-level pass over the records or a column.
+    as is; other records are converted to one once.  TraceRecordsError (a
+    ConfigError) names the first record without 4 fields or with a field
+    that is not an int (replays count in cycles), or with a core id below 0
+    (or not below ncores, when given) or a kind that is not an AccessKind.
+    Each of those checks is one C-level pass over the records or a column.
     """
     if isinstance(records, Trace):
         trace = records
@@ -325,21 +344,21 @@ def check_records(records, ncores: int | None = None) -> Trace:
     if bad:
         core = next(c for c in trace.cores if c in bad)
         rule = "core ids must be >= 0" if ncores is None else f"num_cores is {ncores}"
-        raise ConfigError(f"trace references core {core} but {rule}")
+        raise TraceRecordsError(f"trace references core {core} but {rule}")
     bad = set(trace.kinds).difference(AccessKind)
     if bad:
         kind = next(k for k in trace.kinds if k in bad)
-        raise ConfigError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+        raise TraceRecordsError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
     return trace
 
 
 def _check_fields(records) -> None:
     if set(map(len, records)) - {4}:  # a column would drop a fifth field
         bad = next(r for r in records if len(r) != 4)
-        raise ConfigError(f"trace record {bad!r} does not have 4 fields")
+        raise TraceRecordsError(f"trace record {bad!r} does not have 4 fields")
     if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
         bad = next(r for r in records if not all(isinstance(x, int) for x in r))
-        raise ConfigError(f"trace record {bad!r} has a field that is not an int")
+        raise TraceRecordsError(f"trace record {bad!r} has a field that is not an int")
 
 
 def time_ordered(trace: Trace) -> Trace:
@@ -507,16 +526,14 @@ def generate_trace(spec: SyntheticTraceSpec) -> Trace:
     starting at 0.
     """
     line = spec.line_size_bytes
-    cdf = block_addresses = stamps = None
+    cdf = block_addresses = None
     if isinstance(spec.pattern, Zipf):
         cdf = _zipf_cdf(spec.working_set_blocks, spec.pattern.s)
         block_addresses = list(range(0, spec.working_set_blocks * line, line))  # after the CDF's weights are freed
-    if isinstance(spec.gap, ConstantGap):
-        stamps = list(range(0, spec.accesses_per_core * spec.gap.cycles, spec.gap.cycles))
-    return _merge_cores([_core_batches(spec, core, cdf, block_addresses, stamps) for core in range(spec.num_cores)])
+    return _merge_cores([_core_batches(spec, core, cdf, block_addresses) for core in range(spec.num_cores)])
 
 
-def _merge_cores(batches: list[Iterator[tuple[list, list, list]]]) -> Trace:
+def _merge_cores(batches: list[Iterator[tuple[Sequence, list, list]]]) -> Trace:
     """Merge per-core chunks of time-ordered (stamps, kinds, addresses)
     columns into one Trace in (timestamp, core_id) order.
 
@@ -550,11 +567,12 @@ def _merge_window(window: list[list[list]]) -> list:
     addresses) chunk per core, each in timestamp order, merged in
     (timestamp, core_id) order.
 
-    When every core has the same timestamps, as under a constant gap, the
-    merge takes each timestamp's records core by core: each column is
-    interleaved by slice assignment.  Otherwise the chunks are concatenated
-    core by core and stably sorted by timestamp, which keeps equal
-    timestamps in core order; every column then takes the sorted positions.
+    When every core has the same timestamps, as under a constant gap (whose
+    stamps are ranges, so the comparison is O(1)), the merge takes each
+    timestamp's records core by core: each column is interleaved by slice
+    assignment.  Otherwise the chunks are concatenated core by core and
+    stably sorted by timestamp, which keeps equal timestamps in core order;
+    every column then takes the sorted positions.
     """
     ncores = len(window)
     first = window[0][0]
@@ -579,7 +597,6 @@ def _core_batches(
     core: int,
     cdf: list[float] | None,
     block_addresses: list[int] | None,
-    stamps: list[int] | None,
 ):
     """One core's records, a chunk of (stamps, kinds, addresses) columns at
     a time, in timestamp order.
@@ -591,14 +608,15 @@ def _core_batches(
     into the trace's one list of block_addresses; a uniform block the
     truncated product with the block count; a kind a comparison with
     read_fraction; and a gap math.exp and round of its exponent.  Under a
-    constant gap, a chunk's timestamps are a slice of the trace's one list
-    of them (stamps), which every core shares.
+    constant gap, a chunk's timestamps are a range.  A suspended core holds
+    only the chunk it yielded: its uniforms and gaps are released first.
     """
     rand = random.Random(spec.seed * 1_000_003 + core).random
     nblocks = spec.working_set_blocks
     line = spec.line_size_bytes
     end = nblocks * line
     gap = spec.gap
+    period = gap.cycles if isinstance(gap, ConstantGap) else 0
     kind_col = 0 if isinstance(spec.pattern, SequentialLoop) else 1
     draws = kind_col + 1 + isinstance(gap, LogUniformGap)
     if isinstance(gap, LogUniformGap):
@@ -619,10 +637,12 @@ def _core_batches(
             addresses = [int(x * scale) * line for x in u[0::draws]]
             if end in addresses:  # x * nblocks can round up to nblocks
                 addresses = [min(a, end - line) for a in addresses]
-        if stamps is not None:
-            chunk_stamps = stamps[start:start + k]
+        if period:
+            chunk_stamps = range(start * period, (start + k) * period, period)
         else:
             gaps = [round(exp(log_lo + x * log_span)) or 1 for x in u[kind_col + 1::draws]]  # each gap >= 1
             chunk_stamps = list(accumulate(gaps, initial=t))
             t = chunk_stamps.pop()
-        yield chunk_stamps, [load if x < read_fraction else store for x in u[kind_col::draws]], addresses
+        kinds = [load if x < read_fraction else store for x in u[kind_col::draws]]
+        u = gaps = None
+        yield chunk_stamps, kinds, addresses

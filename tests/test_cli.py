@@ -1,13 +1,21 @@
+import contextlib
+import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sttsim
 from sttsim.cli import main
-from sttsim.trace import MAX_ZIPF_BLOCKS
+from sttsim.energy import SAMPLE_TABLE_RESOURCE, load_tech_table
+from sttsim.trace import MAX_ZIPF_BLOCKS, read_trace
+from test_trace import _TOKENS
 
 MS = 1e-3
 CONFIGS = pathlib.Path(__file__).parent.parent / "sample_configs"
@@ -179,8 +187,7 @@ class TestSimulate:
         table.write_text("SRAM - 1e-12 1e-12 1e-3 2 2\n")
         cfg = make_config(tmp_path, SINGLE_CORE)
         assert run(["simulate", "--config", cfg, "--tech-table", table]) == 2
-        err = capsys.readouterr().err
-        assert "STTRAM" in err and "0.001" in err
+        assert capsys.readouterr().err == f"error: {table}: tech table has no entry for (STTRAM, 0.001)\n"
 
     @pytest.mark.parametrize("command", ["simulate", "characterize", "sweep", "specialize", "asym"])
     def test_study_without_config_exits_2(self, tmp_path, capsys, command):
@@ -289,6 +296,26 @@ class TestStudyDriver:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (out.exists() and os.listdir(out))  # no CSV and no .tmp file
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "specialize"])
+    @pytest.mark.parametrize("source", ["--trace", "[input] trace", "[synthetic]"])
+    def test_records_error_names_the_trace_source(self, tmp_path, capsys, command, source):
+        # core 7 (4 for the synthetic trace) on a 4-core hierarchy: the error names the trace file, or the config
+        # of a synthetic trace
+        trace = tmp_path / "t.trace"
+        trace.write_text("7 0 LD 0x40\n")
+        body = ASYM.replace("accesses_per_core = 2000", "accesses_per_core = 20")
+        if source == "[synthetic]":
+            cfg = make_config(tmp_path, body.replace("[synthetic]", "[synthetic]\nnum_cores = 5"))
+            where, core = f"{cfg} [synthetic]", 4
+        else:
+            synthetic = body[body.index("[synthetic]"):body.index("[experiment]")]
+            cfg = make_config(tmp_path, body.replace(synthetic, "[input]\ntrace = t.trace\n\n"))
+            where, core = str(trace), 7
+        flags = ["--trace", trace] if source == "--trace" else []
+        assert run([command, "--config", cfg, "--out-dir", tmp_path / "out", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {where}: trace references core {core} but num_cores is 4\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestSweep:
@@ -453,3 +480,108 @@ def test_import_and_cli_load_no_numpy(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"  # the numpy modules loaded
     for csv in ("sweep/sweep.csv", "characterize/lifetimes.csv", "zipf/persistence.csv"):
         assert os.path.getsize(tmp_path / csv) > 0
+
+
+# -- fuzz: every subcommand ends in a report, a named input error or a usage error --------------------------
+
+_NUMBER_SOUP = st.sampled_from(["0", "1", "2", "3", "-1", "-0", "+2", "1_0", "1.5", "0.5", "1e3", "64", "inf", "nan",
+                                "", " 1", "x", "0x10", "١", "٢"])
+_JOBS_SOUP = st.sampled_from(["1", "2", "0", "-1", "+2", "1_0", "1.5", "", "x", "٢"])  # no pool of more than 2
+_SAMPLE_ROWS = [line for line in resources.files("sttsim.data").joinpath(SAMPLE_TABLE_RESOURCE).read_text().splitlines()
+                if line and line[0] != "#"]
+_TRACE_LINES = st.lists(
+    st.tuples(st.integers(0, 4), st.integers(0, 3000), st.sampled_from(["IF", "LD", "ST"]), st.integers(0, 4095)),
+    max_size=40,
+).map(lambda rows: [f"{c} {t} {k} {hex(64 * b)}" for c, t, k, b in sorted(rows, key=lambda r: r[1])])
+_SOUP_LINES = st.lists(st.one_of(st.lists(_TOKENS, max_size=6).map(" ".join), _TRACE_LINES.map("\n".join)),
+                       max_size=8)
+_TRACE_FILE = st.one_of(st.binary(max_size=200), _TRACE_LINES, _SOUP_LINES).map(
+    lambda x: x if isinstance(x, bytes) else "\n".join(x).encode())
+_TABLE_FILE = st.one_of(
+    st.none(),  # the bundled table
+    st.binary(max_size=200),
+    st.lists(st.one_of(st.sampled_from(_SAMPLE_ROWS), st.lists(_TOKENS, max_size=8).map(" ".join)), max_size=10)
+    .map(lambda lines: "\n".join(lines).encode()),
+    st.just("\n".join(_SAMPLE_ROWS).encode()),
+)
+_USAGE_ERROR = re.compile(r"sttsim [a-z-]+: error: argument --[a-z-]+: ")
+
+
+def _run_captured(argv):
+    """(exit status, stderr lines, whether argparse refused a flag) of main(argv)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            return main([str(a) for a in argv]), err.getvalue().splitlines(), False
+        except SystemExit as exc:
+            return exc.code, err.getvalue().splitlines(), True
+
+
+def _check_failure(status, lines, usage, out):
+    assert status == 2
+    assert not (out.exists() and os.listdir(out))  # no report and no .tmp file
+    if usage:
+        assert _USAGE_ERROR.match(lines[-1]), lines
+        return None
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0][len("error: "):]
+
+
+@pytest.mark.parametrize("command", ["simulate", "characterize", "sweep", "specialize", "asym"])
+@settings(max_examples=60, deadline=None)
+@given(trace=_TRACE_FILE, table=_TABLE_FILE, jobs=_JOBS_SOUP, seed=st.one_of(st.none(), _NUMBER_SOUP))
+def test_study_ends_in_a_report_or_a_named_error(tmp_path_factory, command, trace, table, jobs, seed):
+    # a failure names the bad file: a trace or table that does not parse by that reader's own error, with its line
+    # when a line is at fault; a trace whose records do not suit the study by the trace file
+    here = tmp_path_factory.mktemp(command)
+    config = CONFIGS / ("asym_quadcore.cfg" if command == "asym" else "quadcore_two_level.cfg")
+    trace_path = here / "t.trace"
+    trace_path.write_bytes(trace)
+    argv = [command, "--config", config, "--trace", trace_path, "--out-dir", here / "out", "--jobs", jobs]
+    readers = [(read_trace, trace_path)]
+    table_path = None
+    if table is not None:
+        table_path = here / "table.txt"
+        table_path.write_bytes(table)
+        argv += ["--tech-table", table_path]
+        if command != "characterize":  # the one study that reads no table
+            readers.append((load_tech_table, table_path))
+    if seed is not None:
+        argv += ["--seed", seed]
+    status, lines, usage = _run_captured(argv)
+    if status == 0:
+        assert os.listdir(here / "out") and not lines
+        return
+    message = _check_failure(status, lines, usage, here / "out")
+    if message is None:
+        return
+    paths = "|".join(re.escape(str(path)) for path in (trace_path, table_path) if path)
+    reader_errors = []
+    for reader, path in readers:
+        try:
+            reader(str(path))
+        except sttsim.SttsimError as exc:
+            reader_errors.append(str(exc))
+    if message.startswith("--seed "):
+        assert f"--trace {trace_path}" in message
+    elif reader_errors:  # the first reader to fail, by its own error: the file, and its line for a parse error
+        assert message == reader_errors[0]
+        assert re.match(rf"cannot read (trace|tech table) ({paths}): |({paths}):[0-9]+: ", message)
+    else:  # the study's, about the records or the table
+        assert re.match(rf"({paths}): ", message)
+
+
+_GEN_FLAGS = ["--seed", "--num-cores", "--accesses-per-core", "--read-fraction", "--working-set-blocks", "--line-size"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_GEN_FLAGS), _NUMBER_SOUP), max_size=4, unique_by=lambda f: f[0]))
+def test_gen_trace_ends_in_a_trace_or_a_named_error(tmp_path_factory, flags):
+    # at most 64 cores of at most 1000 records; a value outside a spec's range names its field
+    out = tmp_path_factory.mktemp("gen") / "out"
+    status, lines, usage = _run_captured(["gen-trace", *(a for flag in flags for a in flag), "--out", out / "t.trace"])
+    if status == 0:
+        assert len(read_trace(str(out / "t.trace"))) and not lines
+        return
+    message = _check_failure(status, lines, usage, out)
+    assert message is None or not message.startswith("cannot write")

@@ -613,3 +613,12 @@ class TestRecordChecks:
                 study()
         # the whole trace is admitted at entry, so a bad record past the profile prefix is named before any simulation
         assert sim_calls == []
+
+
+def test_rebased_thread_shares_its_columns_and_holds_one_byte_cores():
+    # assign_asymmetric moves each thread to core 0: a new cores column of one byte a record, the other columns shared
+    trace = trace_mod.check_records(random_trace(5, 300, num_cores=3))
+    thread = trace.select(bytes(map((2).__eq__, trace.cores)))
+    rebased = explore._rebase_core(thread)
+    assert rebased.cores.typecode == "B" and list(rebased.cores) == [0] * len(thread)
+    assert all(map(lambda a, b: a is b, rebased.columns[1:], thread.columns[1:]))

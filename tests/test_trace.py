@@ -401,7 +401,7 @@ def test_generated_values_are_built_once(num_cores, gap):
                               working_set_blocks=4096, gap=gap, pattern=Zipf(1.2))
     records = generate_trace(spec)
     assert [type(column) for column in records.columns] == [array] * 4
-    assert [column.typecode for column in records.columns] == ["q", "q", "b", "q"]
+    assert [column.typecode for column in records.columns] == ["B", "I", "b", "I"]
     assert _shape(records) == _shape(reference_generate_trace(spec))
 
 
@@ -574,8 +574,8 @@ def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
 
 
 def test_trace_memory_per_record(tmp_path):
-    # four columns hold a record in 25 bytes; a list of this trace's records held about 124 (generated) and
-    # 138 (read)
+    # narrowest-fit columns hold a record in 10 bytes; array('q') columns held 25, and a list of this trace's
+    # records about 124 (generated) and 138 (read)
     spec = SyntheticTraceSpec(seed=1, num_cores=4, accesses_per_core=30_000, read_fraction=0.67,
                               working_set_blocks=16384, gap=LogUniformGap(20, 20000), pattern=Zipf(1.0))
     path = str(tmp_path / "t.trace")
@@ -588,8 +588,69 @@ def test_trace_memory_per_record(tmp_path):
         finally:
             tracemalloc.stop()
         assert len(trace) == 120_000
-        assert held / len(trace) <= 40
+        assert held / len(trace) <= 12
         del trace
+
+
+@pytest.mark.parametrize("gap", [ConstantGap(20), LogUniformGap(20, 20000)], ids=["constant", "loguniform"])
+@pytest.mark.parametrize("accesses_per_core", [30_000, 120_000])
+def test_generation_scratch_is_a_chunk_per_core(gap, accesses_per_core):
+    # besides the trace it returns, generation holds at its peak the zipf tables and about one chunk per core:
+    # not a list of every timestamp (6.3 MB at 4 x 120,000 under a constant gap), nor a suspended core's
+    # uniforms and gaps
+    spec = SyntheticTraceSpec(seed=1, num_cores=4, accesses_per_core=accesses_per_core, read_fraction=0.9,
+                              working_set_blocks=4096, gap=gap, pattern=Zipf(1.2))
+    tracemalloc.start()
+    try:
+        trace = generate_trace(spec)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 4 * accesses_per_core
+    assert peak - held <= 2_000_000
+
+
+# records whose first lines fit the narrow column types, one chunk of lines each when read 256 characters at a time
+_NARROW = [AccessRecord(i % 4, i, AccessKind(i % 3), 64 * i) for i in range(200)]
+
+
+def _column_types(trace):
+    return [column.typecode if isinstance(column, array) else list for column in trace.columns]
+
+
+@pytest.mark.parametrize("past", [2**32, 2**64], ids=["past-uint32", "past-int64"])
+def test_columns_widen_once_past_their_type(tmp_path, past):
+    # a later chunk holds core 300 and a timestamp and an address of `past`: each of those columns is copied once
+    # to array('q'), and past int64 from there to a list, and every record keeps its values
+    wide = "q" if past < 2**63 else list
+    records = _NARROW + [AccessRecord(300, past, AccessKind.STORE, past), AccessRecord(2, past + 1, AccessKind.LOAD, 64)]
+    narrow_path, path = str(tmp_path / "narrow.trace"), str(tmp_path / "t.trace")
+    write_trace(_NARROW, narrow_path)
+    write_trace(records, path)
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", 256):
+        assert _column_types(read_trace(narrow_path)) == ["B", "I", "b", "I"]
+        read = read_trace(path)
+    for trace in (check_records(records), read):
+        assert _column_types(trace) == ["q", wide, "b", wide]
+        assert _shape(trace) == _shape(records)
+        # ordering a copy and selecting keep each column's type
+        assert _column_types(time_ordered(trace[::-1])) == _column_types(trace)
+        assert _column_types(trace.select([0] + [1] * (len(records) - 1))) == _column_types(trace)
+
+
+@pytest.mark.parametrize("step", [2**29, 2**61], ids=["past-uint32", "past-int64"])
+def test_generated_columns_widen_once_past_their_type(step):
+    # 301 cores, four records a core a chunk, the i-th record of a core at about i * step in time and address:
+    # its third chunk is the first past 2**32 under the first step, and its second the first past int64 under
+    # the other
+    wide = "q" if step < 2**32 else list
+    spec = SyntheticTraceSpec(seed=2, num_cores=301, accesses_per_core=12, working_set_blocks=16, line_size_bytes=step,
+                              gap=ConstantGap(step + 1))
+    with mock.patch.object(trace_mod, "_CHUNK_RECORDS", 4):
+        trace = generate_trace(spec)
+    assert _column_types(trace) == ["q", wide, "b", wide]
+    assert max(trace.stamps) >= 2**32 and max(trace.addresses) >= 2**32
+    assert _shape(trace) == _shape(reference_generate_trace(spec))
 
 
 _INT64 = 2**63
