@@ -40,6 +40,13 @@ class Technology(enum.Enum):
     STTRAM = "STTRAM"
 
 
+def _parse_technology(text: str) -> Technology:
+    """The Technology text names, SRAM or STTRAM in any ASCII case; ConfigError names the text as written."""
+    if not text.isascii() or text.upper() not in Technology.__members__:  # "\u017fram".upper() is "SRAM"
+        raise ConfigError(f"unknown technology {text!r}; expected SRAM or STTRAM")
+    return Technology[text.upper()]
+
+
 class MissClass(enum.IntEnum):
     COMPULSORY = 0
     REPLACEMENT = 1
@@ -81,6 +88,9 @@ _FREE_WAY_MISS = tuple(AccessOutcome(False, c, False, None) for c in MissClass)
 
 # a unit builds one wheel slot per counter state, and a drain walks up to that many
 MAX_COUNTER_STATES = 256
+# a unit builds five lists of one entry per way, 40 bytes a way: 160 MiB at this bound, which a unit of
+# 256 MiB in 64-byte lines reaches, and which also bounds the ways of all a hierarchy's units together
+MAX_WAYS = 2**22
 
 # a unit's address map holds a resident address's way (>= 0), else how it left
 _NEVER = -1  # never resident: what the map's get() defaults to, never stored
@@ -101,7 +111,8 @@ class CacheUnitConfig:
     num_sets a power of two.  retention_time (seconds) is required for
     STTRAM and ignored for SRAM.  counter_states is the number of FSM
     states N of the per-block retention counter, 2 to MAX_COUNTER_STATES
-    (an 8-bit counter).  Replacement is LRU.  Sizes and counter_states must
+    (an 8-bit counter).  The unit's ways, size_bytes / line_size_bytes, are
+    at most MAX_WAYS.  Replacement is LRU.  Sizes and counter_states must
     be ints, retention_time a real number or None, and refresh_on_read a
     bool.
     """
@@ -126,6 +137,9 @@ class CacheUnitConfig:
             raise ConfigError("associativity must be >= 1")
         if self.size_bytes % (self.associativity * self.line_size_bytes):
             raise ConfigError("size_bytes must be a multiple of associativity * line_size_bytes")
+        if self.num_blocks > MAX_WAYS:
+            raise ConfigError(f"a unit holds at most MAX_WAYS = {MAX_WAYS} ways (size_bytes / line_size_bytes), "
+                              f"got {self.num_blocks}")
         sets = self.num_sets
         if sets < 1 or sets & (sets - 1):
             raise ConfigError(f"num_sets must be a power of two, got {sets}")

@@ -1,18 +1,19 @@
 """Workload characterization over traces and single-unit simulations.
 
 Covers read-write activity, cache block lifetimes, block persistence, and
-expiration-miss curves across retention times.  Every analysis replays the
-selected stream through one unit with a single loop (`_replay`), all cores
-feeding that unit in (timestamp, core_id) order; a stream already in that
-order is not re-sorted.  Lifetimes, persistence and the expiration curve
-read one profile per stream (`_sram_profile`): the trace admitted (see
-trace.check_records), its stream selected and ordered once, and the stream's
-unbounded-retention (SRAM) replay.  None of these copies a Trace that needs
-no change: a Trace is admitted as is, an all-data trace is its own data
-stream, and a trace in time order is not re-sorted.  The profile is kept
-for the last (trace, stream) profiled.  The curve replays its stream once
-per retention, except where no block can expire before the stream's last
-record; that point is the profile's own (see hierarchy._cannot_expire).
+expiration-miss curves across retention times.  Every analysis admits its
+trace (see trace.check_records), which refuses an empty trace and puts it
+in (timestamp, core_id) order, and replays the selected stream through one
+unit with a single loop (`_replay`), all cores feeding that unit in that
+order.  Lifetimes, persistence and the expiration curve read one profile
+per stream (`_sram_profile`): the admitted trace, its stream selected once,
+and the stream's unbounded-retention (SRAM) replay.  None of these copies a
+Trace that needs no change: a Trace in time order is admitted as is, and an
+all-data trace is its own data stream.  The profile is kept for the last
+stream of a Trace profiled; a list is profiled on every call.  The curve
+replays its stream once per retention, except where no block can expire
+before the stream's last record; that point is the profile's own (see
+hierarchy._cannot_expire).
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ from dataclasses import dataclass, replace
 from operator import not_
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
-from .errors import ConfigError, TraceRecordsError
-from .explore import _check_retentions
-from .trace import AccessKind, Trace, check_records, time_ordered
+from .errors import ConfigError
+from .explore import _check_retentions, _ratio
+from .trace import AccessKind, Trace, check_records
 
 # log-decade lifetime buckets spanning 1us..1s, plus underflow/overflow
 LIFETIME_BUCKET_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -53,8 +54,6 @@ class RwRatioReport:
 
 
 def read_write_ratio(trace) -> RwRatioReport:
-    if not trace:
-        raise TraceRecordsError("read_write_ratio requires a non-empty trace")
     trace = check_records(trace)
     counts = Counter(zip(trace.cores, trace.kinds))  # (core, kind) -> records
     per_core = {}
@@ -74,7 +73,7 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
 
 
 def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
-    """Replay ordered records (see _sram_profile) through one fresh unit and return it.
+    """Replay records in time order (see trace.check_records) through one fresh unit and return it.
 
     All cores feed the single unit, clocked at clock_hz.  When given,
     observe(aligned_addr, outcome, timestamp) is called after every access.
@@ -108,28 +107,25 @@ class _SramProfile:
     misses: int
 
 
-# (stream, unbounded cfg, clock_hz, admitted trace, profile) of the last stream profiled
+# (stream, unbounded cfg, clock_hz, the caller's Trace, profile) of the last stream of a Trace profiled
 _memo: tuple | None = None
 
 
 def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> _SramProfile:
     """Profile one stream of trace ("data", "instr" or "all") on cfg's unbounded-retention unit.
 
-    The profile of the last stream is kept with the admitted trace: a Trace
-    itself, which never changes, or the Trace a list was converted to.  A
-    call with the same stream, an equal unbounded config and clock, and the
-    same or an equal trace (so a list changed in place since is profiled
-    anew) returns it without selecting, checking or replaying the stream.
-    The fill-time and last-hit tables drop a block as it is evicted, so
-    they hold no more blocks than the unit does.
+    The profile of the last stream of a Trace is kept with that Trace,
+    which never changes, whether or not it was in time order.  A call with
+    the same stream, an equal unbounded config and clock, and the same
+    Trace returns it without admitting, selecting or replaying the stream.
+    Other records, a list say, may change in place, so they are profiled on
+    every call.  The fill-time and last-hit tables drop a block as it is
+    evicted, so they hold no more blocks than the unit does.
     """
     global _memo
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
-    if (
-        memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz
-        and (memo[3] is trace or memo[3] == trace)
-    ):
+    if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] is trace:
         return memo[4]
     admitted = check_records(trace)
     if stream == "data":
@@ -140,7 +136,6 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
         records = admitted
     else:
         raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
-    records = time_ordered(records)
     fill_time: dict[int, int] = {}
     last_hit: dict[int, int] = {}
     fills: dict[int, int] = {}
@@ -166,7 +161,8 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
         fills_per_block=array("q", fills.values()),
         misses=unit.misses,
     )
-    _memo = (stream, cfg, clock_hz, admitted, profile)
+    if isinstance(trace, Trace):
+        _memo = (stream, cfg, clock_hz, trace, profile)
     return profile
 
 
@@ -279,7 +275,7 @@ class PersistenceReport:
     block filled exactly once (or never evicted) has a reload count of 0.
     """
 
-    fractions: dict[int, float]
+    fractions: dict[int, float | None]  # None when no block was filled
     reloaded_counts: dict[int, int]
     unique_blocks: int
     total_fills: int
@@ -308,7 +304,7 @@ def persistence(
     for thd in thresholds:
         n = sum(map(thd.__lt__, fills))  # reloads >= thd
         counts[thd] = n
-        fractions[thd] = n / unique if unique else 0.0
+        fractions[thd] = _ratio(n, unique)
     return PersistenceReport(
         fractions=fractions,
         reloaded_counts=counts,
@@ -322,7 +318,7 @@ class ExpirationCurvePoint:
     retention_s: float
     expiration_misses: int
     total_misses: int
-    miss_ratio_vs_unbounded: float
+    miss_ratio_vs_unbounded: float | None  # None when the unbounded replay has no miss
 
 
 def expiration_curve(
@@ -359,7 +355,7 @@ def expiration_curve(
                 retention_s=r,
                 expiration_misses=expirations,
                 total_misses=misses,
-                miss_ratio_vs_unbounded=misses / baseline_misses if baseline_misses else 0.0,
+                miss_ratio_vs_unbounded=_ratio(misses, baseline_misses),
             )
         )
     return points

@@ -299,7 +299,8 @@ def _cmd_specialize(cfg, records, jobs):
     for r in sorted(result.sample_values):
         rows.append(["candidate", r, result.sample_values[r], None, None])
     rows.append(["chosen", result.chosen_retention, result.sample_values[result.chosen_retention], result.full_value_chosen, result.savings_vs_base])
-    rows.append(["base", result.base_retention, None, result.full_value_base, 0.0])
+    base_savings = explore._ratio(0.0, result.full_value_base)  # the base against itself
+    rows.append(["base", result.base_retention, None, result.full_value_base, base_savings])
     return [("specialize.csv", header, rows)]
 
 

@@ -51,8 +51,8 @@ import configparser
 import os
 from dataclasses import dataclass
 
-from .cache import CacheUnitConfig, Technology
-from .errors import ConfigError, number_text
+from .cache import CacheUnitConfig, _parse_technology
+from .errors import ConfigError, number_text, open_input
 from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
 from .trace import SyntheticTraceSpec, parse_gap_spec, parse_pattern_spec
@@ -98,14 +98,11 @@ def _floats(raw: str) -> list[float]:
 
 
 def _unit_config(section, defaults: dict) -> CacheUnitConfig:
-    tech_text = _get(section, "technology", str, CacheUnitConfig.technology.name)
-    if tech_text.upper() not in ("SRAM", "STTRAM") or not tech_text.isascii():  # "\u017fram".upper() is "SRAM"
-        raise ConfigError(f"technology must be SRAM or STTRAM, got {tech_text.upper()!r}")
     return CacheUnitConfig(
         size_bytes=_get(section, "size_bytes", int, defaults["size_bytes"]),
         associativity=_get(section, "associativity", int, defaults["associativity"]),
         line_size_bytes=_get(section, "line_size_bytes", int, defaults["line_size_bytes"]),
-        technology=Technology[tech_text.upper()],
+        technology=_get(section, "technology", _parse_technology, CacheUnitConfig.technology),
         retention_time=_get(section, "retention_s", float, CacheUnitConfig.retention_time),
         counter_states=_get(section, "counter_states", int, CacheUnitConfig.counter_states),
         refresh_on_read=_get(section, "refresh_on_read", bool, CacheUnitConfig.refresh_on_read),
@@ -122,13 +119,8 @@ def load_experiment_config(path: str) -> ExperimentConfig:
     Values are taken as written: `%` is a plain character, not interpolation.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
-        raise ConfigError(f"cannot read config {path}: not UTF-8 ({exc.reason})") from None
-    except (configparser.Error, OSError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
+    with open_input("config", path, also=(configparser.Error,)) as fh:
+        parser.read_file(fh)
     try:
         return _config_from(parser, os.path.dirname(os.path.abspath(path)))
     except ConfigError as exc:

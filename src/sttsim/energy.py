@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
-from .cache import Technology
-from .errors import ConfigError, check_field_types, number_text
+from .cache import Technology, _parse_technology
+from .errors import ConfigError, check_field_types, number_text, open_input
 
 SAMPLE_TABLE_RESOURCE = "tech_table_sample.txt"
 
@@ -110,10 +110,10 @@ class TechTable:
 
 def _parse_row(fields: list[str], where: str) -> TechParams:
     """The TechParams of a row's 7 fields; raises ValueError on a malformed numeric field."""
-    tech_text = fields[0].upper()
-    if tech_text not in ("SRAM", "STTRAM") or not fields[0].isascii():  # "\u017fram".upper() is "SRAM"
-        raise ConfigError(f"{where}: unknown technology {fields[0]!r}")
-    tech = Technology[tech_text]
+    try:
+        tech = _parse_technology(fields[0])
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     if tech is Technology.STTRAM and fields[1] == "-":
         raise ConfigError(f"{where}: STTRAM row requires a retention time")
     if tech is Technology.SRAM and fields[1] != "-":  # its key would drop the retention
@@ -156,13 +156,8 @@ def load_tech_table(path: str) -> TechTable:
 
     A file that cannot be opened, read or decoded as UTF-8 raises ConfigError.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return _table_from_lines(fh, path)
-    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
-        raise ConfigError(f"cannot read tech table {path}: not UTF-8 ({exc.reason})") from None
-    except OSError as exc:
-        raise ConfigError(f"cannot read tech table {path}: {exc}") from None
+    with open_input("tech table", path) as fh:
+        return _table_from_lines(fh, path)
 
 
 def sample_tech_table() -> TechTable:

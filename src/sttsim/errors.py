@@ -1,7 +1,9 @@
-"""Exception types shared across the package, the field type check of its configs, and
-the one rule for the text of a number in any of its inputs."""
+"""Exception types shared across the package, the field type check of its configs, the
+one rule for the text of a number in any of its inputs, and the one way an input file is
+opened."""
 
 import numbers
+from contextlib import contextmanager
 
 
 class SttsimError(Exception):
@@ -33,6 +35,20 @@ def number_text(text: str) -> str:
     if not text.isascii() or "_" in text:
         raise ValueError(f"not an ASCII number without '_': {text!r}")
     return text
+
+
+@contextmanager
+def open_input(what: str, path: str, error: type = ConfigError, also: tuple = ()):
+    """Open the input file `path` as UTF-8 text for the block: a failure to open, read or
+    decode it there, or one of the exception types `also`, raises `error`, "cannot read
+    <what> <path>: ...".  Another error raised in the block passes unchanged."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
+        raise error(f"cannot read {what} {path}: not UTF-8 ({exc.reason})") from None
+    except (OSError, *also) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from None
 
 
 _KIND_NAMES = {int: "an int", numbers.Real: "a real number", bool: "a bool"}

@@ -27,7 +27,7 @@ from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError, TraceRecordsError
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
-from .trace import Trace, check_records, time_ordered
+from .trace import Trace, check_records
 
 
 class Objective(enum.Enum):
@@ -77,8 +77,8 @@ def _run_sims(
 ) -> tuple[list[SimReport], tuple]:
     """Simulate each distinct (trace index, config) task once.
 
-    The caller has admitted each trace for its tasks' num_cores (see
-    trace.check_records) and put it in time order (see trace.time_ordered).
+    The caller has admitted each trace for its tasks' num_cores, which puts
+    it in time order (see trace.check_records), or sliced an admitted trace.
     Returns the report of every task, in task order, and the report of each
     config in `derive`, built from the run of tasks[0] (see
     hierarchy._derived_report).  The derivations run in the process of that
@@ -112,8 +112,8 @@ class SweepEntry:
     technology: str
     retention_s: float | None
     report: SimReport
-    normalized_energy: float
-    normalized_time: float
+    normalized_energy: float | None  # None where the SRAM baseline is 0
+    normalized_time: float | None
 
 
 @dataclass
@@ -150,6 +150,11 @@ def _check_retentions(retentions) -> list[float]:
     return rets
 
 
+def _ratio(value: float, baseline: float) -> float | None:
+    """value / baseline, or None when the baseline is 0: a ratio without a baseline is not a number."""
+    return value / baseline if baseline else None
+
+
 def sweep(
     trace,
     template: HierarchyConfig,
@@ -161,37 +166,29 @@ def sweep(
     """Simulate an SRAM baseline plus each retention applied at all levels.
 
     Normalized columns are ratios to the SRAM run of identical geometry
-    and trace (the SRAM row normalizes to exactly 1.0).  The best
-    retention is the objective argmin among the swept retentions, ties
-    broken toward the longer retention.
+    and trace (the SRAM row normalizes to exactly 1.0), or None where the
+    SRAM value is 0.  The best retention is the objective argmin among the
+    swept retentions, ties broken toward the longer retention.
     """
     rets = _check_retentions(retentions)
-    records = time_ordered(check_records(trace, template.num_cores))
+    records = check_records(trace, template.num_cores)
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
     # a candidate that can expire a block by the last record's timestamp, a
     # lower bound on its completion time, runs in full beside the SRAM
     # baseline; the others are derived from the SRAM run, in its process
-    last = records.stamps[-1] if records else 0
+    last = records.stamps[-1]
     derived = [c for c in configs if _cannot_expire(c, last)]
     full = [sram_cfg] + [c for c in configs if c not in derived]
     full_reports, derived_reports = _run_sims([(0, c) for c in full], [records], tech_table, jobs, derive=derived)
     done = dict(zip(full, full_reports)) | dict(zip(derived, derived_reports))
     reports = [done[c] for c in [sram_cfg, *configs]]
 
-    sram_energy = reports[0].cache_energy_j
-    sram_time = reports[0].exec_time_s
-    entries = [SweepEntry("SRAM", None, reports[0], 1.0, 1.0)]
-    for r, rep in zip(rets, reports[1:]):
-        entries.append(
-            SweepEntry(
-                "STTRAM",
-                r,
-                rep,
-                rep.cache_energy_j / sram_energy if sram_energy else 0.0,
-                rep.exec_time_s / sram_time if sram_time else 0.0,
-            )
-        )
+    energy, time = reports[0].cache_energy_j, reports[0].exec_time_s  # the SRAM baseline
+    entries = [
+        SweepEntry("STTRAM" if r else "SRAM", r, rep, _ratio(rep.cache_energy_j, energy), _ratio(rep.exec_time_s, time))
+        for r, rep in zip([None, *rets], reports)
+    ]
 
     best = _best_retention({r: objective_value(rep, objective) for r, rep in zip(rets, reports[1:])})
     return SweepResult(entries=entries, best_retention=best, objective=objective)
@@ -206,7 +203,7 @@ class SpecializeResult:
     sample_values: dict[float, float]  # retention -> objective on the profile interval
     full_value_chosen: float
     full_value_base: float
-    savings_vs_base: float  # fraction; negative when sampling mispredicts
+    savings_vs_base: float | None  # fraction; negative when sampling mispredicts, None when the base is 0
     base_retention: float
     sample_len: int
     objective: Objective
@@ -231,9 +228,7 @@ def specialize(
     workloads).
     """
     rets = _check_retentions(retentions)
-    records = time_ordered(check_records(trace, template.num_cores))
-    if not records:
-        raise TraceRecordsError("specialize requires a non-empty trace")
+    records = check_records(trace, template.num_cores)
     if sample_len < 1:
         raise ConfigError("sample_len must be >= 1")
     if sample_len > len(records):
@@ -252,7 +247,7 @@ def specialize(
     (full_chosen, full_base), _ = _run_sims(full_tasks, [records], tech_table, jobs)
     v_chosen = objective_value(full_chosen, objective)
     v_base = objective_value(full_base, objective)
-    savings = (v_base - v_chosen) / v_base if v_base else 0.0
+    savings = _ratio(v_base - v_chosen, v_base)
     return SpecializeResult(
         chosen_retention=chosen,
         sample_values=sample_values,
@@ -277,7 +272,7 @@ class AssignmentResult:
     homogeneous_totals: dict[float, float]  # retention -> full-run total
     best_homogeneous_retention: float
     best_homogeneous_total: float
-    savings_vs_best_homogeneous: float
+    savings_vs_best_homogeneous: float | None  # None when the best homogeneous total is 0
     core_retentions: list[float]
     profile_len: int
     objective: Objective
@@ -333,7 +328,7 @@ def assign_asymmetric(
     if any(not r > 0 for r in core_rets):
         raise ConfigError("core retentions must be positive")
 
-    traces = [_rebase_core(time_ordered(check_records(t))) for t in thread_traces]
+    traces = [_rebase_core(check_records(t)) for t in thread_traces]
     prefixes = [t[:profile_len] for t in traces]
 
     pair_tasks = []
@@ -370,7 +365,7 @@ def assign_asymmetric(
 
     best_h_ret = _best_retention(homogeneous)
     best_h_total = homogeneous[best_h_ret]
-    savings = (best_h_total - asym_total) / best_h_total if best_h_total else 0.0
+    savings = _ratio(best_h_total - asym_total, best_h_total)
     return AssignmentResult(
         assignment=assignment,
         cost_matrix=cost,

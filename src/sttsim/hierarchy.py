@@ -26,8 +26,8 @@ where they are only counted.  The L1 access of a two-level run is also
 given a list, into which it puts only the dirty blocks it expires, in
 (tick, generation, way) order; each is written to the L2 at its deadline
 before the record's own L2 traffic, with no filtering in the loop.
-Records are checked once per trace, when a study admits it (see
-trace.check_records), not in the record loop.
+Records are checked and put in time order once per trace, when a study
+admits it (see trace.check_records), not in the record loop.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ import numbers
 from dataclasses import dataclass
 from itertools import count
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
+from .cache import DEFAULT_CLOCK_HZ, MAX_WAYS, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError, check_field_types
-from .trace import Trace, check_records, time_ordered
+from .trace import Trace, check_records
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
@@ -60,13 +60,19 @@ def _as_per_core(cfg, num_cores: int, label: str) -> tuple[CacheUnitConfig, ...]
     return tuple(cfg)
 
 
+# a config holds an L1I and an L1D config per core, and a run builds a unit of each
+MAX_CORES = 1024
+
+
 @dataclass(frozen=True)
 class HierarchyConfig:
     """Cores, caches, and memory parameters of one simulated system.
 
     l1i and l1d accept a single CacheUnitConfig (replicated across cores)
     or a list or tuple of one per core; per-core L1 configs may differ only
-    in technology and retention, not geometry.  num_cores and
+    in technology and retention, not geometry.  num_cores is at most
+    MAX_CORES, and the units hold at most MAX_WAYS ways (see
+    cache.CacheUnitConfig) between them.  num_cores and
     mem_latency_cycles must be ints, and clock_hz and mem_energy_per_access
     real numbers.
     """
@@ -86,6 +92,8 @@ class HierarchyConfig:
             raise ConfigError(f"l2 must be a CacheUnitConfig or None, got {self.l2!r}")
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
+        if self.num_cores > MAX_CORES:
+            raise ConfigError(f"num_cores must be <= MAX_CORES = {MAX_CORES}, got {self.num_cores}")
         if not 0 < self.clock_hz < math.inf:  # NaN fails too
             raise ConfigError("clock_hz must be > 0 and finite")
         if self.mem_latency_cycles < 0 or not 0 <= self.mem_energy_per_access < math.inf:
@@ -105,6 +113,9 @@ class HierarchyConfig:
             for label, cfgs in (("l1i", self.l1i), ("l1d", self.l1d)):
                 if cfgs[0].line_size_bytes != self.l2.line_size_bytes:
                     raise ConfigError(f"l2 line size must match {label} line size")
+        ways = sum(u.num_blocks for u in _unit_configs(self))
+        if ways > MAX_WAYS:
+            raise ConfigError(f"a hierarchy's units hold at most MAX_WAYS = {MAX_WAYS} ways between them, got {ways}")
 
 
 @dataclass
@@ -165,18 +176,18 @@ class SimReport:
 def simulate(cfg: HierarchyConfig, trace, tech_table: TechTable) -> SimReport:
     """Run the trace through the hierarchy and aggregate counters and energy.
 
-    Deterministic for fixed inputs.  Raises ConfigError if a record has a
-    field that is not an int, a core outside 0..num_cores-1 or a kind other
-    than an AccessKind, or a unit's (technology, retention) is missing from
-    the table.
+    Records replay in (timestamp, core_id) order, whatever their line
+    order.  Deterministic for fixed inputs.  Raises ConfigError if the trace
+    has no records, a record has a field that is not an int, a core outside
+    0..num_cores-1 or a kind other than an AccessKind, or a unit's
+    (technology, retention) is missing from the table.
     """
-    records = time_ordered(check_records(trace, cfg.num_cores))
-    return _simulate(cfg, records, tech_table)[0]
+    return _simulate(cfg, check_records(trace, cfg.num_cores), tech_table)[0]
 
 
 def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, derive=()) -> tuple[SimReport, tuple]:
-    """simulate(cfg) of records already admitted (see trace.check_records)
-    and in time order, and the report of each config in `derive` built
+    """simulate(cfg) of records already admitted, and so in time order (see
+    trace.check_records), and the report of each config in `derive` built
     from that run (see _derived_report)."""
     ncores = cfg.num_cores
     clock = cfg.clock_hz

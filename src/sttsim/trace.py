@@ -59,6 +59,7 @@ from .errors import (
     TraceValidationError,
     check_field_types,
     number_text,
+    open_input,
 )
 
 
@@ -131,8 +132,9 @@ class Trace(Sequence):
     read_trace, generate_trace and check_records build them; the
     constructor takes the columns as they are, without a copy or a check,
     and nothing may change them after.  Code that receives a Trace relies on
-    that: check_records returns it as is, select may return it as is, and
-    characterize's profile memo keeps it and knows it by identity.
+    that: check_records returns one in time order as is, select may return
+    it as is, and characterize's profile memo keeps it and knows it by
+    identity.
     """
 
     __slots__ = ("cores", "stamps", "kinds", "addresses")
@@ -205,19 +207,14 @@ def read_trace(path: str) -> Trace:
     """
     last_ts: dict[int, int] = {}
     columns = [array(code) for code in _TYPECODES]
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lineno = 1
-            while lines := fh.readlines(_READ_CHUNK_CHARS):
-                chunk = _parse_bulk(lines, last_ts)
-                if chunk is None:
-                    raise _first_error(path, lines, lineno, last_ts)
-                columns = list(map(_append, columns, chunk))
-                lineno += len(lines)
-    except UnicodeDecodeError as exc:  # its position counts from a buffer, not the file
-        raise TraceParseError(f"cannot read trace {path}: not UTF-8 ({exc.reason})") from None
-    except OSError as exc:
-        raise TraceParseError(f"cannot read trace {path}: {exc}") from None
+    with open_input("trace", path, TraceParseError) as fh:
+        lineno = 1
+        while lines := fh.readlines(_READ_CHUNK_CHARS):
+            chunk = _parse_bulk(lines, last_ts)
+            if chunk is None:
+                raise _first_error(path, lines, lineno, last_ts)
+            columns = list(map(_append, columns, chunk))
+            lineno += len(lines)
     return Trace(*columns)
 
 
@@ -321,15 +318,22 @@ def write_trace(records: Sequence[AccessRecord], path: str) -> None:
 
 
 def check_records(records, ncores: int | None = None) -> Trace:
-    """Admit a trace: return its records as a Trace, or raise ConfigError.
+    """Admit a trace: return its records as a non-empty Trace in replay
+    order, or raise ConfigError.
 
-    This is the one check of a trace's records; each study admits each input
-    trace once, before it slices, rebases or orders it.  A Trace is returned
-    as is; other records are converted to one once.  TraceRecordsError (a
+    This is the one admission step of a trace; each study admits each input
+    trace once, before it slices or rebases it.  TraceRecordsError (a
     ConfigError) names the first record without 4 fields or with a field
     that is not an int (replays count in cycles), or with a core id below 0
-    (or not below ncores, when given) or a kind that is not an AccessKind.
-    Each of those checks is one C-level pass over the records or a column.
+    (or not below ncores, when given) or a kind that is not an AccessKind;
+    each of those checks is one C-level pass over the records or a column.
+    It also refuses a trace with no records.
+
+    The trace is returned in (timestamp, core_id) order, the order every
+    replay uses.  A Trace already in that order is returned as is, without
+    a copy or a sort; other records are converted to a Trace once, and
+    stably sorted into a copy only when out of order.  A slice or a
+    selection of an ordered trace is ordered.
     """
     if isinstance(records, Trace):
         trace = records
@@ -349,6 +353,16 @@ def check_records(records, ncores: int | None = None) -> Trace:
     if bad:
         kind = next(k for k in trace.kinds if k in bad)
         raise TraceRecordsError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
+    if not trace:
+        raise TraceRecordsError("trace has no records")
+    prev_ts = prev_core = -1
+    for ts, core in zip(trace.stamps, trace.cores):
+        if ts < prev_ts or (ts == prev_ts and core < prev_core):
+            order = sorted(range(len(trace)), key=trace.cores.__getitem__)
+            order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
+            return Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
+        prev_ts = ts
+        prev_core = core
     return trace
 
 
@@ -359,25 +373,6 @@ def _check_fields(records) -> None:
     if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
         bad = next(r for r in records if not all(isinstance(x, int) for x in r))
         raise TraceRecordsError(f"trace record {bad!r} has a field that is not an int")
-
-
-def time_ordered(trace: Trace) -> Trace:
-    """Return an admitted trace (see check_records) in (timestamp, core_id)
-    order, the order every replay uses.
-
-    A trace already in that order is returned as is, without a copy or a
-    sort; otherwise a stably sorted copy is returned.
-    """
-    prev_ts = -1
-    prev_core = -1
-    for ts, core in zip(trace.stamps, trace.cores):
-        if ts < prev_ts or (ts == prev_ts and core < prev_core):
-            order = sorted(range(len(trace)), key=trace.cores.__getitem__)
-            order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
-            return Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
-        prev_ts = ts
-        prev_core = core
-    return trace
 
 
 @dataclass(frozen=True)

@@ -276,7 +276,7 @@ def reference_persistence(trace, cfg, thresholds, clock_hz, stream):
     unique = len(seen)
     counts = {thd: sum(1 for r in reloads.values() if r >= thd) for thd in thresholds}
     return PersistenceReport(
-        fractions={thd: n / unique if unique else 0.0 for thd, n in counts.items()},
+        fractions={thd: n / unique if unique else None for thd, n in counts.items()},  # no block filled: no ratio
         reloaded_counts=counts,
         unique_blocks=unique,
         total_fills=total_fills,
@@ -292,6 +292,6 @@ def reference_expiration_curve(trace, cfg, retentions, clock_hz, stream):
             retention_s=r,
             expiration_misses=unit.miss_expiration,
             total_misses=unit.misses,
-            miss_ratio_vs_unbounded=unit.misses / baseline if baseline else 0.0,
+            miss_ratio_vs_unbounded=unit.misses / baseline if baseline else None,  # no baseline miss: no ratio
         ))
     return points

@@ -20,16 +20,20 @@ from sttsim import (
     LogUniformGap,
     SyntheticTraceSpec,
     Technology,
+    TraceRecordsError,
     UniformRandom,
     Zipf,
     block_lifetimes,
     expiration_curve,
     generate_trace,
     persistence,
+    read_trace,
     read_write_ratio,
     tick_cycles,
+    write_trace,
 )
 from sttsim import characterize
+from sttsim.trace import check_records
 from sttsim.characterize import LIFETIME_BUCKET_EDGES, ExpirationCurvePoint, _bucketize, _quantiles
 
 CLOCK = 1.9e9
@@ -374,8 +378,10 @@ class TestCurvePointsThatCannotExpire:
         cfg = unit_cfg()
         points = expiration_curve(trace, cfg, [1e-6, 1e-3], clock_hz=CLOCK)
         assert points == reference_expiration_curve(trace, cfg, [1e-6, 1e-3], CLOCK, "data")
-        assert points == [ExpirationCurvePoint(1e-6, 0, 0, 0.0), ExpirationCurvePoint(1e-3, 0, 0, 0.0)]
+        # no unbounded miss to compare with: the ratio is not a number
+        assert points == [ExpirationCurvePoint(1e-6, 0, 0, None), ExpirationCurvePoint(1e-3, 0, 0, None)]
         assert replayed == [None]
+        assert persistence(trace, cfg, clock_hz=CLOCK).fractions == {1: None, 2: None, 4: None, 8: None}
         # a retention below one cycle is still named, though nothing is replayed at it
         with pytest.raises(ConfigError, match="a tick must last a whole number of cycles"):
             expiration_curve(trace, cfg, [1e-12], clock_hz=CLOCK)
@@ -470,6 +476,10 @@ class TestEquivalence:
         trace = mixed_trace(seed, n, num_cores, line, ties)
         cfg = unit_config(sets, assoc, line, retention, counter_states, refresh_on_read)
         for stream in streams:
+            if not trace:  # an empty trace is refused, whatever the stream
+                with pytest.raises(TraceRecordsError, match="^trace has no records$"):
+                    results(trace, cfg, clock_hz, stream, retentions)
+                continue
             assert results(trace, cfg, clock_hz, stream, retentions) == \
                 reference_results(trace, cfg, clock_hz, stream, retentions)
 
@@ -531,7 +541,7 @@ class TestProfileMemo:
 
         monkeypatch.setattr(characterize, "_replay", counting_replay)
         monkeypatch.setattr(characterize, "_memo", None)
-        trace = mixed_trace(7, 500, 2, 64, False)
+        trace = check_records(mixed_trace(7, 500, 2, 64, False))
         results(trace, self.CFG, CLOCK, "data", RETENTIONS)
         assert replayed.count(Technology.SRAM) == 1
         assert replayed.count(Technology.STTRAM) == len(RETENTIONS)
@@ -539,6 +549,27 @@ class TestProfileMemo:
         assert replayed.count(Technology.SRAM) == 1
         results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
         assert replayed.count(Technology.SRAM) == 2
+        # a list may change in place between calls: each of the three analyses replays it anew, even one
+        # equal to the Trace just profiled
+        records = list(trace)
+        results(records, self.CFG, CLOCK, "instr", RETENTIONS)
+        assert replayed.count(Technology.SRAM) == 5
+        results(records, self.CFG, CLOCK, "instr", RETENTIONS)
+        assert replayed.count(Technology.SRAM) == 8
+
+    def test_an_out_of_order_trace_is_profiled_once_per_stream(self, monkeypatch, tmp_path):
+        # a trace file grouped by core: admission orders a copy, and the memo keeps the caller's Trace, so the
+        # next analysis of the stream finds it
+        replayed = counted_replays(monkeypatch)
+        records = mixed_trace(9, 600, 3, 64, True)
+        write_trace(sorted(records, key=lambda r: r.core_id), str(tmp_path / "by_core.trace"))
+        by_core = read_trace(str(tmp_path / "by_core.trace"))
+        assert check_records(by_core) is not by_core
+        for stream in ("data", "instr", "data"):
+            assert results(by_core, self.CFG, CLOCK, stream, RETENTIONS) == \
+                reference_results(records, self.CFG, CLOCK, stream, RETENTIONS)
+        assert replayed.count(None) == 3  # data, instr, and data again after instr took the memo
+        assert characterize._memo[3] is by_core
 
 
     def test_an_all_data_trace_is_profiled_in_place(self, monkeypatch):
@@ -554,22 +585,22 @@ class TestProfileMemo:
         assert characterize._sram_profile(trace, self.CFG, CLOCK, "all").records is trace
 
     def test_one_selection_per_trace_and_stream(self, monkeypatch):
-        ordered = []
-        real_time_ordered = characterize.time_ordered
+        admitted = []
+        real_check_records = characterize.check_records
 
-        def counting_time_ordered(records):
-            ordered.append(len(records))
-            return real_time_ordered(records)
+        def counting_check_records(records, ncores=None):
+            admitted.append(records)
+            return real_check_records(records, ncores)
 
-        monkeypatch.setattr(characterize, "time_ordered", counting_time_ordered)
+        monkeypatch.setattr(characterize, "check_records", counting_check_records)
         monkeypatch.setattr(characterize, "_memo", None)
-        trace = mixed_trace(7, 500, 2, 64, False)
-        data = sum(1 for r in trace if r.kind)
+        # a stream of a Trace is admitted, and so selected, once: the memo answers the later analyses
+        trace = check_records(mixed_trace(7, 500, 2, 64, False))
         results(trace, self.CFG, CLOCK, "data", RETENTIONS)
         results(trace, self.CFG, CLOCK, "data", RETENTIONS)
-        assert ordered == [data]
+        assert len(admitted) == 1 and admitted[0] is trace
         results(trace, self.CFG, CLOCK, "instr", RETENTIONS)
-        assert ordered == [data, len(trace) - data]
+        assert len(admitted) == 2 and admitted[1] is trace
 
 
 class TestProfileMemory:

@@ -297,6 +297,18 @@ class TestStudyDriver:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (out.exists() and os.listdir(out))  # no CSV and no .tmp file
 
+    @pytest.mark.parametrize("command", ["simulate", "characterize", "sweep", "specialize", "asym"])
+    def test_trace_without_records_exits_2_and_writes_no_report(self, tmp_path, capsys, command):
+        # comments and blank lines only: every study refuses the trace, by its file
+        trace = tmp_path / "empty.trace"
+        trace.write_text("# no records\n\n   \n")
+        config = CONFIGS / ("asym_quadcore.cfg" if command == "asym" else "quadcore_two_level.cfg")
+        out = tmp_path / "out"
+        assert run([command, "--config", config, "--trace", trace, "--out-dir", out]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {trace}: "), lines
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "sweep", "specialize"])
     @pytest.mark.parametrize("source", ["--trace", "[input] trace", "[synthetic]"])
     def test_records_error_names_the_trace_source(self, tmp_path, capsys, command, source):
@@ -327,6 +339,20 @@ class TestSweep:
         assert rows[0][4] == "1" and rows[0][5] == "1"  # normalized fields exactly 1
         assert len(rows) == 5  # SRAM + 4 retentions
         assert sum(1 for r in rows if r[-1] == "1") == 1  # exactly one best row
+
+    def test_a_ratio_without_a_baseline_prints_a_dash(self, tmp_path):
+        # the bundled table's latencies with every energy 0: the SRAM cache energy is 0, so no row's energy has a
+        # ratio to it, while its time still has one
+        table = tmp_path / "table.txt"
+        rows = resources.files("sttsim.data").joinpath(SAMPLE_TABLE_RESOURCE).read_text().splitlines()
+        rows = [" ".join(f[:2] + ["0", "0", "0"] + f[5:]) for f in map(str.split, rows) if f and f[0] != "#"]
+        table.write_text("\n".join(rows) + "\n")
+        cfg = make_config(tmp_path, SINGLE_CORE)
+        assert run(["sweep", "--config", cfg, "--tech-table", table]) == 0
+        header, rows = read_csv(tmp_path / "reports" / "sweep.csv")
+        assert header[4:6] == ["normalized_energy", "normalized_time"]
+        assert [r[4] for r in rows] == ["-"] * 5
+        assert rows[0][5] == "1" and all(r[5] not in ("-", "0") for r in rows)
 
 
 class TestSpecialize:

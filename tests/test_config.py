@@ -14,6 +14,8 @@ from sttsim import (
     TechParams,
     load_experiment_config,
 )
+from sttsim.cache import MAX_WAYS
+from sttsim.hierarchy import MAX_CORES
 
 FULL = """
 [hierarchy]
@@ -210,15 +212,15 @@ def test_bad_refresh_on_read_names_key(tmp_path):
 
 
 def test_unknown_technology_named(tmp_path):
-    with pytest.raises(ConfigError, match="technology must be SRAM or STTRAM, got 'DRAM'"):
+    with pytest.raises(ConfigError, match="unknown technology 'dram'; expected SRAM or STTRAM"):
         load_experiment_config(write(tmp_path, "[l2]\ntechnology = dram\n\n[synthetic]\nseed = 1\n"))
 
 
 def test_technology_is_ascii(tmp_path):
-    # "\u017fram".upper() is "SRAM"
+    # "\u017fram".upper() is "SRAM"; the error names the text as written
     path = tmp_path / "exp.cfg"
     path.write_text("[l2]\ntechnology = \u017fram\n\n[synthetic]\nseed = 1\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="technology must be SRAM or STTRAM, got 'SRAM'"):
+    with pytest.raises(ConfigError, match="unknown technology '\u017fram'; expected SRAM or STTRAM"):
         load_experiment_config(str(path))
 
 
@@ -305,6 +307,24 @@ def test_config_fields_of_the_wrong_type(build, match):
         build()
 
 
+def test_sizes_are_bounded_before_any_unit_is_built(tmp_path):
+    # an L2 of 2**70 bytes once passed every check, and a run ended in an OverflowError traceback building it
+    with pytest.raises(ConfigError, match=re.escape(f"at most MAX_WAYS = {MAX_WAYS} ways (size_bytes / "
+                                                    f"line_size_bytes), got {2**64}")):
+        CacheUnitConfig(2**70, 16, 64)
+    assert CacheUnitConfig(MAX_WAYS, 16, 1).num_blocks == MAX_WAYS  # the bound itself is admitted
+    with pytest.raises(ConfigError, match=f"num_cores must be <= MAX_CORES = {MAX_CORES}, got {MAX_CORES + 1}$"):
+        HierarchyConfig(num_cores=MAX_CORES + 1, l1i=L1, l1d=L1)
+    assert len(HierarchyConfig(num_cores=MAX_CORES, l1i=L1, l1d=L1).l1d) == MAX_CORES
+    # the ways of all units together: two 64-way L1s beside an L2 at the bound
+    with pytest.raises(ConfigError, match=f"units hold at most MAX_WAYS = {MAX_WAYS} ways between them, "
+                                          f"got {MAX_WAYS + 128}$"):
+        HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, l2=CacheUnitConfig(MAX_WAYS * 64, 16, 64))
+    path = write(tmp_path, "[l2]\nsize_bytes = 1180591620717411303424\n\n[synthetic]\nseed = 1\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: a unit holds at most MAX_WAYS = {MAX_WAYS} ways"):
+        load_experiment_config(path)
+
+
 def test_config_fields_of_the_right_type():
     l2 = CacheUnitConfig(65536, 16, 64, Technology.STTRAM, 1, counter_states=8, refresh_on_read=True)
     cfg = HierarchyConfig(num_cores=2, l1i=[L1, L1], l1d=(L1, L1), l2=l2, clock_hz=2_000_000_000,
@@ -323,7 +343,9 @@ _CONFIG_LINES = st.one_of(
                                "trace", "seed", "accesses_per_core", "read_fraction", "working_set_blocks", "gap",
                                "pattern", "retentions", "objective", "profile_len", "base_retention",
                                "core_retentions", "tech_table", "out_dir", "unknown"]),
+              # 2**70 and 2**32, and one core past MAX_CORES: sizes and core counts refused before any unit is built
               st.sampled_from(["0", "1", "4", "-1", "1_0", "\u0664", "1e-3", "1e999", "nan", "-inf", "2.5", "64",
+                               "1180591620717411303424", "4294967296", "1025",
                                "STTRAM", "sram", "\u017fram", "yes", "maybe", "constant:20", "loguniform:10:5",
                                "zipf:1.2", "zipf:0", "uniform", "t.trace", "100%", "%(x)s", "edp", "1e-3 1e-3", ""])),
 )
@@ -336,6 +358,10 @@ def test_load_experiment_config_returns_a_config_or_names_the_file(tmp_path_fact
     path = tmp_path_factory.mktemp("fuzz") / "exp.cfg"
     path.write_bytes(content)
     try:
-        load_experiment_config(str(path))
+        cfg = load_experiment_config(str(path))
     except SttsimError as exc:
         assert str(path) in str(exc)
+        return
+    # a loaded config bounds what a run allocates: its cores, and the ways of all its units
+    units = [*cfg.hierarchy.l1i, *cfg.hierarchy.l1d] + ([cfg.hierarchy.l2] if cfg.hierarchy.l2 else [])
+    assert cfg.hierarchy.num_cores <= MAX_CORES and sum(u.num_blocks for u in units) <= MAX_WAYS

@@ -155,6 +155,20 @@ class TestSweep:
         assert result.best_retention == 1e0
 
 
+def test_a_ratio_without_a_baseline_is_none():
+    # every energy 0: the SRAM baseline's, the base retention's and each homogeneous total are 0, so an energy
+    # ratio to one of them is not a number; the sweep's times still have their baseline
+    rets = [1e-3, 1e-2]
+    zero = TechTable([TechParams(Technology.SRAM, None, 0.0, 0.0, 0.0, 2, 2)] +
+                     [TechParams(Technology.STTRAM, r, 0.0, 0.0, 0.0, 2, 4) for r in rets])
+    trace = loop_thread(0, 8, 1 * MS, 5 * MS)
+    result = sweep(trace, template(), rets, tech_table=zero)
+    assert [e.normalized_energy for e in result.entries] == [None] * 3
+    assert result.entries[0].normalized_time == 1.0 and None not in [e.normalized_time for e in result.entries]
+    assert specialize(trace, template(), rets, 1e-2, 10, tech_table=zero).savings_vs_base is None
+    assert assign_asymmetric([trace], template(), rets, 10, tech_table=zero).savings_vs_best_homogeneous is None
+
+
 class TestSpecialize:
     def test_degenerates_to_exhaustive_argmin(self):
         trace = loop_thread(0, 8, 2 * MS, 100 * MS)

@@ -29,6 +29,7 @@ from sttsim import (
     TraceValidationError,
     UniformRandom,
     Zipf,
+    assign_asymmetric,
     block_lifetimes,
     expiration_curve,
     generate_trace,
@@ -37,12 +38,14 @@ from sttsim import (
     read_write_ratio,
     sample_tech_table,
     simulate,
+    specialize,
     sweep,
     write_trace,
 )
 from sttsim import characterize
 from sttsim import trace as trace_mod
-from sttsim.trace import check_records, parse_gap_spec, parse_pattern_spec, time_ordered
+from sttsim.errors import TraceRecordsError
+from sttsim.trace import check_records, parse_gap_spec, parse_pattern_spec
 
 TABLE = sample_tech_table()
 
@@ -293,14 +296,24 @@ def test_spec_string_parsers():
             parse_gap_spec(bad) if bad.startswith(("constant", "loguniform")) else parse_pattern_spec(bad)
 
 
-def test_time_ordered():
+def _trace_of(records):
+    """A Trace of the records as they are, in their order and empty or not: the container, not an admitted trace."""
+    columns = [[r[i] for r in records] for i in range(4)]
+    return Trace(*map(trace_mod._append, [array(code) for code in trace_mod._TYPECODES], columns))
+
+
+def test_check_records_returns_time_order():
     records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40),
                AccessRecord(1, 5, AccessKind.LOAD, 0x80)]
     ordered = check_records(records)
-    assert time_ordered(ordered) is ordered  # already ordered: no copy, no sort
-    shuffled = check_records([records[2], records[0], records[1]])
-    assert time_ordered(shuffled) == records
-    assert shuffled == [records[2], records[0], records[1]]  # the input is left as it was
+    assert check_records(ordered) is ordered  # already ordered: no copy, no sort
+    shuffled = [records[2], records[0], records[1]]
+    assert check_records(shuffled) == records
+    assert shuffled == [records[2], records[0], records[1]]  # the list is left as it was
+    out_of_order = _trace_of(shuffled)
+    admitted = check_records(out_of_order)
+    assert type(admitted) is Trace and admitted is not out_of_order and admitted == records
+    assert out_of_order == shuffled  # the Trace is left as it was
 
 
 def test_check_records_admits_a_trace_as_a_list():
@@ -308,7 +321,28 @@ def test_check_records_admits_a_trace_as_a_list():
     trace = check_records(records, 2)
     assert type(trace) is Trace and check_records(trace, 2) is trace  # a Trace is returned as is
     assert check_records(iter(records)) == records
-    assert check_records([]) == []
+    for empty in ([], iter([]), _trace_of([])):
+        with pytest.raises(TraceRecordsError, match="^trace has no records$"):
+            check_records(empty)
+
+
+def test_every_study_refuses_an_empty_trace():
+    unit = CacheUnitConfig(1024, 2, 64, Technology.SRAM)
+    cfg = HierarchyConfig(num_cores=1, l1i=unit, l1d=unit)
+    studies = [
+        lambda t: simulate(cfg, t, TABLE),
+        lambda t: sweep(t, cfg, [1e-6], tech_table=TABLE),
+        lambda t: specialize(t, cfg, [1e-6], 1e-6, 1, tech_table=TABLE),
+        lambda t: assign_asymmetric([t], cfg, [1e-6], 1, tech_table=TABLE),
+        read_write_ratio,
+        lambda t: block_lifetimes(t, unit),
+        lambda t: persistence(t, unit),
+        lambda t: expiration_curve(t, unit, [1e-6]),
+    ]
+    for empty in ([], _trace_of([])):
+        for study in studies:
+            with pytest.raises(TraceRecordsError, match="^trace has no records$"):
+                study(empty)
 
 
 @pytest.mark.parametrize("bad", [(0, 1, AccessKind.LOAD), (0, 1, AccessKind.LOAD, 0x40, 7)])
@@ -634,7 +668,7 @@ def test_columns_widen_once_past_their_type(tmp_path, past):
         assert _column_types(trace) == ["q", wide, "b", wide]
         assert _shape(trace) == _shape(records)
         # ordering a copy and selecting keep each column's type
-        assert _column_types(time_ordered(trace[::-1])) == _column_types(trace)
+        assert _column_types(check_records(trace[::-1])) == _column_types(trace)
         assert _column_types(trace.select([0] + [1] * (len(records) - 1))) == _column_types(trace)
 
 
@@ -669,9 +703,9 @@ _ANY_RECORDS = st.lists(
 @settings(max_examples=100, deadline=None)
 @given(_ANY_RECORDS, st.slices(45))
 def test_trace_is_its_records(records, window):
-    trace = check_records(records)
+    trace = _trace_of(records)
     assert len(trace) == len(records)
-    assert trace == records and records == trace and trace == check_records(list(records))
+    assert trace == records and records == trace and trace == _trace_of(list(records))
     assert _shape(trace) == _shape(records)
     assert [trace[i] for i in range(-len(records), 0)] == records
     for i in (len(records), -len(records) - 1):
@@ -684,14 +718,14 @@ def test_trace_is_its_records(records, window):
         assert isinstance(column, array) == all(-_INT64 <= v < _INT64 for v in values)
     if records:
         changed = records[:-1] + [records[-1]._replace(address=records[-1].address + 64)]
-        assert trace != changed and trace != check_records(changed)
+        assert trace != changed and trace != _trace_of(changed)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_select_keeps_the_selected_records(data):
     records = data.draw(_ANY_RECORDS)
-    trace = check_records(records)
+    trace = _trace_of(records)
     keep = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
     kept = [r for r, k in zip(records, keep) if k]
     for selectors in (keep, bytes(keep), array("b", keep)):
