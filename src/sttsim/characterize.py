@@ -350,6 +350,7 @@ def expiration_curve(
         else:
             unit = _replay(records, sttram, clock_hz)
             expirations, misses = unit.miss_expiration, unit.misses
+            del unit  # before the next replay, not after it: the curve holds one replay's state at a time
         points.append(
             ExpirationCurvePoint(
                 retention_s=r,

@@ -26,6 +26,7 @@ from .errors import ConfigError, SttsimError, TraceRecordsError, number_text
 from .hierarchy import simulate as run_simulation
 from .trace import (
     SyntheticTraceSpec,
+    check_records,
     generate_trace,
     parse_gap_spec,
     parse_pattern_spec,
@@ -308,6 +309,7 @@ def _cmd_asym(cfg, records, jobs):
     table = _load_table(cfg)
     if not cfg.core_retentions:
         raise ConfigError("asym requires core_retentions in the [experiment] section")
+    records = check_records(records)  # admitted once, before it is split into threads
     threads = [records.select(bytes(map(core.__eq__, records.cores))) for core in sorted(set(records.cores))]
     result = explore.assign_asymmetric(
         threads,
@@ -353,7 +355,12 @@ def _build_parser() -> argparse.ArgumentParser:
     study_flags.add_argument("--tech-table", help="technology parameter table (overrides config)")
     study_flags.add_argument("--trace", help="trace file (overrides config input)")
     study_flags.add_argument("--out-dir", help="report output directory (overrides config)")
-    study_flags.add_argument("--jobs", type=_number(int), default=1, help="parallel simulation workers")
+    study_flags.add_argument(
+        "--jobs",
+        type=_number(int),
+        default=1,
+        help="parallel simulation workers for sweep, specialize and asym; simulate and characterize run serially",
+    )
     study_flags.add_argument("--seed", type=_number(int), help="synthetic trace seed override")
 
     parser = argparse.ArgumentParser(prog="sttsim", description=__doc__)

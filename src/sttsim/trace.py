@@ -325,9 +325,11 @@ def check_records(records, ncores: int | None = None) -> Trace:
     trace once, before it slices or rebases it.  TraceRecordsError (a
     ConfigError) names the first record without 4 fields or with a field
     that is not an int (replays count in cycles), or with a core id below 0
-    (or not below ncores, when given) or a kind that is not an AccessKind;
-    each of those checks is one C-level pass over the records or a column.
-    It also refuses a trace with no records.
+    (or not below ncores, when given), a kind that is not an AccessKind, or
+    a negative timestamp or address (the file grammar has no sign either);
+    each of those checks is one C-level pass over the records or a column,
+    and a column of an unsigned array type takes none for its sign.  It
+    also refuses a trace with no records.
 
     The trace is returned in (timestamp, core_id) order, the order every
     replay uses.  A Trace already in that order is returned as is, without
@@ -355,6 +357,12 @@ def check_records(records, ncores: int | None = None) -> Trace:
         raise TraceRecordsError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
     if not trace:
         raise TraceRecordsError("trace has no records")
+    # an unsigned array column holds no negative value; only the others take a pass
+    signed = [c for c in (trace.stamps, trace.addresses) if not (isinstance(c, array) and c.typecode.isupper())]
+    if signed and min(map(min, signed)) < 0:
+        i = next(i for i, (ts, addr) in enumerate(zip(trace.stamps, trace.addresses)) if ts < 0 or addr < 0)
+        field = "timestamp" if trace.stamps[i] < 0 else "address"
+        raise TraceRecordsError(f"trace record {tuple(column[i] for column in trace.columns)!r} has a negative {field}")
     prev_ts = prev_core = -1
     for ts, core in zip(trace.stamps, trace.cores):
         if ts < prev_ts or (ts == prev_ts and core < prev_core):

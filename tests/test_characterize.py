@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -634,6 +635,29 @@ class TestProfileMemory:
         # (12,611 here, against the unit's 512) took about 35
         _, peak = self.traced(monkeypatch, lambda trace: characterize._sram_profile(trace, self.CFG, CLOCK, "data"))
         assert peak <= 28
+
+    def test_curve_holds_one_replay_at_a_time(self, monkeypatch):
+        # a quarter of the benchmark's trace: both retentions replay, each unit's state peaks at about 0.7 MB,
+        # and the curve peaked at their sum when it kept the 1e-5 unit through the 1e-3 replay
+        trace = generate_trace(replace(self.SPEC, accesses_per_core=7_500))
+        monkeypatch.setattr(characterize, "_memo", None)
+        records = characterize._sram_profile(trace, self.CFG, CLOCK, "data").records  # the curve reads this profile
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        retentions = [1e-5, 1e-3]
+        units = [replace(self.CFG, technology=Technology.STTRAM, retention_time=r) for r in retentions]
+        one = max(peak(lambda: characterize._replay(records, unit, CLOCK)) for unit in units)
+        points = []
+        curve = peak(lambda: points.extend(expiration_curve(trace, self.CFG, retentions, CLOCK)))
+        assert all(p.expiration_misses for p in points)  # neither point was built without a replay
+        assert curve <= 1.05 * one
 
 
 class TestBadRecords:

@@ -306,7 +306,7 @@ class TestStudyDriver:
         out = tmp_path / "out"
         assert run([command, "--config", config, "--trace", trace, "--out-dir", out]) == 2
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(f"error: {trace}: "), lines
+        assert lines == [f"error: {trace}: trace has no records"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "specialize"])

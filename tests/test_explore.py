@@ -1,6 +1,8 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
@@ -137,6 +139,23 @@ class TestSweep:
             assert a.report.cache_energy_j == b.report.cache_energy_j
             assert a.report.exec_time_s == b.report.exec_time_s
         assert serial.best_retention == parallel.best_retention
+
+    def test_only_a_forking_sweep_imports_multiprocessing(self):
+        # in a fresh interpreter: multiprocessing pulls in socket, selectors and signal, which a serial run never uses
+        script = "\n".join([
+            "import sys, sttsim",
+            "unit = sttsim.CacheUnitConfig(1024, 2, 64, sttsim.Technology.SRAM)",
+            "cfg = sttsim.HierarchyConfig(num_cores=1, l1i=unit, l1d=unit)",
+            "trace = [sttsim.AccessRecord(0, t, sttsim.AccessKind.LOAD, 0x40) for t in range(0, 10_000, 1000)]",
+            "for jobs in (1, 2):",  # the 1e-6 candidate runs beside the SRAM run: two tasks, so jobs=2 forks
+            "    sttsim.sweep(trace, cfg, [1e-6, 1e-3], jobs=jobs)",
+            "    print(jobs, 'multiprocessing' in sys.modules)",
+        ])
+        src = os.path.dirname(os.path.dirname(explore.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["1 False", "2 True"]
 
     def test_time_and_edp_objectives(self):
         trace = loop_thread(0, 8, 2 * MS, 50 * MS)

@@ -345,6 +345,38 @@ def test_every_study_refuses_an_empty_trace():
                 study(empty)
 
 
+@pytest.mark.parametrize("field", ["timestamp", "address"])
+def test_every_study_refuses_a_negative_timestamp_or_address(field):
+    # ten loads of one block 1,000 cycles apart expire it 4 times at 1e-6; shifted by -10**6 cycles, the
+    # timing model started the core at 0 and reported no expiration
+    unit = CacheUnitConfig(1024, 2, 64, Technology.STTRAM, 1e-6)
+    cfg = HierarchyConfig(num_cores=1, l1i=unit, l1d=unit)
+    records = [AccessRecord(0, t, AccessKind.LOAD, 0x40) for t in range(0, 10_000, 1000)]
+    assert simulate(cfg, records, TABLE).total_expiration_misses() == 4
+    if field == "timestamp":
+        records = [r._replace(timestamp=r.timestamp - 10**6) for r in records]
+    else:
+        records[3:] = [r._replace(address=-0x40) for r in records[3:]]
+    first = records[0 if field == "timestamp" else 3]
+    bad = (0, first.timestamp, 1, first.address)
+    studies = [
+        lambda t: simulate(cfg, t, TABLE),
+        lambda t: sweep(t, cfg, [1e-6], tech_table=TABLE),
+        lambda t: expiration_curve(t, unit, [1e-6]),
+    ]
+    for trace in (records, _trace_of(records)):
+        for study in studies:
+            with pytest.raises(TraceRecordsError, match=re.escape(f"trace record {bad!r} has a negative {field}")):
+                study(trace)
+
+
+def test_an_unsigned_column_takes_no_sign_pass():
+    trace = _trace_of([AccessRecord(0, 0, AccessKind.LOAD, 0x40)])
+    assert {column.typecode for column in trace.columns} == {"B", "I", "b"}
+    with mock.patch.object(trace_mod, "min", create=True, side_effect=AssertionError("a sign pass")):
+        assert check_records(trace) is trace
+
+
 @pytest.mark.parametrize("bad", [(0, 1, AccessKind.LOAD), (0, 1, AccessKind.LOAD, 0x40, 7)])
 def test_check_records_names_a_record_without_4_fields(bad):
     with pytest.raises(ConfigError, match=re.escape(f"trace record {bad!r} does not have 4 fields")):
