@@ -7,13 +7,15 @@ in (timestamp, core_id) order, and replays the selected stream through one
 unit with a single loop (`_replay`), all cores feeding that unit in that
 order.  Lifetimes, persistence and the expiration curve read one profile
 per stream (`_sram_profile`): the admitted trace, its stream selected once,
-and the stream's unbounded-retention (SRAM) replay.  None of these copies a
+and the stream's unbounded-retention (SRAM) replay, whose loop keeps the
+profile's tables itself, with no call per record.  None of these copies a
 Trace that needs no change: a Trace in time order is admitted as is, and an
-all-data trace is its own data stream.  The profile is kept for the last
-stream of a Trace profiled; a list is profiled on every call.  The curve
-replays its stream once per retention, except where no block can expire
-before the stream's last record; that point is the profile's own (see
-hierarchy._cannot_expire).
+all-data trace is its own data stream; admission marks the Trace it
+returns, so a second analysis of it takes no second order pass.  The
+profile is kept for the last stream of a Trace profiled; a list is
+profiled on every call.  The curve replays its stream once per retention,
+except where no block can expire before the stream's last record; that
+point is the profile's own (see cache.cannot_expire_by).
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import numbers
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
-from operator import not_
+from itertools import repeat
+from operator import add, mul, not_
 
 from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
 from .errors import ConfigError
@@ -55,11 +58,11 @@ class RwRatioReport:
 
 def read_write_ratio(trace) -> RwRatioReport:
     trace = check_records(trace)
-    counts = Counter(zip(trace.cores, trace.kinds))  # (core, kind) -> records
+    counts = Counter(map(add, map(mul, trace.cores, repeat(3)), trace.kinds))  # core * 3 + kind -> records
     per_core = {}
     loads = stores = 0
-    for core in sorted({core for core, kind in counts if kind}):
-        ld, st = counts[core, AccessKind.LOAD], counts[core, AccessKind.STORE]
+    for core in sorted({key // 3 for key in counts if key % 3}):
+        ld, st = counts[core * 3 + AccessKind.LOAD], counts[core * 3 + AccessKind.STORE]
         loads += ld
         stores += st
         per_core[core] = (ld, st, ld / (ld + st) if ld + st else None)
@@ -70,24 +73,6 @@ def _unbounded(cfg: CacheUnitConfig) -> CacheUnitConfig:
     if cfg.technology is Technology.SRAM:
         return cfg
     return replace(cfg, technology=Technology.SRAM, retention_time=None)
-
-
-def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, observe=None) -> CacheUnit:
-    """Replay records in time order (see trace.check_records) through one fresh unit and return it.
-
-    All cores feed the single unit, clocked at clock_hz.  When given,
-    observe(aligned_addr, outcome, timestamp) is called after every access.
-    """
-    unit = CacheUnit(cfg, "probe", clock_hz)
-    access = unit.access
-    mask = ~(cfg.line_size_bytes - 1)
-    store = AccessKind.STORE
-    for ts, kind, addr in zip(records.stamps, records.kinds, records.addresses):
-        aligned = addr & mask
-        out = access(aligned, kind == store, ts)
-        if observe is not None:
-            observe(aligned, out, ts)
-    return unit
 
 
 @dataclass(frozen=True)
@@ -107,6 +92,43 @@ class _SramProfile:
     misses: int
 
 
+def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, profile: bool = False) -> CacheUnit | _SramProfile:
+    """Replay records in time order (see trace.check_records) through one fresh unit, clocked at clock_hz.
+
+    All cores feed the single unit.  Returns the unit or, with profile, the
+    records' _SramProfile, whose tables this loop keeps itself, with no call
+    per record but the access: a miss fills its block and records its
+    victim's two lifetimes, and every access is its block's last hit so
+    far.  The fill-time and last-hit tables drop a block as it is evicted,
+    so they hold no more blocks than the unit does.
+    """
+    unit = CacheUnit(cfg, "probe", clock_hz)
+    access = unit.access
+    mask = ~(cfg.line_size_bytes - 1)
+    store = AccessKind.STORE
+    fill_time: dict[int, int] = {}
+    last_hit: dict[int, int] = {}
+    fills: dict[int, int] = {}
+    by_last_hit = array("d")
+    by_eviction = array("d")
+    for ts, kind, addr in zip(records.stamps, records.kinds, records.addresses):
+        aligned = addr & mask
+        out = access(aligned, kind == store, ts)
+        if profile:
+            if not out[0]:  # a miss
+                victim = out[3]  # victim_address
+                if victim is not None:
+                    filled = fill_time.pop(victim)
+                    by_last_hit.append((last_hit.pop(victim) - filled) / clock_hz)
+                    by_eviction.append((ts - filled) / clock_hz)
+                fill_time[aligned] = ts
+                fills[aligned] = fills.get(aligned, 0) + 1
+            last_hit[aligned] = ts
+    if not profile:
+        return unit
+    return _SramProfile(records, by_last_hit, by_eviction, array("q", fills.values()), unit.misses)
+
+
 # (stream, unbounded cfg, clock_hz, the caller's Trace, profile) of the last stream of a Trace profiled
 _memo: tuple | None = None
 
@@ -119,8 +141,7 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     the same stream, an equal unbounded config and clock, and the same
     Trace returns it without admitting, selecting or replaying the stream.
     Other records, a list say, may change in place, so they are profiled on
-    every call.  The fill-time and last-hit tables drop a block as it is
-    evicted, so they hold no more blocks than the unit does.
+    every call.
     """
     global _memo
     cfg = _unbounded(cfg)
@@ -136,31 +157,7 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
         records = admitted
     else:
         raise ConfigError(f"unknown stream {stream!r}; expected data, instr, or all")
-    fill_time: dict[int, int] = {}
-    last_hit: dict[int, int] = {}
-    fills: dict[int, int] = {}
-    by_last_hit = array("d")
-    by_eviction = array("d")
-
-    def observe(aligned, out, now):
-        if not out.hit:
-            victim = out.victim_address
-            if victim is not None:
-                filled = fill_time.pop(victim)
-                by_last_hit.append((last_hit.pop(victim) - filled) / clock_hz)
-                by_eviction.append((now - filled) / clock_hz)
-            fill_time[aligned] = now
-            fills[aligned] = fills.get(aligned, 0) + 1
-        last_hit[aligned] = now
-
-    unit = _replay(records, cfg, clock_hz, observe)
-    profile = _SramProfile(
-        records=records,
-        last_hit_lifetimes=by_last_hit,
-        eviction_lifetimes=by_eviction,
-        fills_per_block=array("q", fills.values()),
-        misses=unit.misses,
-    )
+    profile = _replay(records, cfg, clock_hz, True)
     if isinstance(trace, Trace):
         _memo = (stream, cfg, clock_hz, trace, profile)
     return profile

@@ -193,6 +193,7 @@ def _cmd_simulate(cfg, records, jobs):
 
 def _cmd_characterize(cfg, records, jobs):
     clock = cfg.hierarchy.clock_hz
+    records = check_records(records)  # admitted once: a trace file out of time order is sorted once
 
     ratio = chz.read_write_ratio(records)
     rows = [

@@ -134,10 +134,12 @@ class Trace(Sequence):
     and nothing may change them after.  Code that receives a Trace relies on
     that: check_records returns one in time order as is, select may return
     it as is, and characterize's profile memo keeps it and knows it by
-    identity.
+    identity.  Only check_records sets the private `_ordered` mark, on a
+    Trace it found or put in replay order; forward slices and selections
+    keep it.
     """
 
-    __slots__ = ("cores", "stamps", "kinds", "addresses")
+    __slots__ = ("cores", "stamps", "kinds", "addresses", "_ordered")
 
     def __init__(self, cores, stamps, kinds, addresses) -> None:
         if not len(cores) == len(stamps) == len(kinds) == len(addresses):
@@ -146,6 +148,7 @@ class Trace(Sequence):
         self.stamps = stamps
         self.kinds = kinds
         self.addresses = addresses
+        self._ordered = False
 
     @property
     def columns(self) -> tuple:
@@ -156,7 +159,9 @@ class Trace(Sequence):
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return Trace(*(column[index] for column in self.columns))
+            sliced = Trace(*(column[index] for column in self.columns))
+            sliced._ordered = self._ordered and (index.step is None or index.step > 0)  # reversed is not ordered
+            return sliced
         kind = self.kinds[index]
         return tuple.__new__(
             AccessRecord, (self.cores[index], self.stamps[index], _KIND_OF.get(kind, kind), self.addresses[index])
@@ -188,7 +193,9 @@ class Trace(Sequence):
         """
         if len(selectors) == len(self) and all(selectors):
             return self
-        return Trace(*(_like(column, compress(column, selectors)) for column in self.columns))
+        selected = Trace(*(_like(column, compress(column, selectors)) for column in self.columns))
+        selected._ordered = self._ordered
+        return selected
 
 
 def _same_values(a, b) -> bool:
@@ -334,8 +341,9 @@ def check_records(records, ncores: int | None = None) -> Trace:
     The trace is returned in (timestamp, core_id) order, the order every
     replay uses.  A Trace already in that order is returned as is, without
     a copy or a sort; other records are converted to a Trace once, and
-    stably sorted into a copy only when out of order.  A slice or a
-    selection of an ordered trace is ordered.
+    stably sorted into a copy only when out of order.  The Trace returned
+    is marked ordered, as are its forward slices and its selections, which
+    are ordered too; admitting a marked Trace runs every check but that pass.
     """
     if isinstance(records, Trace):
         trace = records
@@ -363,14 +371,18 @@ def check_records(records, ncores: int | None = None) -> Trace:
         i = next(i for i, (ts, addr) in enumerate(zip(trace.stamps, trace.addresses)) if ts < 0 or addr < 0)
         field = "timestamp" if trace.stamps[i] < 0 else "address"
         raise TraceRecordsError(f"trace record {tuple(column[i] for column in trace.columns)!r} has a negative {field}")
+    if trace._ordered:
+        return trace
     prev_ts = prev_core = -1
     for ts, core in zip(trace.stamps, trace.cores):
         if ts < prev_ts or (ts == prev_ts and core < prev_core):
             order = sorted(range(len(trace)), key=trace.cores.__getitem__)
             order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
-            return Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
+            trace = Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
+            break
         prev_ts = ts
         prev_core = core
+    trace._ordered = True
     return trace
 
 

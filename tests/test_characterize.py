@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -82,6 +83,17 @@ class TestReadWriteRatio:
         report = read_write_ratio(trace)
         assert report.per_core[0] == (1, 1, 0.5)
         assert report.per_core[1] == (3, 0, 1.0)
+
+    def test_per_core_counts_match_a_count_of_records(self):
+        # adjacent core ids, and one past the narrow cores column
+        records = [r._replace(core_id=(0, 1, 300)[r.core_id])
+                   for r in random_trace(5, 900, num_cores=3, write_fraction=0.4, instr_fraction=0.2)]
+        counts = Counter((r.core_id, r.kind) for r in records)
+        loads = {core: counts[core, AccessKind.LOAD] for core in (0, 1, 300)}
+        stores = {core: counts[core, AccessKind.STORE] for core in (0, 1, 300)}
+        report = read_write_ratio(records)
+        assert report.per_core == {c: (loads[c], stores[c], loads[c] / (loads[c] + stores[c])) for c in loads}
+        assert (report.loads, report.stores) == (sum(loads.values()), sum(stores.values()))
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ConfigError):
@@ -326,9 +338,9 @@ def counted_replays(monkeypatch):
     replayed = []
     real_replay = characterize._replay
 
-    def counting_replay(records, cfg, clock_hz, observe=None):
+    def counting_replay(records, cfg, clock_hz, profile=False):
         replayed.append(cfg.retention_time)
-        return real_replay(records, cfg, clock_hz, observe)
+        return real_replay(records, cfg, clock_hz, profile)
 
     monkeypatch.setattr(characterize, "_replay", counting_replay)
     monkeypatch.setattr(characterize, "_memo", None)
@@ -536,9 +548,9 @@ class TestProfileMemo:
         replayed = []
         real_replay = characterize._replay
 
-        def counting_replay(records, cfg, clock_hz, observe=None):
+        def counting_replay(records, cfg, clock_hz, profile=False):
             replayed.append(cfg.technology)
-            return real_replay(records, cfg, clock_hz, observe)
+            return real_replay(records, cfg, clock_hz, profile)
 
         monkeypatch.setattr(characterize, "_replay", counting_replay)
         monkeypatch.setattr(characterize, "_memo", None)

@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sttsim
+from sttsim import characterize, cli
+from sttsim import trace as trace_mod
 from sttsim.cli import main
 from sttsim.energy import SAMPLE_TABLE_RESOURCE, load_tech_table
 from sttsim.trace import MAX_ZIPF_BLOCKS, read_trace
@@ -259,6 +261,34 @@ class TestCharacterize:
             _, rows = read_csv(tmp_path / "r" / name)
             assert list(dict.fromkeys(row[0] for row in rows)) == streams, name
 
+    def test_a_trace_file_grouped_by_core_is_sorted_once(self, tmp_path, monkeypatch):
+        # the bundled trace with every fifth record an instruction fetch, so it has both streams, grouped by core:
+        # the run sorts one copy and passes it on to the read/write ratio and to each stream's profile
+        lines = (CONFIGS / "clustered_threads.trace").read_text().splitlines(keepends=True)
+        lines[4::5] = [line.replace(" LD ", " IF ").replace(" ST ", " IF ") for line in lines[4::5]]
+        timed, grouped = tmp_path / "timed.trace", tmp_path / "grouped.trace"
+        timed.write_text("".join(lines))
+        grouped.write_text("".join(sorted(lines, key=lambda line: int(line.split()[0]))))
+        copies = []
+        real_check_records = trace_mod.check_records
+
+        def counting_check_records(records, ncores=None):
+            admitted = real_check_records(records, ncores)
+            if admitted is not records:
+                copies.append(len(admitted))
+            return admitted
+
+        for module in (cli, characterize):
+            monkeypatch.setattr(module, "check_records", counting_check_records)
+        cfg = str(CONFIGS / "asym_quadcore.cfg")
+        for trace in (timed, grouped):
+            assert run(["characterize", "--config", cfg, "--trace", trace, "--out-dir", tmp_path / trace.stem]) == 0
+        assert copies == [len(lines)]
+        for name in ("rwratio.csv", "lifetimes.csv", "persistence.csv", "expiration_curve.csv"):
+            assert (tmp_path / "timed" / name).read_bytes() == (tmp_path / "grouped" / name).read_bytes(), name
+        _, rows = read_csv(tmp_path / "grouped" / "expiration_curve.csv")
+        assert {row[0] for row in rows} == {"data", "instr"}
+
     @pytest.mark.parametrize("retention", ["1e-320", "5e-324", "1e400"])
     def test_retention_beyond_tick_arithmetic_exits_2(self, tmp_path, capsys, retention):
         # 1e-320 and 5e-324 s give ticks below one clock cycle, 1e400 is inf
@@ -481,6 +511,8 @@ class TestUnwritableOutputs:
 _WITHOUT_NUMPY = """
 import sys
 import sttsim
+from sttsim import characterize, cli
+from sttsim import trace as trace_mod
 from sttsim.cli import main
 config, out = sys.argv[1:]
 for args in (

@@ -326,6 +326,45 @@ def test_check_records_admits_a_trace_as_a_list():
             check_records(empty)
 
 
+class _CountedIterations(array):
+    """An array column that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+def test_a_trace_takes_one_order_pass():
+    records = [AccessRecord(c, t, AccessKind.LOAD, 64 * t) for t in range(4) for c in (0, 1)]
+    cores, stamps, kinds, addresses = _trace_of(records).columns
+    stamps = _CountedIterations("I", stamps)  # unsigned, so no sign pass reads it
+    ordered = Trace(cores, stamps, kinds, addresses)
+    assert check_records(ordered) is ordered and stamps.passes == 1
+    assert check_records(ordered, 2) is ordered and stamps.passes == 1  # admitted again: no second order pass
+    # the other checks still run on every call
+    with pytest.raises(TraceRecordsError, match="core 1 but num_cores is 1"):
+        check_records(ordered, 1)
+
+
+def test_only_the_sorted_copy_is_marked_ordered():
+    records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40)]
+    out_of_order = _trace_of(records[::-1])
+    admitted = check_records(out_of_order)
+    assert admitted._ordered and not out_of_order._ordered
+    again = check_records(out_of_order)  # the caller's Trace is ordered again, into a new copy
+    assert again == records and again is not out_of_order
+
+
+def test_a_forward_slice_keeps_the_order_mark_and_a_backward_one_drops_it():
+    admitted = check_records([AccessRecord(c, t, AccessKind.LOAD, 0x40) for t in range(5) for c in (0, 1)])
+    assert admitted[2:]._ordered and admitted[::3]._ordered and admitted.select([1, 0] * 5)._ordered
+    backward = admitted[::-1]
+    assert not backward._ordered
+    assert check_records(backward) == list(admitted)  # admitted in time order, not as it came
+
+
 def test_every_study_refuses_an_empty_trace():
     unit = CacheUnitConfig(1024, 2, 64, Technology.SRAM)
     cfg = HierarchyConfig(num_cores=1, l1i=unit, l1d=unit)
