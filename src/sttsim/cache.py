@@ -405,7 +405,8 @@ class CacheUnit:
             miss_class = _EXPIRATION
             self.miss_expiration += 1
 
-        # the set's first invalid way, else its least recently used one
+        # the set's first invalid way, else its least recently used one, found in C on slices; measured slower:
+        # tags.index(None, base, end) with a ValueError fallback, and min(range(base, end), key=lru.__getitem__)
         assoc = self.assoc
         base = ((addr >> self._shift) & self._set_mask) * assoc
         end = base + assoc

@@ -2,16 +2,12 @@
 
 Covers read-write activity, cache block lifetimes, block persistence, and
 expiration-miss curves across retention times.  Every analysis admits its
-trace (see trace.check_records), which refuses an empty trace and puts it
-in (timestamp, core_id) order, and replays the selected stream through one
-unit with a single loop (`_replay`), all cores feeding that unit in that
-order.  Lifetimes, persistence and the expiration curve read one profile
-per stream (`_sram_profile`): the admitted trace, its stream selected once,
-and the stream's unbounded-retention (SRAM) replay, whose loop keeps the
-profile's tables itself, with no call per record.  None of these copies a
-Trace that needs no change: a Trace in time order is admitted as is, and an
-all-data trace is its own data stream; admission marks the Trace it
-returns, so a second analysis of it takes no second order pass.  The
+trace (see trace.check_records) and replays the selected stream through one
+unit with a single loop (`_replay`), all cores feeding that unit in
+(timestamp, core_id) order.  Lifetimes, persistence and the expiration
+curve read one profile per stream (`_sram_profile`): the stream, selected
+once from the admitted trace, and its unbounded-retention (SRAM) replay,
+whose loop keeps the profile's tables itself, with no call per record.  The
 profile is kept for the last stream of a Trace profiled; a list is
 profiled on every call.  The curve replays its stream once per retention,
 except where no block can expire before the stream's last record; that
@@ -105,7 +101,7 @@ def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, profile: bool
     unit = CacheUnit(cfg, "probe", clock_hz)
     access = unit.access
     mask = ~(cfg.line_size_bytes - 1)
-    store = AccessKind.STORE
+    store = AccessKind.STORE.value
     fill_time: dict[int, int] = {}
     last_hit: dict[int, int] = {}
     fills: dict[int, int] = {}

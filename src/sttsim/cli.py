@@ -339,12 +339,15 @@ def _cmd_asym(cfg, records, jobs):
     return [("asym.csv", header, rows)]
 
 
-def _number(conv):
+def _number(conv, least=None):
     """An argparse type: conv of a flag's text, under the rule of every number sttsim reads
-    (errors.number_text); argparse names conv in its usage error."""
+    (errors.number_text), and at least `least` when given; argparse names conv in its usage error."""
 
     def parse(text: str):
-        return conv(number_text(text))
+        value = conv(number_text(text))
+        if least is not None and value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
 
     parse.__name__ = conv.__name__
     return parse
@@ -358,7 +361,7 @@ def _build_parser() -> argparse.ArgumentParser:
     study_flags.add_argument("--out-dir", help="report output directory (overrides config)")
     study_flags.add_argument(
         "--jobs",
-        type=_number(int),
+        type=_number(int, least=1),
         default=1,
         help="parallel simulation workers for sweep, specialize and asym; simulate and characterize run serially",
     )

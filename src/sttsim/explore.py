@@ -60,8 +60,9 @@ def with_technology(cfg: HierarchyConfig, technology: Technology, retention: flo
 # -- parallel execution plumbing -------------------------------------------
 #
 # Workers inherit the submitted traces through fork, so large traces are
-# never pickled.  Falls back to serial execution when fork is not
-# available or jobs <= 1.  multiprocessing is imported only where a pool
+# never pickled, and an array column holds no object per record, so reading
+# one copies no page.  Falls back to serial execution when fork is not
+# available or jobs is 1.  multiprocessing is imported only where a pool
 # forks: it pulls in socket, selectors and signal, about 0.6 MB of resident
 # memory that a serial study never uses.
 
@@ -85,6 +86,8 @@ def _run_sims(
     hierarchy._derived_report).  The derivations run in the process of that
     run, beside the other tasks.
     """
+    if not isinstance(jobs, int) or jobs < 1:
+        raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
     if table is None:
         table = sample_tech_table()
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]

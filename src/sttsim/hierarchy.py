@@ -18,16 +18,15 @@ clock (see cache.tick_cycles); seconds appear only in the report.
 The units count; the record loop only routes.  Before the loop, a route
 table holds one entry per (core, kind): the L1's access, the write flag,
 the line mask and the record's cycles by the level that serves it, sliced
-from _cycle_costs.  The loop zips the trace's columns (see trace.Trace),
-and each record takes all four from one lookup.  Memory
-reads and writes are read from the unit counters when the report is built
-(see _report).  Every unit applies its due expirations inside access(),
-where they are only counted.  The L1 access of a two-level run is also
-given a list, into which it puts only the dirty blocks it expires, in
-(tick, generation, way) order; each is written to the L2 at its deadline
-before the record's own L2 traffic, with no filtering in the loop.
-Records are checked and put in time order once per trace, when a study
-admits it (see trace.check_records), not in the record loop.
+from _cycle_costs.  The loop zips the columns of a trace a study has
+admitted (see trace.check_records), and each record takes all four from
+one lookup.  Memory reads and writes are read from the unit counters when
+the report is built (see _report).  Every unit applies its due
+expirations inside access(), where they are only counted.  The L1 access
+of a two-level run is also given a list, into which it puts only the
+dirty blocks it expires, in (tick, generation, way) order; each is written
+to the L2 at its deadline before the record's own L2 traffic, with no
+filtering in the loop.
 """
 
 from __future__ import annotations

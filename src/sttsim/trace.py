@@ -316,9 +316,11 @@ def _first_error(path: str, lines: list[str], first_lineno: int, last_ts: dict[i
 
 
 def write_trace(records: Sequence[AccessRecord], path: str) -> None:
-    """Write records in the canonical one-record-per-line text format."""
+    """Write records in their order, one line each in the trace grammar; no records make an empty file.
+
+    A record that check_records refuses raises its TraceRecordsError before the file is opened."""
     token = _KIND_TO_TOKEN
-    rest = iter(records)
+    rest = zip(*_checked(records).columns)
     with open(path, "w", encoding="utf-8") as fh:
         while lines := [f"{c} {t} {token[k]} 0x{a:x}\n" for c, t, k, a in islice(rest, _CHUNK_RECORDS)]:
             fh.write("".join(lines))
@@ -345,6 +347,26 @@ def check_records(records, ncores: int | None = None) -> Trace:
     is marked ordered, as are its forward slices and its selections, which
     are ordered too; admitting a marked Trace runs every check but that pass.
     """
+    trace = _checked(records, ncores)
+    if not trace:
+        raise TraceRecordsError("trace has no records")
+    if trace._ordered:
+        return trace
+    prev_ts = prev_core = -1
+    for ts, core in zip(trace.stamps, trace.cores):
+        if ts < prev_ts or (ts == prev_ts and core < prev_core):
+            order = sorted(range(len(trace)), key=trace.cores.__getitem__)
+            order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
+            trace = Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
+            break
+        prev_ts = ts
+        prev_core = core
+    trace._ordered = True
+    return trace
+
+
+def _checked(records, ncores: int | None = None) -> Trace:
+    """records as a Trace in their own order, each record checked as check_records says."""
     if isinstance(records, Trace):
         trace = records
         if not all(isinstance(column, array) for column in trace.columns):  # a list column may hold anything
@@ -363,26 +385,12 @@ def check_records(records, ncores: int | None = None) -> Trace:
     if bad:
         kind = next(k for k in trace.kinds if k in bad)
         raise TraceRecordsError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
-    if not trace:
-        raise TraceRecordsError("trace has no records")
-    # an unsigned array column holds no negative value; only the others take a pass
-    signed = [c for c in (trace.stamps, trace.addresses) if not (isinstance(c, array) and c.typecode.isupper())]
+    # an unsigned array column holds no negative value; only the others take a pass, if not empty
+    signed = [c for c in (trace.stamps, trace.addresses) if c and not (isinstance(c, array) and c.typecode.isupper())]
     if signed and min(map(min, signed)) < 0:
         i = next(i for i, (ts, addr) in enumerate(zip(trace.stamps, trace.addresses)) if ts < 0 or addr < 0)
         field = "timestamp" if trace.stamps[i] < 0 else "address"
         raise TraceRecordsError(f"trace record {tuple(column[i] for column in trace.columns)!r} has a negative {field}")
-    if trace._ordered:
-        return trace
-    prev_ts = prev_core = -1
-    for ts, core in zip(trace.stamps, trace.cores):
-        if ts < prev_ts or (ts == prev_ts and core < prev_core):
-            order = sorted(range(len(trace)), key=trace.cores.__getitem__)
-            order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
-            trace = Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
-            break
-        prev_ts = ts
-        prev_core = core
-    trace._ordered = True
     return trace
 
 

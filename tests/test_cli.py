@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import pathlib
@@ -130,6 +131,24 @@ class TestGenTrace:
         assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (["--num-cores", 4, "--accesses-per-core", 5000, "--read-fraction", 0.9, "--pattern", "zipf:1.2",
+              "--working-set-blocks", 4096, "--gap", "constant:20", "--seed", 1],
+             "8e55ed76511d209e7c0fc943e68e8fa175ef7b723fce2732e5556b52e3068cb8"),
+            (["--num-cores", 260, "--accesses-per-core", 20, "--gap", "constant:300000000", "--pattern", "uniform",
+              "--working-set-blocks", 64, "--line-size", 134217728, "--seed", 3],
+             "165d645d7038b45294b6157202389445818ffede20fe88a97d088ea1b72d9bdc"),
+        ],
+        ids=["narrow", "widened"],
+    )
+    def test_bytes_match_the_ci_pins(self, tmp_path, flags, digest):
+        # the c11.trace and wide.trace pins of the "Console script" CI step: one trace in the narrow column
+        # types, one whose cores, timestamps and addresses all widen
+        assert run(["gen-trace", *flags, "--out", tmp_path / "t.trace"]) == 0
+        assert hashlib.sha256((tmp_path / "t.trace").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
         "flag, value",
         [("--config", CONFIGS / "quadcore_two_level.cfg"), ("--jobs", 4), ("--trace", "nothing"),
          ("--tech-table", "nothing"), ("--out-dir", "nowhere")],
@@ -165,6 +184,16 @@ def test_number_flag_takes_the_config_number_rule(tmp_path, capsys, before, flag
         run([*before, flag, value, *out])
     assert exc.value.code == 2
     assert f"argument {flag}: invalid {kind} value: {value!r}" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_1_is_a_usage_error(tmp_path, capsys, jobs):
+    # it ran serially and exited 0
+    with pytest.raises(SystemExit) as exc:
+        run(["sweep", "--config", CONFIGS / "asym_quadcore.cfg", "--jobs", jobs, "--out-dir", tmp_path / "out"])
+    assert exc.value.code == 2
+    assert f"argument --jobs: must be at least 1, got {jobs}\n" in capsys.readouterr().err
     assert os.listdir(tmp_path) == []
 
 

@@ -188,6 +188,28 @@ def test_a_ratio_without_a_baseline_is_none():
     assert assign_asymmetric([trace], template(), rets, 10, tech_table=zero).savings_vs_best_homogeneous is None
 
 
+def test_objectives_leave_out_memory_energy():
+    report = simulate(template(), loop_thread(0, 8, 1 * MS, 5 * MS, kind=AccessKind.STORE), TABLE)
+    assert report.mem_energy_j > 0
+    assert objective_value(report, Objective.ENERGY) == report.cache_energy_j
+    assert objective_value(report, Objective.TIME) == report.exec_time_s
+    assert objective_value(report, Objective.EDP) == report.cache_energy_j * report.exec_time_s
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.5])
+def test_every_study_refuses_jobs_below_1(jobs):
+    # explore._run_sims is the one place a study reads jobs; it refused nothing and ran serially
+    trace = loop_thread(0, 8, 1 * MS, 5 * MS)
+    rets = [1e-3, 1e-2]
+    for study in (
+        lambda: sweep(trace, template(), rets, tech_table=TABLE, jobs=jobs),
+        lambda: specialize(trace, template(), rets, 1e-2, 10, tech_table=TABLE, jobs=jobs),
+        lambda: assign_asymmetric([trace], template(), rets, 10, tech_table=TABLE, jobs=jobs),
+    ):
+        with pytest.raises(ConfigError, match=rf"^jobs must be an int of at least 1, got {jobs}$"):
+            study()
+
+
 class TestSpecialize:
     def test_degenerates_to_exhaustive_argmin(self):
         trace = loop_thread(0, 8, 2 * MS, 100 * MS)

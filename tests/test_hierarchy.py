@@ -303,6 +303,14 @@ class TestReport:
         for core in (0, 1):
             assert rep.core_completion_s[core] >= last_ts[core] / cfg.clock_hz
 
+    def test_leakage_runs_to_the_latest_completion(self):
+        # core 1 finishes long after core 0, and every unit, idle L1Is included, leaks until then
+        trace = [AccessRecord(0, 0, AccessKind.LOAD, 0x0), AccessRecord(1, 10**6, AccessKind.LOAD, 0x40)]
+        rep = simulate(small_hier(num_cores=2, with_l2=True), trace, TABLE)
+        assert rep.exec_time_s == max(rep.core_completion_s) > rep.core_completion_s[0]
+        p_leak = TABLE.lookup(Technology.STTRAM, 1e-3).p_leak
+        assert {u.energy.leakage for u in rep.units.values()} == {p_leak * rep.exec_time_s}
+
     def test_energy_totals_add_up(self):
         trace = random_trace(4, 2000, num_cores=1, num_blocks=32, write_fraction=0.4)
         rep = simulate(small_hier(with_l2=True), trace, TABLE)

@@ -675,6 +675,38 @@ def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
         assert _shape(read_trace(str(p))) == _shape(records)
 
 
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        (AccessRecord(0, 0, 5, 0), "trace record kind 5 is not 0 (instruction fetch), 1 (load) or 2 (store)"),
+        (AccessRecord(0, 0, AccessKind.LOAD, -64), "trace record (0, 0, 1, -64) has a negative address"),
+        (AccessRecord(0, 1.5, AccessKind.LOAD, 0x40),
+         "trace record AccessRecord(core_id=0, timestamp=1.5, kind=<AccessKind.LOAD: 1>, address=64) "
+         "has a field that is not an int"),
+        (AccessRecord(-1, 0, AccessKind.LOAD, 0x40), "trace references core -1 but core ids must be >= 0"),
+    ],
+    ids=["kind", "address", "timestamp", "core"],
+)
+def test_write_trace_refuses_what_check_records_refuses(tmp_path, record, message):
+    # a KeyError traceback for the kind; a file read_trace refuses for the other three
+    records = [AccessRecord(0, 0, AccessKind.STORE, 0x80), record]
+    with pytest.raises(TraceRecordsError) as exc:
+        write_trace(records, str(tmp_path / "t.trace"))
+    assert str(exc.value) == message
+    with pytest.raises(TraceRecordsError, match=re.escape(message)):
+        check_records(records)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_write_trace_keeps_the_callers_order(tmp_path):
+    # records out of replay order are written as given; no records write an empty file
+    p = tmp_path / "t.trace"
+    write_trace([AccessRecord(1, 10, AccessKind.STORE, 0x80), AccessRecord(0, 5, AccessKind.INSTR_FETCH, 0x40)], p)
+    assert p.read_text() == "1 10 ST 0x80\n0 5 IF 0x40\n"
+    write_trace([], p)
+    assert p.read_text() == ""
+
+
 # -- the Trace: four columns behind the record view ------------------------------
 
 
