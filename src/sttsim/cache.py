@@ -20,6 +20,12 @@ expires each due slot in one pass, in filing order, and only counts.  A
 caller that collects expired blocks sees them in (tick, generation, way)
 order: tick_expirations returns every one, while access() given a list
 appends only the dirty ones, the blocks an L1 writes to the next level.
+
+The public calls check their arguments: access() the address's alignment
+and the time's order and type, tick_expirations() the time's type, and
+block_state() and eviction_cause() the way or address.  The replay loops
+(hierarchy, characterize) call the unchecked core, _access(), whose
+docstring lists what trace admission and those loops guarantee instead.
 """
 
 from __future__ import annotations
@@ -273,6 +279,14 @@ class CacheUnit:
         ticks = at // self.tick_period - self._reset_tick[way]
         return min(self._n_states - 1, max(0, ticks))
 
+    # the errors of the public entry points' refusals; the replays' core never raises them
+
+    def _unaligned(self, addr: int) -> ValueError:
+        return ValueError(f"{self.name}: address {addr:#x} not aligned to {self._line_mask + 1}-byte line")
+
+    def _not_cycles(self, now) -> ValueError:
+        return ValueError(f"{self.name}: time {now!r} is not a whole number of cycles")
+
     # -- expiration --------------------------------------------------------
 
     def tick_expirations(self, now: int) -> list[ExpiredBlock]:
@@ -283,21 +297,23 @@ class CacheUnit:
         given, so call this first to see every expired block.
         Blocks come in tick order, those due at one tick in (generation, way)
         order, where a way's generation counts its fills, resets and expiries.
-        Nothing is due before next_tick_time, the next tick boundary.
+        Nothing is due before next_tick_time, the next tick boundary; a
+        `now` at or past it must be an int.
         """
+        due = now >= self.next_tick_time
+        if due and not isinstance(now, int):
+            raise self._not_cycles(now)
         if now > self.time:
             self.time = now
         expired: list[ExpiredBlock] = []
-        if now >= self.next_tick_time:
+        if due:
             self._expire_due(now, expired)
         return expired
 
     def _expire_due(self, now: int, expired: list[ExpiredBlock] | None, dirty_only: bool = False) -> None:
         """Expire every block due at or before `now`.  Unless `expired` is None, append to it
         each block expired, only the dirty ones when `dirty_only`, in (tick, generation, way)
-        order."""
-        if not isinstance(now, int):
-            raise ValueError(f"{self.name}: time {now!r} is not a whole number of cycles")
+        order.  `now` is an int."""
         period = self.tick_period
         k = now // period
         n = self._n_states
@@ -366,11 +382,29 @@ class CacheUnit:
         call expires are appended to it in the order tick_expirations() would
         return them among the others (so an L1 collects the writebacks its
         expiries owe the next level); every expiry is counted either way.
+        ValueError refuses an unaligned address, a `now` before the clock,
+        and one that is not an int when a tick is due.
         """
         if addr & self._line_mask:
-            raise ValueError(f"{self.name}: address {addr:#x} not aligned to {self._line_mask + 1}-byte line")
+            raise self._unaligned(addr)
         if now < self.time:
             raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
+        if now >= self.next_tick_time and not isinstance(now, int):
+            raise self._not_cycles(now)
+        return self._access(addr, is_write, now, expired)
+
+    def _access(self, addr: int, is_write: bool, now: int, expired: list[ExpiredBlock] | None = None) -> AccessOutcome:
+        """access() without its checks, for the replay loops, whose admitted
+        records (see trace.check_records) guarantee each of them:
+
+        - `addr` is block-aligned: the loop masks it with the line mask.
+        - `now` never precedes the unit's clock: records come in
+          (timestamp, core_id) order, a core starts each record at
+          max(timestamp, its previous completion), and the shared L2's
+          time (hierarchy._simulate's l2_last) only grows.
+        - `now` is an int: the admitted columns hold ints, tech-table
+          latencies are ints, and an expiry time is tick * tick_period.
+        """
         self.time = now
         if now >= self.next_tick_time:
             self._expire_due(now, expired, True)
@@ -462,6 +496,10 @@ class CacheUnit:
         return self.misses
 
     def block_state(self, set_index: int, way: int, at: int | None = None) -> BlockState:
+        """Way `way` of set `set_index`; ValueError when either is out of range."""
+        if not (0 <= set_index < self.num_sets and 0 <= way < self.assoc):
+            raise ValueError(f"{self.name}: no way {way} of set {set_index} in "
+                             f"{self.num_sets} sets of {self.assoc} ways")
         w = set_index * self.assoc + way
         tag = self._tags[w]
         when = self.time if at is None else at
@@ -474,7 +512,9 @@ class CacheUnit:
         )
 
     def eviction_cause(self, address: int) -> EvictionCause:
-        """Last known state of a block-aligned address in this unit."""
+        """Last known state of a block-aligned address in this unit; ValueError for an unaligned one."""
+        if address & self._line_mask:
+            raise self._unaligned(address)
         code = self._where.get(address, _NEVER)
         return EvictionCause.RESIDENT if code >= 0 else _CAUSE_OF_CODE[code]
 

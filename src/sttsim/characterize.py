@@ -99,7 +99,7 @@ def _replay(records: Trace, cfg: CacheUnitConfig, clock_hz: float, profile: bool
     so they hold no more blocks than the unit does.
     """
     unit = CacheUnit(cfg, "probe", clock_hz)
-    access = unit.access
+    access = unit._access  # unchecked: the records are admitted and the loop masks each address
     mask = ~(cfg.line_size_bytes - 1)
     store = AccessKind.STORE.value
     fill_time: dict[int, int] = {}

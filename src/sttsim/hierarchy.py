@@ -16,17 +16,23 @@ order.  Times are integer clock cycles from the trace to every unit's
 clock (see cache.tick_cycles); seconds appear only in the report.
 
 The units count; the record loop only routes.  Before the loop, a route
-table holds one entry per (core, kind): the L1's access, the write flag,
-the line mask and the record's cycles by the level that serves it, sliced
-from _cycle_costs.  The loop zips the columns of a trace a study has
-admitted (see trace.check_records), and each record takes all four from
-one lookup.  Memory reads and writes are read from the unit counters when
-the report is built (see _report).  Every unit applies its due
-expirations inside access(), where they are only counted.  The L1 access
+table holds one entry per (core, kind): the L1's access core, the write
+flag, the line mask and the record's cycles by the level that serves it,
+sliced from _cycle_costs.  The loop zips the columns of a trace a study
+has admitted (see trace.check_records), and each record takes all four
+from one lookup.  Memory reads and writes are read from the unit counters
+when the report is built (see _report).  Every unit applies its due
+expirations inside its access, where they are only counted.  The L1 access
 of a two-level run is also given a list, into which it puts only the
 dirty blocks it expires, in (tick, generation, way) order; each is written
 to the L2 at its deadline before the record's own L2 traffic, with no
 filtering in the loop.
+
+Each check on a record is made once, when simulate admits the trace
+(trace.check_records).  The loop drives every unit through its unchecked
+core, CacheUnit._access, and keeps what that core requires in place of
+CacheUnit.access's checks: masked addresses, and int times that never go
+back, since a core's start time and the L2's time only grow.
 """
 
 from __future__ import annotations
@@ -201,19 +207,19 @@ def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, deriv
 
     i_mask = ~(cfg.l1i[0].line_size_bytes - 1)
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
-    # routes[core][kind]: the L1's access, the write flag, the line mask and
+    # routes[core][kind]: the L1's unchecked access, the write flag, the line mask and
     # the record's cycles by the level that serves it
     routes = [
-        [(l1i_units[c].access, False, i_mask, costs[c][0:3]),
-         (l1d_units[c].access, False, d_mask, costs[c][3:6]),
-         (l1d_units[c].access, True, d_mask, costs[c][6:9])]
+        [(l1i_units[c]._access, False, i_mask, costs[c][0:3]),
+         (l1d_units[c]._access, False, d_mask, costs[c][3:6]),
+         (l1d_units[c]._access, True, d_mask, costs[c][6:9])]
         for c in range(ncores)
     ]
 
     avail = [0] * ncores
     # shared-L2 accesses are serialized at a monotone time, the latest seen
     l2_last = 0
-    l2_access = l2.access if l2 is not None else None
+    l2_access = l2._access if l2 is not None else None
     # the dirty blocks an L1 access expires, collected only where an L2 takes them
     expired = [] if l2 is not None else None
 

@@ -47,7 +47,7 @@ import struct
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice, repeat, starmap
+from itertools import accumulate, chain, compress, count, islice, repeat, starmap
 from operator import eq, itemgetter
 from typing import Iterator, NamedTuple
 
@@ -88,6 +88,7 @@ _CHUNK_RECORDS = 1 << 11
 # array typecodes the columns cores, stamps, kinds and addresses start as: the narrowest that hold core
 # ids below 256 and timestamps and addresses below 2**32; _append widens a column that outgrows its type
 _TYPECODES = ("B", "I", "b", "I")
+_INT_TYPECODES = frozenset("bBhHiIlLqQ")  # the array typecodes whose items are ints
 
 
 class AccessRecord(NamedTuple):
@@ -250,14 +251,25 @@ def _parse_bulk(lines: list[str], last_ts: dict[int, int]) -> tuple[list, list, 
         return None
     cores = list(map(int, core_texts))
     stamps = list(map(int, stamp_texts))
-    # per-core monotonicity, committed to last_ts only if every record passes
+    if _first_regression(cores, stamps, last_ts) is not None:
+        return None
+    return cores, stamps, kinds, addresses
+
+
+def _first_regression(cores, stamps, last_ts: dict[int, int]) -> int | None:
+    """The position of the first record whose timestamp is below an earlier
+    one of its core, the file grammar's per-core rule, or None.
+
+    last_ts maps a core to its latest timestamp before these records.  It
+    takes each core's latest timestamp after them only when none regresses.
+    """
     latest = dict(last_ts)
-    for core, ts in zip(cores, stamps):
+    for i, core, ts in zip(count(), cores, stamps):
         if ts < latest.get(core, 0):
-            return None
+            return i
         latest[core] = ts
     last_ts.update(latest)
-    return cores, stamps, kinds, addresses
+    return None
 
 
 def _split_fields(text: str) -> list[str]:
@@ -318,9 +330,17 @@ def _first_error(path: str, lines: list[str], first_lineno: int, last_ts: dict[i
 def write_trace(records: Sequence[AccessRecord], path: str) -> None:
     """Write records in their order, one line each in the trace grammar; no records make an empty file.
 
-    A record that check_records refuses raises its TraceRecordsError before the file is opened."""
+    A record that check_records refuses, or whose timestamp is below an
+    earlier one of its core (which read_trace would refuse), raises
+    TraceRecordsError before the file is opened."""
+    trace = _checked(records)
+    i = _first_regression(trace.cores, trace.stamps, {})
+    if i is not None:
+        raise TraceRecordsError(f"trace record {tuple(column[i] for column in trace.columns)!r} has a timestamp "
+                                f"below an earlier one of core {trace.cores[i]}; a trace file's timestamps must "
+                                "be non-decreasing per core")
     token = _KIND_TO_TOKEN
-    rest = zip(*_checked(records).columns)
+    rest = zip(*trace.columns)
     with open(path, "w", encoding="utf-8") as fh:
         while lines := [f"{c} {t} {token[k]} 0x{a:x}\n" for c, t, k, a in islice(rest, _CHUNK_RECORDS)]:
             fh.write("".join(lines))
@@ -369,7 +389,8 @@ def _checked(records, ncores: int | None = None) -> Trace:
     """records as a Trace in their own order, each record checked as check_records says."""
     if isinstance(records, Trace):
         trace = records
-        if not all(isinstance(column, array) for column in trace.columns):  # a list column may hold anything
+        # a list column may hold anything, an array column of floats ('d', 'f') or characters ('u', 'w') no int
+        if not all(isinstance(column, array) and column.typecode in _INT_TYPECODES for column in trace.columns):
             _check_fields(trace)
     else:
         records = records if isinstance(records, list) else list(records)

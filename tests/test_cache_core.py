@@ -415,6 +415,34 @@ class TestTickSchedule:
         assert st.valid and st.dirty and st.tag == 0x0 and st.counter == 1
 
 
+class TestInspectionRefusals:
+    """The inspection calls refuse what no way or block of the unit is, as access does."""
+
+    def unit_holding_0x40(self):
+        u = sram_unit(sets=2, assoc=2)
+        u.access(0x40, False, 0)  # set 1, way 0
+        return u
+
+    def test_block_state_set_out_of_range(self):
+        u = self.unit_holding_0x40()
+        for set_index in (2, -1):  # one past the last set, and an index from the end
+            with pytest.raises(ValueError, match=rf"^unit: no way 0 of set {set_index} in 2 sets of 2 ways$"):
+                u.block_state(set_index, 0)
+        assert u.block_state(1, 0).tag == 0x40
+
+    def test_block_state_way_out_of_range(self):
+        u = self.unit_holding_0x40()
+        for way in (2, -1):  # one past the set's last way, and an index from the end
+            with pytest.raises(ValueError, match=rf"^unit: no way {way} of set 0 in 2 sets of 2 ways$"):
+                u.block_state(0, way)
+
+    def test_eviction_cause_of_an_unaligned_address(self):
+        u = self.unit_holding_0x40()
+        with pytest.raises(ValueError, match=r"^unit: address 0x41 not aligned to 64-byte line$"):
+            u.eviction_cause(0x41)
+        assert u.eviction_cause(0x40) is EvictionCause.RESIDENT
+
+
 class TestLedger:
     def test_cause_transitions(self):
         u = stt_unit(sets=1, assoc=1, retention=1 * MS)
@@ -504,7 +532,7 @@ class TestOraclePropertyEquivalence:
         write_fraction=st.floats(0.0, 1.0),
         blocks_per_way=st.floats(0.25, 3.0),
         seed=st.integers(0, 2**16),
-        mode=st.sampled_from(["access", "tick_first", "sink"]),
+        mode=st.sampled_from(["access", "tick_first", "sink", "core"]),
     )
     def test_matches_oracle(self, sets, assoc, retention, n, clock_hz, refresh_on_read, write_fraction,
                             blocks_per_way, seed, mode):
@@ -518,21 +546,25 @@ class TestOraclePropertyEquivalence:
         num_blocks = max(1, round(blocks_per_way * sets * assoc))
         stream = random_access_stream(seed, 300, num_blocks=num_blocks, write_fraction=write_fraction,
                                       gap_lo=20, gap_hi=1000)
+        # core drives the unchecked core as the replays do, with admitted input: aligned addresses at int
+        # times that never go back (the stream's), and a list as a two-level run's L1 is given
+        sink = mode in ("sink", "core")
+        access = unit._access if mode == "core" else unit.access
         for addr, w, now in stream:
-            # tick_first sees every expiry through tick_expirations, sink through access()'s
-            # list; access only lets access() apply them
+            # tick_first sees every expiry through tick_expirations, sink and core through the
+            # access's list; access only lets access() apply them
             expired = unit.tick_expirations(now) if mode == "tick_first" else []
-            out = unit.access(addr, w, now, expired if mode == "sink" else None)
+            out = access(addr, w, now, expired if sink else None)
             got = (out.hit, _MISS_NAME[out.miss_class], out.writeback_issued, out.victim_address)
             seen = len(ref.expired_events)
             assert got == ref.access(addr, w, now)
             if mode != "access":
-                # same blocks per tick (sink: the dirty ones only); the order within a tick is the unit's own
+                # same blocks per tick (sink, core: the dirty ones only); the order within a tick is the unit's own
                 want = [e for e in ref.expired_events[seen:] if e[1] or mode == "tick_first"]
                 assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(want)
                 times = [e.expire_time for e in expired]
                 assert times == sorted(times)
-            if mode == "sink":
+            if sink:
                 # and the order tick_expirations gives them among the clean ones
                 assert expired == [e for e in twin.tick_expirations(now) if e.dirty]
                 assert twin.access(addr, w, now) == out

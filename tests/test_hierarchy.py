@@ -8,6 +8,7 @@ from conftest import random_trace
 from sttsim import (
     AccessKind,
     AccessRecord,
+    CacheUnit,
     CacheUnitConfig,
     ConfigError,
     HierarchyConfig,
@@ -290,6 +291,30 @@ def test_pinned_single_level_memory_traffic():
     assert sum(u.evictions_expiration for u in rep.units.values()) > 0
     assert sum(u.evictions_replacement for u in rep.units.values()) > 0
     assert (rep.mem_reads, rep.mem_writes) == (7334, 2464)
+
+
+def test_replays_call_only_the_unchecked_access_core(monkeypatch):
+    # each replay binds CacheUnit._access, whose callers' admitted records make access()'s checks
+    # redundant: with access() refusing every call, each study still gives the same report
+    records = random_trace(5, 600, num_cores=2, num_blocks=64, write_fraction=0.4, gap_lo=20, gap_hi=2000,
+                           instr_fraction=0.2)
+    unit = l1(retention=1e-6)
+    runs = [
+        lambda: simulate(small_hier(2, retention=1e-6), records, TABLE),
+        lambda: simulate(small_hier(2, with_l2=True, retention=1e-6), records, TABLE),
+        lambda: sweep(records, small_hier(2, with_l2=True), [1e-6, 1e-3], tech_table=TABLE, jobs=1),
+        lambda: block_lifetimes(records, unit),
+        lambda: persistence(records, unit),
+        lambda: expiration_curve(records, unit, [1e-6, 1e-5]),
+    ]
+    want = [run() for run in runs]
+    assert want[1].units["l2"].miss_expiration > 0 and want[5][0].expiration_misses > 0  # the drains run too
+
+    def refuse(self, *args):
+        raise AssertionError(f"{self.name}: a replay called the public CacheUnit.access")
+
+    monkeypatch.setattr(CacheUnit, "access", refuse)
+    assert [run() for run in runs] == want
 
 
 class TestReport:

@@ -435,6 +435,13 @@ def test_check_records_names_a_field_that_is_not_an_int(field, value):
             check_records([good, bad, bad], ncores)
 
 
+def test_an_array_column_of_floats_takes_the_field_check():
+    # only a column of an int typecode is known to hold ints; a float time would reach the replays unchecked
+    trace = Trace(array("B", [0, 0]), array("d", [0.0, 5000.5]), array("b", [1, 1]), array("I", [0, 64]))
+    with pytest.raises(TraceRecordsError, match=r"has a field that is not an int"):
+        check_records(trace)
+
+
 # -- bulk generation against the per-record reference --------------------------
 
 
@@ -696,6 +703,17 @@ def test_write_trace_refuses_what_check_records_refuses(tmp_path, record, messag
     with pytest.raises(TraceRecordsError, match=re.escape(message)):
         check_records(records)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_trace_refuses_a_timestamp_regression_on_a_core(tmp_path):
+    # read_trace would refuse the file at its line 3; check_records accepts the records (it sorts them)
+    records = [AccessRecord(0, 10, AccessKind.LOAD, 0x40), AccessRecord(1, 3, AccessKind.LOAD, 0x40),
+               AccessRecord(0, 5, AccessKind.LOAD, 0x80)]
+    with pytest.raises(TraceRecordsError, match=re.escape("trace record (0, 5, 1, 128) has a timestamp below an "
+                                                          "earlier one of core 0")):
+        write_trace(records, str(tmp_path / "t.trace"))
+    assert list(tmp_path.iterdir()) == []
+    assert len(check_records(records)) == 3
 
 
 def test_write_trace_keeps_the_callers_order(tmp_path):
