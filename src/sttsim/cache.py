@@ -273,8 +273,11 @@ class CacheUnit:
         self.evictions_expiration = 0
 
     def counter_value(self, way: int, at: int) -> int:
-        """Counter state of a valid way at cycle `at` (ticks since reset, capped)."""
-        if not self.has_expiry:
+        """Counter state of flat way `way` at cycle `at` (ticks since reset, capped); 0 for a
+        way that holds no block, and ValueError for a way outside 0..num_blocks-1."""
+        if not 0 <= way < len(self._tags):
+            raise ValueError(f"{self.name}: no way {way} in {len(self._tags)} ways")
+        if not self.has_expiry or self._tags[way] is None:
             return 0
         ticks = at // self.tick_period - self._reset_tick[way]
         return min(self._n_states - 1, max(0, ticks))
@@ -507,7 +510,7 @@ class CacheUnit:
             tag=tag,
             valid=tag is not None,
             dirty=self._dirty[w] if tag is not None else False,
-            counter=self.counter_value(w, when) if tag is not None else 0,
+            counter=self.counter_value(w, when),
             lru_rank=self._lru[w],
         )
 

@@ -363,7 +363,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=_number(int, least=1),
         default=1,
-        help="parallel simulation workers for sweep, specialize and asym; simulate and characterize run serially",
+        help="processes, this one included, that simulate in parallel for sweep, specialize and asym; "
+             "simulate and characterize run serially",
     )
     study_flags.add_argument("--seed", type=_number(int), help="synthetic trace seed override")
 

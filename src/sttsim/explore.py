@@ -1,14 +1,14 @@
 """Design-space studies: retention sweeps, specialization, asymmetric cores.
 
 Each study submits its simulations as (trace, config) tasks; a task that
-repeats an earlier one runs once.  With jobs > 1 the tasks run in a forked
-worker pool and results are reduced in a fixed key order, so reports are
-identical to a serial run.  A sweep simulates in full only the candidates
-that could expire a block before the run ends; it builds the report of every
-other candidate from its SRAM run, replaying the record loop's timing over
-the levels that run recorded, and simulates there in full any candidate
-whose replayed completion time could expire a block (see
-hierarchy._derived_report).
+repeats an earlier one runs once.  With jobs > 1 the study forks up to
+jobs - 1 children and computes tasks beside them; the results come back in
+task order, so reports are identical to a serial run.  A sweep simulates in
+full only the candidates that could expire a block before the run ends; it
+builds the report of every other candidate from its SRAM run, replaying the
+record loop's timing over the levels that run recorded, and simulates there
+in full any candidate whose replayed completion time could expire a block
+(see hierarchy._derived_report).
 Objective values are total cache energy (joules), execution time (seconds),
 or their product; memory energy is reported separately and excluded from
 objectives.
@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from array import array
 from dataclasses import dataclass, replace
 
@@ -59,19 +60,90 @@ def with_technology(cfg: HierarchyConfig, technology: Technology, retention: flo
 
 # -- parallel execution plumbing -------------------------------------------
 #
-# Workers inherit the submitted traces through fork, so large traces are
-# never pickled, and an array column holds no object per record, so reading
-# one copies no page.  Falls back to serial execution when fork is not
-# available or jobs is 1.  multiprocessing is imported only where a pool
-# forks: it pulls in socket, selectors and signal, about 0.6 MB of resident
-# memory that a serial study never uses.
-
-_SHARED: dict = {}
+# A study forks its own workers: the children inherit the submitted traces,
+# so large traces are never pickled, and an array column holds no object per
+# record, so reading one copies no page.  The caller computes tasks beside
+# them instead of waiting.  pickle is imported only where a study forks; a
+# pool from multiprocessing would cost its import (socket, selectors,
+# signal), its start-up and its teardown on every forking study.
 
 
-def _run_task(task):
-    idx, cfg, derive = task
-    return _simulate(cfg, _SHARED["traces"][idx], _SHARED["table"], derive)
+def _token(i: int) -> bytes:
+    return i.to_bytes(4, "little")
+
+
+def _fork_map(fn, items: list, procs: int) -> list:
+    """[fn(item) for item in items], computed by this process and procs - 1 forked children.
+
+    The processes claim item indices one at a time, whoever is free next,
+    from one pipe that holds a single index at a time: the claimer of i
+    puts i + 1 back before it calls fn.  An index past the last item stops
+    its reader, which puts it back for the next; a process whose call
+    raises puts one in too, so that the others stop after their current
+    item.  So the pipe never holds more than procs indices, whatever the
+    item count.  Each child pickles its (index, result) pairs, or the
+    exception that stopped it, into a pipe of its own, then leaves with
+    os._exit, which runs no atexit hook and flushes no inherited stdio.
+    The caller raises the first exception it meets, its own or a child's
+    in fork order, after killing the children still running; it reaps
+    every child in any case.
+    """
+    import pickle
+
+    n = len(items)
+    claim_r, claim_w = os.pipe()
+
+    def claims():
+        while (i := int.from_bytes(os.read(claim_r, 4), "little")) < n:
+            os.write(claim_w, _token(i + 1))
+            yield i
+        os.write(claim_w, _token(i))
+
+    os.write(claim_w, _token(0))
+    children = {}  # pid -> read end of its pipe, until it is reaped
+    try:
+        for _ in range(procs - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(r)
+                    try:
+                        out = [(i, fn(items[i])) for i in claims()]
+                    except BaseException as exc:
+                        os.write(claim_w, _token(n))
+                        out = exc
+                    with open(w, "wb") as pipe:
+                        pickle.dump(out, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            children[pid] = r
+            os.close(w)
+        results = {i: fn(items[i]) for i in claims()}
+        for pid, r in list(children.items()):
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            os.close(children.pop(pid))
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if status or not data:
+                raise ChildProcessError(f"worker {pid} exited with status {status} and no result")
+            out = pickle.loads(data)
+            if isinstance(out, BaseException):
+                raise out
+            results.update(out)
+        return [results[i] for i in range(n)]
+    finally:
+        if children:
+            import signal
+
+            for pid, r in children.items():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                os.close(r)
+        os.close(claim_r)
+        os.close(claim_w)
 
 
 def _run_sims(
@@ -84,7 +156,9 @@ def _run_sims(
     Returns the report of every task, in task order, and the report of each
     config in `derive`, built from the run of tasks[0] (see
     hierarchy._derived_report).  The derivations run in the process of that
-    run, beside the other tasks.
+    run, beside the other tasks.  With jobs > 1, where os.fork exists, the
+    distinct tasks run in min(jobs, tasks) processes, this one included (see
+    _fork_map).
     """
     if not isinstance(jobs, int) or jobs < 1:
         raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
@@ -93,21 +167,15 @@ def _run_sims(
     unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
     if derive:
         unique[0] = (*unique[0][:2], tuple(derive))
-    _SHARED["traces"] = traces
-    _SHARED["table"] = table
-    try:
-        fork = jobs > 1 and len(unique) > 1
-        if fork:
-            import multiprocessing
 
-            fork = "fork" in multiprocessing.get_all_start_methods()
-        if fork:
-            with multiprocessing.get_context("fork").Pool(processes=min(jobs, len(unique))) as pool:
-                results = pool.map(_run_task, unique)
-        else:
-            results = list(map(_run_task, unique))
-    finally:
-        _SHARED.clear()
+    def run(task):
+        return _simulate(task[1], traces[task[0]], table, task[2])
+
+    procs = min(jobs, len(unique))
+    if procs > 1 and hasattr(os, "fork"):
+        results = _fork_map(run, unique, procs)
+    else:
+        results = list(map(run, unique))
     done = {task[:2]: result[0] for task, result in zip(unique, results)}
     return [done[t] for t in tasks], results[0][1] if results else ()
 

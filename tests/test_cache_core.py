@@ -436,6 +436,28 @@ class TestInspectionRefusals:
             with pytest.raises(ValueError, match=rf"^unit: no way {way} of set 0 in 2 sets of 2 ways$"):
                 u.block_state(0, way)
 
+    def stt_unit_holding_0x40(self):
+        u = stt_unit(sets=2, assoc=2, retention=1 * MS)
+        u.access(0x40, False, 0)  # set 1, way 0: flat way 2
+        assert u.counter_value(2, 10**6) == 2
+        return u
+
+    def test_counter_value_of_a_way_from_the_end(self):
+        # -2 answered for flat way 2, the way of 0x40
+        with pytest.raises(ValueError, match=r"^unit: no way -2 in 4 ways$"):
+            self.stt_unit_holding_0x40().counter_value(-2, 10**6)
+
+    def test_counter_value_of_a_way_past_the_last(self):
+        # 4 raised a bare IndexError from the reset-tick list
+        with pytest.raises(ValueError, match=r"^unit: no way 4 in 4 ways$"):
+            self.stt_unit_holding_0x40().counter_value(4, 0)
+
+    def test_counter_value_of_a_way_that_holds_no_block(self):
+        # way 3 was never filled: its reset tick 0 gave a stale count; block_state reports 0
+        u = self.stt_unit_holding_0x40()
+        assert u.counter_value(3, 10**6) == 0
+        assert u.block_state(1, 1, 10**6).counter == 0
+
     def test_eviction_cause_of_an_unaligned_address(self):
         u = self.unit_holding_0x40()
         with pytest.raises(ValueError, match=r"^unit: address 0x41 not aligned to 64-byte line$"):

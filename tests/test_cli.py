@@ -197,6 +197,22 @@ def test_jobs_below_1_is_a_usage_error(tmp_path, capsys, jobs):
     assert os.listdir(tmp_path) == []
 
 
+def test_a_failing_simulation_is_one_error_line_at_any_jobs(tmp_path, capsys):
+    # the table lacks the swept 1e-3: a forking sweep names it as a serial one does, and leaves no child
+    table = tmp_path / "table.txt"
+    rows = resources.files("sttsim.data").joinpath(SAMPLE_TABLE_RESOURCE).read_text().splitlines()
+    table.write_text("\n".join(r for r in rows if not r.startswith("STTRAM 1e-03")) + "\n")
+    errors = []
+    for jobs in (1, 2):
+        argv = ["sweep", "--config", CONFIGS / "asym_quadcore.cfg", "--tech-table", table, "--jobs", jobs,
+                "--out-dir", tmp_path / "out"]
+        assert run(argv) == 2
+        errors.append(capsys.readouterr().err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert errors == [f"error: {table}: tech table has no entry for (STTRAM, 0.001)\n"] * 2
+
+
 class TestSimulate:
     def test_schema_and_mem_row(self, tmp_path):
         cfg = make_config(tmp_path, SINGLE_CORE)

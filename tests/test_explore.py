@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from dataclasses import replace
 
 import pytest
@@ -130,32 +131,55 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(loop_thread(0, 4, 1 * MS, 5 * MS), template(), [], tech_table=TABLE)
 
-    def test_parallel_matches_serial(self):
-        trace = loop_thread(0, 8, 2 * MS, 50 * MS)
-        rets = [1e-4, 1e-3, 1e-2]
-        serial = sweep(trace, template(), rets, tech_table=TABLE, jobs=1)
-        parallel = sweep(trace, template(), rets, tech_table=TABLE, jobs=2)
-        for a, b in zip(serial.entries, parallel.entries):
-            assert a.report.cache_energy_j == b.report.cache_energy_j
-            assert a.report.exec_time_s == b.report.exec_time_s
-        assert serial.best_retention == parallel.best_retention
+    def test_parallel_matches_serial(self, sim_calls, monkeypatch):
+        # a two-level sweep that derives two candidates: four tasks, so jobs=3 splits them unevenly and jobs=8
+        # forks only three children
+        trace = random_trace(5, 4000, num_cores=2, num_blocks=4096, write_fraction=0.4, instr_fraction=0.2)
+        rets = [1e-6, 1e-5, 1e-4, 1e-2, 1e0]
+        serial = sweep(trace, two_level(2), rets, tech_table=TABLE, jobs=1)
+        assert len(sim_calls) == 4
+        forks = []
+        real_fork = os.fork
 
-    def test_only_a_forking_sweep_imports_multiprocessing(self):
-        # in a fresh interpreter: multiprocessing pulls in socket, selectors and signal, which a serial run never uses
+        def counted_fork():
+            forks.append(os.getpid())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for jobs, children in ((2, 1), (3, 2), (8, 3)):
+            forks.clear()
+            assert sweep(trace, two_level(2), rets, tech_table=TABLE, jobs=jobs) == serial  # every field
+            assert forks == [os.getpid()] * children
+
+        def specialized(jobs):
+            return specialize(trace, two_level(2), rets, 1e-4, 1500, tech_table=TABLE, jobs=jobs)
+
+        def assigned(jobs):
+            threads = [random_trace(seed, 600, num_blocks=256, write_fraction=0.4) for seed in (3, 4)]
+            return assign_asymmetric(threads, template(), [1e-5, 1e-3, 1e-2], 200, tech_table=TABLE, jobs=jobs)
+
+        for study in (specialized, assigned):
+            assert study(2) == study(1)
+
+    def test_no_study_imports_multiprocessing(self):
+        # in a fresh interpreter: a study forks its own workers, and multiprocessing pulls in socket, selectors
+        # and signal, which no study uses
         script = "\n".join([
             "import sys, sttsim",
             "unit = sttsim.CacheUnitConfig(1024, 2, 64, sttsim.Technology.SRAM)",
             "cfg = sttsim.HierarchyConfig(num_cores=1, l1i=unit, l1d=unit)",
             "trace = [sttsim.AccessRecord(0, t, sttsim.AccessKind.LOAD, 0x40) for t in range(0, 10_000, 1000)]",
-            "for jobs in (1, 2):",  # the 1e-6 candidate runs beside the SRAM run: two tasks, so jobs=2 forks
+            "for jobs in (1, 2):",  # two simulations in each call, so jobs=2 forks
             "    sttsim.sweep(trace, cfg, [1e-6, 1e-3], jobs=jobs)",
+            "    sttsim.specialize(trace, cfg, [1e-6, 1e-3], 1e-6, 5, jobs=jobs)",
+            "    sttsim.assign_asymmetric([trace], cfg, [1e-6, 1e-3], 5, jobs=jobs)",
             "    print(jobs, 'multiprocessing' in sys.modules)",
         ])
         src = os.path.dirname(os.path.dirname(explore.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["1 False", "2 True"]
+        assert done.stdout.splitlines() == ["1 False", "2 False"]
 
     def test_time_and_edp_objectives(self):
         trace = loop_thread(0, 8, 2 * MS, 50 * MS)
@@ -208,6 +232,72 @@ def test_every_study_refuses_jobs_below_1(jobs):
     ):
         with pytest.raises(ConfigError, match=rf"^jobs must be an int of at least 1, got {jobs}$"):
             study()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [2, 3])
+def test_a_failing_task_raises_as_in_a_serial_run(jobs):
+    # the table lacks the swept 1e-3, so its tasks raise in whichever process claims them
+    table = TechTable([TABLE.lookup(Technology.SRAM, None)] +
+                      [TABLE.lookup(Technology.STTRAM, r) for r in TABLE.retentions() if r != 1e-3])
+    trace = loop_thread(0, 8, 2 * MS, 50 * MS)  # every candidate can expire a block, so each runs in full
+    rets = [1e-4, 1e-3, 1e-2]
+    for study in (
+        lambda j: sweep(trace, template(), rets, tech_table=table, jobs=j),
+        lambda j: assign_asymmetric([trace, trace], template(), rets, 10, tech_table=table, jobs=j),
+    ):
+        with pytest.raises(ConfigError, match=r"^tech table has no entry for \(STTRAM, 0.001\)$") as serial:
+            study(1)
+        with pytest.raises(ConfigError) as parallel:
+            study(jobs)
+        assert (type(parallel.value), str(parallel.value)) == (type(serial.value), str(serial.value))
+        assert_no_child_left()
+
+
+class TestForkMap:
+    """explore._fork_map, the processes of a study that forks."""
+
+    def test_more_items_than_a_pipe_holds(self):
+        # a Linux pipe holds 16,384 four-byte indices; the claim pipe holds one at a time
+        items = list(range(40_000))
+        assert explore._fork_map(lambda i: i * i, items, 3) == [i * i for i in items]
+        assert_no_child_left()
+
+    def test_a_childs_exception_keeps_its_type_and_message(self):
+        caller = os.getpid()
+
+        def fn(i):
+            if os.getpid() != caller:
+                raise LookupError(f"item {i} in a child")
+            time.sleep(0.01)  # so that the child claims an item
+
+        with pytest.raises(LookupError, match=r"^item \d+ in a child$"):
+            explore._fork_map(fn, list(range(100)), 2)
+        assert_no_child_left()
+
+    def test_an_interrupt_kills_the_children(self):
+        caller = os.getpid()
+
+        def fn(i):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            time.sleep(60)
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            explore._fork_map(fn, list(range(10)), 3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()
+
+    def test_a_child_that_dies_is_named(self):
+        caller = os.getpid()
+        with pytest.raises(ChildProcessError, match=r"^worker \d+ exited with status 3 and no result$"):
+            explore._fork_map(lambda i: os._exit(3) if os.getpid() != caller else time.sleep(0.01), list(range(50)), 2)
+        assert_no_child_left()
 
 
 class TestSpecialize:
