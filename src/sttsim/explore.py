@@ -1,9 +1,10 @@
 """Design-space studies: retention sweeps, specialization, asymmetric cores.
 
-Each study submits its simulations as (trace, config) tasks; a task that
-repeats an earlier one runs once.  With jobs > 1 the study forks up to
-jobs - 1 children and computes tasks beside them; the results come back in
-task order, so reports are identical to a serial run.  A sweep simulates in
+Each study submits each simulation it needs once, as a (trace, config)
+task: asymmetric assignment runs a thread once per distinct core retention.
+With jobs > 1 the study forks up to jobs - 1 children and computes tasks
+beside them; the results come back in task order, so reports are identical
+to a serial run.  A sweep simulates in
 full only the candidates that could expire a block before the run ends; it
 builds the report of every other candidate from its SRAM run, replaying the
 record loop's timing over the levels that run recorded, and simulates there
@@ -147,37 +148,33 @@ def _fork_map(fn, items: list, procs: int) -> list:
 
 
 def _run_sims(
-    tasks: list[tuple[int, HierarchyConfig]], traces: list, table: TechTable | None, jobs: int, derive=()
+    tasks: list[tuple[Trace, HierarchyConfig]], table: TechTable | None, jobs: int, derive=()
 ) -> tuple[list[SimReport], tuple]:
-    """Simulate each distinct (trace index, config) task once.
+    """Simulate each (trace, config) task; a study submits each simulation it needs once.
 
     The caller has admitted each trace for its tasks' num_cores, which puts
     it in time order (see trace.check_records), or sliced an admitted trace.
     Returns the report of every task, in task order, and the report of each
-    config in `derive`, built from the run of tasks[0] (see
-    hierarchy._derived_report).  The derivations run in the process of that
-    run, beside the other tasks.  With jobs > 1, where os.fork exists, the
-    distinct tasks run in min(jobs, tasks) processes, this one included (see
+    config in `derive`, built from the run of tasks[0] in that run's process
+    (see hierarchy._derived_report).  With jobs > 1, where os.fork exists,
+    the tasks run in min(jobs, tasks) processes, this one included (see
     _fork_map).
     """
-    if not isinstance(jobs, int) or jobs < 1:
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
         raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
     if table is None:
         table = sample_tech_table()
-    unique = [(idx, cfg, ()) for idx, cfg in dict.fromkeys(tasks)]
-    if derive:
-        unique[0] = (*unique[0][:2], tuple(derive))
 
-    def run(task):
-        return _simulate(task[1], traces[task[0]], table, task[2])
+    def run(i):
+        trace, cfg = tasks[i]
+        return _simulate(cfg, trace, table, derive if i == 0 else ())
 
-    procs = min(jobs, len(unique))
+    procs = min(jobs, len(tasks))
     if procs > 1 and hasattr(os, "fork"):
-        results = _fork_map(run, unique, procs)
+        results = _fork_map(run, range(len(tasks)), procs)
     else:
-        results = list(map(run, unique))
-    done = {task[:2]: result[0] for task, result in zip(unique, results)}
-    return [done[t] for t in tasks], results[0][1] if results else ()
+        results = list(map(run, range(len(tasks))))
+    return [report for report, _ in results], results[0][1] if results else ()
 
 
 # -- retention sweep ---------------------------------------------------------
@@ -256,7 +253,7 @@ def sweep(
     last = records.stamps[-1]
     derived = [c for c in configs if _cannot_expire(c, last)]
     full = [sram_cfg] + [c for c in configs if c not in derived]
-    full_reports, derived_reports = _run_sims([(0, c) for c in full], [records], tech_table, jobs, derive=derived)
+    full_reports, derived_reports = _run_sims([(records, c) for c in full], tech_table, jobs, derive=derived)
     done = dict(zip(full, full_reports)) | dict(zip(derived, derived_reports))
     reports = [done[c] for c in [sram_cfg, *configs]]
 
@@ -310,19 +307,15 @@ def specialize(
     if sample_len > len(records):
         raise ConfigError(f"sample_len {sample_len} exceeds trace length {len(records)}")
 
-    prefix = records[:sample_len]
-    tasks = [(0, with_technology(template, Technology.STTRAM, r)) for r in rets]
-    sample_reports, _ = _run_sims(tasks, [prefix], tech_table, jobs)
-    sample_values = {r: objective_value(rep, objective) for r, rep in zip(rets, sample_reports)}
-    chosen = _best_retention(sample_values)
+    def values(part, retentions) -> list[float]:
+        tasks = [(part, with_technology(template, Technology.STTRAM, r)) for r in retentions]
+        return [objective_value(rep, objective) for rep in _run_sims(tasks, tech_table, jobs)[0]]
 
-    full_tasks = [
-        (0, with_technology(template, Technology.STTRAM, chosen)),
-        (0, with_technology(template, Technology.STTRAM, base_retention)),
-    ]
-    (full_chosen, full_base), _ = _run_sims(full_tasks, [records], tech_table, jobs)
-    v_chosen = objective_value(full_chosen, objective)
-    v_base = objective_value(full_base, objective)
+    sample_values = dict(zip(rets, values(records[:sample_len], rets)))
+    chosen = _best_retention(sample_values)
+    # the base runs only when it is not the chosen retention
+    full = values(records, [chosen] if chosen == base_retention else [chosen, base_retention])
+    v_chosen, v_base = full[0], full[-1]
     savings = _ratio(v_base - v_chosen, v_base)
     return SpecializeResult(
         chosen_retention=chosen,
@@ -405,39 +398,25 @@ def assign_asymmetric(
         raise ConfigError("core retentions must be positive")
 
     traces = [_rebase_core(check_records(t)) for t in thread_traces]
-    prefixes = [t[:profile_len] for t in traces]
+    distinct = sorted(set(core_rets))
+    configs = [_single_core_config(template, r) for r in distinct]
 
-    pair_tasks = []
-    for t in range(nthreads):
-        for c in range(ncores):
-            pair_tasks.append((t, _single_core_config(template, core_rets[c])))
-    pair_reports, _ = _run_sims(pair_tasks, prefixes, tech_table, jobs)
-    cost = [
-        [objective_value(pair_reports[t * ncores + c], objective) for c in range(ncores)]
-        for t in range(nthreads)
-    ]
+    def values(threads) -> list[list[float]]:
+        """[thread][distinct retention] objective of each thread's run at each distinct retention."""
+        reports, _ = _run_sims([(t, cfg) for t in threads for cfg in configs], tech_table, jobs)
+        k = len(configs)
+        return [[objective_value(rep, objective) for rep in reports[i : i + k]] for i in range(0, len(reports), k)]
 
-    best_perm = None
-    best_total = None
-    for perm in itertools.permutations(range(ncores), nthreads):
-        total = sum(cost[t][perm[t]] for t in range(nthreads))
-        if best_total is None or total < best_total:
-            best_total = total
-            best_perm = perm
-    assignment = {t: best_perm[t] for t in range(nthreads)}
+    column = [distinct.index(r) for r in core_rets]  # each core's distinct retention
+    cost = [[row[k] for k in column] for row in values([t[:profile_len] for t in traces])]
+    # on a tie the lesser permutation wins, which is the first that permutations() yields
+    best_total, best_perm = min((sum(cost[t][c] for t, c in enumerate(p)), p)
+                                for p in itertools.permutations(range(ncores), nthreads))
+    assignment = dict(enumerate(best_perm))
 
-    full_tasks = [(t, _single_core_config(template, core_rets[assignment[t]])) for t in range(nthreads)]
-    distinct_rets = sorted(set(core_rets))
-    for r in distinct_rets:
-        full_tasks += [(t, _single_core_config(template, r)) for t in range(nthreads)]
-    full_reports, _ = _run_sims(full_tasks, traces, tech_table, jobs)
-
-    asym_total = sum(objective_value(rep, objective) for rep in full_reports[:nthreads])
-    homogeneous = {}
-    pos = nthreads
-    for r in distinct_rets:
-        homogeneous[r] = sum(objective_value(rep, objective) for rep in full_reports[pos : pos + nthreads])
-        pos += nthreads
+    full = values(traces)
+    asym_total = sum(full[t][column[c]] for t, c in assignment.items())
+    homogeneous = {r: sum(row[k] for row in full) for k, r in enumerate(distinct)}
 
     best_h_ret = _best_retention(homogeneous)
     best_h_total = homogeneous[best_h_ret]
