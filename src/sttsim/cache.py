@@ -190,6 +190,14 @@ class BlockState:
     lru_rank: int
 
 
+def check_clock(clock_hz) -> None:
+    """ConfigError unless clock_hz is a real number > 0 and finite: the rule for every clock."""
+    if not isinstance(clock_hz, numbers.Real) or isinstance(clock_hz, bool):
+        raise ConfigError(f"clock_hz must be a real number, got {clock_hz!r}")
+    if not 0 < clock_hz < math.inf:  # NaN fails too
+        raise ConfigError(f"clock_hz must be > 0 and finite, got {clock_hz!r}")
+
+
 def tick_cycles(config: CacheUnitConfig, clock_hz: float) -> int:
     """Cycles of one counter tick, retention_time * clock_hz / N rounded to whole cycles as a
     divided clock ticks; ConfigError when that is below one cycle or not finite."""
@@ -228,6 +236,7 @@ class CacheUnit:
     )
 
     def __init__(self, config: CacheUnitConfig, name: str = "unit", clock_hz: float = DEFAULT_CLOCK_HZ) -> None:
+        check_clock(clock_hz)
         self.config = config
         self.name = name
         self.num_sets = config.num_sets

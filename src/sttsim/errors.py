@@ -57,10 +57,20 @@ _KIND_NAMES = {int: "an int", numbers.Real: "a real number", bool: "a bool"}
 def check_field_types(obj, kind: type, *names: str) -> None:
     """Raise ConfigError naming the first of obj's fields `names` whose value is not a kind.
 
-    Configs run it before their range checks, so that a value of the wrong
-    type fails with its field's name instead of a bare TypeError later.
+    A bool is an int to isinstance, but no number here: it is of kind bool
+    alone.  Configs run this before their range checks, so that a value of
+    the wrong type fails with its field's name instead of a bare TypeError
+    later.
     """
     for name in names:
         value = getattr(obj, name)
-        if not isinstance(value, kind):
+        if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
             raise ConfigError(f"{name} must be {_KIND_NAMES.get(kind, f'a {kind.__name__}')}, got {value!r}")
+
+
+def check_count(name: str, value) -> None:
+    """Raise ConfigError naming the count argument `name` unless value is an int >= 1 (a bool is not)."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+    if value < 1:
+        raise ConfigError(f"{name} must be >= 1, got {value!r}")

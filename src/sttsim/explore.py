@@ -4,12 +4,12 @@ Each study submits each simulation it needs once, as a (trace, config)
 task: asymmetric assignment runs a thread once per distinct core retention.
 With jobs > 1 the study forks up to jobs - 1 children and computes tasks
 beside them; the results come back in task order, so reports are identical
-to a serial run.  A sweep simulates in
-full only the candidates that could expire a block before the run ends; it
-builds the report of every other candidate from its SRAM run, replaying the
-record loop's timing over the levels that run recorded, and simulates there
-in full any candidate whose replayed completion time could expire a block
-(see hierarchy._derived_report).
+to a serial run.  A sweep simulates in full only the candidates that could
+expire a block before the run ends; it builds the report of every other
+candidate from its SRAM run, replaying the record loop's timing over the
+levels that run recorded, and simulates there in full any candidate whose
+replayed completion time could expire a block (see
+hierarchy._derived_report).
 Objective values are total cache energy (joules), execution time (seconds),
 or their product; memory energy is reported separately and excluded from
 objectives.
@@ -20,13 +20,14 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import numbers
 import os
 from array import array
 from dataclasses import dataclass, replace
 
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
-from .errors import ConfigError, TraceRecordsError
+from .errors import ConfigError, TraceRecordsError, check_count
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
 from .trace import Trace, check_records
 
@@ -35,6 +36,12 @@ class Objective(enum.Enum):
     ENERGY = "energy"
     TIME = "time"
     EDP = "edp"  # energy-delay product, an extension beyond energy/latency
+
+
+def _check_objective(objective) -> None:
+    """ConfigError naming objective unless it is an Objective; a study checks it before any simulation."""
+    if not isinstance(objective, Objective):
+        raise ConfigError(f"objective must be an Objective, got {objective!r}")
 
 
 def objective_value(report: SimReport, objective: Objective) -> float:
@@ -244,6 +251,7 @@ def sweep(
     swept retentions, ties broken toward the longer retention.
     """
     rets = _check_retentions(retentions)
+    _check_objective(objective)
     records = check_records(trace, template.num_cores)
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
@@ -301,20 +309,25 @@ def specialize(
     workloads).
     """
     rets = _check_retentions(retentions)
+    _check_objective(objective)
+    base = base_retention
+    if isinstance(base, bool) or not (isinstance(base, numbers.Real) and 0 < base < math.inf):
+        raise ConfigError(f"base_retention must be finite and positive, got {base!r}")
+    table = sample_tech_table() if tech_table is None else tech_table
+    table.lookup(Technology.STTRAM, base)  # a base without a row is named before any simulation
     records = check_records(trace, template.num_cores)
-    if sample_len < 1:
-        raise ConfigError("sample_len must be >= 1")
+    check_count("sample_len", sample_len)
     if sample_len > len(records):
         raise ConfigError(f"sample_len {sample_len} exceeds trace length {len(records)}")
 
     def values(part, retentions) -> list[float]:
         tasks = [(part, with_technology(template, Technology.STTRAM, r)) for r in retentions]
-        return [objective_value(rep, objective) for rep in _run_sims(tasks, tech_table, jobs)[0]]
+        return [objective_value(rep, objective) for rep in _run_sims(tasks, table, jobs)[0]]
 
     sample_values = dict(zip(rets, values(records[:sample_len], rets)))
     chosen = _best_retention(sample_values)
     # the base runs only when it is not the chosen retention
-    full = values(records, [chosen] if chosen == base_retention else [chosen, base_retention])
+    full = values(records, [chosen] if chosen == base else [chosen, base])
     v_chosen, v_base = full[0], full[-1]
     savings = _ratio(v_base - v_chosen, v_base)
     return SpecializeResult(
@@ -392,8 +405,8 @@ def assign_asymmetric(
         raise TraceRecordsError(f"thread count {nthreads} exceeds core count {ncores} (one thread per core)")
     if ncores > 8:
         raise ConfigError("exhaustive assignment supports at most 8 cores")
-    if profile_len < 1:
-        raise ConfigError("profile_len must be >= 1")
+    check_count("profile_len", profile_len)
+    _check_objective(objective)
     if any(not r > 0 for r in core_rets):
         raise ConfigError("core retentions must be positive")
 

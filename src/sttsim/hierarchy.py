@@ -42,7 +42,7 @@ import numbers
 from dataclasses import dataclass
 from itertools import count
 
-from .cache import DEFAULT_CLOCK_HZ, MAX_WAYS, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
+from .cache import DEFAULT_CLOCK_HZ, MAX_WAYS, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by, check_clock
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
 from .errors import ConfigError, check_field_types
 from .trace import Trace, check_records
@@ -92,15 +92,14 @@ class HierarchyConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self, int, "num_cores", "mem_latency_cycles")
-        check_field_types(self, numbers.Real, "clock_hz", "mem_energy_per_access")
+        check_clock(self.clock_hz)
+        check_field_types(self, numbers.Real, "mem_energy_per_access")
         if self.l2 is not None and not isinstance(self.l2, CacheUnitConfig):
             raise ConfigError(f"l2 must be a CacheUnitConfig or None, got {self.l2!r}")
         if self.num_cores < 1:
             raise ConfigError("num_cores must be >= 1")
         if self.num_cores > MAX_CORES:
             raise ConfigError(f"num_cores must be <= MAX_CORES = {MAX_CORES}, got {self.num_cores}")
-        if not 0 < self.clock_hz < math.inf:  # NaN fails too
-            raise ConfigError("clock_hz must be > 0 and finite")
         if self.mem_latency_cycles < 0 or not 0 <= self.mem_energy_per_access < math.inf:
             raise ConfigError("memory parameters must be >= 0 and finite")
         object.__setattr__(self, "l1i", _as_per_core(self.l1i, self.num_cores, "l1i"))

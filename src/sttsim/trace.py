@@ -429,7 +429,7 @@ class ConstantGap:
     cycles: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cycles, int):
+        if not isinstance(self.cycles, int) or isinstance(self.cycles, bool):
             raise ConfigError(f"constant inter-access gap must be a whole number of cycles, got {self.cycles!r}")
         if self.cycles < 1:
             raise ConfigError("constant inter-access gap must be >= 1 cycle")
@@ -441,7 +441,7 @@ class LogUniformGap:
     hi: int
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.lo, int) and isinstance(self.hi, int)):
+        if not all(isinstance(b, int) and not isinstance(b, bool) for b in (self.lo, self.hi)):
             raise ConfigError(f"log-uniform gap bounds must be whole numbers of cycles, got {self.lo!r}, {self.hi!r}")
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("log-uniform gap requires 1 <= lo <= hi")

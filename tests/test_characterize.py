@@ -270,6 +270,19 @@ class TestPersistence:
         assert report.total_fills == sum(fills.values())
 
 
+@pytest.mark.parametrize("clock", [0, -1.9e9, float("nan"), math.inf])
+def test_every_replay_refuses_a_clock_that_is_not_positive_and_finite(clock):
+    # 0 ended in a ZeroDivisionError; -1.9e9, NaN and inf gave lifetimes of -0.0, NaN and 0.0
+    trace = random_trace(17, 200, num_blocks=8)
+    for analysis in (
+        lambda: block_lifetimes(trace, unit_cfg(), clock_hz=clock),
+        lambda: persistence(trace, unit_cfg(), clock_hz=clock),
+        lambda: expiration_curve(trace, unit_cfg(), [1e-3], clock_hz=clock),
+    ):
+        with pytest.raises(ConfigError, match=rf"^clock_hz must be > 0 and finite, got {clock!r}$"):
+            analysis()
+
+
 class TestExpirationCurve:
     def test_long_retention_no_expirations(self):
         trace = random_trace(5, 1000, num_blocks=8, write_fraction=0.5)

@@ -299,6 +299,17 @@ def _tech(**fields):
         (lambda: _tech(e_read="1e-12"), "e_read must be a real number, got '1e-12'"),
         (lambda: _tech(retention_time="1e-3"), "retention_time must be a real number, got '1e-3'"),
         (lambda: _tech(technology="SRAM"), "technology must be a Technology, got 'SRAM'"),
+        # a bool is an int to isinstance, but no count or quantity
+        (lambda: HierarchyConfig(num_cores=True, l1i=L1, l1d=L1), "num_cores must be an int, got True"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, mem_latency_cycles=True),
+         "mem_latency_cycles must be an int, got True"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, clock_hz=True), "clock_hz must be a real number, got True"),
+        (lambda: HierarchyConfig(num_cores=1, l1i=L1, l1d=L1, mem_energy_per_access=False),
+         "mem_energy_per_access must be a real number, got False"),
+        (lambda: CacheUnitConfig(4096, 4, 64, counter_states=True), "counter_states must be an int, got True"),
+        (lambda: CacheUnitConfig(4096, 4, 64, Technology.STTRAM, True), "retention_time must be a real number, got True"),
+        (lambda: _tech(t_read=True), "t_read must be an int, got True"),
+        (lambda: _tech(e_write=False), "e_write must be a real number, got False"),
     ],
 )
 def test_config_fields_of_the_wrong_type(build, match):

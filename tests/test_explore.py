@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -220,7 +221,7 @@ def test_objectives_leave_out_memory_energy():
     assert objective_value(report, Objective.EDP) == report.cache_energy_j * report.exec_time_s
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.5])
+@pytest.mark.parametrize("jobs", [0, -3, 1.5, True])  # True equals 1, but a bool is not a count
 def test_every_study_refuses_jobs_below_1(jobs):
     # explore._run_sims is the one place a study reads jobs; it refused nothing and ran serially
     trace = loop_thread(0, 8, 1 * MS, 5 * MS)
@@ -232,6 +233,21 @@ def test_every_study_refuses_jobs_below_1(jobs):
     ):
         with pytest.raises(ConfigError, match=rf"^jobs must be an int of at least 1, got {jobs}$"):
             study()
+
+
+@pytest.mark.parametrize("objective", ["time", "energy", None])
+def test_every_study_refuses_an_objective_that_is_not_one(objective, sim_calls):
+    # objective_value took any such value for EDP, and the study reported it as given
+    trace = loop_thread(0, 8, 1 * MS, 5 * MS)
+    rets = [1e-5, 1e-3]
+    for study in (
+        lambda: sweep(trace, template(), rets, objective, tech_table=TABLE),
+        lambda: specialize(trace, template(), rets, 1e-3, 10, objective, tech_table=TABLE),
+        lambda: assign_asymmetric([trace], template(), rets, 10, objective, tech_table=TABLE),
+    ):
+        with pytest.raises(ConfigError, match=rf"^objective must be an Objective, got {re.escape(repr(objective))}$"):
+            study()
+    assert sim_calls == []
 
 
 def assert_no_child_left():
@@ -339,6 +355,23 @@ class TestSpecialize:
             specialize(trace, template(), [1e-3], 1e-3, sample_len=0, tech_table=TABLE)
         with pytest.raises(ConfigError):
             specialize(trace, template(), [1e-3], 1e-3, sample_len=len(trace) + 1, tech_table=TABLE)
+        for bad in (2.5, True):  # a slice took neither: 2.5 ended in a TypeError, True profiled one record
+            with pytest.raises(ConfigError, match=rf"^sample_len must be an int, got {bad}$"):
+                specialize(trace, template(), [1e-3], 1e-3, sample_len=bad, tech_table=TABLE)
+
+    @pytest.mark.parametrize(
+        "base, match",
+        [
+            (-1.0, r"^base_retention must be finite and positive, got -1.0$"),
+            (float("nan"), r"^base_retention must be finite and positive, got nan$"),
+            (2e-3, r"^<sample>: tech table has no entry for \(STTRAM, 0.002\)$"),
+        ],
+    )
+    def test_bad_base_named_before_any_simulation(self, sim_calls, base, match):
+        trace = loop_thread(0, 8, 2 * MS, 20 * MS)
+        with pytest.raises(ConfigError, match=match):
+            specialize(trace, template(), [1e-4, 1e-3], base, sample_len=10, tech_table=TABLE)
+        assert sim_calls == []
 
 
 def four_thread_workload(duration_s=0.2):
@@ -416,6 +449,8 @@ class TestAssignAsymmetric:
             (1, [1e-3, 1e-2], 0, "profile_len must be >= 1"),
             (1, [1e-3, 0.0], 10, "core retentions must be positive"),
             (1, [1e-3, -1e-3], 10, "core retentions must be positive"),
+            (1, [1e-3, 1e-2], 2.5, "profile_len must be an int, got 2.5"),
+            (1, [1e-3, 1e-2], True, "profile_len must be an int, got True"),
         ],
     )
     def test_bad_input_named_before_any_simulation(self, sim_calls, threads, core_rets, profile_len, match):
@@ -643,10 +678,26 @@ class TestRecordOrder:
         )
 
 
-class TestDistinctTasks:
-    """Each distinct (trace, config) simulation runs once per batch."""
+@pytest.fixture
+def batches(monkeypatch):
+    """The (trace, config) tasks of every explore._run_sims call, each checked to repeat no task."""
+    calls = []
+    real = explore._run_sims
 
-    def test_asym_study_runs_24_of_32(self, sim_calls):
+    def recorded(tasks, *args, **kwargs):
+        keys = [(id(trace), cfg) for trace, cfg in tasks]  # a thread's trace is its own, whatever it holds
+        assert len(set(keys)) == len(keys), "a batch repeats a task"
+        calls.append(tasks)
+        return real(tasks, *args, **kwargs)
+
+    monkeypatch.setattr(explore, "_run_sims", recorded)
+    return calls
+
+
+class TestDistinctTasks:
+    """Each study submits each (trace, config) simulation it needs once."""
+
+    def test_asym_study_submits_and_runs_24_simulations(self, batches, sim_calls):
         cfg = load_experiment_config(os.path.join(SAMPLE_CONFIGS, "asym_quadcore.cfg"))
         by_core = {}
         for rec in read_trace(cfg.trace_path):
@@ -654,7 +705,10 @@ class TestDistinctTasks:
         threads = [by_core[c] for c in sorted(by_core)]
         result = assign_asymmetric(threads, cfg.hierarchy, cfg.core_retentions, cfg.profile_len,
                                    cfg.objective, TABLE, jobs=1)
-        assert len(threads) == 4 and len(sim_calls) == 24
+        # four threads and three distinct retentions among the four cores, each thread's prefix then its trace
+        assert len(threads) == 4 and len(set(cfg.core_retentions)) == 3
+        assert [len(tasks) for tasks in batches] == [12, 12]
+        assert len(sim_calls) == 24
 
         def value(retention, trace):
             single = explore._single_core_config(cfg.hierarchy, retention)
@@ -669,16 +723,27 @@ class TestDistinctTasks:
             value(cfg.core_retentions[result.assignment[t]], thread) for t, thread in enumerate(threads)
         )
 
-    def test_specialize_runs_full_trace_once_when_chosen_is_base(self, sim_calls):
+    def test_specialize_runs_full_trace_once_when_chosen_is_base(self, batches, sim_calls):
         trace = loop_thread(0, 8, 2 * MS, 100 * MS)
         rets = [1e-4, 1e-3, 1e-2, 1e-1]
         result = specialize(trace, template(), rets, base_retention=1e-1,
                             sample_len=len(trace) // 4, tech_table=TABLE)
         assert result.chosen_retention == 1e-1
+        assert [len(tasks) for tasks in batches] == [4, 1]
         assert [n for _, n in sim_calls].count(len(trace)) == 1
         full = simulate(with_technology(template(), Technology.STTRAM, 1e-1), trace, TABLE)
         assert result.full_value_chosen == result.full_value_base == objective_value(full, Objective.ENERGY)
         assert result.savings_vs_base == 0.0
+
+    def test_no_study_repeats_a_task(self, batches):
+        trace = loop_thread(0, 8, 2 * MS, 50 * MS)  # every candidate can expire a block, so none is derived
+        rets = [1e-4, 1e-3, 1e-2]
+        sweep(trace, template(), rets, tech_table=TABLE)
+        result = specialize(trace, template(), rets, base_retention=1e-4, sample_len=50, tech_table=TABLE)
+        assert result.chosen_retention != 1e-4
+        # two threads of equal records are two threads; two cores share 1e-3
+        assign_asymmetric([trace, list(trace)], template(), [1e-3, 1e-2, 1e-3], 50, tech_table=TABLE)
+        assert [len(tasks) for tasks in batches] == [4, 3, 2, 4, 4]
 
 
 class TestRecordChecks:

@@ -259,6 +259,12 @@ def test_specs_check_themselves_when_built(build, match):
         (lambda: SyntheticTraceSpec(seed=1, line_size_bytes=64.0), "line_size_bytes must be an int, got 64.0"),
         (lambda: SyntheticTraceSpec(seed=1, read_fraction="0.5"), "read_fraction must be a real number, got '0.5'"),
         (lambda: Zipf("1.2"), "s must be a real number, got '1.2'"),
+        # a bool is an int to isinstance, but no count or quantity
+        (lambda: SyntheticTraceSpec(seed=True), "seed must be an int, got True"),
+        (lambda: SyntheticTraceSpec(seed=1, read_fraction=True), "read_fraction must be a real number, got True"),
+        (lambda: ConstantGap(True), "constant inter-access gap must be a whole number of cycles, got True"),
+        (lambda: LogUniformGap(True, 2), "log-uniform gap bounds must be whole numbers of cycles, got True, 2"),
+        (lambda: Zipf(True), "s must be a real number, got True"),
     ],
 )
 def test_spec_fields_of_the_wrong_type(build, match):
