@@ -265,7 +265,7 @@ class CacheUnit:
         self._n_states = config.counter_states
         # slot t % N: the ways filed to come due at tick t, one entry per valid way
         self._wheel: list[list[int]] = [[] for _ in range(self._n_states)]
-        # latest time seen by access() or tick_expirations() (-inf before any), and its tick
+        # latest time seen by access() or tick_expirations() (-inf before any); the tick last drained to
         self.time = -math.inf
         self._tick = 0
         self.next_tick_time = self.tick_period
@@ -403,6 +403,7 @@ class CacheUnit:
             raise ValueError(f"{self.name}: time regression ({now} < {self.time})")
         if now >= self.next_tick_time and not isinstance(now, int):
             raise self._not_cycles(now)
+        self.time = now
         return self._access(addr, is_write, now, expired)
 
     def _access(self, addr: int, is_write: bool, now: int, expired: list[ExpiredBlock] | None = None) -> AccessOutcome:
@@ -416,8 +417,10 @@ class CacheUnit:
           time (hierarchy._simulate's l2_last) only grows.
         - `now` is an int: the admitted columns hold ints, tech-table
           latencies are ints, and an expiry time is tick * tick_period.
+
+        It leaves the unit's clock (`time`) as it was: only access()'s check,
+        tick_expirations() and block_state() read it, and no replay calls them.
         """
-        self.time = now
         if now >= self.next_tick_time:
             self._expire_due(now, expired, True)
 
@@ -460,32 +463,36 @@ class CacheUnit:
         lru = self._lru
         dirty = self._dirty
         ways = tags[base:end]
-        if None in ways:
+        if None in ways:  # a free way: filled and filed on the wheel, no victim
             way = base + ways.index(None)
-            victim = None
-        else:
-            stamps = lru[base:end]
-            way = base + stamps.index(min(stamps))
-            victim = tags[way]
-            where[victim] = _REPLACED
-            self.evictions_replacement += 1
-            writeback = dirty[way]
-            if writeback:
-                self.writebacks += 1
+            tags[way] = addr
+            where[addr] = way
+            dirty[way] = is_write
+            self._seq = seq = self._seq + 1
+            lru[way] = seq
+            if self.has_expiry:
+                tick = self._tick
+                self._reset_tick[way] = tick
+                self._gen[way] += 1
+                self._wheel[tick % self._n_states].append(way)
+            return _FREE_WAY_MISS[miss_class]
 
+        stamps = lru[base:end]
+        way = base + stamps.index(min(stamps))
+        victim = tags[way]
+        where[victim] = _REPLACED
+        self.evictions_replacement += 1
+        writeback = dirty[way]
+        if writeback:
+            self.writebacks += 1
         tags[way] = addr
         where[addr] = way
         dirty[way] = is_write
         self._seq = seq = self._seq + 1
         lru[way] = seq
-        if self.has_expiry:
-            tick = self._tick
-            self._reset_tick[way] = tick
+        if self.has_expiry:  # the victim's wheel entry serves its successor
+            self._reset_tick[way] = self._tick
             self._gen[way] += 1
-            if victim is None:  # a replaced block's wheel entry serves its successor
-                self._wheel[tick % self._n_states].append(way)
-        if victim is None:
-            return _FREE_WAY_MISS[miss_class]
         return _new_tuple(AccessOutcome, (False, miss_class, writeback, victim))
 
     # -- inspection ----------------------------------------------------------

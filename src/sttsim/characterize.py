@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, mul, not_
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by, check_clock
 from .errors import ConfigError
 from .explore import _check_retentions, _ratio
 from .trace import AccessKind, Trace, check_records
@@ -137,9 +137,10 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     the same stream, an equal unbounded config and clock, and the same
     Trace returns it without admitting, selecting or replaying the stream.
     Other records, a list say, may change in place, so they are profiled on
-    every call.
+    every call.  The clock is checked first: True equals a memo's clock of 1.
     """
     global _memo
+    check_clock(clock_hz)
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
     if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] is trace:

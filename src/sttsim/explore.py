@@ -393,10 +393,14 @@ def assign_asymmetric(
     accesses in time order, from cold caches, searches all assignments
     exhaustively for the minimum total cost, then runs every thread's full
     trace under the plan.  The comparison baseline is the best single retention from the
-    core set applied to all threads.
+    core set applied to all threads.  Each core retention must be a real
+    number > 0 and not a bool; ConfigError refuses one before any simulation.
     """
     thread_traces = list(thread_traces)
-    core_rets = [float(r) for r in core_retentions]
+    core_rets = list(core_retentions)
+    if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in core_rets):
+        raise ConfigError(f"core retentions must be real numbers, got {core_rets!r}")
+    core_rets = list(map(float, core_rets))
     nthreads = len(thread_traces)
     ncores = len(core_rets)
     if nthreads == 0:

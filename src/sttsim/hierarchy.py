@@ -49,9 +49,8 @@ from .trace import Trace, check_records
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
-    """Convert core clock cycles to seconds."""
-    if not clock_hz > 0:
-        raise ValueError("clock_hz must be > 0")
+    """Convert core clock cycles to seconds; ConfigError for a clock check_clock refuses."""
+    check_clock(clock_hz)
     return cycles / clock_hz
 
 

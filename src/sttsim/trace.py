@@ -135,9 +135,10 @@ class Trace(Sequence):
     and nothing may change them after.  Code that receives a Trace relies on
     that: check_records returns one in time order as is, select may return
     it as is, and characterize's profile memo keeps it and knows it by
-    identity.  Only check_records sets the private `_ordered` mark, on a
-    Trace it found or put in replay order; forward slices and selections
-    keep it.
+    identity.  Only check_records and generate_trace set the private
+    `_ordered` mark: check_records on a Trace it found or put in replay
+    order, generate_trace on the Trace it merges in that order.  Forward
+    slices and selections keep it.
     """
 
     __slots__ = ("cores", "stamps", "kinds", "addresses", "_ordered")
@@ -353,19 +354,20 @@ def check_records(records, ncores: int | None = None) -> Trace:
     This is the one admission step of a trace; each study admits each input
     trace once, before it slices or rebases it.  TraceRecordsError (a
     ConfigError) names the first record without 4 fields or with a field
-    that is not an int (replays count in cycles), or with a core id below 0
-    (or not below ncores, when given), a kind that is not an AccessKind, or
-    a negative timestamp or address (the file grammar has no sign either);
-    each of those checks is one C-level pass over the records or a column,
-    and a column of an unsigned array type takes none for its sign.  It
-    also refuses a trace with no records.
+    that is not an int or is a bool (replays count in cycles), or with a
+    core id below 0 (or not below ncores, when given), a kind that is not an
+    AccessKind, or a negative timestamp or address (the file grammar has no
+    sign either); each of those checks is one C-level pass over the records
+    or a column, and a column of an unsigned array type takes none for its
+    sign.  It also refuses a trace with no records.
 
     The trace is returned in (timestamp, core_id) order, the order every
     replay uses.  A Trace already in that order is returned as is, without
     a copy or a sort; other records are converted to a Trace once, and
     stably sorted into a copy only when out of order.  The Trace returned
     is marked ordered, as are its forward slices and its selections, which
-    are ordered too; admitting a marked Trace runs every check but that pass.
+    are ordered too, and generate_trace's; admitting a marked Trace runs
+    every check but that pass.
     """
     trace = _checked(records, ncores)
     if not trace:
@@ -419,8 +421,9 @@ def _check_fields(records) -> None:
     if set(map(len, records)) - {4}:  # a column would drop a fifth field
         bad = next(r for r in records if len(r) != 4)
         raise TraceRecordsError(f"trace record {bad!r} does not have 4 fields")
-    if not all(issubclass(t, int) for t in set(map(type, chain.from_iterable(records)))):
-        bad = next(r for r in records if not all(isinstance(x, int) for x in r))
+    # a bool is an int to Python, but True is no core, time, kind or address
+    if not all(issubclass(t, int) and t is not bool for t in set(map(type, chain.from_iterable(records)))):
+        bad = next(r for r in records if not all(isinstance(x, int) and type(x) is not bool for x in r))
         raise TraceRecordsError(f"trace record {bad!r} has a field that is not an int")
 
 
@@ -567,7 +570,8 @@ def generate_trace(spec: SyntheticTraceSpec) -> Trace:
 
     Records are returned merged across cores in (timestamp, core_id)
     order; per-core timestamps increase strictly by the sampled gaps,
-    starting at 0.
+    starting at 0.  The Trace is marked ordered, so check_records admits
+    it without an order pass.
     """
     line = spec.line_size_bytes
     cdf = block_addresses = None
@@ -603,7 +607,9 @@ def _merge_cores(batches: list[Iterator[tuple[Sequence, list, list]]]) -> Trace:
             window.append([column[:i] for column in chunk])
             pending[core] = [column[i:] for column in chunk]
         columns = list(map(_append, columns, _merge_window(window)))
-    return Trace(*columns)
+    merged = Trace(*columns)
+    merged._ordered = True  # in (timestamp, core_id) order by construction
+    return merged
 
 
 def _merge_window(window: list[list[list]]) -> list:

@@ -5,6 +5,7 @@ Run from the root of a checkout; pytest does not collect this script:
 
     PYTHONPATH=src python3 tests/opcount.py sweep-expiry-writes 1e-6 --records 20000
     PYTHONPATH=src python3 tests/opcount.py characterize-tracefile sram --records 20000
+    PYTHONPATH=src python3 tests/opcount.py sweep-c11 admit --records 20000
 
 The workload (perfbench/workloads.py) gives the config and the synthetic
 trace of --seed.  Its first --records records are admitted, and then one
@@ -14,6 +15,10 @@ the retention for a sweep workload, or characterize._replay of the data
 stream through the workload's L1D config for characterize, the profile
 replay at "sram".  The count divided by the records replayed is printed.
 Admission, building the config and generating the trace are not counted.
+
+Given "admit" in place of a retention, it counts instead the admission of
+those records, check_records(trace, num_cores) of the generated trace's
+prefix as a sweep admits its trace, per record admitted.
 """
 
 from __future__ import annotations
@@ -60,7 +65,7 @@ def count_opcodes(call) -> int:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workload", choices=sorted(wl.WORKLOADS))
-    parser.add_argument("retention", help='retention in seconds, or "sram"')
+    parser.add_argument("retention", help='retention in seconds, "sram", or "admit" to count admission')
     parser.add_argument("--records", type=int, default=20_000, help="records of the trace to replay")
     parser.add_argument("--seed", type=int, default=wl.DEFAULT_SEED)
     args = parser.parse_args()
@@ -71,22 +76,25 @@ def main() -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(work.config_text(args.seed))
         cfg = load_experiment_config(path)
-    trace = generate_trace(cfg.synthetic)
+    trace = generate_trace(cfg.synthetic)[: args.records]
     hcfg = cfg.hierarchy
-    records = check_records(trace[: args.records], hcfg.num_cores)
-    if args.retention == "sram":
-        tech, retention = Technology.SRAM, None
+    if args.retention == "admit":  # the first admission: check_records marks a Trace it finds in order
+        ops = count_opcodes(lambda: check_records(trace, hcfg.num_cores))
+        records = trace
     else:
-        tech, retention = Technology.STTRAM, float(args.retention)
-
-    if work.study == "sweep":
-        hcfg = with_technology(hcfg, tech, retention)
-        table = sample_tech_table()
-        ops = count_opcodes(lambda: _simulate(hcfg, records, table))
-    else:
-        records = records.select(records.kinds)  # the data stream
-        unit_cfg = with_technology(hcfg, tech, retention).l1d[0]
-        ops = count_opcodes(lambda: _replay(records, unit_cfg, hcfg.clock_hz, profile=tech is Technology.SRAM))
+        records = check_records(trace, hcfg.num_cores)
+        if args.retention == "sram":
+            tech, retention = Technology.SRAM, None
+        else:
+            tech, retention = Technology.STTRAM, float(args.retention)
+        if work.study == "sweep":
+            hcfg = with_technology(hcfg, tech, retention)
+            table = sample_tech_table()
+            ops = count_opcodes(lambda: _simulate(hcfg, records, table))
+        else:
+            records = records.select(records.kinds)  # the data stream
+            unit_cfg = with_technology(hcfg, tech, retention).l1d[0]
+            ops = count_opcodes(lambda: _replay(records, unit_cfg, hcfg.clock_hz, profile=tech is Technology.SRAM))
     print(f"{args.workload} {args.retention}: {ops / len(records):.1f} opcodes per record over {len(records)} records")
 
 

@@ -610,6 +610,19 @@ class TestProfileMemo:
         assert characterize._sram_profile(trace, self.CFG, CLOCK, "data") is profile
         assert characterize._sram_profile(trace, self.CFG, CLOCK, "all").records is trace
 
+    @pytest.mark.parametrize("analysis", [
+        lambda t, cfg, clock: block_lifetimes(t, cfg, clock_hz=clock),
+        lambda t, cfg, clock: persistence(t, cfg, clock_hz=clock),
+        lambda t, cfg, clock: expiration_curve(t, cfg, [1e-3], clock_hz=clock),
+    ], ids=["lifetimes", "persistence", "curve"])
+    def test_a_bool_clock_is_refused_after_a_profile_at_1_hz(self, monkeypatch, analysis):
+        # True == 1, so the memo of a 1 Hz profile of the same Trace would answer a clock of True
+        monkeypatch.setattr(characterize, "_memo", None)
+        trace = check_records(mixed_trace(7, 200, 2, 64, False))
+        block_lifetimes(trace, self.CFG, clock_hz=1)
+        with pytest.raises(ConfigError, match="clock_hz must be a real number, got True"):
+            analysis(trace, self.CFG, True)
+
     def test_one_selection_per_trace_and_stream(self, monkeypatch):
         admitted = []
         real_check_records = characterize.check_records

@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import random
 import re
@@ -449,6 +450,11 @@ class TestAssignAsymmetric:
             (1, [1e-3, 1e-2], 0, "profile_len must be >= 1"),
             (1, [1e-3, 0.0], 10, "core retentions must be positive"),
             (1, [1e-3, -1e-3], 10, "core retentions must be positive"),
+            (1, [1e-3, math.nan], 10, "core retentions must be positive"),
+            # a bool or a string is no retention, though float() reads True as 1.0 and "1e-3" as 0.001
+            (1, [True, 1e-2], 10, r"core retentions must be real numbers, got \[True, 0\.01\]"),
+            (1, [1e-3, "1e-3"], 10, "core retentions must be real numbers"),
+            (1, [1e-3, None], 10, "core retentions must be real numbers"),
             (1, [1e-3, 1e-2], 2.5, "profile_len must be an int, got 2.5"),
             (1, [1e-3, 1e-2], True, "profile_len must be an int, got True"),
         ],

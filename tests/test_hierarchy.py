@@ -57,9 +57,10 @@ class TestTimeToSeconds:
     def test_arithmetic(self):
         assert time_to_seconds(19_000, 1.9e9) == 1.0e-5
 
-    def test_invalid_clock(self):
-        with pytest.raises(ValueError):
-            time_to_seconds(1, 0.0)
+    @pytest.mark.parametrize("clock", [0.0, -1.0, math.inf, math.nan, True])
+    def test_invalid_clock(self, clock):
+        with pytest.raises(ConfigError, match="clock_hz must be"):
+            time_to_seconds(5, clock)
 
 
 class TestSingleAccess:
@@ -136,7 +137,9 @@ class TestSharedL2:
         with pytest.raises(ConfigError, match=f"kind {kind} "):
             sweep(trace, cfg, [1e-3], tech_table=TABLE, jobs=1)
 
-    @pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, 1.0), (3, 0.5), (3, 64.0), (1, "1"), (2, [])])
+    # a bool is refused in every field, though Python counts it an int
+    @pytest.mark.parametrize("field, value", [(0, 0.0), (1, 1.0), (2, 1.0), (3, 0.5), (3, 64.0), (1, "1"), (2, []),
+                                              (0, False), (1, True), (2, True), (3, False)])
     def test_record_field_that_is_not_an_int(self, field, value):
         cfg = small_hier(num_cores=1, tech=Technology.SRAM)
         bad = AccessRecord(*(value if i == field else x for i, x in enumerate((0, 1, AccessKind.LOAD, 0x40))))

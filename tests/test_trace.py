@@ -354,6 +354,16 @@ def test_a_trace_takes_one_order_pass():
         check_records(ordered, 1)
 
 
+def test_a_generated_trace_takes_no_order_pass():
+    spec = SyntheticTraceSpec(seed=1, num_cores=4, accesses_per_core=300, gap=LogUniformGap(10, 1000), pattern=Zipf(1.2))
+    generated = generate_trace(spec)
+    generated.stamps = _CountedIterations(generated.stamps.typecode, generated.stamps)  # unsigned: no sign pass
+    assert check_records(generated, 4) is generated and generated.stamps.passes == 0
+    # the other checks still run
+    with pytest.raises(TraceRecordsError, match="core 3 but num_cores is 3"):
+        check_records(generated, 3)
+
+
 def test_only_the_sorted_copy_is_marked_ordered():
     records = [AccessRecord(1, 0, AccessKind.LOAD, 0x0), AccessRecord(0, 5, AccessKind.STORE, 0x40)]
     out_of_order = _trace_of(records[::-1])
@@ -492,6 +502,18 @@ def test_generate_matches_reference(spec_and_chunk):
     with mock.patch.object(trace_mod, "_CHUNK_RECORDS", chunk):
         got = generate_trace(spec)
     assert _shape(got) == _shape(reference_generate_trace(spec))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs_and_chunk())
+def test_the_generator_marks_a_trace_in_replay_order(spec_and_chunk):
+    # admission finds the generator's own columns, unmarked, in replay order, and so returns them as they are
+    spec, chunk = spec_and_chunk
+    with mock.patch.object(trace_mod, "_CHUNK_RECORDS", chunk):
+        generated = generate_trace(spec)
+    assert generated._ordered
+    unmarked = Trace(*generated.columns)
+    assert check_records(unmarked) is unmarked
 
 
 def test_generate_shared_timestamps_tie_by_core():
@@ -697,11 +719,14 @@ def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
          "trace record AccessRecord(core_id=0, timestamp=1.5, kind=<AccessKind.LOAD: 1>, address=64) "
          "has a field that is not an int"),
         (AccessRecord(-1, 0, AccessKind.LOAD, 0x40), "trace references core -1 but core ids must be >= 0"),
+        (AccessRecord(0, 1, True, 0x40),
+         "trace record AccessRecord(core_id=0, timestamp=1, kind=True, address=64) has a field that is not an int"),
     ],
-    ids=["kind", "address", "timestamp", "core"],
+    ids=["kind", "address", "timestamp", "core", "bool"],
 )
 def test_write_trace_refuses_what_check_records_refuses(tmp_path, record, message):
-    # a KeyError traceback for the kind; a file read_trace refuses for the other three
+    # without the check: a KeyError traceback for the kind; a file read_trace refuses for the next three; and
+    # for a bool kind, a file that reads it back as a load
     records = [AccessRecord(0, 0, AccessKind.STORE, 0x80), record]
     with pytest.raises(TraceRecordsError) as exc:
         write_trace(records, str(tmp_path / "t.trace"))
