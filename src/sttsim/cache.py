@@ -17,9 +17,9 @@ One address map holds each resident address's way and, for an address no
 longer resident, a negative code naming how it left (replaced or expired),
 so a miss takes its class from the lookup that found it absent.  A drain
 expires each due slot in one pass, in filing order, and only counts.  A
-caller that collects expired blocks sees them in (tick, generation, way)
-order: tick_expirations returns every one, while access() given a list
-appends only the dirty ones, the blocks an L1 writes to the next level.
+caller that collects expired blocks sees them in (tick, address) order:
+tick_expirations returns every one, while access() given a list appends
+only the dirty ones, the blocks an L1 writes to the next level.
 
 The public calls check their arguments: access() the address's alignment
 and the time's order and type, tick_expirations() the time's type, and
@@ -94,7 +94,7 @@ _FREE_WAY_MISS = tuple(AccessOutcome(False, c, False, None) for c in MissClass)
 
 # a unit builds one wheel slot per counter state, and a drain walks up to that many
 MAX_COUNTER_STATES = 256
-# a unit builds five lists of one entry per way, 40 bytes a way: 160 MiB at this bound, which a unit of
+# a unit builds four lists of one entry per way, 32 bytes a way: 128 MiB at this bound, which a unit of
 # 256 MiB in 64-byte lines reaches, and which also bounds the ways of all a hierarchy's units together
 MAX_WAYS = 2**22
 
@@ -229,7 +229,7 @@ class CacheUnit:
 
     __slots__ = (
         "config", "name", "num_sets", "assoc", "_set_mask", "_shift", "_line_mask",
-        "_tags", "_where", "_dirty", "_lru", "_reset_tick", "_gen", "_seq",
+        "_tags", "_where", "_dirty", "_lru", "_reset_tick", "_seq",
         "has_expiry", "tick_period", "_n_states", "_wheel", "time", "_tick", "next_tick_time",
         "_read_resets", "read_hits", "write_hits", "miss_compulsory", "miss_replacement",
         "miss_expiration", "writebacks", "evictions_replacement", "evictions_expiration",
@@ -252,9 +252,8 @@ class CacheUnit:
         self._where: dict[int, int] = {}
         self._dirty = [False] * n
         self._lru = [0] * n
-        # tick of each way's last counter reset; _gen counts its resets and expiries
+        # tick of each way's last counter reset
         self._reset_tick = [0] * n
-        self._gen = [0] * n
         self._seq = 0
 
         self.has_expiry = config.technology is Technology.STTRAM
@@ -307,8 +306,7 @@ class CacheUnit:
         Advances the unit's clock to `now` if later.  access() applies due
         expirations too, and appends only the dirty ones to a list it is
         given, so call this first to see every expired block.
-        Blocks come in tick order, those due at one tick in (generation, way)
-        order, where a way's generation counts its fills, resets and expiries.
+        Blocks come in tick order, those due at one tick in address order.
         Nothing is due before next_tick_time, the next tick boundary; a
         `now` at or past it must be an int.
         """
@@ -324,8 +322,8 @@ class CacheUnit:
 
     def _expire_due(self, now: int, expired: list[ExpiredBlock] | None, dirty_only: bool = False) -> None:
         """Expire every block due at or before `now`.  Unless `expired` is None, append to it
-        each block expired, only the dirty ones when `dirty_only`, in (tick, generation, way)
-        order.  `now` is an int."""
+        each block expired, only the dirty ones when `dirty_only`, in (tick, address) order.
+        `now` is an int."""
         period = self.tick_period
         k = now // period
         n = self._n_states
@@ -333,12 +331,10 @@ class CacheUnit:
         wheel = self._wheel
         tags = self._tags
         where = self._where
-        gen = self._gen
         reset_tick = self._reset_tick
         dirty = self._dirty
         expirations = writebacks = 0
-        # the ways of one tick to collect, expired once sorted; the others expire as they are met
-        due = [] if expired is not None else None
+        collect_clean = expired is not None and not dirty_only
         # every filed deadline lies in (tick, tick + N], re-filed ones too
         last = tick + n if k > tick + n else k  # not min(), a builtin call per drain
         for t in range(tick + 1, last + 1):
@@ -347,35 +343,27 @@ class CacheUnit:
             if not slot:
                 continue
             wheel[i] = []
+            if expired is not None:
+                start = len(expired)
+                expire_time = t * period
             for way in slot:
                 reset = reset_tick[way]
                 if reset + n != t:  # reset since filed: its deadline's slot is its reset tick's
                     wheel[reset % n].append(way)
-                elif due is not None and (dirty[way] or not dirty_only):
-                    due.append(way)
-                else:
-                    where[tags[way]] = _EXPIRED
-                    tags[way] = None
-                    gen[way] += 1
-                    expirations += 1
-                    if dirty[way]:
-                        writebacks += 1
-            if due:
-                if len(due) > 1:
-                    due.sort()
-                    due.sort(key=gen.__getitem__)  # stable: (generation, way) order
-                expire_time = t * period
-                for way in due:
-                    addr = tags[way]
-                    was_dirty = dirty[way]
-                    expired.append(_new_tuple(ExpiredBlock, (addr, was_dirty, expire_time)))
-                    where[addr] = _EXPIRED
-                    tags[way] = None
-                    gen[way] += 1
-                    if was_dirty:
-                        writebacks += 1
-                expirations += len(due)
-                due.clear()
+                    continue
+                addr = tags[way]
+                where[addr] = _EXPIRED
+                tags[way] = None
+                expirations += 1
+                if dirty[way]:
+                    writebacks += 1
+                    if expired is not None:
+                        expired.append(_new_tuple(ExpiredBlock, (addr, True, expire_time)))
+                elif collect_clean:
+                    expired.append(_new_tuple(ExpiredBlock, (addr, False, expire_time)))
+            # a tick's blocks share their time and differ in address: tuple order is address order
+            if expired is not None and len(expired) > start + 1:
+                expired[start:] = sorted(expired[start:])
         self.evictions_expiration += expirations
         self.writebacks += writebacks
         self._tick = k
@@ -440,7 +428,6 @@ class CacheUnit:
                     return _HIT
             # the counter restarts; the wheel entry is re-filed when it comes due
             self._reset_tick[way] = self._tick
-            self._gen[way] += 1
             return _HIT
 
         # miss: classify from the code the lookup found, pick a victim, allocate
@@ -473,7 +460,6 @@ class CacheUnit:
             if self.has_expiry:
                 tick = self._tick
                 self._reset_tick[way] = tick
-                self._gen[way] += 1
                 self._wheel[tick % self._n_states].append(way)
             return _FREE_WAY_MISS[miss_class]
 
@@ -492,7 +478,6 @@ class CacheUnit:
         lru[way] = seq
         if self.has_expiry:  # the victim's wheel entry serves its successor
             self._reset_tick[way] = self._tick
-            self._gen[way] += 1
         return _new_tuple(AccessOutcome, (False, miss_class, writeback, victim))
 
     # -- inspection ----------------------------------------------------------

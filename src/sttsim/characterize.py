@@ -239,12 +239,12 @@ def block_lifetimes(
 ) -> LifetimeHistogram:
     """Histogram completed residency lifetimes on an unbounded-retention unit.
 
-    bucket_edges must be finite, positive and strictly ascending seconds.
+    bucket_edges must be finite, positive and strictly ascending seconds; a bool is not one.
     """
     edges = tuple(bucket_edges)
     if not (
         edges
-        and all(isinstance(e, numbers.Real) and 0 < e < math.inf for e in edges)
+        and all(isinstance(e, numbers.Real) and not isinstance(e, bool) and 0 < e < math.inf for e in edges)
         and all(lo < hi for lo, hi in zip(edges, edges[1:]))
     ):
         raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {edges!r}")

@@ -42,7 +42,8 @@ sections and keys, all optional unless marked required:
     out_dir = reports
 
 The paths trace, tech_table and out_dir resolve from the config file's
-directory; an absolute path is kept.
+directory; an absolute path is kept.  Any other section or key is refused,
+and a key under [DEFAULT] counts as a key of every section, which inherits it.
 """
 
 from __future__ import annotations
@@ -81,15 +82,10 @@ def _get(section, key, conv, default):
     try:
         if conv in (int, float, _floats):
             number_text(raw)
-        if conv is bool:
-            lowered = raw.strip().lower()
-            if lowered in ("1", "true", "yes", "on"):
-                return True
-            if lowered in ("0", "false", "no", "off"):
-                return False
-            raise ValueError(raw)
+        if conv is bool:  # 1, yes, true or on, and 0, no, false or off, in any case
+            return configparser.ConfigParser.BOOLEAN_STATES[raw.strip().lower()]
         return conv(raw)
-    except ValueError:
+    except (ValueError, KeyError):
         raise ConfigError(f"bad value {raw!r} for key {key!r}") from None
 
 
@@ -108,6 +104,16 @@ def _unit_config(section, defaults: dict) -> CacheUnitConfig:
         refresh_on_read=_get(section, "refresh_on_read", bool, CacheUnitConfig.refresh_on_read),
     )
 
+
+_UNIT_KEYS = "size_bytes associativity line_size_bytes technology retention_s counter_states refresh_on_read"
+# the keys each section is read for, as the module docstring lists them
+_KNOWN_KEYS = {
+    "hierarchy": "num_cores clock_hz mem_latency_cycles mem_energy_per_access_j",
+    "l1i": _UNIT_KEYS, "l1d": _UNIT_KEYS, "l2": _UNIT_KEYS,
+    "input": "trace",
+    "synthetic": "seed num_cores accesses_per_core read_fraction working_set_blocks line_size_bytes gap pattern",
+    "experiment": "retentions objective profile_len base_retention core_retentions tech_table out_dir",
+}
 
 L1_DEFAULTS = {"size_bytes": 32 * 1024, "associativity": 4, "line_size_bytes": 64}
 L2_DEFAULTS = {"size_bytes": 2 * 1024 * 1024, "associativity": 16, "line_size_bytes": 64}
@@ -128,6 +134,14 @@ def load_experiment_config(path: str) -> ExperimentConfig:
 
 
 def _config_from(parser: configparser.ConfigParser, base_dir: str) -> ExperimentConfig:
+    for name in parser.sections():
+        if name not in _KNOWN_KEYS:
+            raise ConfigError(f"unknown section [{name}]; expected {', '.join(_KNOWN_KEYS)}")
+        for key in parser[name]:  # its own keys and those of [DEFAULT], which every section inherits
+            if key not in _KNOWN_KEYS[name].split():
+                where = f"[DEFAULT], inherited by [{name}]" if key in parser.defaults() else f"[{name}]"
+                raise ConfigError(f"unknown key {key!r} in section {where}")
+
     def section(name):
         return parser[name] if parser.has_section(name) else None
 

@@ -219,8 +219,12 @@ def _best_retention(values: dict[float, float]) -> float:
 
 
 def _check_retentions(retentions) -> list[float]:
-    """The retentions sorted; ConfigError unless they are distinct, finite and positive."""
-    rets = sorted(retentions)
+    """The retentions sorted; ConfigError unless they are distinct, finite, positive real numbers, not bools."""
+    rets = list(retentions)
+    for r in rets:  # before the sort, which cannot order a string or None among numbers
+        if not isinstance(r, numbers.Real) or isinstance(r, bool):
+            raise ConfigError(f"retentions must be real numbers, got {r!r}")
+    rets.sort()
     if not rets:
         raise ConfigError("retentions must list at least one retention")
     if any(not 0 < r < math.inf for r in rets):

@@ -24,7 +24,7 @@ from one lookup.  Memory reads and writes are read from the unit counters
 when the report is built (see _report).  Every unit applies its due
 expirations inside its access, where they are only counted.  The L1 access
 of a two-level run is also given a list, into which it puts only the
-dirty blocks it expires, in (tick, generation, way) order; each is written
+dirty blocks it expires, in (tick, address) order; each is written
 to the L2 at its deadline before the record's own L2 traffic, with no
 filtering in the loop.
 
@@ -104,18 +104,10 @@ class HierarchyConfig:
         object.__setattr__(self, "l1i", _as_per_core(self.l1i, self.num_cores, "l1i"))
         object.__setattr__(self, "l1d", _as_per_core(self.l1d, self.num_cores, "l1d"))
         for label, cfgs in (("l1i", self.l1i), ("l1d", self.l1d)):
-            first = cfgs[0]
-            for c in cfgs[1:]:
-                if (c.size_bytes, c.associativity, c.line_size_bytes) != (
-                    first.size_bytes,
-                    first.associativity,
-                    first.line_size_bytes,
-                ):
-                    raise ConfigError(f"{label}: per-core configs must share geometry")
-        if self.l2 is not None:
-            for label, cfgs in (("l1i", self.l1i), ("l1d", self.l1d)):
-                if cfgs[0].line_size_bytes != self.l2.line_size_bytes:
-                    raise ConfigError(f"l2 line size must match {label} line size")
+            if len({(c.size_bytes, c.associativity, c.line_size_bytes) for c in cfgs}) > 1:
+                raise ConfigError(f"{label}: per-core configs must share geometry")
+            if self.l2 is not None and cfgs[0].line_size_bytes != self.l2.line_size_bytes:
+                raise ConfigError(f"l2 line size must match {label} line size")
         ways = sum(u.num_blocks for u in _unit_configs(self))
         if ways > MAX_WAYS:
             raise ConfigError(f"a hierarchy's units hold at most MAX_WAYS = {MAX_WAYS} ways between them, got {ways}")

@@ -44,6 +44,7 @@ import math
 import numbers
 import random
 import struct
+import sys
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -448,6 +449,8 @@ class LogUniformGap:
             raise ConfigError(f"log-uniform gap bounds must be whole numbers of cycles, got {self.lo!r}, {self.hi!r}")
         if self.lo < 1 or self.hi < self.lo:
             raise ConfigError("log-uniform gap requires 1 <= lo <= hi")
+        if self.hi > sys.float_info.max:  # a gap is drawn as a float, math.exp of its exponent
+            raise ConfigError(f"log-uniform gap hi must be at most the largest float, got {self.hi}")
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,5 @@
 import math
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -348,16 +347,16 @@ class TestTickSchedule:
         p = u.tick_period
         u.access(0xA00, True, 0)  # way 0, due at tick 4
         u.access(0xB00, True, 3 * p)  # way 1, filed for tick 7
-        u.access(0xD00, True, 4 * p)  # A expires first; D refills way 0 (generation 3)
-        u.access(0xB00, True, 4 * p)  # refreshes way 1 (generation 2): re-filed at tick 7 for tick 8
-        u.access(0xC00, True, 4 * p)  # way 2 (generation 1)
-        u.access(0xE00, False, 4 * p)  # way 3 (generation 1), clean
+        u.access(0xD00, True, 4 * p)  # A expires first; D refills way 0
+        u.access(0xB00, True, 4 * p)  # refreshes way 1: re-filed at tick 7 for tick 8
+        u.access(0xC00, True, 4 * p)  # way 2
+        u.access(0xE00, False, 4 * p)  # way 3, clean
         return u
 
     def expected_tick_8(self, p):
-        # (generation, way) order: C (1, 2), E (1, 3), B (2, 1), D (3, 0)
-        return [ExpiredBlock(0xC00, True, 8 * p), ExpiredBlock(0xE00, False, 8 * p),
-                ExpiredBlock(0xB00, True, 8 * p), ExpiredBlock(0xD00, True, 8 * p)]
+        # address order: B, C, D, E
+        return [ExpiredBlock(0xB00, True, 8 * p), ExpiredBlock(0xC00, True, 8 * p),
+                ExpiredBlock(0xD00, True, 8 * p), ExpiredBlock(0xE00, False, 8 * p)]
 
     def test_order_within_a_tick(self):
         u = self.four_due_at_tick_8()
@@ -368,7 +367,7 @@ class TestTickSchedule:
         # one drain over ticks 5-8, re-filing B and expiring it in the same call
         twin = self.four_due_at_tick_8()
         assert twin.tick_expirations(8 * p) == self.expected_tick_8(p)
-        # access()'s list gets the dirty ones in that order, C, B, D (not filing order D, C, B,
+        # access()'s list gets the dirty ones in that order, B, C, D (not filing order D, C, B,
         # nor way order D, B, C), after what it held; the clean E is only counted
         for at in (7 * p, 8 * p - 1):
             twin = self.four_due_at_tick_8()
@@ -581,11 +580,9 @@ class TestOraclePropertyEquivalence:
             seen = len(ref.expired_events)
             assert got == ref.access(addr, w, now)
             if mode != "access":
-                # same blocks per tick (sink, core: the dirty ones only); the order within a tick is the unit's own
+                # the oracle's blocks (sink, core: the dirty ones only) in (expire_time, address) order
                 want = [e for e in ref.expired_events[seen:] if e[1] or mode == "tick_first"]
-                assert Counter((e.address, e.dirty, e.expire_time) for e in expired) == Counter(want)
-                times = [e.expire_time for e in expired]
-                assert times == sorted(times)
+                assert expired == sorted(want, key=lambda e: (e[2], e[0]))
             if sink:
                 # and the order tick_expirations gives them among the clean ones
                 assert expired == [e for e in twin.tick_expirations(now) if e.dirty]

@@ -181,7 +181,9 @@ class TestBlockLifetimes:
         assert hist.quantiles_last_hit["p50"] == pytest.approx(50 * MS, rel=1e-9)
 
     @pytest.mark.parametrize(
-        "edges", [(1e-4, 1e-6), (), (1e-3, 1e-3), (0.0, 1e-3), (-1e-3,), (1e-6, math.nan), (1e-6, math.inf), ("1e-3",)]
+        "edges",
+        [(1e-4, 1e-6), (), (1e-3, 1e-3), (0.0, 1e-3), (-1e-3,), (1e-6, math.nan), (1e-6, math.inf), ("1e-3",),
+         (True,), (1e-6, True)],
     )
     def test_bad_bucket_edges_rejected(self, edges):
         trace = [ld(0, k * 50e-6, (k % 2) * 0x40) for k in range(12)]
@@ -332,7 +334,10 @@ class TestExpirationCurve:
 
     @pytest.mark.parametrize(
         "retentions, message",
-        [([1e-6, 1e-3, 1e-3], "duplicate"), ([1e-6, math.inf], "finite"), ([math.nan, 1e-3], "finite")],
+        [([1e-6, 1e-3, 1e-3], "duplicate"), ([1e-6, math.inf], "finite"), ([math.nan, 1e-3], "finite"),
+         (["1e-3"], r"^retentions must be real numbers, got '1e-3'$"),
+         ([None], r"^retentions must be real numbers, got None$"),
+         ([1e-3, True], r"^retentions must be real numbers, got True$")],
     )
     def test_rejects_duplicate_and_non_finite_retentions(self, retentions, message):
         with pytest.raises(ConfigError, match=message):

@@ -184,6 +184,27 @@ def test_errors_name_the_config_file(tmp_path, text, message):
     assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("[l1d]\ntechnolgy = STTRAM\n\n[synthetic]\nseed = 1\n", "unknown key 'technolgy' in section [l1d]"),
+    ("[synthetic]\nseed = 1\n\n[experimnt]\nretentions = 1e-3\n",
+     "unknown section [experimnt]; expected hierarchy, l1i, l1d, l2, input, synthetic, experiment"),
+    # a [DEFAULT] key is a key of every section: [l1d] takes it, [synthetic] does not
+    ("[DEFAULT]\nretention_s = 1e-3\n\n[l1d]\ntechnology = STTRAM\n\n[synthetic]\nseed = 1\n",
+     "unknown key 'retention_s' in section [DEFAULT], inherited by [synthetic]"),
+])
+def test_unknown_section_or_key_named(tmp_path, text, message):
+    path = write(tmp_path, text)
+    with pytest.raises(ConfigError) as exc:
+        load_experiment_config(path)
+    assert str(exc.value).startswith(f"{path}: ") and message in str(exc.value)
+
+
+def test_a_default_key_every_section_takes_is_read(tmp_path):
+    text = "[DEFAULT]\nline_size_bytes = 128\n\n[l1d]\n\n[synthetic]\nseed = 1\n"
+    cfg = load_experiment_config(write(tmp_path, text))
+    assert cfg.hierarchy.l1d[0].line_size_bytes == 128 and cfg.synthetic.line_size_bytes == 128
+
+
 def test_sttram_without_retention_rejected(tmp_path):
     text = "[l1d]\ntechnology = STTRAM\n\n[synthetic]\nseed = 1\n"
     with pytest.raises(ConfigError):

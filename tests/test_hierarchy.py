@@ -238,10 +238,10 @@ class TestPinnedTwoLevelRun:
 
     Same-tick dirty L1 expiries reach L2 in the unit's expiry order, which
     decides L2's LRU order and so its later victims; this digest changes if
-    that order does.  Recorded before the deadline heap became a timing wheel.
+    that order does.  Re-recorded when that order became address order.
     """
 
-    DIGEST = "543eb10357ef4ccc38eeeb0e78305a2cc414d029ea43cfba9f9677b64a519fd0"
+    DIGEST = "49c2609b882b6e19ded418fd8a69ffad177fd6b1dde98d9c15ed9de065e5d141"
 
     def test_report_digest(self):
         def unit(sets, assoc):
@@ -262,11 +262,11 @@ class TestPinnedBenchmarkGeometryRun:
 
     Expiries leave invalid ways between valid ones and full sets evict
     their LRU way, so the run takes both victim rules.  Which free way a
-    block takes changes no counter; the unit tests pin that.  Recorded
-    before victims were chosen on list slices.
+    block takes changes no counter; the unit tests pin that.  Re-recorded
+    when same-tick expiries reached L2 in address order.
     """
 
-    DIGEST = "60ec02ee54857c378d4635c9a5fd70a8fcf08e5dfb03a378ec03a7bc5fb6a286"
+    DIGEST = "8f97bd0b99d3b3ed7e04e57d1d98552fd9eef83d34f0528f838444d25c64ed48"
 
     def test_report_digest(self):
         def unit(sets, assoc):
@@ -362,8 +362,10 @@ class TestConfigValidation:
     def test_geometry_must_match_across_cores(self):
         a = l1()
         b = CacheUnitConfig(8 * 2 * 64, 2, 64, Technology.STTRAM, 1e-3)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^l1i: per-core configs must share geometry$"):
             HierarchyConfig(num_cores=2, l1i=(a, b), l1d=(a, a))
+        with pytest.raises(ConfigError, match="^l1d: per-core configs must share geometry$"):
+            HierarchyConfig(num_cores=3, l1i=a, l1d=(a, a, b))
 
     def test_retention_may_differ_across_cores(self):
         a = l1(retention=1e-3)
@@ -372,13 +374,11 @@ class TestConfigValidation:
         assert cfg.l1i[1].retention_time == 1e-2
 
     def test_l2_line_size_must_match(self):
-        with pytest.raises(ConfigError):
-            HierarchyConfig(
-                num_cores=1,
-                l1i=l1(),
-                l1d=l1(),
-                l2=CacheUnitConfig(4096, 4, 128, Technology.SRAM),
-            )
+        l2 = CacheUnitConfig(4096, 4, 128, Technology.SRAM)
+        with pytest.raises(ConfigError, match="^l2 line size must match l1i line size$"):
+            HierarchyConfig(num_cores=1, l1i=l1(), l1d=l1(), l2=l2)
+        with pytest.raises(ConfigError, match="^l2 line size must match l1d line size$"):
+            HierarchyConfig(num_cores=1, l1i=l1(size=4 * 2 * 128, line=128), l1d=l1(), l2=l2)
 
     def test_per_core_list_length(self):
         with pytest.raises(ConfigError):

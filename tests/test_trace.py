@@ -1,6 +1,7 @@
 import dataclasses
 import random
 import re
+import sys
 import tracemalloc
 from array import array
 from unittest import mock
@@ -234,6 +235,7 @@ def test_invalid_specs():
     [
         (lambda: ConstantGap(0), "constant inter-access gap must be >= 1 cycle"),
         (lambda: LogUniformGap(0, 5), r"log-uniform gap requires 1 <= lo <= hi"),
+        (lambda: LogUniformGap(1, int(sys.float_info.max) + 1), "log-uniform gap hi must be at most the largest float"),
         (lambda: Zipf(0), "zipf exponent must be > 0"),
         (lambda: Zipf(float("nan")), "zipf exponent must be > 0"),
     ],
@@ -241,6 +243,12 @@ def test_invalid_specs():
 def test_specs_check_themselves_when_built(build, match):
     with pytest.raises(ConfigError, match=match):
         build()
+
+
+def test_a_log_uniform_gap_at_the_largest_float_generates():
+    # its gaps are math.exp of an exponent below log(hi), so none overflows the float they are drawn as
+    spec = SyntheticTraceSpec(seed=1, accesses_per_core=200, gap=LogUniformGap(1, int(sys.float_info.max)))
+    assert len(generate_trace(spec)) == 200
 
 
 @pytest.mark.parametrize(
