@@ -38,11 +38,11 @@ LIFETIME_BUCKET_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 class RwRatioReport:
     """Read fraction of data accesses, per core and aggregate.
 
-    Fractions are loads / (loads + stores); instruction fetches are
-    excluded.  A core (or trace) with zero data accesses reports None.
+    Fractions are loads / (loads + stores), without instruction fetches.  per_core
+    has only the cores with a data access; a trace with none has read_fraction None.
     """
 
-    per_core: dict[int, tuple[int, int, float | None]]
+    per_core: dict[int, tuple[int, int, float]]
     loads: int
     stores: int
 
@@ -61,7 +61,7 @@ def read_write_ratio(trace) -> RwRatioReport:
         ld, st = counts[core * 3 + AccessKind.LOAD], counts[core * 3 + AccessKind.STORE]
         loads += ld
         stores += st
-        per_core[core] = (ld, st, ld / (ld + st) if ld + st else None)
+        per_core[core] = (ld, st, ld / (ld + st))
     return RwRatioReport(per_core=per_core, loads=loads, stores=stores)
 
 

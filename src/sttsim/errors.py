@@ -68,9 +68,10 @@ def check_field_types(obj, kind: type, *names: str) -> None:
             raise ConfigError(f"{name} must be {_KIND_NAMES.get(kind, f'a {kind.__name__}')}, got {value!r}")
 
 
-def check_count(name: str, value) -> None:
-    """Raise ConfigError naming the count argument `name` unless value is an int >= 1 (a bool is not)."""
+def check_count(name: str, value) -> int:
+    """value; ConfigError naming the count argument `name` unless it is an int >= 1 (a bool is not)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return value

@@ -1,15 +1,14 @@
 """Design-space studies: retention sweeps, specialization, asymmetric cores.
 
-Each study submits each simulation it needs once, as a (trace, config)
-task: asymmetric assignment runs a thread once per distinct core retention.
-With jobs > 1 the study forks up to jobs - 1 children and computes tasks
-beside them; the results come back in task order, so reports are identical
-to a serial run.  A sweep simulates in full only the candidates that could
-expire a block before the run ends; it builds the report of every other
-candidate from its SRAM run, replaying the record loop's timing over the
-levels that run recorded, and simulates there in full any candidate whose
-replayed completion time could expire a block (see
-hierarchy._derived_report).
+Each study refuses bad arguments, and a tech table that lacks a row its
+configs need, before any simulation.  It then maps its own task function
+over its (trace, config) tasks with _fork_map, each simulation it needs
+once: asymmetric assignment runs a thread once per distinct core retention.
+The results come back in task order, so reports equal a serial run's at any
+`jobs`.  A sweep simulates in full only the candidates that could expire a
+block before the run ends; its SRAM task derives the others' reports from
+that run, and simulates in full there any candidate whose replayed
+completion time could expire a block (see hierarchy._derived_report).
 Objective values are total cache energy (joules), execution time (seconds),
 or their product; memory energy is reported separately and excluded from
 objectives.
@@ -28,7 +27,7 @@ from dataclasses import dataclass, replace
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
 from .errors import ConfigError, TraceRecordsError, check_count
-from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate
+from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate, _unit_costs
 from .trace import Trace, check_records
 
 
@@ -66,22 +65,24 @@ def with_technology(cfg: HierarchyConfig, technology: Technology, retention: flo
     )
 
 
-# -- parallel execution plumbing -------------------------------------------
+# -- the study runner --------------------------------------------------------
 #
-# A study forks its own workers: the children inherit the submitted traces,
-# so large traces are never pickled, and an array column holds no object per
-# record, so reading one copies no page.  The caller computes tasks beside
-# them instead of waiting.  pickle is imported only where a study forks; a
-# pool from multiprocessing would cost its import (socket, selectors,
-# signal), its start-up and its teardown on every forking study.
+# Every study runs its tasks through _fork_map, which forks its own workers
+# when jobs > 1: the children inherit the submitted traces, so large traces
+# are never pickled, and an array column holds no object per record, so
+# reading one copies no page.  The caller computes tasks beside them instead
+# of waiting.  pickle is imported only where a study forks; a pool from
+# multiprocessing would cost its import (socket, selectors, signal), its
+# start-up and its teardown on every forking study.
 
 
 def _token(i: int) -> bytes:
     return i.to_bytes(4, "little")
 
 
-def _fork_map(fn, items: list, procs: int) -> list:
-    """[fn(item) for item in items], computed by this process and procs - 1 forked children.
+def _fork_map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items] in min(jobs, len(items)) processes, this one included
+    (one where os.fork is missing); ConfigError refuses a jobs that is not an int >= 1.
 
     The processes claim item indices one at a time, whoever is free next,
     from one pipe that holds a single index at a time: the claimer of i
@@ -96,9 +97,10 @@ def _fork_map(fn, items: list, procs: int) -> list:
     in fork order, after killing the children still running; it reaps
     every child in any case.
     """
-    import pickle
-
+    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
+        raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
     n = len(items)
+    procs = min(jobs, n) if hasattr(os, "fork") else 1
     claim_r, claim_w = os.pipe()
 
     def claims():
@@ -110,6 +112,8 @@ def _fork_map(fn, items: list, procs: int) -> list:
     os.write(claim_w, _token(0))
     children = {}  # pid -> read end of its pipe, until it is reaped
     try:
+        if procs > 1:
+            import pickle
         for _ in range(procs - 1):
             r, w = os.pipe()
             pid = os.fork()
@@ -152,36 +156,6 @@ def _fork_map(fn, items: list, procs: int) -> list:
                 os.close(r)
         os.close(claim_r)
         os.close(claim_w)
-
-
-def _run_sims(
-    tasks: list[tuple[Trace, HierarchyConfig]], table: TechTable | None, jobs: int, derive=()
-) -> tuple[list[SimReport], tuple]:
-    """Simulate each (trace, config) task; a study submits each simulation it needs once.
-
-    The caller has admitted each trace for its tasks' num_cores, which puts
-    it in time order (see trace.check_records), or sliced an admitted trace.
-    Returns the report of every task, in task order, and the report of each
-    config in `derive`, built from the run of tasks[0] in that run's process
-    (see hierarchy._derived_report).  With jobs > 1, where os.fork exists,
-    the tasks run in min(jobs, tasks) processes, this one included (see
-    _fork_map).
-    """
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
-    if table is None:
-        table = sample_tech_table()
-
-    def run(i):
-        trace, cfg = tasks[i]
-        return _simulate(cfg, trace, table, derive if i == 0 else ())
-
-    procs = min(jobs, len(tasks))
-    if procs > 1 and hasattr(os, "fork"):
-        results = _fork_map(run, range(len(tasks)), procs)
-    else:
-        results = list(map(run, range(len(tasks))))
-    return [report for report, _ in results], results[0][1] if results else ()
 
 
 # -- retention sweep ---------------------------------------------------------
@@ -234,6 +208,13 @@ def _check_retentions(retentions) -> list[float]:
     return rets
 
 
+def _check_retention(name: str, value) -> float:
+    """value; ConfigError naming `name` unless it is a finite, positive real number, not a bool."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
+    return value
+
+
 def _ratio(value: float, baseline: float) -> float | None:
     """value / baseline, or None when the baseline is 0: a ratio without a baseline is not a number."""
     return value / baseline if baseline else None
@@ -257,16 +238,23 @@ def sweep(
     rets = _check_retentions(retentions)
     _check_objective(objective)
     records = check_records(trace, template.num_cores)
+    table = sample_tech_table() if tech_table is None else tech_table
     sram_cfg = with_technology(template, Technology.SRAM, None)
     configs = [with_technology(template, Technology.STTRAM, r) for r in rets]
-    # a candidate that can expire a block by the last record's timestamp, a
-    # lower bound on its completion time, runs in full beside the SRAM
-    # baseline; the others are derived from the SRAM run, in its process
+    for cfg in [sram_cfg, *configs]:
+        _unit_costs(cfg, table)
+    # a candidate that can expire a block by the last record's timestamp, a lower bound on its
+    # completion time, runs in full beside the SRAM baseline; the SRAM task derives the others
     last = records.stamps[-1]
     derived = [c for c in configs if _cannot_expire(c, last)]
     full = [sram_cfg] + [c for c in configs if c not in derived]
-    full_reports, derived_reports = _run_sims([(records, c) for c in full], tech_table, jobs, derive=derived)
-    done = dict(zip(full, full_reports)) | dict(zip(derived, derived_reports))
+
+    def run(task):
+        part, cfg = task
+        return _simulate(cfg, part, table, derived if cfg is sram_cfg else ())
+
+    results = _fork_map(run, [(records, c) for c in full], jobs)
+    done = dict(zip(full, [report for report, _ in results])) | dict(zip(derived, results[0][1]))
     reports = [done[c] for c in [sram_cfg, *configs]]
 
     energy, time = reports[0].cache_energy_j, reports[0].exec_time_s  # the SRAM baseline
@@ -314,19 +302,22 @@ def specialize(
     """
     rets = _check_retentions(retentions)
     _check_objective(objective)
-    base = base_retention
-    if isinstance(base, bool) or not (isinstance(base, numbers.Real) and 0 < base < math.inf):
-        raise ConfigError(f"base_retention must be finite and positive, got {base!r}")
-    table = sample_tech_table() if tech_table is None else tech_table
-    table.lookup(Technology.STTRAM, base)  # a base without a row is named before any simulation
+    base = _check_retention("base_retention", base_retention)
     records = check_records(trace, template.num_cores)
     check_count("sample_len", sample_len)
     if sample_len > len(records):
         raise ConfigError(f"sample_len {sample_len} exceeds trace length {len(records)}")
+    table = sample_tech_table() if tech_table is None else tech_table
+    configs = {r: with_technology(template, Technology.STTRAM, r) for r in [*rets, base]}
+    for cfg in configs.values():
+        _unit_costs(cfg, table)
+
+    def value(task) -> float:
+        part, cfg = task
+        return objective_value(_simulate(cfg, part, table)[0], objective)
 
     def values(part, retentions) -> list[float]:
-        tasks = [(part, with_technology(template, Technology.STTRAM, r)) for r in retentions]
-        return [objective_value(rep, objective) for rep in _run_sims(tasks, table, jobs)[0]]
+        return _fork_map(value, [(part, configs[r]) for r in retentions], jobs)
 
     sample_values = dict(zip(rets, values(records[:sample_len], rets)))
     chosen = _best_retention(sample_values)
@@ -419,14 +410,20 @@ def assign_asymmetric(
         raise ConfigError("core retentions must be positive")
 
     traces = [_rebase_core(check_records(t)) for t in thread_traces]
+    table = sample_tech_table() if tech_table is None else tech_table
     distinct = sorted(set(core_rets))
     configs = [_single_core_config(template, r) for r in distinct]
+    for cfg in configs:
+        _unit_costs(cfg, table)
+
+    def value(task) -> float:
+        thread, cfg = task
+        return objective_value(_simulate(cfg, thread, table)[0], objective)
 
     def values(threads) -> list[list[float]]:
         """[thread][distinct retention] objective of each thread's run at each distinct retention."""
-        reports, _ = _run_sims([(t, cfg) for t in threads for cfg in configs], tech_table, jobs)
-        k = len(configs)
-        return [[objective_value(rep, objective) for rep in reports[i : i + k]] for i in range(0, len(reports), k)]
+        flat = iter(_fork_map(value, [(t, cfg) for t in threads for cfg in configs], jobs))
+        return [[next(flat) for _ in configs] for _ in threads]
 
     column = [distinct.index(r) for r in core_rets]  # each core's distinct retention
     cost = [[row[k] for k in column] for row in values([t[:profile_len] for t in traces])]

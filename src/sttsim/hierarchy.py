@@ -18,7 +18,7 @@ clock (see cache.tick_cycles); seconds appear only in the report.
 The units count; the record loop only routes.  Before the loop, a route
 table holds one entry per (core, kind): the L1's access core, the write
 flag, the line mask and the record's cycles by the level that serves it,
-sliced from _cycle_costs.  The loop zips the columns of a trace a study
+sliced from _unit_costs.  The loop zips the columns of a trace a study
 has admitted (see trace.check_records), and each record takes all four
 from one lookup.  Memory reads and writes are read from the unit counters
 when the report is built (see _report).  Every unit applies its due
@@ -192,8 +192,7 @@ def _simulate(cfg: HierarchyConfig, records: Trace, tech_table: TechTable, deriv
     l1i_units = [CacheUnit(c, f"core{i}.l1i", clock) for i, c in enumerate(cfg.l1i)]
     l1d_units = [CacheUnit(c, f"core{i}.l1d", clock) for i, c in enumerate(cfg.l1d)]
     l2 = CacheUnit(cfg.l2, "l2", clock) if cfg.l2 is not None else None
-    params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
-    costs = _cycle_costs(cfg, params)
+    params, costs = _unit_costs(cfg, tech_table)
 
     i_mask = ~(cfg.l1i[0].line_size_bytes - 1)
     d_mask = ~(cfg.l1d[0].line_size_bytes - 1)
@@ -252,13 +251,15 @@ def _unit_configs(cfg: HierarchyConfig) -> list[CacheUnitConfig]:
     return [*cfg.l1i, *cfg.l1d] + ([cfg.l2] if cfg.l2 is not None else [])
 
 
-def _cycle_costs(cfg: HierarchyConfig, params: list[TechParams]) -> list[list]:
-    """Per core, the cycles of a record by kind * 3 + the level that served it
-    (0 its L1, 1 the L2, 2 memory): its L1's read or write latency, plus on a
-    miss the L2's read latency, plus the memory latency when memory serves it."""
+def _unit_costs(cfg: HierarchyConfig, tech_table: TechTable) -> tuple[list[TechParams], list[list]]:
+    """Each unit's tech-table row, in _unit_configs order, and per core the cycles of a record by
+    kind * 3 + the level that served it (0 its L1, 1 the L2, 2 memory): its L1's read or write
+    latency, plus on a miss the L2's read latency, plus the memory latency when memory serves it.
+    ConfigError names the first (technology, retention) the table lacks."""
+    params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
     n = cfg.num_cores
     l2 = params[-1].t_read if cfg.l2 is not None else 0
-    return [
+    return params, [
         [x for l1 in (params[c].t_read, params[n + c].t_read, params[n + c].t_write)
          for x in (l1, l1 + l2, l1 + l2 + cfg.mem_latency_cycles)]
         for c in range(n)
@@ -349,8 +350,7 @@ def _derived_report(
     cfg's cycle costs.  When that time reaches a unit's first deadline the
     run might expire a block, so cfg is simulated in full here instead.
     """
-    params = [tech_table.lookup(u.technology, u.retention_time) for u in _unit_configs(cfg)]
-    costs = _cycle_costs(cfg, params)
+    params, costs = _unit_costs(cfg, tech_table)
     avail = [0] * cfg.num_cores
     for core, ts, kind, level in zip(records.cores, records.stamps, records.kinds, levels):
         a = avail[core]

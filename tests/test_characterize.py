@@ -3,6 +3,7 @@ import math
 import random
 import re
 import tracemalloc
+import typing
 from collections import Counter
 from dataclasses import replace
 
@@ -74,6 +75,13 @@ class TestReadWriteRatio:
         trace = [AccessRecord(0, t, AccessKind.INSTR_FETCH, 0x0) for t in range(5)]
         report = read_write_ratio(trace)
         assert report.read_fraction is None
+        assert (report.per_core, report.loads, report.stores) == ({}, 0, 0)
+
+    def test_a_core_without_data_accesses_is_left_out(self):
+        # so every per-core fraction is a number, as the annotation says
+        report = read_write_ratio([AccessRecord(0, 0, AccessKind.INSTR_FETCH, 0x0), ld(1, 1e-6, 0x40)])
+        assert report.per_core == {1: (1, 0, 1.0)}
+        assert typing.get_type_hints(characterize.RwRatioReport)["per_core"] == dict[int, tuple[int, int, float]]
 
     def test_per_core_breakdown(self):
         trace = sorted(

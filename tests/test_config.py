@@ -1,3 +1,4 @@
+import math
 import re
 
 import pytest
@@ -176,6 +177,16 @@ def test_percent_is_a_plain_character(tmp_path):
     ("[l1d]\nassociativity = 3\n\n[synthetic]\nseed = 1\n", "associativity"),
     ("[synthetic]\nseed = 1\nread_fraction = 2\n", "read_fraction must be in [0, 1]"),
     ("[hierarchy]\nnum_cores = 1\n", "exactly one of [input] trace or a [synthetic] section"),
+    # the study inputs, refused at load rather than by the study that reads them
+    ("[synthetic]\nseed = 1\n\n[experiment]\ncore_retentions = 0 1e-3 1e-2 1e-1\n",
+     "core_retentions must be finite and positive, got 0.0"),
+    ("[synthetic]\nseed = 1\n\n[experiment]\ncore_retentions = 1e-3 inf\n",
+     "core_retentions must be finite and positive, got inf"),
+    ("[synthetic]\nseed = 1\n\n[experiment]\nprofile_len = 0\n", "profile_len must be >= 1, got 0"),
+    ("[synthetic]\nseed = 1\n\n[experiment]\nbase_retention = -1\n",
+     "base_retention must be finite and positive, got -1.0"),
+    ("[synthetic]\nseed = 1\n\n[experiment]\nbase_retention = nan\n",
+     "base_retention must be finite and positive, got nan"),
 ])
 def test_errors_name_the_config_file(tmp_path, text, message):
     path = write(tmp_path, text)
@@ -399,3 +410,5 @@ def test_load_experiment_config_returns_a_config_or_names_the_file(tmp_path_fact
     # a loaded config bounds what a run allocates: its cores, and the ways of all its units
     units = [*cfg.hierarchy.l1i, *cfg.hierarchy.l1d] + ([cfg.hierarchy.l2] if cfg.hierarchy.l2 else [])
     assert cfg.hierarchy.num_cores <= MAX_CORES and sum(u.num_blocks for u in units) <= MAX_WAYS
+    # and the study inputs it holds are ones a study takes
+    assert cfg.profile_len >= 1 and all(0 < r < math.inf for r in [cfg.base_retention, *cfg.core_retentions])

@@ -163,6 +163,17 @@ class TestSweep:
         for study in (specialized, assigned):
             assert study(2) == study(1)
 
+    def test_without_fork_every_task_runs_here(self, sim_calls, monkeypatch):
+        # where os.fork is missing, _fork_map runs every task in this process, whatever jobs asks for
+        trace = random_trace(5, 4000, num_cores=2, num_blocks=4096, write_fraction=0.4, instr_fraction=0.2)
+        rets = [1e-6, 1e-5, 1e-4, 1e-2, 1e0]
+        serial = sweep(trace, two_level(2), rets, tech_table=TABLE, jobs=1)
+        tasks = len(sim_calls)
+        monkeypatch.delattr(os, "fork")
+        assert sweep(trace, two_level(2), rets, tech_table=TABLE, jobs=4) == serial
+        assert len(sim_calls) == 2 * tasks
+        assert_no_child_left()
+
     def test_no_study_imports_multiprocessing(self):
         # in a fresh interpreter: a study forks its own workers, and multiprocessing pulls in socket, selectors
         # and signal, which no study uses
@@ -175,13 +186,14 @@ class TestSweep:
             "    sttsim.sweep(trace, cfg, [1e-6, 1e-3], jobs=jobs)",
             "    sttsim.specialize(trace, cfg, [1e-6, 1e-3], 1e-6, 5, jobs=jobs)",
             "    sttsim.assign_asymmetric([trace], cfg, [1e-6, 1e-3], 5, jobs=jobs)",
-            "    print(jobs, 'multiprocessing' in sys.modules)",
+            "    print(jobs, 'multiprocessing' in sys.modules, 'pickle' in sys.modules)",
         ])
         src = os.path.dirname(os.path.dirname(explore.__file__))
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines() == ["1 False", "2 False"]
+        # pickle is imported only where a study forks
+        assert done.stdout.splitlines() == ["1 False False", "2 False True"]
 
     def test_time_and_edp_objectives(self):
         trace = loop_thread(0, 8, 2 * MS, 50 * MS)
@@ -224,7 +236,7 @@ def test_objectives_leave_out_memory_energy():
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.5, True])  # True equals 1, but a bool is not a count
 def test_every_study_refuses_jobs_below_1(jobs):
-    # explore._run_sims is the one place a study reads jobs; it refused nothing and ran serially
+    # explore._fork_map is the one place a study reads jobs; it refused nothing and ran serially
     trace = loop_thread(0, 8, 1 * MS, 5 * MS)
     rets = [1e-3, 1e-2]
     for study in (
@@ -256,11 +268,16 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("jobs", [2, 3])
+def without(retention):
+    """TABLE less its STTRAM row at retention."""
+    return TechTable([TABLE.lookup(Technology.SRAM, None)] +
+                     [TABLE.lookup(Technology.STTRAM, r) for r in TABLE.retentions() if r != retention])
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
 def test_a_failing_task_raises_as_in_a_serial_run(jobs):
-    # the table lacks the swept 1e-3, so its tasks raise in whichever process claims them
-    table = TechTable([TABLE.lookup(Technology.SRAM, None)] +
-                      [TABLE.lookup(Technology.STTRAM, r) for r in TABLE.retentions() if r != 1e-3])
+    # the table lacks the swept 1e-3: each study refuses it in this process, before it forks or runs any task
+    table = without(1e-3)
     trace = loop_thread(0, 8, 2 * MS, 50 * MS)  # every candidate can expire a block, so each runs in full
     rets = [1e-4, 1e-3, 1e-2]
     for study in (
@@ -273,6 +290,22 @@ def test_a_failing_task_raises_as_in_a_serial_run(jobs):
             study(jobs)
         assert (type(parallel.value), str(parallel.value)) == (type(serial.value), str(serial.value))
         assert_no_child_left()
+
+
+def test_every_study_checks_each_row_before_any_simulation(sim_calls):
+    # each table lacks a row other than the first task's: for the sweep, a candidate its SRAM run derives
+    # (1e-2) or one that runs in full beside it (1e-6); no task runs, the first included
+    trace = loop_thread(0, 8, 2 * MS, 50 * MS)
+    cases = [
+        (lambda t: sweep(backlog_trace(), two_level(2), TestDerivedSweep.RETS, tech_table=t, jobs=1), 1e-2),
+        (lambda t: sweep(backlog_trace(), two_level(2), TestDerivedSweep.RETS, tech_table=t, jobs=1), 1e-6),
+        (lambda t: specialize(trace, template(), [1e-4, 1e-3, 1e-2], 1e-3, 10, tech_table=t, jobs=1), 1e-2),
+        (lambda t: assign_asymmetric([trace], template(), [1e-4, 1e-3], 10, tech_table=t, jobs=1), 1e-3),
+    ]
+    for study, missing in cases:
+        with pytest.raises(ConfigError, match=rf"^tech table has no entry for \(STTRAM, {format(missing, 'g')}\)$"):
+            study(without(missing))
+        assert sim_calls == []
 
 
 class TestForkMap:
@@ -548,13 +581,13 @@ class TestDerivedSweep:
 
     def test_only_candidates_that_can_expire_run_in_full(self, sim_calls, monkeypatch):
         batches = []
-        real = explore._run_sims
+        real = explore._fork_map
 
-        def recorded(tasks, *args, **kwargs):
+        def recorded(fn, tasks, jobs):
             batches.append([cfg.l1d[0].retention_time for _, cfg in tasks])
-            return real(tasks, *args, **kwargs)
+            return real(fn, tasks, jobs)
 
-        monkeypatch.setattr(explore, "_run_sims", recorded)
+        monkeypatch.setattr(explore, "_fork_map", recorded)
         in_place = []
         real_simulate = hierarchy_mod._simulate
 
@@ -686,17 +719,17 @@ class TestRecordOrder:
 
 @pytest.fixture
 def batches(monkeypatch):
-    """The (trace, config) tasks of every explore._run_sims call, each checked to repeat no task."""
+    """The (trace, config) tasks of every explore._fork_map call, each checked to repeat no task."""
     calls = []
-    real = explore._run_sims
+    real = explore._fork_map
 
-    def recorded(tasks, *args, **kwargs):
+    def recorded(fn, tasks, jobs):
         keys = [(id(trace), cfg) for trace, cfg in tasks]  # a thread's trace is its own, whatever it holds
         assert len(set(keys)) == len(keys), "a batch repeats a task"
         calls.append(tasks)
-        return real(tasks, *args, **kwargs)
+        return real(fn, tasks, jobs)
 
-    monkeypatch.setattr(explore, "_run_sims", recorded)
+    monkeypatch.setattr(explore, "_fork_map", recorded)
     return calls
 
 
@@ -791,13 +824,13 @@ class TestRecordChecks:
 
     def test_one_check_per_sweep_with_a_refused_derivation(self, checks, monkeypatch):
         batches = []
-        real = explore._run_sims
+        real = explore._fork_map
 
-        def recorded(tasks, *args, **kwargs):
+        def recorded(fn, tasks, jobs):
             batches.append(len(tasks))
-            return real(tasks, *args, **kwargs)
+            return real(fn, tasks, jobs)
 
-        monkeypatch.setattr(explore, "_run_sims", recorded)
+        monkeypatch.setattr(explore, "_fork_map", recorded)
         trace = backlog_trace()
         sweep(trace, two_level(2), TestDerivedSweep.RETS, tech_table=TABLE, jobs=1)
         assert len(batches) == 1  # the refused candidate runs in the SRAM run's process
