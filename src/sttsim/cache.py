@@ -36,7 +36,7 @@ import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, check_positive
 
 DEFAULT_CLOCK_HZ = 1.9e9
 
@@ -154,9 +154,7 @@ class CacheUnitConfig:
         if self.counter_states > MAX_COUNTER_STATES:
             raise ConfigError(f"counter_states must be <= {MAX_COUNTER_STATES}, got {self.counter_states}")
         if self.technology is Technology.STTRAM:
-            r = self.retention_time
-            if r is None or not 0 < r < math.inf:
-                raise ConfigError(f"STTRAM requires a finite retention_time > 0, got {r!r}")
+            check_positive("STTRAM retention_time", self.retention_time)
 
     @property
     def num_sets(self) -> int:
@@ -188,14 +186,6 @@ class BlockState:
     dirty: bool
     counter: int
     lru_rank: int
-
-
-def check_clock(clock_hz) -> None:
-    """ConfigError unless clock_hz is a real number > 0 and finite: the rule for every clock."""
-    if not isinstance(clock_hz, numbers.Real) or isinstance(clock_hz, bool):
-        raise ConfigError(f"clock_hz must be a real number, got {clock_hz!r}")
-    if not 0 < clock_hz < math.inf:  # NaN fails too
-        raise ConfigError(f"clock_hz must be > 0 and finite, got {clock_hz!r}")
 
 
 def tick_cycles(config: CacheUnitConfig, clock_hz: float) -> int:
@@ -236,7 +226,7 @@ class CacheUnit:
     )
 
     def __init__(self, config: CacheUnitConfig, name: str = "unit", clock_hz: float = DEFAULT_CLOCK_HZ) -> None:
-        check_clock(clock_hz)
+        check_positive("clock_hz", clock_hz)
         self.config = config
         self.name = name
         self.num_sets = config.num_sets

@@ -17,16 +17,14 @@ point is the profile's own (see cache.cannot_expire_by).
 from __future__ import annotations
 
 import bisect
-import math
-import numbers
 from array import array
 from collections import Counter
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import add, mul, not_
 
-from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by, check_clock
-from .errors import ConfigError
+from .cache import DEFAULT_CLOCK_HZ, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
+from .errors import ConfigError, check_count, check_positive
 from .explore import _check_retentions, _ratio
 from .trace import AccessKind, Trace, check_records
 
@@ -140,7 +138,7 @@ def _sram_profile(trace, cfg: CacheUnitConfig, clock_hz: float, stream: str) -> 
     every call.  The clock is checked first: True equals a memo's clock of 1.
     """
     global _memo
-    check_clock(clock_hz)
+    check_positive("clock_hz", clock_hz)
     cfg = _unbounded(cfg)
     memo = _memo  # read once: another thread may replace it
     if memo is not None and memo[0] == stream and memo[1] == cfg and memo[2] == clock_hz and memo[3] is trace:
@@ -241,12 +239,8 @@ def block_lifetimes(
 
     bucket_edges must be finite, positive and strictly ascending seconds; a bool is not one.
     """
-    edges = tuple(bucket_edges)
-    if not (
-        edges
-        and all(isinstance(e, numbers.Real) and not isinstance(e, bool) and 0 < e < math.inf for e in edges)
-        and all(lo < hi for lo, hi in zip(edges, edges[1:]))
-    ):
+    edges = tuple(check_positive("bucket_edges", e) for e in bucket_edges)
+    if not (edges and all(lo < hi for lo, hi in zip(edges, edges[1:]))):
         raise ConfigError(f"bucket_edges must be finite positive seconds, strictly ascending; got {edges!r}")
     profile = _sram_profile(trace, cfg, clock_hz, stream)
     counts_last_hit, quantiles_last_hit = _summarize(profile.last_hit_lifetimes, edges)
@@ -286,10 +280,7 @@ def persistence(
 
     Each threshold must be an int >= 1.
     """
-    thresholds = tuple(thresholds)
-    for thd in thresholds:
-        if not isinstance(thd, int) or isinstance(thd, bool) or thd < 1:
-            raise ConfigError(f"persistence thresholds must be ints >= 1, got {thd!r}")
+    thresholds = tuple(check_count("persistence thresholds", thd) for thd in thresholds)
     profile = _sram_profile(trace, cfg, clock_hz, stream)
     fills = profile.fills_per_block
     unique = len(fills)

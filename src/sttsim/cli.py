@@ -126,9 +126,8 @@ def _cmd_gen_trace(args) -> int:
 
 def _cmd_study(args) -> int:
     cfg = _load_config(args)
-    records = _load_records(cfg)
     try:
-        tables = args.study(cfg, records, args.jobs)
+        tables = args.study(cfg, _load_records(cfg), args.jobs)
     except TraceRecordsError as exc:  # name where the records came from
         raise TraceRecordsError(f"{cfg.trace_path or args.config + ' [synthetic]'}: {exc}") from None
     # every table is built: only now write the reports

@@ -53,8 +53,8 @@ import os
 from dataclasses import dataclass
 
 from .cache import CacheUnitConfig, _parse_technology
-from .errors import ConfigError, check_count, number_text, open_input
-from .explore import Objective, _check_retention, _check_retentions
+from .errors import ConfigError, check_count, check_positive, number_text, open_input
+from .explore import Objective, _check_retentions
 from .hierarchy import HierarchyConfig
 from .trace import SyntheticTraceSpec, parse_gap_spec, parse_pattern_spec
 
@@ -194,8 +194,8 @@ def _config_from(parser: configparser.ConfigParser, base_dir: str) -> Experiment
         retentions=retentions,
         objective=objective,
         profile_len=check_count("profile_len", _get(exp_sec, "profile_len", int, 10_000)),
-        base_retention=_check_retention("base_retention", _get(exp_sec, "base_retention", float, 1e-3)),
-        core_retentions=[_check_retention("core_retentions", r)  # two cores may share a retention
+        base_retention=check_positive("base_retention", _get(exp_sec, "base_retention", float, 1e-3)),
+        core_retentions=[check_positive("core_retentions", r)  # two cores may share a retention
                          for r in _get(exp_sec, "core_retentions", _floats, [])],
         tech_table_path=_get(exp_sec, "tech_table", resolve, None),
         out_dir=_get(exp_sec, "out_dir", resolve, resolve("reports")),

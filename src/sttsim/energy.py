@@ -25,7 +25,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from .cache import Technology, _parse_technology
-from .errors import ConfigError, check_field_types, number_text, open_input
+from .errors import ConfigError, check_field_types, check_positive, number_text, open_input
 
 SAMPLE_TABLE_RESOURCE = "tech_table_sample.txt"
 
@@ -50,10 +50,8 @@ class TechParams:
             value = getattr(self, field)
             if not 0 <= value < math.inf:  # NaN fails too
                 raise ConfigError(f"tech parameter {field} must be finite and >= 0, got {value!r}")
-        if self.technology is Technology.STTRAM and (
-            self.retention_time is None or not 0 < self.retention_time < math.inf
-        ):
-            raise ConfigError(f"STTRAM tech params require a finite retention_time > 0, got {self.retention_time!r}")
+        if self.technology is Technology.STTRAM:
+            check_positive("STTRAM retention_time", self.retention_time)
 
 
 class EnergyBreakdown(NamedTuple):

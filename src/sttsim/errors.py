@@ -1,8 +1,9 @@
 """Exception types shared across the package, the field type check of its configs, the
-one rule for the text of a number in any of its inputs, and the one way an input file is
-opened."""
+rules for a count and a positive number, the one rule for the text of a number in any of
+its inputs, and the one way an input file is opened."""
 
 import numbers
+import sys
 from contextlib import contextmanager
 
 
@@ -74,4 +75,13 @@ def check_count(name: str, value) -> int:
         raise ConfigError(f"{name} must be an int, got {value!r}")
     if value < 1:
         raise ConfigError(f"{name} must be >= 1, got {value!r}")
+    return value
+
+
+def check_positive(name: str, value):
+    """value; ConfigError naming `name` unless it is a real number > 0 and at most the largest float (not a bool)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    if not 0 < value <= sys.float_info.max:  # NaN and inf fail too
+        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
     return value

@@ -18,15 +18,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
-import numbers
 import os
 from array import array
 from dataclasses import dataclass, replace
 
 from .cache import CacheUnitConfig, Technology
 from .energy import TechTable, sample_tech_table
-from .errors import ConfigError, TraceRecordsError, check_count
+from .errors import ConfigError, TraceRecordsError, check_count, check_positive
 from .hierarchy import HierarchyConfig, SimReport, _cannot_expire, _simulate, _unit_costs
 from .trace import Trace, check_records
 
@@ -97,8 +95,7 @@ def _fork_map(fn, items: list, jobs: int) -> list:
     in fork order, after killing the children still running; it reaps
     every child in any case.
     """
-    if not isinstance(jobs, int) or isinstance(jobs, bool) or jobs < 1:
-        raise ConfigError(f"jobs must be an int of at least 1, got {jobs!r}")
+    check_count("jobs", jobs)
     n = len(items)
     procs = min(jobs, n) if hasattr(os, "fork") else 1
     claim_r, claim_w = os.pipe()
@@ -194,25 +191,12 @@ def _best_retention(values: dict[float, float]) -> float:
 
 def _check_retentions(retentions) -> list[float]:
     """The retentions sorted; ConfigError unless they are distinct, finite, positive real numbers, not bools."""
-    rets = list(retentions)
-    for r in rets:  # before the sort, which cannot order a string or None among numbers
-        if not isinstance(r, numbers.Real) or isinstance(r, bool):
-            raise ConfigError(f"retentions must be real numbers, got {r!r}")
-    rets.sort()
+    rets = sorted(check_positive("retentions", r) for r in retentions)
     if not rets:
         raise ConfigError("retentions must list at least one retention")
-    if any(not 0 < r < math.inf for r in rets):
-        raise ConfigError(f"retentions must be finite and positive, got {rets}")
     if len(set(rets)) != len(rets):
         raise ConfigError(f"duplicate retention values in {rets}")
     return rets
-
-
-def _check_retention(name: str, value) -> float:
-    """value; ConfigError naming `name` unless it is a finite, positive real number, not a bool."""
-    if isinstance(value, bool) or not (isinstance(value, numbers.Real) and 0 < value < math.inf):
-        raise ConfigError(f"{name} must be finite and positive, got {value!r}")
-    return value
 
 
 def _ratio(value: float, baseline: float) -> float | None:
@@ -302,7 +286,7 @@ def specialize(
     """
     rets = _check_retentions(retentions)
     _check_objective(objective)
-    base = _check_retention("base_retention", base_retention)
+    base = check_positive("base_retention", base_retention)
     records = check_records(trace, template.num_cores)
     check_count("sample_len", sample_len)
     if sample_len > len(records):
@@ -388,14 +372,11 @@ def assign_asymmetric(
     accesses in time order, from cold caches, searches all assignments
     exhaustively for the minimum total cost, then runs every thread's full
     trace under the plan.  The comparison baseline is the best single retention from the
-    core set applied to all threads.  Each core retention must be a real
-    number > 0 and not a bool; ConfigError refuses one before any simulation.
+    core set applied to all threads.  Each core retention must be a finite
+    real number > 0 and not a bool; ConfigError refuses one before any simulation.
     """
     thread_traces = list(thread_traces)
-    core_rets = list(core_retentions)
-    if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in core_rets):
-        raise ConfigError(f"core retentions must be real numbers, got {core_rets!r}")
-    core_rets = list(map(float, core_rets))
+    core_rets = [float(check_positive("core_retentions", r)) for r in core_retentions]
     nthreads = len(thread_traces)
     ncores = len(core_rets)
     if nthreads == 0:
@@ -406,8 +387,6 @@ def assign_asymmetric(
         raise ConfigError("exhaustive assignment supports at most 8 cores")
     check_count("profile_len", profile_len)
     _check_objective(objective)
-    if any(not r > 0 for r in core_rets):
-        raise ConfigError("core retentions must be positive")
 
     traces = [_rebase_core(check_records(t)) for t in thread_traces]
     table = sample_tech_table() if tech_table is None else tech_table

@@ -42,16 +42,15 @@ import numbers
 from dataclasses import dataclass
 from itertools import count
 
-from .cache import DEFAULT_CLOCK_HZ, MAX_WAYS, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by, check_clock
+from .cache import DEFAULT_CLOCK_HZ, MAX_WAYS, CacheUnit, CacheUnitConfig, Technology, cannot_expire_by
 from .energy import EnergyBreakdown, TechParams, TechTable, unit_energy
-from .errors import ConfigError, check_field_types
+from .errors import ConfigError, check_field_types, check_positive
 from .trace import Trace, check_records
 
 
 def time_to_seconds(cycles: int, clock_hz: float) -> float:
-    """Convert core clock cycles to seconds; ConfigError for a clock check_clock refuses."""
-    check_clock(clock_hz)
-    return cycles / clock_hz
+    """Convert core clock cycles to seconds; ConfigError unless clock_hz is finite and positive."""
+    return cycles / check_positive("clock_hz", clock_hz)
 
 
 def _as_per_core(cfg, num_cores: int, label: str) -> tuple[CacheUnitConfig, ...]:
@@ -91,7 +90,7 @@ class HierarchyConfig:
 
     def __post_init__(self) -> None:
         check_field_types(self, int, "num_cores", "mem_latency_cycles")
-        check_clock(self.clock_hz)
+        check_positive("clock_hz", self.clock_hz)
         check_field_types(self, numbers.Real, "mem_energy_per_access")
         if self.l2 is not None and not isinstance(self.l2, CacheUnitConfig):
             raise ConfigError(f"l2 must be a CacheUnitConfig or None, got {self.l2!r}")

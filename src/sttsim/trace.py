@@ -18,10 +18,11 @@ an `array('B')`, timestamps and addresses as `array('I')` and kinds as an
 `array('b')`.  A trace whose core ids are below 256 and whose timestamps
 and addresses are below 2**32 (2.26 s at 1.9 GHz), as every benchmark
 trace is, costs 10 bytes a record and no object.  The first value that
-does not fit copies its column once to an `array('q')`, which holds the
-column twice for the length of the copy, and past int64 to a list of ints;
-a trace with all three of those columns widened takes 25 bytes a record, as
-`array('q')` columns always did.  The replay loops iterate the columns.
+does not fit copies its column once to an `array('Q')` (an `array('q')` if
+a value is negative), which holds the column twice for the length of the
+copy; a trace with all three of those columns widened takes 25 bytes a
+record.  A value of 2**64 or more is refused: no address is that wide,
+and 2**64 cycles at 1.9 GHz are 307 years.  Replays iterate the columns.
 
 Traces are built in bounded chunks rather than one record at a time.  The
 generator draws each core's uniforms from that core's own `random.Random`
@@ -58,6 +59,7 @@ from .errors import (
     TraceParseError,
     TraceRecordsError,
     TraceValidationError,
+    check_count,
     check_field_types,
     number_text,
     open_input,
@@ -101,37 +103,31 @@ class AccessRecord(NamedTuple):
     address: int
 
 
-def _append(column, values):
-    """The column extended by a sequence of ints: an array column takes
-    them packed by struct, which converts an int in about half the time
-    array.fromlist takes.  When one does not fit its type, the column is
-    copied once to an array('q'), and past int64 to a list of ints."""
-    if isinstance(column, array):
-        try:
-            column.frombytes(struct.pack(f"{len(values)}{column.typecode}", *values))
-            return column
-        except struct.error:  # a value out of range: nothing was packed
-            if column.typecode != "q":
-                return _append(array("q", column), values)
-            column = column.tolist()
-    column.extend(values)
-    return column
-
-
-def _like(column, values):
-    """values as a column of the same type as `column`."""
-    return array(column.typecode, values) if isinstance(column, array) else list(values)
+def _append(column: array, values) -> array:
+    """The array column extended by a sequence of ints, packed by struct,
+    which converts an int in about half the time array.fromlist takes.
+    When one does not fit its type, the column is copied once to an
+    array('Q'), or to an array('q') if a value is negative; a value that
+    fits neither raises TraceRecordsError."""
+    try:
+        column.frombytes(struct.pack(f"{len(values)}{column.typecode}", *values))
+        return column
+    except struct.error:  # a value out of range: nothing was packed
+        if column.typecode not in "qQ":
+            return _append(array("q" if min(chain(column, values)) < 0 else "Q", column), values)
+        value = next((v for v in values if not -2**63 <= v < 2**64), max(values, key=abs))
+        raise TraceRecordsError(f"trace value {value} does not fit in 64 bits") from None
 
 
 class Trace(Sequence):
     """A read-only sequence of AccessRecords, held as four columns.
 
     `cores`, `stamps`, `kinds` and `addresses` are columns of equal length,
-    each an array of the narrowest type that fits its values or, past int64,
-    a list of ints (see the module docstring).  Indexing and iteration build
-    each AccessRecord on demand, with int fields and an AccessKind kind; a slice
-    is a Trace, and a Trace equals a Trace or a list of the same records.
-    read_trace, generate_trace and check_records build them; the
+    each an int array of the narrowest type that fits its values (see the
+    module docstring).  Indexing and iteration build each AccessRecord on
+    demand, with int fields and an AccessKind kind; a slice is a Trace, and
+    a Trace equals a Trace or a list of the same records.  read_trace,
+    generate_trace and check_records build them; the
     constructor takes the columns as they are, without a copy or a check,
     and nothing may change them after.  Code that receives a Trace relies on
     that: check_records returns one in time order as is, select may return
@@ -176,7 +172,7 @@ class Trace(Sequence):
 
     def __eq__(self, other):
         if isinstance(other, Trace):
-            return all(map(_same_values, self.columns, other.columns))
+            return self.columns == other.columns
         if isinstance(other, list):
             return len(self) == len(other) and all(map(eq, self, other))
         return NotImplemented
@@ -196,15 +192,9 @@ class Trace(Sequence):
         """
         if len(selectors) == len(self) and all(selectors):
             return self
-        selected = Trace(*(_like(column, compress(column, selectors)) for column in self.columns))
+        selected = Trace(*(array(column.typecode, compress(column, selectors)) for column in self.columns))
         selected._ordered = self._ordered
         return selected
-
-
-def _same_values(a, b) -> bool:
-    if type(a) is type(b):
-        return a == b
-    return len(a) == len(b) and all(map(eq, a, b))
 
 
 def read_trace(path: str) -> Trace:
@@ -213,7 +203,8 @@ def read_trace(path: str) -> Trace:
     Returns records in file order.  Raises TraceParseError with the line
     number on malformed input, TraceValidationError naming the core and
     line on a timestamp regression, and TraceParseError naming the file
-    when it cannot be opened, read or decoded as UTF-8.
+    when it cannot be opened, read or decoded as UTF-8, or when a value is
+    2**64 or more.
     """
     last_ts: dict[int, int] = {}
     columns = [array(code) for code in _TYPECODES]
@@ -223,7 +214,10 @@ def read_trace(path: str) -> Trace:
             chunk = _parse_bulk(lines, last_ts)
             if chunk is None:
                 raise _first_error(path, lines, lineno, last_ts)
-            columns = list(map(_append, columns, chunk))
+            try:
+                columns = list(map(_append, columns, chunk))
+            except TraceRecordsError as exc:
+                raise TraceParseError(f"{path}: {exc}") from None
             lineno += len(lines)
     return Trace(*columns)
 
@@ -380,7 +374,7 @@ def check_records(records, ncores: int | None = None) -> Trace:
         if ts < prev_ts or (ts == prev_ts and core < prev_core):
             order = sorted(range(len(trace)), key=trace.cores.__getitem__)
             order.sort(key=trace.stamps.__getitem__)  # stable: by timestamp, then core id
-            trace = Trace(*(_like(column, map(column.__getitem__, order)) for column in trace.columns))
+            trace = Trace(*(array(column.typecode, map(column.__getitem__, order)) for column in trace.columns))
             break
         prev_ts = ts
         prev_core = core
@@ -390,11 +384,9 @@ def check_records(records, ncores: int | None = None) -> Trace:
 
 def _checked(records, ncores: int | None = None) -> Trace:
     """records as a Trace in their own order, each record checked as check_records says."""
-    if isinstance(records, Trace):
+    # a Trace of int arrays is taken as it is; one with a list column or an array of floats is packed as records are
+    if isinstance(records, Trace) and {getattr(c, "typecode", "") for c in records.columns} <= _INT_TYPECODES:
         trace = records
-        # a list column may hold anything, an array column of floats ('d', 'f') or characters ('u', 'w') no int
-        if not all(isinstance(column, array) and column.typecode in _INT_TYPECODES for column in trace.columns):
-            _check_fields(trace)
     else:
         records = records if isinstance(records, list) else list(records)
         _check_fields(records)
@@ -410,7 +402,7 @@ def _checked(records, ncores: int | None = None) -> Trace:
         kind = next(k for k in trace.kinds if k in bad)
         raise TraceRecordsError(f"trace record kind {kind!r} is not 0 (instruction fetch), 1 (load) or 2 (store)")
     # an unsigned array column holds no negative value; only the others take a pass, if not empty
-    signed = [c for c in (trace.stamps, trace.addresses) if c and not (isinstance(c, array) and c.typecode.isupper())]
+    signed = [c for c in (trace.stamps, trace.addresses) if c and c.typecode.islower()]
     if signed and min(map(min, signed)) < 0:
         i = next(i for i, (ts, addr) in enumerate(zip(trace.stamps, trace.addresses)) if ts < 0 or addr < 0)
         field = "timestamp" if trace.stamps[i] < 0 else "address"
@@ -433,10 +425,7 @@ class ConstantGap:
     cycles: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.cycles, int) or isinstance(self.cycles, bool):
-            raise ConfigError(f"constant inter-access gap must be a whole number of cycles, got {self.cycles!r}")
-        if self.cycles < 1:
-            raise ConfigError("constant inter-access gap must be >= 1 cycle")
+        check_count("constant inter-access gap", self.cycles)
 
 
 @dataclass(frozen=True)
@@ -445,9 +434,8 @@ class LogUniformGap:
     hi: int
 
     def __post_init__(self) -> None:
-        if not all(isinstance(b, int) and not isinstance(b, bool) for b in (self.lo, self.hi)):
-            raise ConfigError(f"log-uniform gap bounds must be whole numbers of cycles, got {self.lo!r}, {self.hi!r}")
-        if self.lo < 1 or self.hi < self.lo:
+        check_count("log-uniform gap lo", self.lo)
+        if check_count("log-uniform gap hi", self.hi) < self.lo:
             raise ConfigError("log-uniform gap requires 1 <= lo <= hi")
         if self.hi > sys.float_info.max:  # a gap is drawn as a float, math.exp of its exponent
             raise ConfigError(f"log-uniform gap hi must be at most the largest float, got {self.hi}")
@@ -520,8 +508,9 @@ class SyntheticTraceSpec:
     from a working set shared by all cores; the generator emits only data
     accesses (LD/ST), with P(LD) = read_fraction.  A spec checks its fields
     when it is built, raising ConfigError: the integer fields must be ints,
-    read_fraction a real number, gap and pattern spec objects, and a zipf
-    pattern allows at most MAX_ZIPF_BLOCKS working-set blocks.
+    read_fraction a real number, gap and pattern spec objects; the working
+    set must span at most 2**64 bytes, and a zipf pattern allows at most
+    MAX_ZIPF_BLOCKS working-set blocks.
     """
 
     seed: int
@@ -550,6 +539,9 @@ class SyntheticTraceSpec:
             raise ConfigError("working_set_blocks must be >= 1")
         if self.line_size_bytes < 1 or self.line_size_bytes & (self.line_size_bytes - 1):
             raise ConfigError("line_size_bytes must be a positive power of two")
+        if self.working_set_blocks * self.line_size_bytes > 2**64:  # an address must fit in 64 bits
+            raise ConfigError(f"working_set_blocks * line_size_bytes must be at most 2**64, got "
+                              f"{self.working_set_blocks} * {self.line_size_bytes}")
         if isinstance(self.pattern, Zipf) and self.working_set_blocks > MAX_ZIPF_BLOCKS:
             raise ConfigError(
                 f"a zipf working set must be at most {MAX_ZIPF_BLOCKS} blocks, got {self.working_set_blocks}"
@@ -574,7 +566,8 @@ def generate_trace(spec: SyntheticTraceSpec) -> Trace:
     Records are returned merged across cores in (timestamp, core_id)
     order; per-core timestamps increase strictly by the sampled gaps,
     starting at 0.  The Trace is marked ordered, so check_records admits
-    it without an order pass.
+    it without an order pass.  A timestamp of 2**64 or more raises
+    TraceRecordsError.
     """
     line = spec.line_size_bytes
     cdf = block_addresses = None

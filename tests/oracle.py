@@ -16,6 +16,10 @@ reference_expiration_curve are the plain forms of the characterize
 analyses: each filters and orders its stream and replays a fresh
 CacheUnit on its own, with its own observer, sharing nothing between
 calls; each lifetime is its residency in cycles divided by the clock.
+
+reference_simulate is the plain form of hierarchy.simulate under its lazy
+expiry rule: one OracleCache per unit, each record routed by hand, and the
+memory traffic counted as it happens rather than derived from counters.
 """
 
 import bisect
@@ -128,6 +132,86 @@ class OracleCache:
         self.ledger[addr] = "resident"
         self.fills += 1
         return (False, miss_class, writeback, victim)
+
+
+# the counters of a unit that a report and an OracleCache both hold
+UNIT_COUNTERS = ("accesses", "read_hits", "write_hits", "miss_compulsory", "miss_replacement", "miss_expiration",
+                 "fills", "writebacks", "evictions_replacement", "evictions_expiration")
+
+
+def _fire_ticks(unit, now):
+    """Fire the unit's ticks up to now; its newly expired dirty blocks as (deadline, address), in that order."""
+    if not unit.use_expiry:
+        return []
+    first = len(unit.expired_events)
+    unit._advance(now)
+    return sorted((t, addr) for addr, dirty, t in unit.expired_events[first:] if dirty)
+
+
+def reference_simulate(cfg, records, table):
+    """hierarchy.simulate's outcome, built record by record: each unit's
+    UNIT_COUNTERS by unit name, each core's completion cycle, and the
+    memory reads and writes.
+
+    Records run in (timestamp, core_id) order.  A core starts a record at
+    max(timestamp, its last completion).  The lazy rule: an L1 fires its
+    ticks only when it is accessed, and nothing fires at the end of the
+    run.  The dirty blocks an L1 expires on that access are written to the
+    L2, in (deadline, address) order, each at max(deadline, the L2's
+    time); then an L1 miss reads the L2 at max(start, the L2's time), and
+    a dirty L1 victim is written to the L2 at that time.  A demand miss
+    that the L2 does not serve (or any L1 miss, without an L2) is a memory
+    read; memory writes are the L2's writebacks, or the L1s' without one.
+    """
+    def unit(c):
+        retention = c.retention_time if c.technology is Technology.STTRAM else None
+        return OracleCache(c.num_sets, c.associativity, c.line_size_bytes, retention, c.counter_states,
+                           c.refresh_on_read, cfg.clock_hz)
+
+    n = cfg.num_cores
+    names = [f"core{i}.l1i" for i in range(n)] + [f"core{i}.l1d" for i in range(n)]
+    configs = [*cfg.l1i, *cfg.l1d]
+    units = [unit(c) for c in configs]
+    l2 = unit(cfg.l2) if cfg.l2 is not None else None
+    l2_read = table.lookup(cfg.l2.technology, cfg.l2.retention_time).t_read if l2 is not None else 0
+    avail = [0] * n
+    l2_time = 0
+    mem_reads = 0
+    for core, ts, kind, addr in sorted(records, key=lambda r: (r[1], r[0])):
+        start = max(ts, avail[core])
+        i = core if kind == AccessKind.INSTR_FETCH else n + core
+        c, l1 = configs[i], units[i]
+        addr -= addr % c.line_size_bytes
+        is_write = kind == AccessKind.STORE
+        params = table.lookup(c.technology, c.retention_time)
+        latency = params.t_write if is_write else params.t_read
+        due = _fire_ticks(l1, start)
+        hit, _, writeback, victim = l1.access(addr, is_write, start)
+        if l2 is not None:
+            for deadline, block in due:
+                l2_time = max(l2_time, deadline)
+                l2.access(block, True, l2_time)
+        if not hit:
+            latency += l2_read
+            served = False
+            if l2 is not None:
+                l2_time = max(l2_time, start)
+                served = l2.access(addr, False, l2_time)[0]
+                if writeback:
+                    l2.access(victim, True, l2_time)
+            if not served:
+                mem_reads += 1
+                latency += cfg.mem_latency_cycles
+        avail[core] = start + latency
+    if l2 is not None:
+        names.append("l2")
+        units.append(l2)
+    return {
+        "units": {name: tuple(getattr(u, f) for f in UNIT_COUNTERS) for name, u in zip(names, units)},
+        "core_completion_cycles": avail,
+        "mem_reads": mem_reads,
+        "mem_writes": l2.writebacks if l2 is not None else sum(u.writebacks for u in units),
+    }
 
 
 def _zipf_cdf(num_blocks: int, s: float) -> list[float]:

@@ -280,16 +280,18 @@ class TestPersistence:
         assert report.total_fills == sum(fills.values())
 
 
-@pytest.mark.parametrize("clock", [0, -1.9e9, float("nan"), math.inf])
+@pytest.mark.parametrize("clock", [0, -1.9e9, float("nan"), math.inf, 10**400],
+                         ids=["0", "-1900000000.0", "nan", "inf", "10**400"])
 def test_every_replay_refuses_a_clock_that_is_not_positive_and_finite(clock):
-    # 0 ended in a ZeroDivisionError; -1.9e9, NaN and inf gave lifetimes of -0.0, NaN and 0.0
+    # 0 ended in a ZeroDivisionError; -1.9e9, NaN and inf gave lifetimes of -0.0, NaN and 0.0, and an int past the
+    # largest float lifetimes of 0.0 or an OverflowError
     trace = random_trace(17, 200, num_blocks=8)
     for analysis in (
         lambda: block_lifetimes(trace, unit_cfg(), clock_hz=clock),
         lambda: persistence(trace, unit_cfg(), clock_hz=clock),
         lambda: expiration_curve(trace, unit_cfg(), [1e-3], clock_hz=clock),
     ):
-        with pytest.raises(ConfigError, match=rf"^clock_hz must be > 0 and finite, got {clock!r}$"):
+        with pytest.raises(ConfigError, match=rf"^clock_hz must be finite and positive, got {clock!r}$"):
             analysis()
 
 
@@ -343,9 +345,9 @@ class TestExpirationCurve:
     @pytest.mark.parametrize(
         "retentions, message",
         [([1e-6, 1e-3, 1e-3], "duplicate"), ([1e-6, math.inf], "finite"), ([math.nan, 1e-3], "finite"),
-         (["1e-3"], r"^retentions must be real numbers, got '1e-3'$"),
-         ([None], r"^retentions must be real numbers, got None$"),
-         ([1e-3, True], r"^retentions must be real numbers, got True$")],
+         (["1e-3"], r"^retentions must be a real number, got '1e-3'$"),
+         ([None], r"^retentions must be a real number, got None$"),
+         ([1e-3, True], r"^retentions must be a real number, got True$")],
     )
     def test_rejects_duplicate_and_non_finite_retentions(self, retentions, message):
         with pytest.raises(ConfigError, match=message):

@@ -117,12 +117,16 @@ class TestGenTrace:
     @pytest.mark.parametrize(
         "flags, message",
         [
-            (["--gap", "constant:0"], "constant inter-access gap must be >= 1 cycle"),
+            (["--gap", "constant:0"], "constant inter-access gap must be >= 1, got 0"),
             (["--pattern", "zipf:0"], "zipf exponent must be > 0"),
             (["--working-set-blocks", 0], "working_set_blocks must be >= 1"),
             (["--accesses-per-core", 0], "accesses_per_core must be >= 1"),
             (["--pattern", "zipf:1.2", "--working-set-blocks", MAX_ZIPF_BLOCKS + 1],
              f"a zipf working set must be at most {MAX_ZIPF_BLOCKS} blocks, got {MAX_ZIPF_BLOCKS + 1}"),
+            (["--working-set-blocks", 2**58 + 1],
+             f"working_set_blocks * line_size_bytes must be at most 2**64, got {2**58 + 1} * 64"),
+            # the second timestamp of each core is 2**64, which no trace column holds
+            (["--gap", f"constant:{2**64}", "--accesses-per-core", 2], f"trace value {2**64} does not fit in 64 bits"),
         ],
     )
     def test_bad_spec_exits_2_and_writes_nothing(self, tmp_path, capsys, flags, message):
@@ -402,6 +406,18 @@ class TestStudyDriver:
         flags = ["--trace", trace] if source == "--trace" else []
         assert run([command, "--config", cfg, "--out-dir", tmp_path / "out", *flags]) == 2
         assert capsys.readouterr().err == f"error: {where}: trace references core {core} but num_cores is 4\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("source", ["--trace", "[synthetic]"])
+    def test_a_value_past_64_bits_names_the_trace_source(self, tmp_path, capsys, source):
+        # an address of 2**64 in a trace file, or a synthetic trace whose second timestamp is 2**64
+        big = 2**64
+        trace = tmp_path / "t.trace"
+        trace.write_text(f"0 0 LD {big:#x}\n")
+        cfg = make_config(tmp_path, SINGLE_CORE.replace("gap = constant:5000", f"gap = constant:{big}"))
+        flags, where = (["--trace", trace], trace) if source == "--trace" else ([], f"{cfg} [synthetic]")
+        assert run(["simulate", "--config", cfg, "--out-dir", tmp_path / "out", *flags]) == 2
+        assert capsys.readouterr().err == f"error: {where}: trace value {big} does not fit in 64 bits\n"
         assert not (tmp_path / "out").exists()
 
 

@@ -23,6 +23,7 @@ from sttsim import (
     TechParams,
     TechTable,
     Technology,
+    TraceRecordsError,
     assign_asymmetric,
     generate_trace,
     load_experiment_config,
@@ -244,7 +245,8 @@ def test_every_study_refuses_jobs_below_1(jobs):
         lambda: specialize(trace, template(), rets, 1e-2, 10, tech_table=TABLE, jobs=jobs),
         lambda: assign_asymmetric([trace], template(), rets, 10, tech_table=TABLE, jobs=jobs),
     ):
-        with pytest.raises(ConfigError, match=rf"^jobs must be an int of at least 1, got {jobs}$"):
+        rule = ">= 1" if type(jobs) is int else "an int"
+        with pytest.raises(ConfigError, match=rf"^jobs must be {rule}, got {jobs}$"):
             study()
 
 
@@ -481,13 +483,16 @@ class TestAssignAsymmetric:
         [
             (0, [1e-3, 1e-2], 10, "requires at least one thread trace"),
             (1, [1e-3, 1e-2], 0, "profile_len must be >= 1"),
-            (1, [1e-3, 0.0], 10, "core retentions must be positive"),
-            (1, [1e-3, -1e-3], 10, "core retentions must be positive"),
-            (1, [1e-3, math.nan], 10, "core retentions must be positive"),
+            (1, [1e-3, 0.0], 10, "^core_retentions must be finite and positive, got 0.0$"),
+            (1, [1e-3, -1e-3], 10, "^core_retentions must be finite and positive, got -0.001$"),
+            (1, [1e-3, math.nan], 10, "^core_retentions must be finite and positive, got nan$"),
+            (1, [1e-3, math.inf], 10, "^core_retentions must be finite and positive, got inf$"),
+            # float() of an int past the largest float raised OverflowError
+            (1, [1e-3, 10**400], 10, f"^core_retentions must be finite and positive, got {10**400}$"),
             # a bool or a string is no retention, though float() reads True as 1.0 and "1e-3" as 0.001
-            (1, [True, 1e-2], 10, r"core retentions must be real numbers, got \[True, 0\.01\]"),
-            (1, [1e-3, "1e-3"], 10, "core retentions must be real numbers"),
-            (1, [1e-3, None], 10, "core retentions must be real numbers"),
+            (1, [True, 1e-2], 10, "^core_retentions must be a real number, got True$"),
+            (1, [1e-3, "1e-3"], 10, "^core_retentions must be a real number, got '1e-3'$"),
+            (1, [1e-3, None], 10, "^core_retentions must be a real number, got None$"),
             (1, [1e-3, 1e-2], 2.5, "profile_len must be an int, got 2.5"),
             (1, [1e-3, 1e-2], True, "profile_len must be an int, got True"),
         ],
@@ -617,11 +622,17 @@ class TestDerivedSweep:
         assert entry.report == simulate(cfg, trace, table)
         assert entry.report.total_expiration_misses() == 1
 
-    @pytest.mark.parametrize("base", [2**63 - 50, 2**64])
+    @pytest.mark.parametrize("base", [2**64 - 50, 2**64])
     def test_timestamps_beyond_int64_are_derived(self, base, sim_calls):
-        # at 1e20 Hz these timestamps are under 0.2 s, before the first 1e0 deadline
+        # at 1e20 Hz these timestamps are under 0.2 s, before the first 1e0 deadline; from 2**64 on they fit no
+        # trace column, and the sweep refuses them before any simulation
         tmpl = replace(two_level(2), clock_hz=1e20)
         trace = [AccessRecord(i % 2, base + i, AccessKind.LOAD, 64 * i) for i in range(10)]
+        if base >= 2**64:
+            with pytest.raises(TraceRecordsError, match=f"^trace value {base} does not fit in 64 bits$"):
+                sweep(trace, tmpl, [1e0], tech_table=TABLE, jobs=1)
+            assert sim_calls == []
+            return
         assert_sweep_matches_simulate(trace, tmpl, [1e0], jobs=1)
         assert [cfg.l1d[0].retention_time for cfg, _ in sim_calls] == [None]
 

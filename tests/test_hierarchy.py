@@ -3,8 +3,11 @@ import math
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_trace
+from oracle import UNIT_COUNTERS, reference_simulate
 from sttsim import (
     AccessKind,
     AccessRecord,
@@ -296,6 +299,62 @@ def test_pinned_single_level_memory_traffic():
     assert (rep.mem_reads, rep.mem_writes) == (7334, 2464)
 
 
+def _outcome(report):
+    """The parts of a report that reference_simulate builds, in its form."""
+    return {
+        "units": {name: tuple(getattr(u, f) for f in UNIT_COUNTERS) for name, u in report.units.items()},
+        "core_completion_cycles": report.core_completion_cycles,
+        "mem_reads": report.mem_reads,
+        "mem_writes": report.mem_writes,
+    }
+
+
+# SRAM, or a retention whose 4-state tick at 1.9 GHz lasts 475, 4,750 or 47,500 cycles
+_RETENTIONS = st.sampled_from([None, 1e-6, 1e-5, 1e-4])
+
+
+@st.composite
+def _hierarchies(draw):
+    """1-4 cores, each L1 of its own technology and retention, with or without an L2, and one counter size and
+    refresh rule for every unit."""
+    num_cores = draw(st.integers(1, 4))
+    states, refresh = draw(st.sampled_from([2, 4])), draw(st.booleans())
+
+    def unit(size, assoc):
+        retention = draw(_RETENTIONS)
+        tech = Technology.SRAM if retention is None else Technology.STTRAM
+        return CacheUnitConfig(size, assoc, 64, tech, retention, states, refresh)
+
+    l1i = [unit(256, 2) for _ in range(num_cores)]
+    l1d = [unit(256, 2) for _ in range(num_cores)]
+    l2 = unit(1024, 4) if draw(st.booleans()) else None
+    return HierarchyConfig(num_cores=num_cores, l1i=l1i, l1d=l1d, l2=l2, clock_hz=1.9e9)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=_hierarchies(), seed=st.integers(0, 2**16), per_core=st.integers(1, 60))
+def test_simulate_equals_the_reference_hierarchy(cfg, seed, per_core):
+    # gaps of 1 to 3,000 cycles span from a few records a tick to several ticks a record
+    trace = random_trace(seed, per_core * cfg.num_cores, num_cores=cfg.num_cores, num_blocks=24,
+                         write_fraction=0.4, gap_lo=1, gap_hi=3000, instr_fraction=0.2)
+    assert _outcome(simulate(cfg, trace, TABLE)) == reference_simulate(cfg, trace, TABLE)
+
+
+def test_same_tick_dirty_expiries_reach_the_l2_in_address_order():
+    # 0x80 and then 0x0 are stored into two sets of core 0's L1D within its first 475-cycle tick, so both expire
+    # dirty at cycle 1,900 and reach the L2 when the load at 2,000 drains the L1D; there they race for set 0's one
+    # way.  In address order 0x0 write-hits the block its own miss filled, then 0x80 evicts it, dirty; in filing
+    # order 0x80 would evict a clean 0x0, which would then miss and evict 0x80
+    l1 = CacheUnitConfig(4 * 64, 1, 64, Technology.STTRAM, 1e-6)
+    cfg = HierarchyConfig(num_cores=1, l1i=l1, l1d=l1, l2=CacheUnitConfig(2 * 64, 1, 64), clock_hz=1.9e9)
+    trace = [AccessRecord(0, 0, AccessKind.STORE, 0x80), AccessRecord(0, 10, AccessKind.STORE, 0x0),
+             AccessRecord(0, 2000, AccessKind.LOAD, 0x40), AccessRecord(0, 3000, AccessKind.LOAD, 0x80)]
+    report = simulate(cfg, trace, TABLE)
+    assert _outcome(report) == reference_simulate(cfg, trace, TABLE)
+    l2 = report.units["l2"]
+    assert (l2.write_hits, l2.miss_replacement, l2.writebacks, l2.read_hits) == (1, 1, 1, 1)
+
+
 def test_replays_call_only_the_unchecked_access_core(monkeypatch):
     # each replay binds CacheUnit._access, whose callers' admitted records make access()'s checks
     # redundant: with access() refusing every call, each study still gives the same report
@@ -388,12 +447,12 @@ class TestConfigValidation:
         "field, value, match",
         [
             ("num_cores", 0, "num_cores must be >= 1"),
-            ("clock_hz", 0.0, "clock_hz must be > 0"),
-            ("clock_hz", float("nan"), "clock_hz must be > 0"),
+            ("clock_hz", 0.0, "clock_hz must be finite and positive"),
+            ("clock_hz", float("nan"), "clock_hz must be finite and positive"),
             ("mem_latency_cycles", -1, "memory parameters must be >= 0"),
             ("mem_energy_per_access", -1e-12, "memory parameters must be >= 0"),
             # a NaN or infinite energy or clock would turn every report's energy or time into NaN or inf
-            ("clock_hz", math.inf, "clock_hz must be > 0 and finite"),
+            ("clock_hz", math.inf, "clock_hz must be finite and positive"),
             ("mem_energy_per_access", float("nan"), "memory parameters must be >= 0 and finite"),
             ("mem_energy_per_access", math.inf, "memory parameters must be >= 0 and finite"),
         ],

@@ -233,8 +233,9 @@ def test_invalid_specs():
 @pytest.mark.parametrize(
     "build, match",
     [
-        (lambda: ConstantGap(0), "constant inter-access gap must be >= 1 cycle"),
-        (lambda: LogUniformGap(0, 5), r"log-uniform gap requires 1 <= lo <= hi"),
+        (lambda: ConstantGap(0), "constant inter-access gap must be >= 1, got 0"),
+        (lambda: LogUniformGap(0, 5), "log-uniform gap lo must be >= 1, got 0"),
+        (lambda: LogUniformGap(5, 4), "log-uniform gap requires 1 <= lo <= hi"),
         (lambda: LogUniformGap(1, int(sys.float_info.max) + 1), "log-uniform gap hi must be at most the largest float"),
         (lambda: Zipf(0), "zipf exponent must be > 0"),
         (lambda: Zipf(float("nan")), "zipf exponent must be > 0"),
@@ -245,10 +246,12 @@ def test_specs_check_themselves_when_built(build, match):
         build()
 
 
-def test_a_log_uniform_gap_at_the_largest_float_generates():
-    # its gaps are math.exp of an exponent below log(hi), so none overflows the float they are drawn as
+def test_a_log_uniform_gap_at_the_largest_float_is_refused_when_generated():
+    # its gaps are math.exp of an exponent below log(hi), so none overflows the float they are drawn as, but
+    # its timestamps pass 2**64, which no trace column holds
     spec = SyntheticTraceSpec(seed=1, accesses_per_core=200, gap=LogUniformGap(1, int(sys.float_info.max)))
-    assert len(generate_trace(spec)) == 200
+    with pytest.raises(TraceRecordsError, match=r"^trace value \d+ does not fit in 64 bits$"):
+        generate_trace(spec)
 
 
 @pytest.mark.parametrize(
@@ -258,8 +261,8 @@ def test_a_log_uniform_gap_at_the_largest_float_generates():
          "gap must be a ConstantGap or LogUniformGap, got 'constant:5'"),
         (lambda: SyntheticTraceSpec(seed=1, pattern="zipf:1.2"),
          "pattern must be a SequentialLoop, UniformRandom or Zipf, got 'zipf:1.2'"),
-        (lambda: ConstantGap(2.5), "constant inter-access gap must be a whole number of cycles, got 2.5"),
-        (lambda: LogUniformGap(1, 2.0), "log-uniform gap bounds must be whole numbers of cycles, got 1, 2.0"),
+        (lambda: ConstantGap(2.5), "constant inter-access gap must be an int, got 2.5"),
+        (lambda: LogUniformGap(1, 2.0), "log-uniform gap hi must be an int, got 2.0"),
         (lambda: SyntheticTraceSpec(seed=1, working_set_blocks=4.5), "working_set_blocks must be an int, got 4.5"),
         (lambda: SyntheticTraceSpec(seed="1"), "seed must be an int, got '1'"),
         (lambda: SyntheticTraceSpec(seed=1, num_cores=2.0), "num_cores must be an int, got 2.0"),
@@ -270,8 +273,8 @@ def test_a_log_uniform_gap_at_the_largest_float_generates():
         # a bool is an int to isinstance, but no count or quantity
         (lambda: SyntheticTraceSpec(seed=True), "seed must be an int, got True"),
         (lambda: SyntheticTraceSpec(seed=1, read_fraction=True), "read_fraction must be a real number, got True"),
-        (lambda: ConstantGap(True), "constant inter-access gap must be a whole number of cycles, got True"),
-        (lambda: LogUniformGap(True, 2), "log-uniform gap bounds must be whole numbers of cycles, got True, 2"),
+        (lambda: ConstantGap(True), "constant inter-access gap must be an int, got True"),
+        (lambda: LogUniformGap(True, 2), "log-uniform gap lo must be an int, got True"),
         (lambda: Zipf(True), "s must be a real number, got True"),
     ],
 )
@@ -554,11 +557,17 @@ def test_generated_values_are_built_once(num_cores, gap):
 
 
 @pytest.mark.parametrize("pattern", [UniformRandom(), SequentialLoop()], ids=["uniform", "sequential"])
-@pytest.mark.parametrize("blocks", [2**56, 2**56 + 1, 2**70 + 3], ids=["2**56", "2**56+1", "2**70+3"])
+@pytest.mark.parametrize("blocks", [2**56, 2**56 + 1, 2**57, 2**70 + 3], ids=["2**56", "2**56+1", "2**57", "2**70+3"])
 def test_working_sets_past_64_bit_generate_aligned_addresses(pattern, blocks):
-    # patterns other than zipf build no CDF, so their working set has no bound
+    # patterns other than zipf build no CDF, so their working set is bounded only by the 64 bits of an address:
+    # a spec whose working set spans more than 2**64 bytes is refused when it is built
     line = 128
     assert blocks * line > 2**62
+    if blocks * line > 2**64:
+        with pytest.raises(ConfigError, match=re.escape(f"working_set_blocks * line_size_bytes must be at most "
+                                                        f"2**64, got {blocks} * {line}")):
+            SyntheticTraceSpec(seed=1, working_set_blocks=blocks, line_size_bytes=line, pattern=pattern)
+        return
     spec = SyntheticTraceSpec(seed=1, num_cores=2, accesses_per_core=3000, working_set_blocks=blocks,
                               line_size_bytes=line, pattern=pattern)
     addresses = [r.address for r in generate_trace(spec)]
@@ -633,20 +642,17 @@ def test_read_mixed_file_in_bulk(tmp_path):
 
 
 def test_read_timestamps_past_int64_in_bulk(tmp_path):
+    # lines in the grammar whose timestamps pass 2**64: whatever the chunking, the first of them is refused,
+    # naming the file
     big = 2**64
-    records = [
-        AccessRecord(0, big, AccessKind.LOAD, 0x40),
-        AccessRecord(1, 3, AccessKind.STORE, 0x80),
-        AccessRecord(0, big, AccessKind.STORE, 0x40),
-        AccessRecord(1, big * big, AccessKind.INSTR_FETCH, 0x0),
-        AccessRecord(0, big + 1, AccessKind.LOAD, 0xC0),
-    ]
     p = tmp_path / "t.trace"
-    write_trace(records, str(p))
+    p.write_text(f"1 3 ST 0x80\n0 {big} LD 0x40\n0 {big} ST 0x40\n1 {big * big} IF 0x0\n0 {big + 1} LD 0xc0\n")
     for chunk_chars in (1, 30, 1 << 16):
         with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars), \
-                mock.patch.object(trace_mod, "_first_error", side_effect=AssertionError("error reporter")):
-            assert _shape(read_trace(str(p))) == _shape(records)
+                mock.patch.object(trace_mod, "_first_error", side_effect=AssertionError("error reporter")), \
+                pytest.raises(TraceParseError) as exc:
+            read_trace(str(p))
+        assert str(exc.value) == f"{p}: trace value {big} does not fit in 64 bits"
 
 
 def test_read_field_counts_checked_per_line(tmp_path):
@@ -695,9 +701,9 @@ def test_read_only_comments(tmp_path):
 _RECORDS = st.lists(
     st.tuples(
         st.integers(0, 7),
-        st.one_of(st.integers(0, 10**6), st.just(2**64)),  # past int64
+        st.one_of(st.integers(0, 10**6), st.just(2**64 - 1)),  # past int64, and to the last 64-bit value
         st.sampled_from(list(AccessKind)),
-        st.integers(0, 2**80),
+        st.integers(0, 2**64 - 1),
     ),
     max_size=300,
 )
@@ -706,13 +712,19 @@ _RECORDS = st.lists(
 @settings(max_examples=60, deadline=None)
 @given(_RECORDS, st.sampled_from([1, 64, 1 << 14]))
 def test_write_read_roundtrip(tmp_path_factory, rows, chunk_chars):
-    # per-core timestamps made non-decreasing by accumulating the drawn steps
+    # per-core timestamps made non-decreasing by accumulating the drawn steps; a core whose clock passes 2**64
+    # makes a trace that write_trace refuses before it opens the file
     clock = {}
     records = []
     for core, step, kind, address in rows:
         clock[core] = clock.get(core, 0) + step
         records.append(AccessRecord(core, clock[core], kind, address))
     p = tmp_path_factory.mktemp("rt") / "t.trace"
+    if max(clock.values(), default=0) >= 2**64:
+        with pytest.raises(TraceRecordsError, match=r"^trace value \d+ does not fit in 64 bits$"):
+            write_trace(records, str(p))
+        assert not p.exists()
+        return
     write_trace(records, str(p))
     with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", chunk_chars):
         assert _shape(read_trace(str(p))) == _shape(records)
@@ -809,23 +821,32 @@ _NARROW = [AccessRecord(i % 4, i, AccessKind(i % 3), 64 * i) for i in range(200)
 
 
 def _column_types(trace):
-    return [column.typecode if isinstance(column, array) else list for column in trace.columns]
+    return [column.typecode for column in trace.columns]
 
 
 @pytest.mark.parametrize("past", [2**32, 2**64], ids=["past-uint32", "past-int64"])
 def test_columns_widen_once_past_their_type(tmp_path, past):
     # a later chunk holds core 300 and a timestamp and an address of `past`: each of those columns is copied once
-    # to array('q'), and past int64 from there to a list, and every record keeps its values
-    wide = "q" if past < 2**63 else list
+    # to array('Q'), and every record keeps its values; past 2**64 - 1 no column holds them, and they are refused
     records = _NARROW + [AccessRecord(300, past, AccessKind.STORE, past), AccessRecord(2, past + 1, AccessKind.LOAD, 64)]
     narrow_path, path = str(tmp_path / "narrow.trace"), str(tmp_path / "t.trace")
     write_trace(_NARROW, narrow_path)
-    write_trace(records, path)
     with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", 256):
         assert _column_types(read_trace(narrow_path)) == ["B", "I", "b", "I"]
+    if past >= 2**64:
+        with pytest.raises(TraceRecordsError, match=f"^trace value {past} does not fit in 64 bits$"):
+            check_records(records)
+        with open(narrow_path, "a", encoding="utf-8") as fh:
+            fh.write(f"300 {past} ST {past:#x}\n")
+        with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", 256), pytest.raises(TraceParseError) as exc:
+            read_trace(narrow_path)
+        assert str(exc.value) == f"{narrow_path}: trace value {past} does not fit in 64 bits"
+        return
+    write_trace(records, path)
+    with mock.patch.object(trace_mod, "_READ_CHUNK_CHARS", 256):
         read = read_trace(path)
     for trace in (check_records(records), read):
-        assert _column_types(trace) == ["q", wide, "b", wide]
+        assert _column_types(trace) == ["Q", "Q", "b", "Q"]
         assert _shape(trace) == _shape(records)
         # ordering a copy and selecting keep each column's type
         assert _column_types(check_records(trace[::-1])) == _column_types(trace)
@@ -834,17 +855,60 @@ def test_columns_widen_once_past_their_type(tmp_path, past):
 
 @pytest.mark.parametrize("step", [2**29, 2**61], ids=["past-uint32", "past-int64"])
 def test_generated_columns_widen_once_past_their_type(step):
-    # 301 cores, four records a core a chunk, the i-th record of a core at about i * step in time and address:
-    # its third chunk is the first past 2**32 under the first step, and its second the first past int64 under
-    # the other
-    wide = "q" if step < 2**32 else list
-    spec = SyntheticTraceSpec(seed=2, num_cores=301, accesses_per_core=12, working_set_blocks=16, line_size_bytes=step,
-                              gap=ConstantGap(step + 1))
+    # 301 cores, four records a core a chunk, the i-th record of a core at about i * step in time and address, in
+    # a working set of at most 2**64 bytes: its third chunk is the first past 2**32 under the first step, and under
+    # the other it is the first past 2**64 in time, which no column holds, so generation is refused
+    spec = SyntheticTraceSpec(seed=2, num_cores=301, accesses_per_core=12, working_set_blocks=min(16, 2**64 // step),
+                              line_size_bytes=step, gap=ConstantGap(step + 1))
+    if 11 * (step + 1) >= 2**64:
+        with mock.patch.object(trace_mod, "_CHUNK_RECORDS", 4), \
+                pytest.raises(TraceRecordsError, match=f"^trace value {8 * (step + 1)} does not fit in 64 bits$"):
+            generate_trace(spec)
+        return
     with mock.patch.object(trace_mod, "_CHUNK_RECORDS", 4):
         trace = generate_trace(spec)
-    assert _column_types(trace) == ["q", wide, "b", wide]
+    assert _column_types(trace) == ["Q", "Q", "b", "Q"]
     assert max(trace.stamps) >= 2**32 and max(trace.addresses) >= 2**32
     assert _shape(trace) == _shape(reference_generate_trace(spec))
+
+
+def test_the_last_aligned_64_bit_value_round_trips(tmp_path):
+    # 2**64 - 64, the last line-aligned 64-bit address, also as a timestamp: the file holds it, admission keeps
+    # it, and a replay hits the block it filled
+    top = 2**64 - 64
+    records = [AccessRecord(0, top - 1, AccessKind.STORE, top), AccessRecord(0, top, AccessKind.LOAD, top)]
+    p = tmp_path / "t.trace"
+    write_trace(records, str(p))
+    assert p.read_text() == f"0 {top - 1} ST {top:#x}\n0 {top} LD {top:#x}\n"
+    read = read_trace(str(p))
+    assert read == records and check_records(read) == records
+    assert _column_types(read) == ["B", "Q", "b", "Q"]
+    unit = CacheUnitConfig(1024, 2, 64, Technology.STTRAM, 1e-3)
+    l1d = simulate(HierarchyConfig(num_cores=1, l1i=unit, l1d=unit), read, sample_tech_table()).units["core0.l1d"]
+    assert (l1d.miss_compulsory, l1d.read_hits, l1d.miss_expiration) == (1, 1, 0)
+
+
+@pytest.mark.parametrize("field", ["timestamp", "address"])
+def test_a_value_of_2_to_the_64_is_refused_on_every_path(tmp_path, field):
+    big = 2**64
+    records = [AccessRecord(0, 0, AccessKind.LOAD, 0)._replace(**{field: big})]
+    message = f"trace value {big} does not fit in 64 bits"
+    unit = CacheUnitConfig(1024, 2, 64)
+    p = tmp_path / "t.trace"
+    for refused in (
+        lambda: write_trace(records, str(p)),
+        lambda: check_records(records),
+        lambda: check_records(Trace(*map(list, zip(*records)))),  # a Trace of list columns is packed as records are
+        lambda: simulate(HierarchyConfig(num_cores=1, l1i=unit, l1d=unit), records, sample_tech_table()),
+        lambda: generate_trace(SyntheticTraceSpec(seed=1, accesses_per_core=2, gap=ConstantGap(big))),
+    ):
+        with pytest.raises(TraceRecordsError, match=f"^{message}$"):
+            refused()
+    assert not p.exists()
+    p.write_text(f"0 {records[0].timestamp} LD {records[0].address:#x}\n")
+    with pytest.raises(TraceParseError) as exc:
+        read_trace(str(p))
+    assert str(exc.value) == f"{p}: {message}"
 
 
 _INT64 = 2**63
@@ -852,9 +916,9 @@ _ANY_RECORDS = st.lists(
     st.builds(
         AccessRecord,
         st.one_of(st.integers(0, 300), st.just(_INT64)),  # cores past 255, and past int64
-        st.one_of(st.integers(0, 10**9), st.just(2**64)),
+        st.one_of(st.integers(0, 10**9), st.just(2**64 - 1)),
         st.sampled_from(list(AccessKind)),
-        st.one_of(st.integers(0, 2**62), st.integers(_INT64 - 2, 2**80)),
+        st.one_of(st.integers(0, 2**62), st.integers(_INT64 - 2, 2**64 - 1)),
     ),
     max_size=40,
 )
@@ -873,11 +937,11 @@ def test_trace_is_its_records(records, window):
             trace[i]
     part = trace[window]
     assert type(part) is Trace and part == records[window] and _shape(part) == _shape(records[window])
-    # a column is an array while its values fit one, and a list of ints past that
-    for column, values in zip(trace.columns, zip(*records) if records else [()] * 4):
-        assert isinstance(column, array) == all(-_INT64 <= v < _INT64 for v in values)
+    # a column keeps its narrow type while its values fit it, and is an array('Q') past that
+    for column, code, values in zip(trace.columns, trace_mod._TYPECODES, zip(*records) if records else [()] * 4):
+        assert column.typecode == (code if all(v < 1 << 8 * array(code).itemsize for v in values) else "Q")
     if records:
-        changed = records[:-1] + [records[-1]._replace(address=records[-1].address + 64)]
+        changed = records[:-1] + [records[-1]._replace(address=records[-1].address ^ 64)]
         assert trace != changed and trace != _trace_of(changed)
 
 
@@ -891,7 +955,7 @@ def test_select_keeps_the_selected_records(data):
     for selectors in (keep, bytes(keep), array("b", keep)):
         part = trace.select(selectors)
         assert type(part) is Trace and part == kept and _shape(part) == _shape(kept)
-        assert list(map(type, part.columns)) == list(map(type, trace.columns))
+        assert _column_types(part) == _column_types(trace)
         # every record selected: the trace itself, which no one changes
         assert (part is trace) == all(keep)
     assert trace.select([1] * len(records)) is trace
